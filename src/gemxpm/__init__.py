@@ -24,7 +24,7 @@ from .xpm import (DoubleStorageResult, LinearityReport, SinglePhotonEstimate,
 from .gate import (DIM, HILBERT, GateParams, HilbertSpace, PhaseTrace,
                    Trajectory, build_hamiltonian, collapse_operators,
                    conditional_phase, evolve, gate_fidelity, initial_state,
-                   lindblad_rhs, max_stable_dt, phase_trace, propagator)
+                   phase_trace, propagator)
 from .tomography import (ChoiMatrix, CptpReport, TwoQubitChannel,
                          channel_from_gate, choi_matrix, ideal_cphase_choi,
                          process_fidelity)

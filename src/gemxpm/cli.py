@@ -2,16 +2,16 @@
 
 Commands:
 
-    gemxpm simulate <config.yaml> [--out DIR] [--workers N] [--seed N]
-    gemxpm sweep    <config.yaml> [--out DIR] [--workers N] [--seed N]
+    gemxpm simulate <config.yaml> [--out DIR] [--workers N]
+    gemxpm sweep    <config.yaml> [--out DIR] [--workers N]
     gemxpm presets  list
     gemxpm presets  show <name>
     gemxpm presets  run <name> [--out DIR] ...
 
 Exit codes: 0 success, 2 config error, 3 numerical or I/O failure.
 Every run writes a CSV table (figure data) and a JSON summary carrying
-the fully resolved config and provenance.  --seed is accepted and
-recorded for forward compatibility; every solver here is deterministic.
+the fully resolved config and provenance.  Every solver here is
+deterministic, so a config fully determines its outputs.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from . import __version__
 from .config import (ExperimentConfig, config_to_dict, load_config,
                      parse_config, set_sweep_value)
 from .errors import ConfigError, GemXpmError
-from .gate import (build_hamiltonian, conditional_phase, initial_state,
-                   phase_trace)
+from .gate import phase_trace
 from .gem import (apply_stark_drive, excitation_balance, peak_k_trajectory,
                   polariton_transform, propagate, verify_fourier_relation)
 from .presets import get_preset, preset_names
@@ -161,6 +160,14 @@ def _phi_targets_report(cfg: ExperimentConfig, phi: float,
     p_dressed = gate.params.with_stored_signal_coupling()
     t = gate.t_end if cfg.kind == "gate" else gate.t_gate
     denom = p_bare.gamma ** 2 + p_bare.delta4 ** 2
+
+    def analytic_mrad(g24: float) -> float:
+        # gamma = delta4 = 0 leaves the light-shift estimate undefined,
+        # while the simulation itself is well defined.
+        if denom == 0.0:
+            return math.nan
+        return 1e3 * g24 ** 2 * p_bare.delta4 * t / denom
+
     report: Dict[str, Any] = {
         "parameters": {
             "stored_signal_coupling": gate.stored_signal_coupling,
@@ -169,8 +176,8 @@ def _phi_targets_report(cfg: ExperimentConfig, phi: float,
             "t": t,
         },
         "analytic_phi_mrad": {
-            "bare_coupling": 1e3 * p_bare.g24 ** 2 * p_bare.delta4 * t / denom,
-            "stored_coupling": 1e3 * p_dressed.g24 ** 2 * p_bare.delta4 * t / denom,
+            "bare_coupling": analytic_mrad(p_bare.g24),
+            "stored_coupling": analytic_mrad(p_dressed.g24),
         },
     }
     report.update(extra)
@@ -198,8 +205,7 @@ def _phi_targets_report(cfg: ExperimentConfig, phi: float,
 def _run_gate(cfg: ExperimentConfig):
     gate = cfg.gate
     params = gate.effective_params()
-    trace = phase_trace(params, t_end=gate.t_end, dt=gate.dt,
-                        n_samples=gate.n_samples)
+    trace = phase_trace(params, t_end=gate.t_end, n_samples=gate.n_samples)
     table = ResultTable(
         columns=["t", "phi", "fidelity"], units=["1/gamma", "rad", "1"],
         rows=[[float(a), float(b), float(c)]
@@ -223,12 +229,7 @@ def _run_tomography(cfg: ExperimentConfig):
     channel = channel_from_gate(params, gate.t_gate,
                                 renormalize=gate.renormalize)
     chi = choi_matrix(channel)
-
-    from .gate import apply_propagator, propagator as _prop
-    h = build_hamiltonian(params)
-    rho_end = apply_propagator(_prop(h, params.gamma, gate.t_gate),
-                               initial_state())
-    phi = conditional_phase(rho_end)
+    phi = channel.phase
     candidates = {
         "identity": process_fidelity(chi, ideal_cphase_choi(0.0)),
         "cphase_plus_phi": process_fidelity(chi, ideal_cphase_choi(phi)),
@@ -307,8 +308,8 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
     return table, results, scalars, None, {}
 
 
-def run_config(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
-               seed: Optional[int] = None) -> Dict[str, Path]:
+def run_config(cfg: ExperimentConfig, out_dir: Path,
+               workers: int = 1) -> Dict[str, Path]:
     """Execute one experiment config; returns the written file paths."""
     t0 = time.perf_counter()
     if cfg.kind == "sweep":
@@ -321,8 +322,6 @@ def run_config(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = config_to_dict(cfg)
     table.provenance = _provenance(resolved, wall)
-    if seed is not None:
-        table.provenance["seed"] = seed
 
     csv_path = out_dir / f"{cfg.name}.csv"
     table.write_csv(csv_path)
@@ -341,21 +340,19 @@ def run_config(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
     return paths
 
 
-def run(config_path: str, out_dir: str = "out", workers: int = 1,
-        seed: Optional[int] = None) -> int:
+def run(config_path: str, out_dir: str = "out", workers: int = 1) -> int:
     """CLI core: load, validate, execute, write outputs, map exit codes."""
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _execute(cfg, out_dir, workers, seed)
+    return _execute(cfg, out_dir, workers)
 
 
-def _execute(cfg: ExperimentConfig, out_dir: str, workers: int,
-             seed: Optional[int]) -> int:
+def _execute(cfg: ExperimentConfig, out_dir: str, workers: int) -> int:
     try:
-        paths = run_config(cfg, Path(out_dir), workers=workers, seed=seed)
+        paths = run_config(cfg, Path(out_dir), workers=workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -380,8 +377,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--workers", type=int, default=1,
                        help="worker pool size for sweep points")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; recorded in provenance only")
 
     p_sim = sub.add_parser("simulate", help="run one experiment config")
     p_sim.add_argument("config")
@@ -419,7 +414,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return _execute(cfg, args.out, args.workers, args.seed)
+        return _execute(cfg, args.out, args.workers)
 
     try:
         cfg = load_config(args.config)
@@ -430,7 +425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: 'sweep' requires a config with experiment: sweep "
               "(use 'simulate' for single runs)", file=sys.stderr)
         return 2
-    return _execute(cfg, args.out, args.workers, args.seed)
+    return _execute(cfg, args.out, args.workers)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ _PULSE_KEYS = ("peak_amplitude", "center_time", "duration")
 _GRID_KEYS = ("nz", "nt", "t_max")
 _GATE_KEYS = ("gamma", "OmegaC", "OmegaCPrime", "Delta", "DeltaPrime",
               "delta4", "g", "N", "bandwidth", "stored_signal_coupling",
-              "t_end", "dt", "n_samples", "t_gate", "renormalize")
+              "t_end", "n_samples", "t_gate", "renormalize")
 _GATE_RATE_KEYS = ("gamma", "OmegaC", "OmegaCPrime", "Delta", "DeltaPrime",
                    "delta4", "g")
 
@@ -46,7 +46,6 @@ class GateRunSpec:
     params: GateParams
     stored_signal_coupling: bool = False
     t_end: float = 15.0
-    dt: Optional[float] = None
     n_samples: int = 151
     t_gate: float = 15.0
     renormalize: str = "global"
@@ -242,9 +241,6 @@ def _parse_gate(raw: Optional[Mapping], units: _Units, path: str) -> GateRunSpec
     stored = _expect_bool(raw.get("stored_signal_coupling", False),
                           f"{path}.stored_signal_coupling")
     t_end = units.time(_expect_number(raw.get("t_end", 15.0), f"{path}.t_end"))
-    dt = raw.get("dt")
-    if dt is not None:
-        dt = units.time(_expect_number(dt, f"{path}.dt"))
     n_samples = _expect_int(raw.get("n_samples", 151), f"{path}.n_samples")
     t_gate = units.time(_expect_number(raw.get("t_gate", 15.0),
                                        f"{path}.t_gate"))
@@ -259,7 +255,7 @@ def _parse_gate(raw: Optional[Mapping], units: _Units, path: str) -> GateRunSpec
     except ValueError as exc:
         _fail(path, str(exc))
     return GateRunSpec(params=params, stored_signal_coupling=stored,
-                       t_end=t_end, dt=dt, n_samples=n_samples,
+                       t_end=t_end, n_samples=n_samples,
                        t_gate=t_gate, renormalize=renorm)
 
 
@@ -450,8 +446,6 @@ def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
                        "stored_signal_coupling": g.stored_signal_coupling,
                        "t_end": g.t_end, "n_samples": g.n_samples,
                        "t_gate": g.t_gate, "renormalize": g.renormalize}
-        if g.dt is not None:
-            out["gate"]["dt"] = g.dt
     if cfg.targets:
         out["targets"] = {k: list(v) for k, v in cfg.targets.items()}
     return out

@@ -20,20 +20,22 @@ The Hamiltonian (rotating frame, detunings on the excited diagonals) is
 Spontaneous decay: each excited level decays at total rate gamma, split
 equally among its listed ground channels (|3> -> |1>,|2>; |4> -> |2>;
 |3'> -> |1'>,|2'>).
+
+The master equation d(rho)/dt = L rho has a constant 784x784 Liouvillian
+L, so every time evolution here is exact: rho(t) = exp(L t) rho(0), with
+the matrix exponential built once by ``propagator``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (NumericalError, ProjectionError, StabilityError,
-                     UndefinedPhaseError)
+from .errors import NumericalError, ProjectionError, UndefinedPhaseError
 
 LEVELS: Tuple[str, ...] = ("1", "2", "3", "4", "1p", "2p", "3p")
 N_LEVELS = 7
@@ -190,49 +192,6 @@ def collapse_operators(gamma: float) -> List[Tuple[np.ndarray, float]]:
     return ops
 
 
-@lru_cache(maxsize=8)
-def _decay_tables(gamma: float):
-    """Precomputed tables for the structured dissipator.
-
-    Returns (anti, jumps) with anti[i, j] = (r_i + r_j)/2 for the total
-    decay rate r of each basis state, and jumps a list of
-    (ground_slice, excited_slice, rate) block copies.
-    """
-    rate_of_level = {lev: 0.0 for lev in LEVELS}
-    for _lo, hi, frac in DECAY_CHANNELS:
-        rate_of_level[hi] += frac * gamma
-    r = np.repeat([rate_of_level[lev] for lev in LEVELS], 4)
-    anti = 0.5 * (r[:, None] + r[None, :])
-    jumps = []
-    for lo, hi, frac in DECAY_CHANNELS:
-        a, b = LEVELS.index(lo), LEVELS.index(hi)
-        jumps.append((slice(4 * a, 4 * a + 4), slice(4 * b, 4 * b + 4),
-                      frac * gamma))
-    return anti, tuple(jumps)
-
-
-def lindblad_rhs(rho: np.ndarray, H: np.ndarray, gamma: float) -> np.ndarray:
-    """d(rho)/dt = -i[H, rho] + sum_j gamma_j D[c_j] rho.
-
-    The dissipator uses the fixed gate decay channels; the anticommutator
-    part is diagonal in this basis and the jump part copies excited blocks
-    into ground blocks, so no operator products are formed.
-    """
-    if rho.shape[-2:] != (DIM, DIM) or H.shape != (DIM, DIM):
-        raise ValueError(
-            f"dimension mismatch: rho {rho.shape}, H {H.shape}; expected "
-            f"({DIM}, {DIM})")
-    out = H @ rho
-    out -= rho @ H
-    out *= -1j
-    if gamma != 0.0:
-        anti, jumps = _decay_tables(gamma)
-        out -= anti * rho
-        for gsl, esl, rate in jumps:
-            out[..., gsl, gsl] += rate * rho[..., esl, esl]
-    return out
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled density-operator trajectory."""
@@ -245,141 +204,34 @@ class Trajectory:
         return self.states[-1]
 
 
-def _step_scale(H: np.ndarray, gamma: float) -> float:
-    diag = np.abs(np.diag(H)).max() if H.size else 0.0
-    off = np.abs(H - np.diag(np.diag(H))).max()
-    return max(diag, off, gamma)
-
-
-def max_stable_dt(H: np.ndarray, gamma: float) -> float:
-    """Largest admissible explicit step: 0.1 over the fastest Hamiltonian
-    scale (max of |diagonal detunings|, |couplings|, gamma)."""
-    scale = _step_scale(H, gamma)
-    return math.inf if scale == 0.0 else 0.1 / scale
-
-
 def evolve(rho0: np.ndarray, H: np.ndarray, gamma: float, t_end: float,
-           dt: float, *, snapshot_times: Optional[Sequence[float]] = None,
-           method: str = "auto") -> Trajectory:
-    """Integrate the master equation from rho0 to t_end.
+           n_samples: int = 2) -> Trajectory:
+    """Evolve rho0 under the master equation, sampled at
+    np.linspace(0, t_end, n_samples).
 
-    method="rk4" uses the classic fourth-order explicit step with
-    re-symmetrisation (rho <- (rho + rho^dagger)/2) after every step and a
-    trace monitor that aborts when |Tr(rho) - 1| > 1e-6.  method="auto"
-    switches to an exact eigenbasis propagator when gamma == 0: unitary
-    evolution has a closed form, and the explicit stepper cannot hold the
-    1e-8-level purity budget over long runs at any affordable step size.
-
-    ``dt`` must satisfy dt <= 0.1 / max(|detunings|, |couplings|, gamma);
-    violations raise StabilityError with the required step.
+    The solution is exact: one propagator exp(L*t_end/(n_samples - 1)) is
+    built and applied between consecutive samples, each application
+    followed by re-symmetrisation (rho <- (rho + rho^dagger)/2).  Raises
+    NumericalError when |Tr(rho) - 1| > 1e-6 at any sample.
     """
     if rho0.shape != (DIM, DIM):
         raise ValueError(f"rho0 must be ({DIM}, {DIM}), got {rho0.shape}")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    dt_max = max_stable_dt(H, gamma)
-    if dt > dt_max:
-        raise StabilityError(dt, dt_max)
-
-    if snapshot_times is None:
-        samples = np.array([0.0, t_end])
-    else:
-        samples = np.asarray(sorted(set([0.0, *map(float, snapshot_times),
-                                         t_end])))
-        if samples[0] < 0 or samples[-1] > t_end + 1e-12:
-            raise ValueError("snapshot times must lie in [0, t_end]")
-
-    if method not in ("auto", "rk4", "unitary"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "unitary" if gamma == 0.0 else "rk4"
-    if method == "unitary":
-        if gamma != 0.0:
-            raise ValueError("the exact unitary propagator requires gamma = 0")
-        return _evolve_unitary(rho0, H, samples)
-    return _evolve_rk4(rho0, H, gamma, samples, dt)
-
-
-def _evolve_unitary(rho0: np.ndarray, H: np.ndarray,
-                    samples: np.ndarray) -> Trajectory:
-    w, v = np.linalg.eigh(H)
-    rho_eig = v.conj().T @ rho0 @ v
-    states = np.empty((samples.size, DIM, DIM), dtype=complex)
-    for i, t in enumerate(samples):
-        phase = np.exp(-1j * w * t)
-        r = (phase[:, None] * rho_eig) * phase.conj()[None, :]
-        states[i] = v @ r @ v.conj().T
-    return Trajectory(times=samples, states=states)
-
-
-def _rhs_into(rho: np.ndarray, H: np.ndarray, tables, out: np.ndarray,
-              tmp: np.ndarray) -> np.ndarray:
-    """lindblad_rhs with preallocated buffers (hot path of the stepper)."""
-    np.matmul(H, rho, out=out)
-    np.matmul(rho, H, out=tmp)
-    out -= tmp
-    out *= -1j
-    if tables is not None:
-        anti, jumps = tables
-        np.multiply(anti, rho, out=tmp)
-        out -= tmp
-        for gsl, esl, rate in jumps:
-            out[gsl, gsl] += rate * rho[esl, esl]
-    return out
-
-
-def _evolve_rk4(rho0: np.ndarray, H: np.ndarray, gamma: float,
-                samples: np.ndarray, dt: float) -> Trajectory:
-    t_end = samples[-1]
-    n_steps = max(int(math.ceil(t_end / dt - 1e-12)), 1)
-    h = t_end / n_steps
-    states = np.empty((samples.size, DIM, DIM), dtype=complex)
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    times = np.linspace(0.0, t_end, n_samples)
+    prop = propagator(H, gamma, t_end / (n_samples - 1))
+    states = np.empty((n_samples, DIM, DIM), dtype=complex)
     rho = rho0.astype(complex)
-    tables = _decay_tables(gamma) if gamma != 0.0 else None
-    k1, k2, k3, k4 = (np.empty((DIM, DIM), complex) for _ in range(4))
-    work = np.empty((DIM, DIM), complex)
-    tmp = np.empty((DIM, DIM), complex)
-    next_sample = 0
-    for n in range(n_steps + 1):
-        t = n * h
-        while (next_sample < samples.size
-               and samples[next_sample] <= t + 0.5 * h):
-            states[next_sample] = rho
-            next_sample += 1
-        if n == n_steps:
-            break
-        _rhs_into(rho, H, tables, k1, tmp)
-        np.multiply(k1, 0.5 * h, out=work)
-        work += rho
-        _rhs_into(work, H, tables, k2, tmp)
-        np.multiply(k2, 0.5 * h, out=work)
-        work += rho
-        _rhs_into(work, H, tables, k3, tmp)
-        np.multiply(k3, h, out=work)
-        work += rho
-        _rhs_into(work, H, tables, k4, tmp)
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= h / 6.0
-        rho += k2
-        np.conjugate(rho.T, out=tmp)
-        rho += tmp
-        rho *= 0.5
-        if n % 64 == 0:
-            tr = float(rho.trace().real)
-            if abs(tr - 1.0) > 1e-6:
-                raise NumericalError(
-                    f"trace drifted to {tr:.9f} at t={t + h:.4f}; the step "
-                    "size is too coarse for this generator")
-    while next_sample < samples.size:
-        states[next_sample] = rho
-        next_sample += 1
-    tr = float(rho.trace().real)
-    if abs(tr - 1.0) > 1e-6:
-        raise NumericalError(f"final trace {tr:.9f} outside tolerance")
-    return Trajectory(times=samples, states=states)
+    for i, t in enumerate(times):
+        if i:
+            rho = apply_propagator(prop, rho)
+        tr = float(rho.trace().real)
+        if abs(tr - 1.0) > 1e-6:
+            raise NumericalError(f"trace drifted to {tr:.9f} at t={t:.4f}")
+        states[i] = rho
+    return Trajectory(times=times, states=states)
 
 
 def _trace_out_p(rho: np.ndarray) -> np.ndarray:
@@ -408,13 +260,13 @@ def conditional_phase(rho: np.ndarray) -> float:
     return float(np.angle(c1 * np.conj(c0)))
 
 
-def _project_two_qubit(rho: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Project onto the (s occupation) x {|1>, |2>} subspace with no p
-    photon.
+def two_qubit_block(rho: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Project onto the two-qubit subspace: s occupation (x) atomic
+    {|1>, |2>}, with no p photon.
 
     Returns the unnormalised 4x4 block in s-major ordering
-    (|0s,1>, |0s,2>, |1s,1>, |1s,2>) and its weight.  States carrying a p
-    photon sit outside the stated qubit subspace and count as leakage.
+    (|0s,1>, |0s,2>, |1s,1>, |1s,2>) and its weight.  Weight left in p = 1
+    states, excited levels, or the primed sector counts as leakage.
     """
     r = np.asarray(rho).reshape(N_LEVELS, 2, 2, N_LEVELS, 2, 2)
     sub = r[np.ix_((0, 1), (0,), (0, 1), (0, 1), (0,), (0, 1))][:, 0, :, :, 0, :]
@@ -442,7 +294,7 @@ def gate_fidelity(rho: np.ndarray, phi: float) -> float:
     Raises ProjectionError when less than 1e-6 of the weight survives the
     projection onto the qubit subspace.
     """
-    q, weight = _project_two_qubit(rho)
+    q, weight = two_qubit_block(rho)
     if weight < 1e-6:
         raise ProjectionError(
             f"projection weight {weight:.3e}; state left the qubit subspace")
@@ -461,21 +313,11 @@ class PhaseTrace:
 
 
 def phase_trace(params: GateParams, t_end: float = 15.0,
-                dt: Optional[float] = None, n_samples: int = 151,
-                method: str = "auto") -> PhaseTrace:
-    """Run the gate from the standard initial state and trace phi(t), F(t).
-
-    The default step is 0.7 of the admissible maximum: at the full bound
-    the explicit stepper lets transient eigenvalues dip a few 1e-8 below
-    zero, while the shorter step keeps the trajectory positive to machine
-    precision.
-    """
+                n_samples: int = 151) -> PhaseTrace:
+    """Run the gate from the standard initial state and trace phi(t), F(t)
+    on np.linspace(0, t_end, n_samples)."""
     H = build_hamiltonian(params)
-    if dt is None:
-        dt = 0.7 * max_stable_dt(H, params.gamma)
-    times = np.linspace(0.0, t_end, n_samples)
-    traj = evolve(initial_state(), H, params.gamma, t_end, dt,
-                  snapshot_times=times, method=method)
+    traj = evolve(initial_state(), H, params.gamma, t_end, n_samples)
     phis = np.empty(traj.times.size)
     fids = np.empty(traj.times.size)
     for i, rho in enumerate(traj.states):
@@ -498,8 +340,9 @@ def liouvillian_matrix(H: np.ndarray, gamma: float) -> np.ndarray:
 def propagator(H: np.ndarray, gamma: float, t: float) -> np.ndarray:
     """exp(L t) as a dense matrix acting on vec(rho).
 
-    One matrix exponential amortised over arbitrarily many initial states;
-    used by process tomography where sixteen evolutions share (H, gamma, t).
+    One matrix exponential amortised over arbitrarily many applications:
+    evolve applies one step propagator between all its samples, and
+    process tomography evolves sixteen states with one (H, gamma, t).
     """
     return sla.expm(liouvillian_matrix(H, gamma) * t)
 

@@ -59,6 +59,10 @@ class EnsembleParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
+        # the Raman ratios OmegaC/Delta and OmegaCPrime/DeltaPrime divide
+        for name in ("Delta", "DeltaPrime"):
+            if getattr(self, name) == 0.0:
+                raise ValueError(f"{name} must be nonzero")
 
     @property
     def coupling_density(self) -> float:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import LeakageError, NumericalError
 from .gate import (DIM, HILBERT, GateParams, apply_propagator,
-                   build_hamiltonian, propagator)
+                   build_hamiltonian, conditional_phase, initial_state,
+                   propagator, two_qubit_block)
 
 QUBIT_DIM = 4
 #: Full-space indices of the two-qubit basis (s-major ordering
@@ -40,19 +41,6 @@ def _embed_vector(v: np.ndarray) -> np.ndarray:
     return full
 
 
-def _reduce(rho: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Project onto the two-qubit subspace (no p photon, atomic {|1>,|2>});
-    returns the unnormalised 4x4 block and its weight.
-
-    Weight left in p = 1 states, excited levels, or the primed sector
-    counts as leakage; it is logged by the channel builder.
-    """
-    r = rho.reshape(7, 2, 2, 7, 2, 2)
-    sub = r[np.ix_((0, 1), (0,), (0, 1), (0, 1), (0,), (0, 1))][:, 0, :, :, 0, :]
-    q = sub.transpose(1, 0, 3, 2).reshape(QUBIT_DIM, QUBIT_DIM)
-    return q, float(q.trace().real)
-
-
 @dataclass(frozen=True)
 class TwoQubitChannel:
     """Linear map on two-qubit operators, tabulated on the matrix-unit
@@ -61,6 +49,7 @@ class TwoQubitChannel:
     images: np.ndarray                      # (4, 4, 4, 4) complex
     t_gate: Optional[float] = None
     leakage: Optional[Dict[str, float]] = None   # per evolved pure state
+    phase: Optional[float] = None   # conditional phase of initial_state()
     renormalized: bool = True
 
     def apply(self, m: np.ndarray) -> np.ndarray:
@@ -117,7 +106,9 @@ def channel_from_gate(params: GateParams, t_gate: float, *,
     The sixteen operator-basis images are reconstructed from pure-state
     evolutions (each diagonal |i><i| plus the |+> and |+i> states of every
     pair, recombined linearly).  All evolutions share one dense propagator
-    exp(L*t_gate), so the cost is a single matrix exponential.
+    exp(L*t_gate), so the cost is a single matrix exponential; the same
+    propagator gives the conditional phase of the gate's reference initial
+    state, carried as ``phase``.
 
     ``renormalize`` selects the leakage handling:
 
@@ -145,7 +136,7 @@ def channel_from_gate(params: GateParams, t_gate: float, *,
     def evolve_pure(key: str, v: np.ndarray) -> np.ndarray:
         rho0 = np.outer(_embed_vector(v), _embed_vector(v).conj())
         rho_t = apply_propagator(prop, rho0)
-        q, weight = _reduce(rho_t)
+        q, weight = two_qubit_block(rho_t)
         leakage[key] = 1.0 - weight
         if renormalize == "per-input" and weight > 0.0:
             q = q / weight
@@ -179,8 +170,9 @@ def channel_from_gate(params: GateParams, t_gate: float, *,
             f"channel leaked {worst:.1%} of one input out of the qubit "
             f"subspace (limit {leakage_limit:.0%}); per-input leakage: "
             f"{report}", leakage_report=dict(leakage))
+    phase = conditional_phase(apply_propagator(prop, initial_state()))
     return TwoQubitChannel(images=images, t_gate=t_gate, leakage=leakage,
-                           renormalized=renormalize != "none")
+                           phase=phase, renormalized=renormalize != "none")
 
 
 def _unit_vec(i: int) -> np.ndarray:

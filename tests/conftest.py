@@ -3,12 +3,11 @@ unit suite and the acceptance suite reuse one trajectory each."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from gemxpm import (EnsembleParams, GateParams, GradientSchedule,
                     PulseSpec, build_grid, build_hamiltonian, evolve,
-                    initial_state, max_stable_dt, phase_trace, propagate)
+                    initial_state, phase_trace, propagate)
 
 
 @pytest.fixture(scope="session")
@@ -47,10 +46,7 @@ def gate_params():
 def gate_trajectory(gate_params):
     """Reference-parameter run to t = 15/gamma with snapshots."""
     h = build_hamiltonian(gate_params)
-    dt = 0.7 * max_stable_dt(h, gate_params.gamma)
-    times = np.linspace(0.0, 15.0, 31)
-    return evolve(initial_state(), h, gate_params.gamma, 15.0, dt,
-                  snapshot_times=times)
+    return evolve(initial_state(), h, gate_params.gamma, 15.0, 31)
 
 
 @pytest.fixture(scope="session")

@@ -69,6 +69,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="nonexistent"):
             parse_config(cfg)
 
+    def test_gate_dt_refused(self, tmp_path, capsys):
+        cfg = {"experiment": "gate", "gate": {"dt": 0.01}}
+        assert run(write_yaml(tmp_path, cfg),
+                   out_dir=str(tmp_path / "out")) == 2
+        assert "gate.dt" in capsys.readouterr().err
+
+    def test_zero_raman_detuning_refused(self, tmp_path, capsys):
+        for key in ("Delta", "DeltaPrime"):
+            cfg = dict(STORAGE_CONFIG,
+                       ensemble=dict(STORAGE_CONFIG["ensemble"], **{key: 0.0}))
+            assert run(write_yaml(tmp_path, cfg),
+                       out_dir=str(tmp_path / "out")) == 2
+            err = capsys.readouterr().err
+            assert f"'ensemble': {key} must be nonzero" in err
+
     def test_lab_units_require_gamma(self):
         cfg = dict(STORAGE_CONFIG, units={"system": "lab"})
         with pytest.raises(ConfigError, match="gamma"):
@@ -261,12 +276,24 @@ class TestMainEntry:
         cfg = write_yaml(tmp_path, STORAGE_CONFIG)
         assert main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 2
 
-    def test_seed_recorded(self, tmp_path):
-        cfg = write_yaml(tmp_path, STORAGE_CONFIG)
-        assert main(["simulate", cfg, "--out", str(tmp_path / "out"),
-                     "--seed", "42"]) == 0
-        header = (tmp_path / "out" / "small_storage.csv").read_text()
-        assert "# seed: 42" in header
+    def test_gate_targets_with_zero_light_shift_denominator(self, tmp_path,
+                                                             capsys):
+        # gamma = delta4 = 0: the analytic estimates are undefined, the
+        # run is not
+        cfg = {
+            "experiment": "gate",
+            "name": "g0",
+            "gate": {"gamma": 0.0, "delta4": 0.0, "t_end": 1.0,
+                     "n_samples": 2},
+            "targets": {"phi_mrad": [0.0, 1.0]},
+        }
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads(
+            (tmp_path / "out" / "g0.summary.json").read_text())
+        estimates = summary["target_report"]["analytic_phi_mrad"]
+        assert estimates == {"bare_coupling": "nan", "stored_coupling": "nan"}
 
 
 class TestFormatting:

@@ -86,6 +86,10 @@ class TestEnsembleParams:
             EnsembleParams(N=0)
         with pytest.raises(ValueError):
             EnsembleParams(Delta=math.inf)
+        with pytest.raises(ValueError, match="Delta must be nonzero"):
+            EnsembleParams(Delta=0.0)
+        with pytest.raises(ValueError, match="DeltaPrime must be nonzero"):
+            EnsembleParams(DeltaPrime=0.0)
 
 
 class TestGradientSchedule:

@@ -8,8 +8,8 @@ from gemxpm import (GateParams, LeakageError, TwoQubitChannel,
                     build_hamiltonian, channel_from_gate, choi_matrix,
                     conditional_phase, ideal_cphase_choi, initial_state,
                     process_fidelity, propagator)
-from gemxpm.gate import apply_propagator
-from gemxpm.tomography import QUBIT_DIM, _reduce
+from gemxpm.gate import apply_propagator, two_qubit_block
+from gemxpm.tomography import QUBIT_DIM
 
 
 def random_density(rng, n=4):
@@ -65,8 +65,10 @@ class TestChannelFromGate:
         full = np.zeros((28, 28), dtype=complex)
         from gemxpm.tomography import _EMBED
         full[np.ix_(list(_EMBED), list(_EMBED))] = rho_q
-        reduced, _w = _reduce(apply_propagator(prop, full))
+        reduced, _w = two_qubit_block(apply_propagator(prop, full))
         assert np.abs(channel.apply(rho_q) - reduced).max() < 1e-10
+        assert channel.phase == conditional_phase(
+            apply_propagator(prop, initial_state()))
 
     def test_leakage_logged(self, reference_channel):
         assert reference_channel.leakage
@@ -193,11 +195,9 @@ class TestProcessFidelity:
         fids = []
         for gamma in (0.0, 0.5, 1.0, 2.0, 4.0):
             p = dataclasses.replace(base, gamma=gamma)
-            h = build_hamiltonian(p)
-            rho = apply_propagator(propagator(h, gamma, 15.0),
-                                   initial_state())
-            phi = conditional_phase(rho)
-            chi = choi_matrix(channel_from_gate(p, 15.0))
+            channel = channel_from_gate(p, 15.0)
+            phi = channel.phase
+            chi = choi_matrix(channel)
             best = max(process_fidelity(chi, ideal_cphase_choi(s * phi))
                        for s in (1.0, -1.0))
             fids.append(best)
