@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Compare fresh preset runs with the golden CSV bodies.
+
+Usage (from the repository root, with src/ on PYTHONPATH):
+
+    python3 scripts/golden_diff.py [PRESET ...]
+
+Runs the named presets (all of them when none is named) into a temporary
+directory and prints, for every CSV they write, whether its body (the
+'#' provenance lines stripped) is byte-equal to ``golden/`` and the
+per-column max abs/rel deltas.  Exits 1 when any body differs, so the
+output can be pasted as the quantified diff of a golden regeneration.
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+from typing import List
+
+import numpy as np
+
+from gemxpm.cli import run_config
+from gemxpm.config import parse_config
+from gemxpm.presets import get_preset, preset_names
+from gemxpm.reporting import csv_body
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+
+
+def column_deltas(produced: str, golden: str) -> List[str]:
+    """One line per column: max |a - b| and max |a - b| / |b|."""
+    a = [ln.split(",") for ln in produced.splitlines() if ln]
+    b = [ln.split(",") for ln in golden.splitlines() if ln]
+    lines = []
+    if a[0] != b[0]:
+        lines.append(f"  header {','.join(a[0])} vs golden {','.join(b[0])}")
+    a, b = a[1:], b[1:]
+    if len(a) != len(b):
+        lines.append(f"  row count {len(a)} vs golden {len(b)}")
+    n = min(len(a), len(b))
+    for j, name in enumerate(produced.splitlines()[0].split(",")):
+        x = np.array([float(r[j]) for r in a[:n]])
+        y = np.array([float(r[j]) for r in b[:n]])
+        diff = np.abs(x - y)
+        both_nan = np.isnan(x) & np.isnan(y)
+        diff[both_nan] = 0.0
+        rel = diff / np.maximum(np.abs(y), np.finfo(float).tiny)
+        rel[both_nan] = 0.0
+        lines.append(f"  {name}: max_abs={diff.max(initial=0.0):.3e} "
+                     f"max_rel={rel.max(initial=0.0):.3e}")
+    return lines
+
+
+def main(names: List[str]) -> int:
+    differ = 0
+    with tempfile.TemporaryDirectory() as td:
+        for name in names or preset_names():
+            cfg = parse_config(get_preset(name), default_name=name)
+            paths = run_config(cfg, Path(td) / name, workers=1)
+            for path in sorted(p for p in paths.values() if p.suffix == ".csv"):
+                produced = csv_body(path)
+                if not (GOLDEN_DIR / path.name).exists():
+                    print(f"{path.name}: no golden file")
+                    differ += 1
+                    continue
+                golden = (GOLDEN_DIR / path.name).read_text(encoding="utf-8")
+                same = produced == golden
+                differ += not same
+                print(f"{path.name}: {'byte-equal' if same else 'DIFFERS'}")
+                print("\n".join(column_deltas(produced, golden)))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

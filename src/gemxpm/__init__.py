@@ -11,7 +11,7 @@ from .errors import (ConfigError, GemXpmError, LeakageError, NumericalError,
                      ProjectionError, ProtocolError, StabilityError,
                      UndefinedPhaseError)
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
-                    PulseSpec, build_grid, gaussian_envelope)
+                    PulseSpec)
 from .gem import (CoherenceRecord, FieldRecord, PolaritonRecord, StarkDrive,
                   StorageResult, apply_stark_drive, constant_stark_drive,
                   excitation_balance, group_velocity, peak_k_trajectory,

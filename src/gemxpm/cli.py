@@ -56,10 +56,6 @@ def _run_storage(cfg: ExperimentConfig):
         detuning = getattr(params, cfg.signal_detuning)
         stark = apply_stark_drive(cfg.signal, params, detuning=detuning)
     result = propagate(params, cfg.probe, cfg.schedule, grid, stark=stark)
-    xpm_phase = math.nan
-    if stark is not None:
-        reference = propagate(params, cfg.probe, cfg.schedule, grid)
-        xpm_phase = reference.echo_phase - result.echo_phase
 
     pol = polariton_transform(result.field, result.coherence, params)
     flip = result.flip_time if result.flip_time is not None else grid.t_max
@@ -92,7 +88,7 @@ def _run_storage(cfg: ExperimentConfig):
         "input_energy": result.input_energy,
         "echo_energy": result.echo_energy,
         "echo_phase_rad": result.echo_phase,
-        "xpm_phase_rad": xpm_phase,
+        "xpm_phase_rad": result.xpm_phase,
         "flip_time": result.flip_time,
         "fourier_residual": residual,
         "fourier_residual_time": t_mid,
@@ -102,7 +98,7 @@ def _run_storage(cfg: ExperimentConfig):
     scalars: Scalars = {
         "efficiency": (result.efficiency, "1"),
         "echo_phase": (result.echo_phase, "rad"),
-        "xpm_phase": (xpm_phase, "rad"),
+        "xpm_phase": (result.xpm_phase, "rad"),
     }
     return table, results, scalars, None, {}
 
@@ -356,7 +352,7 @@ def _execute(cfg: ExperimentConfig, out_dir: str, workers: int) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GemXpmError, OSError) as exc:
+    except (GemXpmError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for kind, p in sorted(paths.items()):

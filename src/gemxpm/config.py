@@ -34,6 +34,12 @@ _GATE_KEYS = ("gamma", "OmegaC", "OmegaCPrime", "Delta", "DeltaPrime",
 _GATE_RATE_KEYS = ("gamma", "OmegaC", "OmegaCPrime", "Delta", "DeltaPrime",
                    "delta4", "g")
 
+#: Bytes the (nt, nz) complex records of one run may take; a larger grid is
+#: refused (exit 2).  Diagnostics add a few arrays of the same size.
+RECORD_BUDGET_BYTES = 2 << 30
+#: Records kept: sigma and E of the run, or of probe, signal and reference.
+RECORDS_KEPT = {"storage": 2, "xpm-double": 6}
+
 
 @dataclass(frozen=True)
 class XpmFreeSpec:
@@ -336,6 +342,10 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
                 _fail(fld, f"required for {kind} experiments")
         if kind == "xpm-double" and signal is None:
             _fail("signal", "required for xpm-double experiments")
+        need = RECORDS_KEPT[kind] * grid.nt * grid.nz * 16 / 2**30
+        if need > RECORD_BUDGET_BYTES / 2**30:
+            _fail("grid", f"records need {need:.4g} GiB, above the "
+                  f"{RECORD_BUDGET_BYTES / 2**30:g} GiB budget")
 
     xpm_free = None
     if kind == "xpm-free":

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalError, ProjectionError, UndefinedPhaseError
 
@@ -221,10 +220,11 @@ def evolve(rho0: np.ndarray, H: np.ndarray, gamma: float, t_end: float,
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     times = np.linspace(0.0, t_end, n_samples)
-    prop = propagator(H, gamma, t_end / (n_samples - 1))
     states = np.empty((n_samples, DIM, DIM), dtype=complex)
     rho = rho0.astype(complex)
     for i, t in enumerate(times):
+        if i == 1:   # after rho0's trace check, so a bad rho0 costs no expm
+            prop = propagator(H, gamma, t_end / (n_samples - 1))
         if i:
             rho = apply_propagator(prop, rho)
         tr = float(rho.trace().real)
@@ -344,7 +344,8 @@ def propagator(H: np.ndarray, gamma: float, t: float) -> np.ndarray:
     evolve applies one step propagator between all its samples, and
     process tomography evolves sixteen states with one (H, gamma, t).
     """
-    return sla.expm(liouvillian_matrix(H, gamma) * t)
+    import scipy.linalg   # here, so that storage runs never import scipy
+    return scipy.linalg.expm(liouvillian_matrix(H, gamma) * t)
 
 
 def apply_propagator(prop: np.ndarray, rho: np.ndarray) -> np.ndarray:

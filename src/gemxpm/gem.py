@@ -8,10 +8,10 @@ The model is the adiabatically eliminated two-field pair
 
 where E = g*script-E is the probe Rabi envelope and sigma the collective
 spin coherence.  The field is slaved: at every Runge-Kutta stage it is
-marched along z from the boundary value (instantaneous-field limit), and
-sigma is advanced in t with a classic fourth-order step.  The gradient is
-centred on the cell (eta*(z - L/2)) and Gamma_s/delta_ac vanish unless an
-ac-Stark drive is supplied.
+marched along z from the boundary value (instantaneous-field limit); one
+stepper, ``march``, advances a stack of such coherences in t by classic
+RK4 steps.  The gradient is centred on the cell (eta*(z - L/2)) and
+Gamma_s/delta_ac vanish unless an ac-Stark drive is supplied.
 
 Sign conventions worth knowing when reading diagnostics:
 
@@ -26,8 +26,8 @@ Sign conventions worth knowing when reading diagnostics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,10 +35,6 @@ from .errors import NumericalError, StabilityError
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
 
-# Explicit RK4 is stable up to |lambda|*dt = 2*sqrt(2) on the imaginary
-# axis; we keep a wide margin because the z-marched coupling adds transient
-# growth the scalar bound does not see.
-_STABILITY_MARGIN = 1.0
 _NAN_CHECK_STRIDE = 64
 
 
@@ -110,34 +106,26 @@ def constant_stark_drive(intensity: float, detuning: float, gamma: float,
 
 
 @dataclass(frozen=True)
-class FieldRecord:
-    """Complex probe envelope g*E(t, z) on the grid, plus the coupling-field
-    on/off profile sampled at the grid times (1.0 everywhere by default)."""
-
+class _Record:
     values: np.ndarray          # (nt, nz) complex
     grid: Grid
     coupling: Optional[np.ndarray] = None   # (nt,) multiplier on OmegaC
 
     def __post_init__(self):
+        name = type(self).__name__
         if self.values.shape != (self.grid.nt, self.grid.nz):
-            raise ValueError("field array does not match the grid")
+            raise ValueError(f"{name} array does not match the grid")
         if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("field record contains non-finite entries")
+            raise ValueError(f"{name} contains non-finite entries")
 
 
-@dataclass(frozen=True)
-class CoherenceRecord:
+class FieldRecord(_Record):
+    """Complex probe envelope g*E(t, z) on the grid, plus the coupling-field
+    on/off profile sampled at the grid times (1.0 everywhere by default)."""
+
+
+class CoherenceRecord(_Record):
     """Collective spin coherence sigma(t, z) on the grid."""
-
-    values: np.ndarray          # (nt, nz) complex
-    grid: Grid
-    coupling: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.nt, self.grid.nz):
-            raise ValueError("coherence array does not match the grid")
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("coherence record contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -164,7 +152,9 @@ class StorageResult:
     input_energy integrates |E|^2 of the boundary input over [0, flip);
     echo_energy integrates |E(L, t)|^2 over [flip, t_max].  echo_phase is
     the argument of the exit-face field at the energy-weighted centroid of
-    the echo (NaN when the echo window is empty or dark).
+    the echo (NaN when the echo window is empty or dark).  xpm_phase is
+    the echo phase of the same run without its Stark drive minus
+    echo_phase (NaN for an undriven run).
     """
 
     field: FieldRecord
@@ -174,43 +164,155 @@ class StorageResult:
     efficiency: float
     echo_phase: float
     flip_time: Optional[float]
-    input_window: Tuple[float, float]
-    echo_window: Tuple[float, float]
+    xpm_phase: float = math.nan
 
 
-def _cumtrapz_z(values: np.ndarray, dz: float, out: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid along z with a leading zero, written into out."""
-    out[0] = 0.0
-    np.cumsum(values[1:] + values[:-1], out=out[1:])
-    out[1:] *= 0.5 * dz
-    return out
+@dataclass(frozen=True)
+class Member:
+    """One coherence of a batched march: its input g*E(0, t) (vectorised
+    in t), Raman ratio, sign on the shared eta(t), coupling switch (1 when
+    None), decay added to gamma0 and Stark drive.  Without ``full_records``
+    only the exit-face field E(L, t) is kept."""
+
+    envelope: Callable[[np.ndarray], np.ndarray]
+    ratio: float
+    eta_sign: float = 1.0
+    coupling: Optional[PiecewiseConstant] = None
+    extra_decay: float = 0.0
+    stark: Optional[StarkDrive] = None
+    full_records: bool = True
 
 
-def _march_field(sigma: np.ndarray, e_in: complex, source: complex,
-                 dz: float, buf: np.ndarray) -> np.ndarray:
-    """Slaved field: E(z) = E(0) + source * integral_0^z sigma dz'."""
-    _cumtrapz_z(sigma, dz, buf)
-    buf *= source
-    buf += e_in
-    return buf
+@dataclass(frozen=True)
+class CrossDrive:
+    """Drive of member ``target`` by member ``source``'s field for t in
+    [window): Gamma_s, delta_ac = c_loss, c_shift times |E_source(z,t)|^2."""
+
+    source: int
+    target: int
+    window: Tuple[float, float]
+    c_shift: float
+    c_loss: float
 
 
-def propagate(params: EnsembleParams, probe: PulseSpec,
-              schedule: GradientSchedule, grid: Grid,
-              stark: Optional[StarkDrive] = None, *,
-              coupling: Optional[PiecewiseConstant] = None,
-              input_envelope: Optional[Callable] = None,
-              extra_decay: float = 0.0) -> StorageResult:
-    """Run one storage/recall simulation and return the full solution.
+class MemberRecords(NamedTuple):
+    """What a march kept of one member: the sigma and E records (None
+    unless full_records) and the exit-face field E(L, t)."""
 
-    ``coupling`` optionally switches the coupling field (a multiplier on
-    OmegaC per time window); ``input_envelope`` overrides the Gaussian
-    probe shape with an arbitrary complex callable of time (the PulseSpec
-    still provides the timing used for precondition checks).
+    coherence: Optional[CoherenceRecord]
+    field: Optional[FieldRecord]
+    exit_field: np.ndarray              # (nt,) complex
 
-    Raises StabilityError when dt is too large for the stiffest phase rate
-    in the run and NumericalError if the state goes non-finite mid-run.
+
+def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
+          members: Sequence[Member],
+          cross: Optional[CrossDrive] = None) -> List[MemberRecords]:
+    """Advance a (B, nz) stack of coherences, one row per member, by RK4
+    steps with the slaved field marched along z at every stage.  What
+    depends on time alone is tabulated once on the stage times t_n,
+    t_n + dt/2, t_n + dt.  Each row repeats the arithmetic of a one-member
+    march in the same order, so its records do not depend on the batch.
+    Step-size checks are the caller's; NumericalError on non-finite state.
     """
+    nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
+    stage_t = grid.t[:, None] + np.array([0.0, 0.5 * dt, dt])
+
+    def table(values):   # (nt, 3, B, 1): one column per member
+        return np.stack([values(m) for m in members], axis=-1)[..., None]
+
+    mult = table(lambda m: m.coupling.values(stage_t) if m.coupling
+                 else np.ones_like(stage_t))
+    env = table(lambda m: m.envelope(stage_t))
+    ratio = np.array([m.ratio for m in members])[:, None]
+    src = (1j * params.coupling_density * ratio) * mult
+    gain = (1j * ratio) * mult
+    decay0 = np.array([params.gamma0 + m.extra_decay for m in members])
+    stark = any(m.stark is not None for m in members)
+    if stark:
+        loss = table(lambda m: m.stark.gamma_s(stage_t) if m.stark
+                     else 0.0 * stage_t)[..., 0]
+        ac = table(lambda m: m.stark.delta_ac(stage_t) if m.stark
+                   else 0.0 * stage_t)
+    lo, hi = cross.window if cross is not None else (0.0, 0.0)
+    driven = (stage_t >= lo) & (stage_t < hi)
+    # eta(t) takes a few distinct values, so eta*zeta (and, without a
+    # Stark drive, the whole sigma coefficient) is formed once per value.
+    eta = table(lambda m: m.eta_sign * schedule.values(stage_t))[..., 0]
+    rows, which = np.unique(eta.reshape(-1, len(members)), axis=0,
+                            return_inverse=True)
+    which = which.reshape(stage_t.shape)
+    eta_zeta = rows[:, :, None] * (grid.z - params.L / 2.0)
+    fixed = -(decay0[:, None] + 1j * eta_zeta)
+
+    def coefficient(n, s, e):
+        # -(decay + i*shift), the sigma-diagonal part of the RHS
+        if not (stark or driven[n, s]):
+            return fixed[which[n, s]]
+        decay, shift = decay0, eta_zeta[which[n, s]]
+        if stark:
+            decay, shift = decay + loss[n, s], shift + ac[n, s]
+        rate = decay[:, None] + 1j * shift
+        if driven[n, s]:
+            b, drive = cross.target, np.abs(e[cross.source]) ** 2
+            rate[b] = ((decay[b] + cross.c_loss * drive)
+                       + 1j * (shift[b] + cross.c_shift * drive))
+        return -rate
+
+    cum = np.zeros((len(members), nz), dtype=complex)
+
+    def field(sig, n, s):
+        # E(z) = E(0) + src * (cumulative trapezoid of sigma from 0 to z)
+        np.cumsum(sig[:, 1:] + sig[:, :-1], axis=1, out=cum[:, 1:])
+        cum[:, 1:] *= 0.5 * dz
+        e = cum * src[n, s]
+        e += env[n, s]
+        return e
+
+    sigma_t = {b: np.empty((nt, nz), dtype=complex)
+               for b, m in enumerate(members) if m.full_records}
+    field_t = {b: np.empty_like(rec) for b, rec in sigma_t.items()}
+    exit_t = np.empty((len(members), nt), dtype=complex)
+    sig = np.zeros((len(members), nz), dtype=complex)
+    for n in range(nt):
+        e1 = field(sig, n, 0)
+        for b in sigma_t:
+            sigma_t[b][n], field_t[b][n] = sig[b], e1[b]
+        exit_t[:, n] = e1[:, -1]
+        if n == nt - 1:
+            break
+        k1 = coefficient(n, 0, e1) * sig + gain[n, 0] * e1
+        s2 = sig + (0.5 * dt) * k1
+        e2 = field(s2, n, 1)
+        a2 = coefficient(n, 1, e2)
+        k2 = a2 * s2 + gain[n, 1] * e2
+        s3 = sig + (0.5 * dt) * k2
+        e3 = field(s3, n, 1)
+        a3 = coefficient(n, 1, e3) if driven[n, 1] else a2
+        k3 = a3 * s3 + gain[n, 1] * e3
+        s4 = sig + dt * k3
+        e4 = field(s4, n, 2)
+        k4 = coefficient(n, 2, e4) * s4 + gain[n, 2] * e4
+        sig = sig + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if n % _NAN_CHECK_STRIDE == 0 and not np.all(np.isfinite(sig.view(float))):
+            raise NumericalError(
+                f"non-finite coherence at t={stage_t[n, 2]:.4f} (step {n + 1}); "
+                "reduce dt or check the drive for singular values")
+    if not all(np.all(np.isfinite(rec.view(float)))
+               for rec in (exit_t, *sigma_t.values())):
+        raise NumericalError("non-finite values in the stored trajectory")
+    coupling = mult[:, 0, :, 0]
+    return [MemberRecords(*((CoherenceRecord(sigma_t[b], grid, coupling[:, b]),
+                             FieldRecord(field_t[b], grid, coupling[:, b]))
+                            if b in sigma_t else (None, None)), exit_t[b])
+            for b in range(len(members))]
+
+
+def check_storage_run(params: EnsembleParams, probe: PulseSpec,
+                      schedule: GradientSchedule, grid: Grid,
+                      stark: Optional[StarkDrive] = None) -> Optional[float]:
+    """Check one storage/recall run and return its flip time: ValueError
+    when the schedule does not cover the grid or the probe enters after
+    the flip, StabilityError when dt exceeds the stiffest rate's limit."""
     if not schedule.covers(grid.t_max):
         raise ValueError(
             f"gradient schedule [{schedule.t_start}, {schedule.t_end}] does "
@@ -222,88 +324,67 @@ def propagate(params: EnsembleParams, probe: PulseSpec,
             f"(center {probe.center_time} + 2*duration {probe.duration} "
             f"exceeds flip time {flip})")
 
-    max_delta = stark.max_delta_ac if stark is not None else 0.0
-    max_loss = stark.max_gamma_s if stark is not None else 0.0
-    # Stiffest local rates seen by sigma: detuning ramp, drive, decay, and
-    # the slowest-k polariton exchange frequency.
-    rate = (params.gamma0 + extra_decay + max_loss + max_delta
-            + schedule.max_abs_eta * params.L / 2.0
-            + params.coupling_density * params.raman_ratio ** 2
-            * params.L / (2.0 * math.pi))
-    if rate > 0.0:
-        dt_required = _STABILITY_MARGIN / rate
-        if grid.dt > dt_required:
-            raise StabilityError(grid.dt, dt_required)
+    drive = (stark.max_gamma_s, stark.max_delta_ac) if stark else ()
+    check_step(params, schedule, grid, params.raman_ratio, *drive)
+    return flip
 
-    env = input_envelope if input_envelope is not None else probe.envelope
-    nz, nt = grid.nz, grid.nt
-    z = grid.z
-    dz, dt = grid.dz, grid.dt
-    zeta = z - params.L / 2.0
-    ratio = params.raman_ratio
-    kappa = params.coupling_density
 
-    sigma = np.zeros(nz, dtype=complex)
-    sigma_t = np.empty((nt, nz), dtype=complex)
-    field_t = np.empty((nt, nz), dtype=complex)
-    coupling_t = np.empty(nt, dtype=float)
-    fbuf = np.empty(nz, dtype=complex)
+def check_step(params: EnsembleParams, schedule: GradientSchedule,
+               grid: Grid, ratio: float, *rates: float) -> None:
+    """StabilityError when dt > 1/rate, rate summing gamma0, ``rates``, the
+    detuning ramp and the slowest-k polariton exchange at Raman ratio
+    ``ratio``.  (RK4 allows |lambda|*dt up to 2*sqrt(2); the margin covers
+    the transient growth of the z-marched coupling.)"""
+    rate = params.gamma0
+    for r in rates:
+        rate += r
+    rate += schedule.max_abs_eta * params.L / 2.0
+    rate += params.coupling_density * ratio ** 2 * params.L / (2.0 * math.pi)
+    if rate > 0.0 and grid.dt > 1.0 / rate:
+        raise StabilityError(grid.dt, 1.0 / rate)
 
-    def coupling_at(t: float) -> float:
-        return 1.0 if coupling is None else coupling.value(t)
 
-    def rhs(sig: np.ndarray, t: float) -> np.ndarray:
-        mult = coupling_at(t)
-        src = 1j * kappa * ratio * mult
-        e = _march_field(sig, complex(env(t)), src, dz, fbuf)
-        decay = params.gamma0 + extra_decay
-        shift = schedule.eta(t) * zeta
-        if stark is not None:
-            decay = decay + float(stark.gamma_s(t))
-            shift = shift + float(stark.delta_ac(t))
-        return -(decay + 1j * shift) * sig + (1j * ratio * mult) * e
-
-    times = grid.t
-    for n in range(nt):
-        t = times[n]
-        mult = coupling_at(t)
-        sigma_t[n] = sigma
-        field_t[n] = _march_field(sigma, complex(env(t)),
-                                  1j * kappa * ratio * mult, dz, fbuf)
-        coupling_t[n] = mult
-        if n == nt - 1:
-            break
-        k1 = rhs(sigma, t)
-        k2 = rhs(sigma + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = rhs(sigma + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = rhs(sigma + dt * k3, t + dt)
-        sigma = sigma + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if n % _NAN_CHECK_STRIDE == 0 and not np.all(np.isfinite(sigma.view(float))):
-            raise NumericalError(
-                f"non-finite coherence at t={t + dt:.4f} (step {n + 1}); "
-                "reduce dt or check the drive for singular values")
-
-    if not np.all(np.isfinite(sigma_t.view(float))):
-        raise NumericalError("non-finite values in the stored trajectory")
-
-    field = FieldRecord(values=field_t, grid=grid, coupling=coupling_t)
-    coherence = CoherenceRecord(values=sigma_t, grid=grid, coupling=coupling_t)
-
+def storage_result(records: MemberRecords, grid: Grid,
+                   envelope: Callable[[np.ndarray], np.ndarray],
+                   flip: Optional[float]) -> StorageResult:
+    """Energies, efficiency and echo phase of a fully recorded member."""
     t_flip = flip if flip is not None else grid.t_max
-    input_window = (0.0, t_flip)
-    echo_window = (t_flip, grid.t_max)
-    boundary = np.abs(env(times)) ** 2
-    exit_face = np.abs(field_t[:, -1]) ** 2
-    input_energy = _window_integral(times, boundary, *input_window)
-    echo_energy = _window_integral(times, exit_face, *echo_window)
-    efficiency = echo_energy / input_energy if input_energy > 0.0 else 0.0
-    echo_phase = _centroid_phase(times, field_t[:, -1], *echo_window)
+    input_energy = _window_integral(grid.t, np.abs(envelope(grid.t)) ** 2,
+                                    0.0, t_flip)
+    echo_energy = _window_integral(grid.t, np.abs(records.exit_field) ** 2,
+                                   t_flip, grid.t_max)
+    return StorageResult(
+        field=records.field, coherence=records.coherence,
+        input_energy=input_energy, echo_energy=echo_energy,
+        efficiency=echo_energy / input_energy if input_energy > 0.0 else 0.0,
+        echo_phase=exit_phase(grid, records.exit_field, flip), flip_time=flip)
 
-    return StorageResult(field=field, coherence=coherence,
-                         input_energy=input_energy, echo_energy=echo_energy,
-                         efficiency=efficiency, echo_phase=echo_phase,
-                         flip_time=flip, input_window=input_window,
-                         echo_window=echo_window)
+
+def propagate(params: EnsembleParams, probe: PulseSpec,
+              schedule: GradientSchedule, grid: Grid,
+              stark: Optional[StarkDrive] = None, *,
+              coupling: Optional[PiecewiseConstant] = None,
+              input_envelope: Optional[Callable] = None) -> StorageResult:
+    """Run one storage/recall simulation and return the full solution.
+
+    ``coupling`` optionally switches the coupling field (a multiplier on
+    OmegaC per time window); ``input_envelope`` overrides the Gaussian
+    probe shape with an arbitrary complex callable of time (the PulseSpec
+    still provides the timing used for precondition checks).  With a Stark
+    drive the signal-free reference run, keeping only its exit-face field,
+    is marched in the same batch and gives ``xpm_phase``.  Raises as
+    check_storage_run and march do.
+    """
+    flip = check_storage_run(params, probe, schedule, grid, stark)
+    env = input_envelope if input_envelope is not None else probe.envelope
+    run = Member(env, params.raman_ratio, coupling=coupling, stark=stark)
+    reference = [replace(run, stark=None, full_records=False)] if stark else []
+    records, *reference = march(params, schedule, grid, [run, *reference])
+    result = storage_result(records, grid, env, flip)
+    if reference:
+        result = replace(result, xpm_phase=exit_phase(
+            grid, reference[0].exit_field, flip) - result.echo_phase)
+    return result
 
 
 def _window_integral(t: np.ndarray, p: np.ndarray, lo: float, hi: float) -> float:
@@ -314,15 +395,18 @@ def _window_integral(t: np.ndarray, p: np.ndarray, lo: float, hi: float) -> floa
     return float(np.trapezoid(p[i0:i1], t[i0:i1]))
 
 
-def _centroid_phase(t: np.ndarray, e: np.ndarray, lo: float, hi: float) -> float:
-    """Phase of e at the |e|^2-weighted centroid time inside [lo, hi].
+def exit_phase(grid: Grid, e: np.ndarray, flip: Optional[float]) -> float:
+    """Echo phase of an exit-face field E(L, t): its phase at the
+    |E|^2-weighted centroid time of [flip, t_max] (of the whole run without
+    a flip), NaN when that window is empty or dark.
 
     The complex field is interpolated linearly at the centroid so the phase
     is a continuous function of the data (a nearest-sample choice would hop
     by the local chirp under infinitesimal input changes).
     """
-    i0 = int(np.searchsorted(t, lo, side="left"))
-    i1 = int(np.searchsorted(t, hi, side="right"))
+    t = grid.t
+    i0 = int(np.searchsorted(t, grid.t_max if flip is None else flip))
+    i1 = t.size
     if i1 - i0 < 2:
         return math.nan
     w = np.abs(e[i0:i1]) ** 2

@@ -106,19 +106,14 @@ class PulseSpec:
         return out + 0.0j
 
 
-def gaussian_envelope(spec: PulseSpec, t):
-    """Evaluate the Gaussian pulse envelope of ``spec`` at time(s) ``t``."""
-    return spec.envelope(t)
-
-
 @dataclass(frozen=True)
 class PiecewiseConstant:
     """Right-continuous piecewise-constant function of time.
 
     ``segments`` is an ordered tuple of (start, end, value); segments must be
-    contiguous and non-overlapping.  The lookup uses value(t) = value of the
-    segment with start <= t < end; t exactly at the final end time returns
-    the last value.
+    contiguous and non-overlapping.  ``values(t)`` is, elementwise, the value
+    of the segment with start <= t < end; t at or after the final end time
+    gives the last value and t before the first start the first value.
     """
 
     segments: Tuple[Tuple[float, float, float], ...]
@@ -146,15 +141,6 @@ class PiecewiseConstant:
     def t_end(self) -> float:
         return self.segments[-1][1]
 
-    def value(self, t: float) -> float:
-        if t >= self.t_end:
-            return self.segments[-1][2]
-        for start, end, v in self.segments:
-            if start <= t < end:
-                return v
-        # t before the first segment: clamp to the first value
-        return self.segments[0][2]
-
     def values(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         starts = np.array([s[0] for s in self.segments])
@@ -175,8 +161,8 @@ class GradientSchedule(PiecewiseConstant):
     protocol additionally holds eta = 0 between write and recall.
     """
 
-    def eta(self, t: float) -> float:
-        return self.value(t)
+    def eta(self, t):
+        return self.values(t)
 
     @property
     def max_abs_eta(self) -> float:
@@ -246,11 +232,3 @@ class Grid:
     def t(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.nt)
 
-
-def build_grid(params: EnsembleParams, nz: int, nt: int, t_max: float) -> Grid:
-    """Construct the uniform grid used by the storage solver.
-
-    Rejects non-positive or absurdly large sizes; dz and dt follow from the
-    sample counts exactly (dz = L/(nz-1), dt = t_max/(nt-1)).
-    """
-    return Grid(nz=nz, nt=nt, t_max=t_max, L=params.L)

@@ -17,17 +17,19 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.constants import c as _C_LIGHT
-from scipy.constants import epsilon_0 as _EPS0
-from scipy.constants import hbar as _HBAR
-from scipy.integrate import simpson
 
-from .errors import NumericalError, ProtocolError, StabilityError
-from .gem import (CoherenceRecord, FieldRecord, StarkDrive, StorageResult,
-                  _centroid_phase, _cumtrapz_z, _window_integral, apply_stark_drive,
-                  propagate)
+from .errors import ProtocolError
+from .gem import (CoherenceRecord, CrossDrive, FieldRecord, Member, StarkDrive,
+                  StorageResult, apply_stark_drive, check_step,
+                  check_storage_run, exit_phase, march, storage_result)
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
+
+# CODATA 2022 values (SI), equal to scipy.constants; literal so that
+# importing the package does not import scipy.
+_C_LIGHT = 299792458.0
+_EPS0 = 8.8541878188e-12
+_HBAR = 1.0545718176461565e-34
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,7 @@ def phi_stored_pair(signal_envelope: Sequence[float], delta4: float,
     denom = gamma * gamma + delta4 * delta4
     if denom == 0.0:
         raise ValueError("gamma and delta4 cannot both vanish")
+    from scipy.integrate import simpson
     # integrate over elapsed time so the result depends on tau1, tau2 only
     # through the duration (manifest translation invariance)
     s = np.linspace(0.0, tau2 - tau1, env.size)
@@ -107,19 +110,20 @@ def spm_scan(params: EnsembleParams, base_probe: PulseSpec,
              stark: Optional[StarkDrive] = None) -> List[Tuple[float, float]]:
     """Recalled echo phase versus probe amplitude.
 
-    Runs the storage solver once per amplitude factor (same drive for all)
-    and returns (factor, echo_phase) pairs.  The semiclassical model is
-    linear in the probe, so the phases are expected to coincide.
+    Marches one storage run per amplitude factor (same drive for all) as
+    one batch, keeping exit-face fields only, and returns (factor,
+    echo_phase) pairs.  The semiclassical model is linear in the probe, so
+    the phases are expected to coincide.
     """
     factors = [float(f) for f in amplitude_factors]
     if not factors or any(f <= 0 for f in factors):
         raise ValueError("amplitude factors must be positive")
-    out = []
-    for f in factors:
-        probe = replace(base_probe, peak_amplitude=f * base_probe.peak_amplitude)
-        result = propagate(params, probe, schedule, grid, stark=stark)
-        out.append((f, result.echo_phase))
-    return out
+    flip = check_storage_run(params, base_probe, schedule, grid, stark)
+    runs = march(params, schedule, grid, [Member(
+        replace(base_probe, peak_amplitude=f * base_probe.peak_amplitude).envelope,
+        params.raman_ratio, stark=stark, full_records=False) for f in factors])
+    return [(f, exit_phase(grid, r.exit_field, flip))
+            for f, r in zip(factors, runs)]
 
 
 @dataclass(frozen=True)
@@ -170,13 +174,16 @@ def xpm_linearity_scan(params: EnsembleParams,
     center = signal_center if signal_center is not None else 6.0
     delta = params.delta3 if detuning is None else float(detuning)
 
-    reference = propagate(params, probe, schedule, grid)
-    numeric = []
-    for amp in amps:
-        drive = apply_stark_drive(PulseSpec(amp, center, tau), params,
-                                  detuning=delta)
-        run = propagate(params, probe, schedule, grid, stark=drive)
-        numeric.append(reference.echo_phase - run.echo_phase)
+    drives = [None] + [apply_stark_drive(PulseSpec(amp, center, tau), params,
+                                         detuning=delta) for amp in amps]
+    for drive in drives:
+        flip = check_storage_run(params, probe, schedule, grid, drive)
+    reference, *runs = [
+        exit_phase(grid, r.exit_field, flip) for r in march(
+            params, schedule, grid,
+            [Member(probe.envelope, params.raman_ratio, stark=d,
+                    full_records=False) for d in drives])]
+    numeric = [reference - run for run in runs]
     analytic = [phi_free_signal(a, delta, tau, params.gamma) for a in amps]
 
     x = np.array(amps) ** 2
@@ -270,7 +277,6 @@ class DoubleStorageResult:
     probe_efficiency: float
     tau1: float
     tau2: float
-    hold_times: np.ndarray
     effective_signal_envelope: np.ndarray   # g|E_s| weighted over the probe
 
 
@@ -313,130 +319,55 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     if not schedule.covers(grid.t_max):
         raise ValueError("schedule does not cover the grid window")
 
-    gamma = params.gamma
-    delta4 = params.delta4
-    denom = gamma * gamma + delta4 * delta4
-    c_shift = delta4 / denom
-    c_loss = gamma / denom
-    sig_loss = coupling_loss_rate(params.OmegaCPrime, params.DeltaPrime, gamma)
+    denom = params.gamma * params.gamma + params.delta4 * params.delta4
+    c_shift, c_loss = params.delta4 / denom, params.gamma / denom
+    sig_loss = coupling_loss_rate(params.OmegaCPrime, params.DeltaPrime,
+                                  params.gamma)
 
     probe_coupling = PiecewiseConstant((
         (0.0, tau1, 1.0), (tau1, tau2, 0.0), (tau2, grid.t_max, 1.0)))
 
-    # Stability: both subsystems see the gradient ramp; the probe also sees
-    # the drive, bounded by the signal input peak intensity.
-    peak_drive = signal.peak_amplitude ** 2 * max(abs(c_shift), c_loss)
-    rate = (params.gamma0 + sig_loss + peak_drive
-            + schedule.max_abs_eta * params.L / 2.0
-            + params.coupling_density
-            * max(params.raman_ratio, params.raman_ratio_signal) ** 2
-            * params.L / (2.0 * math.pi))
-    if grid.dt > 1.0 / rate:
-        raise StabilityError(grid.dt, 1.0 / rate)
+    # Both coherences see the gradient ramp; the probe also sees the
+    # drive, bounded by the signal input peak intensity.
+    check_step(params, schedule, grid,
+               max(params.raman_ratio, params.raman_ratio_signal), sig_loss,
+               signal.peak_amplitude ** 2 * max(abs(c_shift), c_loss))
 
-    nz, nt = grid.nz, grid.nt
-    dz, dt = grid.dz, grid.dt
-    zeta = grid.z - params.L / 2.0
-    kappa = params.coupling_density
-    ratio_p = params.raman_ratio
-    ratio_s = params.raman_ratio_signal
-    times = grid.t
-
-    sig_p = np.zeros(nz, dtype=complex)
-    sig_s = np.zeros(nz, dtype=complex)
-    rec_p = np.empty((nt, nz), dtype=complex)
-    rec_s = np.empty((nt, nz), dtype=complex)
-    fld_p = np.empty((nt, nz), dtype=complex)
-    fld_s = np.empty((nt, nz), dtype=complex)
-    coup_p = np.empty(nt)
-    buf = np.empty(nz, dtype=complex)
-
-    def fields(sp, ss, t):
-        mult = probe_coupling.value(t)
-        ep = np.array(_cumtrapz_z(sp, dz, buf))
-        ep *= 1j * kappa * ratio_p * mult
-        ep += complex(probe.envelope(t))
-        es = np.array(_cumtrapz_z(ss, dz, buf))
-        es *= 1j * kappa * ratio_s
-        es += complex(signal.envelope(t))
-        return ep, es, mult
-
-    def rhs(sp, ss, t):
-        ep, es, mult = fields(sp, ss, t)
-        eta = schedule.eta(t)
-        if tau1 <= t < tau2:
-            drive = np.abs(es) ** 2
-            decay_p = params.gamma0 + c_loss * drive
-            shift_p = eta * zeta + c_shift * drive
-        else:
-            decay_p = params.gamma0
-            shift_p = eta * zeta
-        dp = -(decay_p + 1j * shift_p) * sp + (1j * ratio_p * mult) * ep
-        ds = (-(params.gamma0 + sig_loss + 1j * (-eta) * zeta) * ss
-              + 1j * ratio_s * es)
-        return dp, ds
-
-    for n in range(nt):
-        t = times[n]
-        rec_p[n] = sig_p
-        rec_s[n] = sig_s
-        ep, es, mult = fields(sig_p, sig_s, t)
-        fld_p[n] = ep
-        fld_s[n] = es
-        coup_p[n] = mult
-        if n == nt - 1:
-            break
-        k1p, k1s = rhs(sig_p, sig_s, t)
-        k2p, k2s = rhs(sig_p + 0.5 * dt * k1p, sig_s + 0.5 * dt * k1s,
-                       t + 0.5 * dt)
-        k3p, k3s = rhs(sig_p + 0.5 * dt * k2p, sig_s + 0.5 * dt * k2s,
-                       t + 0.5 * dt)
-        k4p, k4s = rhs(sig_p + dt * k3p, sig_s + dt * k3s, t + dt)
-        sig_p = sig_p + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        sig_s = sig_s + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
-        if n % 64 == 0 and not (np.all(np.isfinite(sig_p.view(float)))
-                                and np.all(np.isfinite(sig_s.view(float)))):
-            raise NumericalError(f"non-finite coherence at t={t + dt:.4f}")
-
-    reference = propagate(params, probe, schedule, grid,
-                          coupling=probe_coupling)
-
-    probe_field = FieldRecord(values=fld_p, grid=grid, coupling=coup_p)
-    probe_coh = CoherenceRecord(values=rec_p, grid=grid, coupling=coup_p)
-    signal_field = FieldRecord(values=fld_s, grid=grid)
-    signal_coh = CoherenceRecord(values=rec_s, grid=grid)
-
-    input_energy = _window_integral(times, np.abs(probe.envelope(times)) ** 2,
-                                    0.0, flip)
-    echo_energy = _window_integral(times, np.abs(fld_p[:, -1]) ** 2,
-                                   flip, grid.t_max)
-    efficiency = echo_energy / input_energy if input_energy > 0 else 0.0
-    echo_phase = _centroid_phase(times, fld_p[:, -1], flip, grid.t_max)
+    # probe, signal (opposite gradient, coupling on) and the reference,
+    # which is the probe without the signal's drive
+    held = Member(probe.envelope, params.raman_ratio, coupling=probe_coupling)
+    probe_run, signal_run, reference_run = march(
+        params, schedule, grid,
+        [held, Member(signal.envelope, params.raman_ratio_signal,
+                      eta_sign=-1.0, extra_decay=sig_loss), held],
+        CrossDrive(source=1, target=0, window=(tau1, tau2),
+                   c_shift=c_shift, c_loss=c_loss))
+    probe_result = storage_result(probe_run, grid, probe.envelope, flip)
+    reference = storage_result(reference_run, grid, probe.envelope, flip)
+    echo_phase = probe_result.echo_phase
     phase = (reference.echo_phase - echo_phase
              if math.isfinite(echo_phase) and math.isfinite(reference.echo_phase)
              else math.nan)
 
+    times = grid.t
     i2 = max(int(np.searchsorted(times, tau2, side="right")) - 1, 0)
-    norm_sig = float(np.linalg.norm(rec_p[i2]))
+    norm_sig = float(np.linalg.norm(probe_run.coherence.values[i2]))
     norm_ref = float(np.linalg.norm(reference.coherence.values[i2]))
     loss_factor = norm_sig / norm_ref if norm_ref > 0 else math.nan
 
     hold_mask = (times >= tau1) & (times <= tau2)
-    hold_times = times[hold_mask]
     w = np.abs(reference.coherence.values[hold_mask]) ** 2
     w_sum = np.maximum(w.sum(axis=1), 1e-300)
-    eff_intensity = (w * np.abs(fld_s[hold_mask]) ** 2).sum(axis=1) / w_sum
-    eff_env = np.sqrt(eff_intensity)
+    eff_intensity = ((w * np.abs(signal_run.field.values[hold_mask]) ** 2)
+                     .sum(axis=1) / w_sum)
 
     xpm = XpmResult(phase=phase,
                     loss_factor=min(loss_factor, 1.0) if math.isfinite(loss_factor) else loss_factor,
                     interaction_time=tau2 - tau1)
-    return DoubleStorageResult(xpm=xpm, probe_field=probe_field,
-                               probe_coherence=probe_coh,
-                               signal_field=signal_field,
-                               signal_coherence=signal_coh,
-                               reference=reference,
-                               probe_echo_phase=echo_phase,
-                               probe_efficiency=efficiency,
-                               tau1=tau1, tau2=tau2, hold_times=hold_times,
-                               effective_signal_envelope=eff_env)
+    return DoubleStorageResult(
+        xpm=xpm, probe_field=probe_result.field,
+        probe_coherence=probe_result.coherence, signal_field=signal_run.field,
+        signal_coherence=signal_run.coherence, reference=reference,
+        probe_echo_phase=echo_phase, probe_efficiency=probe_result.efficiency,
+        tau1=tau1, tau2=tau2,
+        effective_signal_envelope=np.sqrt(eff_intensity))

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from gemxpm import (EnsembleParams, GateParams, GradientSchedule,
-                    PulseSpec, build_grid, build_hamiltonian, evolve,
+from gemxpm import (EnsembleParams, GateParams, GradientSchedule, Grid,
+                    PulseSpec, build_hamiltonian, evolve,
                     initial_state, phase_trace, propagate)
 
 
@@ -27,7 +27,7 @@ def baseline_schedule():
 
 @pytest.fixture(scope="session")
 def baseline_grid(baseline_params):
-    return build_grid(baseline_params, nz=256, nt=4096, t_max=20.0)
+    return Grid(nz=256, nt=4096, t_max=20.0, L=baseline_params.L)
 
 
 @pytest.fixture(scope="session")

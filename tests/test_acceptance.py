@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gemxpm import (EnsembleParams, GateParams, GradientSchedule,
+from gemxpm import (EnsembleParams, GateParams, GradientSchedule, Grid,
                     PiecewiseConstant, PulseSpec, apply_stark_drive,
-                    build_grid, build_hamiltonian,
+                    build_hamiltonian,
                     constant_stark_drive, evolve, initial_state,
                     peak_k_trajectory, phase_trace,
                     phi_stored_pair, polariton_transform, propagate,
@@ -71,7 +71,7 @@ def test_criterion_02_intensity_linearity():
     params = EnsembleParams()
     report = xpm_linearity_scan(
         params, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0], tau=1.0,
-        grid=build_grid(params, nz=256, nt=4096, t_max=20.0))
+        grid=Grid(nz=256, nt=4096, t_max=20.0, L=params.L))
     rel_intercept = abs(report.intercept) / max(abs(p) for p
                                                 in report.numeric_phases)
     wall = time.perf_counter() - t0
@@ -87,7 +87,7 @@ def test_criterion_03_spm_immunity():
     params = EnsembleParams()
     probe = PulseSpec(1.0, 3.0, 1.0)
     schedule = GradientSchedule(((0.0, 9.0, 8.0), (9.0, 20.0, -8.0)))
-    grid = build_grid(params, nz=256, nt=4096, t_max=20.0)
+    grid = Grid(nz=256, nt=4096, t_max=20.0, L=params.L)
     drive = apply_stark_drive(PulseSpec(0.5, 6.0, 1.0), params,
                               detuning=params.delta3)
     spreads = []
@@ -109,7 +109,7 @@ def test_criterion_04_storage_baseline():
     probe = PulseSpec(1.0, 3.0, 1.0)
     eta = 8.0
     schedule = GradientSchedule(((0.0, 9.0, eta), (9.0, 20.0, -eta)))
-    grid = build_grid(params, nz=256, nt=4096, t_max=20.0)
+    grid = Grid(nz=256, nt=4096, t_max=20.0, L=params.L)
     res = propagate(params, probe, schedule, grid)
     pol = polariton_transform(res.field, res.coherence, params)
     residuals = [verify_fourier_relation(pol, params, t)
@@ -138,7 +138,7 @@ def test_criterion_05_scattering_consistency():
                                  (16.0, 26.0, -8.0)))
     coupling = PiecewiseConstant(((0.0, 6.0, 1.0), (6.0, 16.0, 0.0),
                                   (16.0, 26.0, 1.0)))
-    grid = build_grid(params, nz=256, nt=4096, t_max=26.0)
+    grid = Grid(nz=256, nt=4096, t_max=26.0, L=params.L)
     target_exponent = 2.02
     hold = 10.0
     intensity = target_exponent / (2.0 * hold / params.gamma)

@@ -1,11 +1,16 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from gemxpm.cli import main, run
+import gemxpm
+from gemxpm import apply_stark_drive, propagate
+from gemxpm.cli import _run_storage, main, run
 from gemxpm.config import config_to_dict, parse_config, set_sweep_value
 from gemxpm.errors import ConfigError
 from gemxpm.presets import get_preset, preset_names
@@ -20,12 +25,20 @@ STORAGE_CONFIG = {
     "schedule": [[0.0, 9.0, 8.0], [9.0, 20.0, -8.0]],
     "grid": {"nz": 96, "nt": 2048, "t_max": 20.0},
 }
+SIGNAL = {"peak_amplitude": 0.5, "center_time": 6.0, "duration": 1.0}
 
 
 def write_yaml(tmp_path, payload, name="cfg.yaml"):
     p = tmp_path / name
     p.write_text(yaml.safe_dump(payload), encoding="utf-8")
     return str(p)
+
+
+def run_python(*args):
+    """Run a fresh interpreter with this gemxpm importable."""
+    src = str(Path(gemxpm.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=300, env={"PYTHONPATH": src})
 
 
 class TestConfigValidation:
@@ -146,6 +159,44 @@ class TestRunStorage:
         body_a = csv_body(tmp_path / "a" / "small_storage.csv")
         body_b = csv_body(tmp_path / "b" / "small_storage.csv")
         assert body_a == body_b
+
+    def test_oversized_grid_refused_without_traceback(self, tmp_path):
+        # 2**48 cells per record: refused by the record budget at parse
+        # time, before any array exists
+        cfg = dict(STORAGE_CONFIG,
+                   grid={"nz": 16777216, "nt": 16777216, "t_max": 20.0})
+        proc = run_python("-m", "gemxpm.cli", "simulate",
+                          write_yaml(tmp_path, cfg),
+                          "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "config error at 'grid'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_storage_run_imports_no_scipy(self, tmp_path):
+        cfg = write_yaml(tmp_path, dict(STORAGE_CONFIG, signal=SIGNAL))
+        code = ("import sys\n"
+                "from gemxpm.cli import main\n"
+                f"rc = main(['simulate', {cfg!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}])\n"
+                "print('scipy' in sys.modules)\n"
+                "sys.exit(rc)\n")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_xpm_phase_from_batched_reference(self):
+        # the signal-free reference marched beside the driven run gives
+        # the same echo phase, bit for bit, as a separate run
+        cfg = parse_config(dict(STORAGE_CONFIG, signal=SIGNAL))
+        _table, results, *_ = _run_storage(cfg)
+        args = (cfg.ensemble, cfg.probe, cfg.schedule, cfg.grid)
+        driven = propagate(*args, stark=apply_stark_drive(
+            cfg.signal, cfg.ensemble, detuning=cfg.ensemble.delta3))
+        reference = propagate(*args)
+        assert results["echo_phase_rad"] == driven.echo_phase
+        assert results["xpm_phase_rad"] == (reference.echo_phase
+                                            - driven.echo_phase)
+        assert results["xpm_phase_rad"] > 1e-4
 
     def test_numerical_failure_exit_3(self, tmp_path):
         bad = dict(STORAGE_CONFIG,

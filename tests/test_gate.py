@@ -7,6 +7,7 @@ from gemxpm import (DIM, HILBERT, GateParams, NumericalError, ProjectionError,
                     UndefinedPhaseError, build_hamiltonian,
                     collapse_operators, conditional_phase, evolve,
                     gate_fidelity, initial_state, phase_trace, propagator)
+from gemxpm import gate
 from gemxpm.gate import apply_propagator, ideal_image_state, liouvillian_matrix
 
 from _reference import evolve_rk4, lindblad_rhs, max_stable_dt
@@ -173,8 +174,13 @@ class TestEvolve:
         ev1 = np.sort(np.linalg.eigvalsh(traj.final))
         assert np.abs(ev1 - ev0).max() < 1e-8
 
-    def test_trace_drift_abort(self, caption_h):
-        # a non-normalised state trips the trace monitor immediately
+    def test_trace_drift_abort(self, caption_h, monkeypatch):
+        # a non-normalised state trips the trace monitor at t = 0, before
+        # the 784x784 propagator is built
+        def no_expm(*args):
+            raise AssertionError("propagator built for a refused rho0")
+
+        monkeypatch.setattr(gate, "propagator", no_expm)
         with pytest.raises(NumericalError, match="trace"):
             evolve(2.0 * initial_state(), caption_h, 1.0, 1.0)
 

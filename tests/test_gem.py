@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from gemxpm import (EnsembleParams, GradientSchedule, PiecewiseConstant,
+from gemxpm import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec, StabilityError, NumericalError, StarkDrive,
-                    apply_stark_drive, build_grid, constant_stark_drive,
+                    apply_stark_drive, constant_stark_drive,
                     excitation_balance, group_velocity, peak_k_trajectory,
                     polariton_transform, propagate, verify_fourier_relation)
+from gemxpm.gem import Member, march
 
 from _reference import reference_storage_run
 
@@ -50,7 +51,7 @@ class TestPropagate:
     def test_empty_medium_passes_pulse(self, baseline_probe,
                                        baseline_schedule):
         p = EnsembleParams(calN=1e-30)
-        grid = build_grid(p, nz=64, nt=2048, t_max=20.0)
+        grid = Grid(nz=64, nt=2048, t_max=20.0, L=p.L)
         res = propagate(p, baseline_probe, baseline_schedule, grid)
         t = grid.t
         out = np.abs(res.field.values[:, -1])
@@ -67,7 +68,7 @@ class TestPropagate:
         time-mirrored input, and the independent coarse-grid integrator
         must agree on the recall efficiency."""
         sched = GradientSchedule(((0.0, 9.0, 8.0), (9.0, 20.0, -8.0)))
-        grid = build_grid(baseline_params, nz=192, nt=3072, t_max=20.0)
+        grid = Grid(nz=192, nt=3072, t_max=20.0, L=baseline_params.L)
         main = PulseSpec(1.0, 2.6, 0.7)
         side = PulseSpec(0.45, 4.4, 0.5)
 
@@ -138,7 +139,7 @@ class TestPropagate:
 
     def test_grid_convergence(self, baseline_params, baseline_probe,
                               baseline_schedule, baseline_run):
-        coarse = build_grid(baseline_params, nz=128, nt=2048, t_max=20.0)
+        coarse = Grid(nz=128, nt=2048, t_max=20.0, L=baseline_params.L)
         res = propagate(baseline_params, baseline_probe, baseline_schedule,
                         coarse)
         assert abs(res.efficiency - baseline_run.efficiency) < 0.01
@@ -146,7 +147,7 @@ class TestPropagate:
     def test_stability_rejection_reports_required_dt(self, baseline_params,
                                                      baseline_probe):
         sched = GradientSchedule(((0.0, 9.0, 500.0), (9.0, 20.0, -500.0)))
-        grid = build_grid(baseline_params, nz=32, nt=64, t_max=20.0)
+        grid = Grid(nz=32, nt=64, t_max=20.0, L=baseline_params.L)
         with pytest.raises(StabilityError) as err:
             propagate(baseline_params, baseline_probe, sched, grid)
         assert err.value.dt_required < grid.dt
@@ -164,14 +165,47 @@ class TestPropagate:
 
     def test_schedule_must_cover_grid(self, baseline_params, baseline_probe):
         sched = GradientSchedule(((0.0, 5.0, 8.0), (5.0, 10.0, -8.0)))
-        grid = build_grid(baseline_params, nz=32, nt=512, t_max=20.0)
+        grid = Grid(nz=32, nt=512, t_max=20.0, L=baseline_params.L)
         with pytest.raises(ValueError):
             propagate(baseline_params, baseline_probe, sched, grid)
 
 
+class TestBatchedMarch:
+    @pytest.mark.parametrize("with_stark", [False, True])
+    def test_rows_equal_single_member_marches(self, baseline_params,
+                                              baseline_schedule, with_stark):
+        # a member's records are bit-identical whatever else is in the
+        # batch; an odd nz and the Stark path of a mixed batch included
+        p = baseline_params
+        grid = Grid(nz=63, nt=700, t_max=20.0, L=p.L)
+        drive = (apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
+                                   detuning=p.delta3) if with_stark else None)
+        members = [
+            Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio),
+            Member(PulseSpec(0.3, 2.5, 0.7).envelope, p.raman_ratio,
+                   stark=drive, full_records=False),
+            Member(PulseSpec(2.0, 3.5, 1.2).envelope, 0.5 * p.raman_ratio,
+                   eta_sign=-1.0, extra_decay=0.05,
+                   coupling=PiecewiseConstant(((0.0, 7.0, 1.0),
+                                               (7.0, 12.0, 0.0),
+                                               (12.0, 20.0, 1.0)))),
+        ]
+        batch = march(p, baseline_schedule, grid, members)
+        for member, rec in zip(members, batch):
+            (alone,) = march(p, baseline_schedule, grid, [member])
+            assert np.array_equal(rec.exit_field, alone.exit_field)
+            if member.full_records:
+                assert np.array_equal(rec.coherence.values,
+                                      alone.coherence.values)
+                assert np.array_equal(rec.field.values, alone.field.values)
+                assert np.array_equal(rec.field.values[:, -1], rec.exit_field)
+            else:
+                assert rec.coherence is None and rec.field is None
+
+
 class TestPolariton:
     def test_zero_records_zero_polariton(self, baseline_params):
-        grid = build_grid(baseline_params, nz=64, nt=16, t_max=1.0)
+        grid = Grid(nz=64, nt=16, t_max=1.0, L=baseline_params.L)
         from gemxpm import FieldRecord, CoherenceRecord
         z = np.zeros((16, 64), dtype=complex)
         pol = polariton_transform(FieldRecord(z, grid),
@@ -181,7 +215,7 @@ class TestPolariton:
         assert verify_fourier_relation(pol, baseline_params, 0.5) == 0.0
 
     def test_plane_wave_peak(self, baseline_params):
-        grid = build_grid(baseline_params, nz=256, nt=4, t_max=1.0)
+        grid = Grid(nz=256, nt=4, t_max=1.0, L=baseline_params.L)
         from gemxpm import FieldRecord, CoherenceRecord
         k0 = 12 * TWO_PI / baseline_params.L
         window = np.exp(-((grid.z - 0.5) / 0.2) ** 2)
@@ -227,7 +261,7 @@ class TestPolariton:
         # relation check must signal the off condition instead of a number
         sched = GradientSchedule(((0.0, 6.0, 8.0), (6.0, 14.0, 0.0)))
         coupling = PiecewiseConstant(((0.0, 6.0, 1.0), (6.0, 14.0, 0.0)))
-        grid = build_grid(baseline_params, nz=192, nt=3072, t_max=14.0)
+        grid = Grid(nz=192, nt=3072, t_max=14.0, L=baseline_params.L)
         res = propagate(baseline_params, baseline_probe, sched, grid,
                         coupling=coupling)
         pol = polariton_transform(res.field, res.coherence, baseline_params)
@@ -258,7 +292,7 @@ class TestGroupVelocity:
         p = EnsembleParams(calN=400.0)
         eta = TWO_PI * 255.0 / 256.0
         sched = GradientSchedule(((0.0, 20.0, eta), (20.0, 30.0, 0.0)))
-        grid = build_grid(p, nz=256, nt=8192, t_max=30.0)
+        grid = Grid(nz=256, nt=8192, t_max=30.0, L=p.L)
         res = propagate(p, PulseSpec(1.0, 4.0, 2.0), sched, grid)
         pol = polariton_transform(res.field, res.coherence, p)
         t = grid.t

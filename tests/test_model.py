@@ -5,37 +5,37 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gemxpm import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
-                    PulseSpec, build_grid, gaussian_envelope)
+                    PulseSpec)
 
 
 class TestBuildGrid:
     def test_spacing(self):
         p = EnsembleParams(L=1.0)
-        g = build_grid(p, nz=11, nt=11, t_max=1.0)
+        g = Grid(nz=11, nt=11, t_max=1.0, L=p.L)
         assert g.dz == pytest.approx(0.1)
         assert g.dt == pytest.approx(0.1)
 
     def test_two_point_axis(self):
         p = EnsembleParams(L=2.0)
-        g = build_grid(p, nz=2, nt=5, t_max=1.0)
+        g = Grid(nz=2, nt=5, t_max=1.0, L=p.L)
         assert g.dz == pytest.approx(2.0)
         assert g.z.tolist() == [0.0, 2.0]
 
     def test_rejects_nonpositive(self):
         p = EnsembleParams()
         with pytest.raises(ValueError):
-            build_grid(p, nz=0, nt=16, t_max=1.0)
+            Grid(nz=0, nt=16, t_max=1.0, L=p.L)
         with pytest.raises(ValueError):
-            build_grid(p, nz=16, nt=1, t_max=1.0)
+            Grid(nz=16, nt=1, t_max=1.0, L=p.L)
         with pytest.raises(ValueError):
-            build_grid(p, nz=16, nt=16, t_max=-1.0)
+            Grid(nz=16, nt=16, t_max=-1.0, L=p.L)
 
     def test_rejects_overflow_scale(self):
         with pytest.raises(ValueError):
-            build_grid(EnsembleParams(), nz=1 << 30, nt=16, t_max=1.0)
+            Grid(nz=1 << 30, nt=16, t_max=1.0, L=EnsembleParams().L)
 
     def test_axes_uniform(self):
-        g = build_grid(EnsembleParams(), nz=64, nt=48, t_max=7.0)
+        g = Grid(nz=64, nt=48, t_max=7.0, L=EnsembleParams().L)
         assert np.allclose(np.diff(g.z), g.dz)
         assert np.allclose(np.diff(g.t), g.dt)
 
@@ -43,16 +43,16 @@ class TestBuildGrid:
 class TestGaussianEnvelope:
     def test_peak_value(self):
         spec = PulseSpec(1.0, 5.0, 1.0)
-        assert gaussian_envelope(spec, 5.0) == 1.0
+        assert spec.envelope(5.0) == 1.0
 
     def test_one_over_e(self):
         spec = PulseSpec(1.0, 5.0, 1.0)
-        assert gaussian_envelope(spec, 6.0) == pytest.approx(math.exp(-1))
+        assert spec.envelope(6.0) == pytest.approx(math.exp(-1))
 
     def test_zero_pulse(self):
         spec = PulseSpec(0.0, 5.0, 1.0)
         t = np.linspace(-10, 10, 101)
-        assert np.all(gaussian_envelope(spec, t) == 0)
+        assert np.all(spec.envelope(t) == 0)
 
     @given(st.integers(min_value=-3200, max_value=3200),
            st.floats(min_value=0.01, max_value=20),
@@ -62,8 +62,8 @@ class TestGaussianEnvelope:
         # so exact equality is a fair demand
         center, offset = center64 / 64.0, offset64 / 64.0
         spec = PulseSpec(1.0, center, duration)
-        left = gaussian_envelope(spec, center - offset)
-        right = gaussian_envelope(spec, center + offset)
+        left = spec.envelope(center - offset)
+        right = spec.envelope(center + offset)
         assert left == right
 
     def test_invalid_duration(self):
@@ -147,5 +147,7 @@ class TestPiecewiseConstant:
     def test_vectorised_matches_scalar(self):
         pc = PiecewiseConstant(((0.0, 1.0, 1.0), (1.0, 2.0, 0.0),
                                 (2.0, 3.0, 0.5)))
-        ts = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-        assert pc.values(ts).tolist() == [pc.value(t) for t in ts]
+        ts = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+        expected = [1.0, 1.0, 1.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5]
+        assert pc.values(ts).tolist() == expected
+        assert [pc.values(t) for t in ts] == expected

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gemxpm import (EnsembleParams, GradientSchedule, ProtocolError, PulseSpec,
-                    apply_stark_drive, build_grid, coupling_loss_rate,
+from gemxpm import (EnsembleParams, GradientSchedule, Grid, ProtocolError,
+                    PulseSpec, apply_stark_drive, coupling_loss_rate,
                     double_storage_run, phi_free_signal, phi_stored_pair,
                     scattering_consistency, single_photon_estimate, spm_scan,
                     xpm_linearity_scan)
@@ -222,17 +222,23 @@ class TestSinglePhotonEstimate:
         with pytest.raises(ValueError):
             single_photon_estimate(-1.0, 1e-5, 1e9, 1e7)
 
+    def test_constants_equal_scipy(self):
+        from scipy import constants
+        from gemxpm import xpm
+        assert (xpm._C_LIGHT, xpm._EPS0, xpm._HBAR) == (
+            constants.c, constants.epsilon_0, constants.hbar)
+
 
 @pytest.fixture(scope="module")
 def double_run():
-    grid = build_grid(DOUBLE_PARAMS, nz=256, nt=8192, t_max=34.0)
+    grid = Grid(nz=256, nt=8192, t_max=34.0, L=DOUBLE_PARAMS.L)
     return double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE, DOUBLE_SIGNAL,
                               double_schedule(), grid)
 
 
 class TestDoubleStorage:
     def test_zero_signal_zero_phase(self):
-        grid = build_grid(DOUBLE_PARAMS, nz=128, nt=4096, t_max=34.0)
+        grid = Grid(nz=128, nt=4096, t_max=34.0, L=DOUBLE_PARAMS.L)
         res = double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE,
                                  PulseSpec(0.0, 6.0, 1.0),
                                  double_schedule(), grid)
@@ -246,7 +252,7 @@ class TestDoubleStorage:
         assert double_run.xpm.phase == pytest.approx(chk.phase, rel=0.10)
 
     def test_hold_doubling_doubles_phase(self, double_run):
-        grid2 = build_grid(DOUBLE_PARAMS, nz=256, nt=10240, t_max=44.0)
+        grid2 = Grid(nz=256, nt=10240, t_max=44.0, L=DOUBLE_PARAMS.L)
         res2 = double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE, DOUBLE_SIGNAL,
                                   double_schedule(tau2=31.0), grid2)
         ratio = res2.xpm.phase / double_run.xpm.phase
@@ -270,7 +276,7 @@ class TestDoubleStorage:
         assert ks[hold].max() == ks[hold].min()
 
     def test_protocol_violations_rejected(self):
-        grid = build_grid(DOUBLE_PARAMS, nz=64, nt=2048, t_max=34.0)
+        grid = Grid(nz=64, nt=2048, t_max=34.0, L=DOUBLE_PARAMS.L)
         no_hold = GradientSchedule(((0.0, 21.0, TWO_PI), (21.0, 34.0, -TWO_PI)))
         with pytest.raises(ProtocolError, match="required pattern"):
             double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE, DOUBLE_SIGNAL,
