@@ -28,17 +28,25 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 
 def column_deltas(produced: str, golden: str) -> List[str]:
-    """One line per column: max |a - b| and max |a - b| / |b|."""
+    """One line per column: max |a - b| and max |a - b| / |b|.
+
+    The first row is a header only when it is not numeric: a Choi body
+    (its '# block:' lines stripped) starts with data.
+    """
     a = [ln.split(",") for ln in produced.splitlines() if ln]
     b = [ln.split(",") for ln in golden.splitlines() if ln]
-    lines = []
-    if a[0] != b[0]:
-        lines.append(f"  header {','.join(a[0])} vs golden {','.join(b[0])}")
-    a, b = a[1:], b[1:]
+    lines, header = [], None
+    if a and b and not _is_number(a[0][0]):
+        header, a = a[0], a[1:]
+        if b[0] != header:
+            lines.append(f"  header {','.join(header)} vs golden "
+                         f"{','.join(b[0])}")
+        b = b[1:]
     if len(a) != len(b):
         lines.append(f"  row count {len(a)} vs golden {len(b)}")
     n = min(len(a), len(b))
-    for j, name in enumerate(produced.splitlines()[0].split(",")):
+    width = min(len(r) for r in a[:n] + b[:n]) if n else 0
+    for j in range(width):
         x = np.array([float(r[j]) for r in a[:n]])
         y = np.array([float(r[j]) for r in b[:n]])
         diff = np.abs(x - y)
@@ -46,9 +54,18 @@ def column_deltas(produced: str, golden: str) -> List[str]:
         diff[both_nan] = 0.0
         rel = diff / np.maximum(np.abs(y), np.finfo(float).tiny)
         rel[both_nan] = 0.0
+        name = header[j] if header else f"col{j}"
         lines.append(f"  {name}: max_abs={diff.max(initial=0.0):.3e} "
                      f"max_rel={rel.max(initial=0.0):.3e}")
     return lines
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def main(names: List[str]) -> int:

@@ -33,7 +33,8 @@ from .config import (ExperimentConfig, config_to_dict, load_config,
 from .errors import ConfigError, GemXpmError
 from .gate import phase_trace
 from .gem import (apply_stark_drive, excitation_balance, peak_k_trajectory,
-                  polariton_transform, propagate, verify_fourier_relation)
+                  polariton_transform, propagate, spatial_spectrum,
+                  verify_fourier_relation)
 from .presets import get_preset, preset_names
 from .reporting import (ResultTable, choi_export, config_hash, write_summary)
 from .tomography import (channel_from_gate, choi_matrix, ideal_cphase_choi,
@@ -68,7 +69,7 @@ def _run_storage(cfg: ExperimentConfig):
     kdrift_dev_bins = math.nan
     eta0 = cfg.schedule.eta(0.5 * (drift_lo + flip))
     if mask.sum() >= 8:
-        kk = peak_k_trajectory(pol)[mask]
+        kk = peak_k_trajectory(pol.k, pol.values)[mask]
         line = kk[0] + (-eta0) * (t[mask] - t[mask][0])
         kdrift_dev_bins = float(np.max(np.abs(kk - line))
                                 / (2.0 * math.pi / params.L))
@@ -119,10 +120,8 @@ def _run_xpm_free(cfg: ExperimentConfig):
 def _run_xpm_double(cfg: ExperimentConfig):
     params, grid = cfg.ensemble, cfg.grid
     res = double_storage_run(params, cfg.probe, cfg.signal, cfg.schedule, grid)
-    pol_p = polariton_transform(res.probe_field, res.probe_coherence, params)
-    pol_s = polariton_transform(res.signal_field, res.signal_coherence, params)
-    kp = peak_k_trajectory(pol_p, source="coherence")
-    ks = peak_k_trajectory(pol_s, source="coherence")
+    kp, ks = (peak_k_trajectory(*spatial_spectrum(c.values, grid))
+              for c in (res.probe_coherence, res.signal_coherence))
     t = grid.t
     table = ResultTable(
         columns=["t", "kpeak_probe", "kpeak_signal"],
@@ -352,7 +351,7 @@ def _execute(cfg: ExperimentConfig, out_dir: str, workers: int) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GemXpmError, OSError, MemoryError) as exc:
+    except (GemXpmError, OSError, MemoryError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for kind, p in sorted(paths.items()):

@@ -14,11 +14,14 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError
 from .gate import GateParams
+from .gem import check_window
 from .model import EnsembleParams, GradientSchedule, Grid, PulseSpec
+from .xpm import HOLD_SAMPLES
 
 KINDS = ("storage", "xpm-free", "xpm-double", "gate", "tomography", "sweep")
 
@@ -252,8 +255,8 @@ def _parse_gate(raw: Optional[Mapping], units: _Units, path: str) -> GateRunSpec
                                        f"{path}.t_gate"))
     renorm = _expect_str(raw.get("renormalize", "global"),
                          f"{path}.renormalize")
-    if renorm not in ("global", "per-input", "none"):
-        _fail(f"{path}.renormalize", "must be global, per-input, or none")
+    if renorm not in ("global", "none"):
+        _fail(f"{path}.renormalize", "must be global or none")
     if n_samples < 2:
         _fail(f"{path}.n_samples", "need at least 2 samples")
     try:
@@ -346,6 +349,17 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
         if need > RECORD_BUDGET_BYTES / 2**30:
             _fail("grid", f"records need {need:.4g} GiB, above the "
                   f"{RECORD_BUDGET_BYTES / 2**30:g} GiB budget")
+        try:
+            check_window(probe, schedule, grid.t_max)
+        except ValueError as exc:
+            _fail("schedule", str(exc))
+        hold = schedule.hold_window()
+        if kind == "xpm-double" and hold is not None:
+            t = grid.t
+            n = int(np.count_nonzero((t >= hold[0]) & (t <= hold[1])))
+            if n < HOLD_SAMPLES:
+                _fail("grid", f"the hold [{hold[0]}, {hold[1]}] spans {n} "
+                      f"time samples; its quadrature needs {HOLD_SAMPLES}")
 
     xpm_free = None
     if kind == "xpm-free":

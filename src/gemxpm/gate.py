@@ -65,11 +65,6 @@ class HilbertSpace:
             raise ValueError("photon occupations are truncated to {0, 1}")
         return 4 * self.level_index(level) + 2 * n_p + n_s
 
-    def basis_state(self, level: str, n_p: int, n_s: int) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.index(level, n_p, n_s)] = 1.0
-        return v
-
 
 HILBERT = HilbertSpace()
 
@@ -342,7 +337,7 @@ def propagator(H: np.ndarray, gamma: float, t: float) -> np.ndarray:
 
     One matrix exponential amortised over arbitrarily many applications:
     evolve applies one step propagator between all its samples, and
-    process tomography evolves sixteen states with one (H, gamma, t).
+    process tomography reads all sixteen channel images off one.
     """
     import scipy.linalg   # here, so that storage runs never import scipy
     return scipy.linalg.expm(liouvillian_matrix(H, gamma) * t)

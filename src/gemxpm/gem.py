@@ -307,23 +307,33 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
             for b in range(len(members))]
 
 
+def check_window(probe: PulseSpec, schedule: GradientSchedule,
+                 t_max: float) -> Optional[float]:
+    """Flip time of a storage run on [0, t_max]; ValueError when the
+    schedule does not cover the window or the probe does not substantially
+    enter (center + 2*duration) inside it before the flip."""
+    if not schedule.covers(t_max):
+        raise ValueError(
+            f"gradient schedule [{schedule.t_start}, {schedule.t_end}] does "
+            f"not cover the grid window [0, {t_max}]")
+    flip = schedule.flip_time()
+    end = t_max if flip is None else flip
+    if not 0.0 <= probe.center_time + 2.0 * probe.duration <= end:
+        raise ValueError(
+            "probe pulse must substantially enter between t = 0 and the "
+            "recall flip, or the window end without one (center "
+            f"{probe.center_time} + 2*duration {probe.duration} outside "
+            f"[0, {end}])")
+    return flip
+
+
 def check_storage_run(params: EnsembleParams, probe: PulseSpec,
                       schedule: GradientSchedule, grid: Grid,
                       stark: Optional[StarkDrive] = None) -> Optional[float]:
     """Check one storage/recall run and return its flip time: ValueError
-    when the schedule does not cover the grid or the probe enters after
-    the flip, StabilityError when dt exceeds the stiffest rate's limit."""
-    if not schedule.covers(grid.t_max):
-        raise ValueError(
-            f"gradient schedule [{schedule.t_start}, {schedule.t_end}] does "
-            f"not cover the grid window [0, {grid.t_max}]")
-    flip = schedule.flip_time()
-    if flip is not None and probe.center_time + 2.0 * probe.duration > flip:
-        raise ValueError(
-            "probe pulse must substantially enter before the recall flip "
-            f"(center {probe.center_time} + 2*duration {probe.duration} "
-            f"exceeds flip time {flip})")
-
+    as check_window, StabilityError when dt exceeds the stiffest rate's
+    limit."""
+    flip = check_window(probe, schedule, grid.t_max)
     drive = (stark.max_gamma_s, stark.max_delta_ac) if stark else ()
     check_step(params, schedule, grid, params.raman_ratio, *drive)
     return flip
@@ -485,21 +495,14 @@ def group_velocity(k: float, params: EnsembleParams) -> float:
     return params.coupling_density * params.raman_ratio ** 2 / (k * k)
 
 
-def peak_k_trajectory(record: PolaritonRecord, source: str = "polariton") -> np.ndarray:
-    """Peak-|.|  k value per time sample.
+def peak_k_trajectory(k: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Peak-|spectrum| k value per time sample of a (nt, nk) spectrum on
+    the k axis ``k``.
 
     Ties within a relative 1e-9 of the maximum resolve to the lowest |k|
     (and to the more negative k when +-k tie exactly).
     """
-    if source == "polariton":
-        mag = np.abs(record.values)
-    elif source == "coherence":
-        mag = np.abs(record.coherence_k)
-    elif source == "field":
-        mag = np.abs(record.field_k)
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    k = record.k
+    mag = np.abs(spectrum)
     out = np.empty(mag.shape[0])
     order = np.lexsort((k, np.abs(k)))   # by |k|, then by k
     for n in range(mag.shape[0]):

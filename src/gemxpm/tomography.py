@@ -1,11 +1,11 @@
 """Process tomography of the two-qubit gate channel.
 
-The channel maps 4x4 density matrices on (photonic s-qubit) (x)
-(polaritonic qubit {|1>, |2>}) through the full 28-dimensional master
-equation: embed with no p photon and empty primed levels, evolve for the
-gate time, trace out the p mode, project the atomic sector back onto
-{|1>, |2>}, and renormalise (leakage per input is logged; renormalisation
-can be disabled to keep the honest trace-decreasing map).
+The channel maps 4x4 operators on (photonic s-qubit) (x) (polaritonic
+qubit {|1>, |2>}) through the full 28-dimensional master equation: embed
+with no p photon and empty primed levels, evolve for the gate time with
+the exact propagator, trace out the p mode, and project the atomic sector
+back onto {|1>, |2>}.  Weight lost from the qubit subspace is reported as
+leakage, and the map is optionally renormalised by one global factor.
 
 The Choi matrix is normalised as a state (trace one):
 
@@ -17,9 +17,8 @@ Tr(chi_ideal . chi) in [0, 1].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -35,12 +34,6 @@ _EMBED = tuple(HILBERT.index(level, 0, n_s)
                for n_s in (0, 1) for level in ("1", "2"))
 
 
-def _embed_vector(v: np.ndarray) -> np.ndarray:
-    full = np.zeros(DIM, dtype=complex)
-    full[list(_EMBED)] = v
-    return full
-
-
 @dataclass(frozen=True)
 class TwoQubitChannel:
     """Linear map on two-qubit operators, tabulated on the matrix-unit
@@ -48,21 +41,15 @@ class TwoQubitChannel:
 
     images: np.ndarray                      # (4, 4, 4, 4) complex
     t_gate: Optional[float] = None
-    leakage: Optional[Dict[str, float]] = None   # per evolved pure state
+    leakage: Optional[Dict[str, float]] = None   # per basis input e0..e3
+    max_leakage: float = 0.0        # worst case over all pure inputs
     phase: Optional[float] = None   # conditional phase of initial_state()
-    renormalized: bool = True
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         m = np.asarray(m, dtype=complex)
         if m.shape != (QUBIT_DIM, QUBIT_DIM):
             raise ValueError(f"input must be 4x4, got {m.shape}")
         return np.einsum("ij,ijkl->kl", m, self.images)
-
-    @property
-    def max_leakage(self) -> float:
-        if not self.leakage:
-            return 0.0
-        return max(self.leakage.values())
 
     @classmethod
     def from_map(cls, fn: Callable[[np.ndarray], np.ndarray],
@@ -87,98 +74,66 @@ class TwoQubitChannel:
         return cls.from_unitary(np.eye(QUBIT_DIM))
 
 
-def _pair_states(i: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The |+> and |+i> superpositions used to synthesise |i><j|."""
-    plus = np.zeros(QUBIT_DIM, dtype=complex)
-    plus[i] = 1.0 / math.sqrt(2.0)
-    plus[j] = 1.0 / math.sqrt(2.0)
-    plus_i = np.zeros(QUBIT_DIM, dtype=complex)
-    plus_i[i] = 1.0 / math.sqrt(2.0)
-    plus_i[j] = 1j / math.sqrt(2.0)
-    return plus, plus_i
-
-
 def channel_from_gate(params: GateParams, t_gate: float, *,
                       renormalize: str = "global",
                       leakage_limit: float = 0.2) -> TwoQubitChannel:
     """Tomograph the gate channel at interaction time ``t_gate``.
 
-    The sixteen operator-basis images are reconstructed from pure-state
-    evolutions (each diagonal |i><i| plus the |+> and |+i> states of every
-    pair, recombined linearly).  All evolutions share one dense propagator
-    exp(L*t_gate), so the cost is a single matrix exponential; the same
-    propagator gives the conditional phase of the gate's reference initial
-    state, carried as ``phase``.
+    One dense propagator P = exp(L*t_gate) maps each embedded operator X
+    to (P vec(X) + (P vec(X^dagger))^dagger) / 2, the Hermiticity-
+    preserving form of P vec(X), projected back onto the qubit subspace;
+    the sixteen images are those of the matrix units.  The same propagator
+    gives the conditional phase of the gate's reference initial state,
+    carried as ``phase``.
+
+    Leakage comes from the survival matrix S[j, i] = Tr Lambda(|i><j|),
+    with Tr Lambda(rho) = Tr(S rho): ``leakage`` holds 1 - S[i, i] for the
+    four basis inputs e0..e3, and ``max_leakage`` the worst case over every
+    pure input, 1 - lambda_min((S + S^dagger)/2).
 
     ``renormalize`` selects the leakage handling:
 
     * "global": divide every image by the mean survival weight of the four
       basis states.  A uniform positive factor keeps the map completely
-      positive and the Choi trace exactly one; per-input weights are
-      logged.  This is the default because per-input renormalisation makes
-      the reconstructed Choi state indefinite at the scale of the leakage
-      spread, which is orders of magnitude above the positivity budget.
-    * "per-input": renormalise each evolved pure state by its own weight.
+      positive and the Choi trace exactly one.
     * "none": keep the honest trace-decreasing compression.
 
-    Raises LeakageError when any evolved input leaves more than
+    Raises LeakageError when some pure input leaves more than
     ``leakage_limit`` of its weight outside the qubit subspace.
     """
     if t_gate <= 0:
         raise ValueError("t_gate must be positive")
-    if renormalize not in ("global", "per-input", "none"):
+    if renormalize not in ("global", "none"):
         raise ValueError(f"unknown renormalize mode {renormalize!r}")
-    h = build_hamiltonian(params)
-    prop = propagator(h, params.gamma, t_gate)
+    prop = propagator(build_hamiltonian(params), params.gamma, t_gate)
+    embed = np.ix_(_EMBED, _EMBED)
 
-    leakage: Dict[str, float] = {}
+    def image(m: np.ndarray) -> np.ndarray:
+        x = np.zeros((DIM, DIM), dtype=complex)
+        x[embed] = m
+        out = (prop @ x.reshape(-1)).reshape(DIM, DIM)
+        out_adj = (prop @ x.conj().T.reshape(-1)).reshape(DIM, DIM)
+        return two_qubit_block(0.5 * (out + out_adj.conj().T))[0]
 
-    def evolve_pure(key: str, v: np.ndarray) -> np.ndarray:
-        rho0 = np.outer(_embed_vector(v), _embed_vector(v).conj())
-        rho_t = apply_propagator(prop, rho0)
-        q, weight = two_qubit_block(rho_t)
-        leakage[key] = 1.0 - weight
-        if renormalize == "per-input" and weight > 0.0:
-            q = q / weight
-        return q
-
-    basis_out = [evolve_pure(f"e{i}", _unit_vec(i)) for i in range(QUBIT_DIM)]
-    images = np.empty((QUBIT_DIM, QUBIT_DIM, QUBIT_DIM, QUBIT_DIM),
-                      dtype=complex)
-    for i in range(QUBIT_DIM):
-        images[i, i] = basis_out[i]
-    for i in range(QUBIT_DIM):
-        for j in range(i + 1, QUBIT_DIM):
-            plus, plus_i = _pair_states(i, j)
-            out_p = evolve_pure(f"plus{i}{j}", plus)
-            out_q = evolve_pure(f"plusi{i}{j}", plus_i)
-            # |i><j| = |+><+| + i|+i><+i| - (1+i)/2 (|i><i| + |j><j|)
-            img = (out_p + 1j * out_q
-                   - 0.5 * (1.0 + 1j) * (basis_out[i] + basis_out[j]))
-            images[i, j] = img
-            images[j, i] = img.conj().T
-
-    if renormalize == "global":
-        survival = np.mean([1.0 - leakage[f"e{i}"] for i in range(QUBIT_DIM)])
-        if survival > 0.0:
-            images = images / survival
-
-    worst = max(leakage.values())
+    images = TwoQubitChannel.from_map(image).images
+    survival = np.trace(images, axis1=2, axis2=3).T
+    leakage = {f"e{i}": 1.0 - float(survival[i, i].real)
+               for i in range(QUBIT_DIM)}
+    worst = 1.0 - float(np.linalg.eigvalsh(
+        0.5 * (survival + survival.conj().T)).min())
     if worst > leakage_limit:
-        report = ", ".join(f"{k}: {v:.3f}" for k, v in sorted(leakage.items()))
+        report = ", ".join(f"{k}: {v:.3f}" for k, v in leakage.items())
         raise LeakageError(
-            f"channel leaked {worst:.1%} of one input out of the qubit "
-            f"subspace (limit {leakage_limit:.0%}); per-input leakage: "
-            f"{report}", leakage_report=dict(leakage))
+            f"channel leaks up to {worst:.1%} of a pure input out of the "
+            f"qubit subspace (limit {leakage_limit:.0%}); basis-input "
+            f"leakage: {report}", leakage_report=leakage)
+    if renormalize == "global":
+        mean_survival = np.mean(survival.diagonal().real)
+        if mean_survival > 0.0:
+            images = images / mean_survival
     phase = conditional_phase(apply_propagator(prop, initial_state()))
     return TwoQubitChannel(images=images, t_gate=t_gate, leakage=leakage,
-                           phase=phase, renormalized=renormalize != "none")
-
-
-def _unit_vec(i: int) -> np.ndarray:
-    v = np.zeros(QUBIT_DIM, dtype=complex)
-    v[i] = 1.0
-    return v
+                           max_leakage=worst, phase=phase)
 
 
 @dataclass(frozen=True)

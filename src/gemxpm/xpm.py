@@ -30,6 +30,8 @@ from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
 _C_LIGHT = 299792458.0
 _EPS0 = 8.8541878188e-12
 _HBAR = 1.0545718176461565e-34
+#: Samples of g*|E_s| on the hold window phi_stored_pair needs.
+HOLD_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -56,17 +58,17 @@ def phi_stored_pair(signal_envelope: Sequence[float], delta4: float,
     """Phase and loss of a stored coherence driven by a stored signal.
 
     ``signal_envelope`` samples g*|E_s| uniformly on [tau1, tau2] (at least
-    64 points).  The phase is the composite-Simpson quadrature of
+    HOLD_SAMPLES points).  The phase is the composite-Simpson quadrature of
     |g*E_s|^2 * delta4 / (gamma^2 + delta4^2); the loss factor is
     exp(-integral of |g*E_s|^2 * gamma / (gamma^2 + delta4^2)).
     """
     if not tau2 > tau1:
         raise ValueError(f"tau2 must exceed tau1, got ({tau1}, {tau2})")
     env = np.asarray(signal_envelope, dtype=float)
-    if env.ndim != 1 or env.size < 64:
+    if env.ndim != 1 or env.size < HOLD_SAMPLES:
         raise ValueError(
-            f"envelope must be sampled at >= 64 points on [tau1, tau2], "
-            f"got {env.size}")
+            f"envelope must be sampled at >= {HOLD_SAMPLES} points on "
+            f"[tau1, tau2], got {env.size}")
     denom = gamma * gamma + delta4 * delta4
     if denom == 0.0:
         raise ValueError("gamma and delta4 cannot both vanish")

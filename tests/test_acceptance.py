@@ -116,7 +116,7 @@ def test_criterion_04_storage_baseline():
                  for t in (6.0, 6.5, 7.5)]
     t_axis = grid.t
     mask = (t_axis >= 6.0) & (t_axis <= 9.0)
-    kk = peak_k_trajectory(pol)[mask]
+    kk = peak_k_trajectory(pol.k, pol.values)[mask]
     # drift rate is -eta with the exp(-ikz) spatial transform
     line = kk[0] - eta * (t_axis[mask] - t_axis[mask][0])
     dev_bins = float(np.max(np.abs(kk - line)) / (TWO_PI / params.L))

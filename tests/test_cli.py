@@ -88,6 +88,13 @@ class TestConfigValidation:
                    out_dir=str(tmp_path / "out")) == 2
         assert "gate.dt" in capsys.readouterr().err
 
+    def test_per_input_renormalisation_refused(self, tmp_path, capsys):
+        cfg = {"experiment": "tomography",
+               "gate": {"renormalize": "per-input"}}
+        assert run(write_yaml(tmp_path, cfg),
+                   out_dir=str(tmp_path / "out")) == 2
+        assert "gate.renormalize" in capsys.readouterr().err
+
     def test_zero_raman_detuning_refused(self, tmp_path, capsys):
         for key in ("Delta", "DeltaPrime"):
             cfg = dict(STORAGE_CONFIG,
@@ -96,6 +103,29 @@ class TestConfigValidation:
                        out_dir=str(tmp_path / "out")) == 2
             err = capsys.readouterr().err
             assert f"'ensemble': {key} must be nonzero" in err
+
+    @pytest.mark.parametrize("edit, path", [
+        ({"schedule": [[0.0, 9.0, 8.0], [9.0, 15.0, -8.0]]}, "schedule"),
+        ({"probe": {"peak_amplitude": 1.0, "center_time": 8.0,
+                    "duration": 1.0}}, "schedule"),
+        ({"schedule": [[0.0, 20.0, 8.0]],
+          "probe": {"peak_amplitude": 1.0, "center_time": 19.0,
+                    "duration": 1.0}}, "schedule"),
+        ({"schedule": [[-5.0, -1.0, 8.0], [-1.0, 20.0, -8.0]],
+          "probe": {"peak_amplitude": 1.0, "center_time": -3.0,
+                    "duration": 0.5}}, "schedule"),
+        ({"experiment": "xpm-double", "signal": SIGNAL,
+          "schedule": [[0.0, 8.0, 8.0], [8.0, 12.0, 0.0],
+                       [12.0, 20.0, -8.0]],
+          "grid": {"nz": 32, "nt": 200, "t_max": 20.0}}, "grid"),
+    ], ids=["schedule_short", "probe_after_flip", "probe_after_end",
+            "flip_before_zero", "hold_undersampled"])
+    def test_solver_window_refused(self, tmp_path, capsys, edit, path):
+        # each raised a ValueError traceback from the solver (exit 1)
+        cfg = dict(STORAGE_CONFIG, **edit)
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"config error at '{path}'" in capsys.readouterr().err
 
     def test_lab_units_require_gamma(self):
         cfg = dict(STORAGE_CONFIG, units={"system": "lab"})
@@ -204,6 +234,21 @@ class TestRunStorage:
                    grid={"nz": 32, "nt": 64, "t_max": 20.0})
         code = run(write_yaml(tmp_path, bad), out_dir=str(tmp_path / "out"))
         assert code == 3
+
+    @pytest.mark.parametrize("cfg", [
+        # Omega_s ** 2 in phi_free_signal
+        {"experiment": "xpm-free", "name": "huge_omega",
+         "xpm_free": {"omega_s": [1.0e+200], "tau": 1.0}},
+        # peak_amplitude ** 2 in apply_stark_drive
+        dict(STORAGE_CONFIG, signal=dict(SIGNAL, peak_amplitude=1.0e+200)),
+    ], ids=["xpm_free", "storage_signal"])
+    def test_overflow_exit_3(self, tmp_path, capsys, cfg):
+        code = main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "OverflowError" in err
+        assert "Traceback" not in err
 
 
 class TestSweep:

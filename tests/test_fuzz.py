@@ -1,0 +1,131 @@
+"""Bounded fuzz of the config schema through the CLI entry point.
+
+Each example is a plausible storage, xpm-free or xpm-double config with
+up to three random edits: a value replaced by anything YAML can hold, a
+key deleted, or an unknown key added.  Every config must either run
+(exit 0) or be refused with exit 2 (config) or 3 (numerical/I/O); no
+exception may escape ``main``.  Grids stay at nz, nt <= 32, so every run
+is small.
+"""
+
+import os
+import tempfile
+
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gemxpm.cli import main
+
+# Values of any type the YAML loader can produce, including NaN, inf,
+# huge integers and wrong types.
+WILD = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+                 st.none(), st.text(max_size=3),
+                 st.lists(st.floats(), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(),
+                                 max_size=1))
+# Grid sizes are fuzzed in type and sign but never above 32.
+SMALL = st.one_of(st.integers(-2, 32), st.floats(-2.0, 32.0), st.booleans(),
+                  st.none(), st.text(max_size=3))
+
+
+ENSEMBLE = st.fixed_dictionaries({}, optional={
+    "gamma": st.floats(0.5, 2.0), "gamma0": st.floats(0.0, 0.5),
+    "g": st.floats(0.5, 2.0), "calN": st.floats(1.0, 100.0),
+    "Delta": st.floats(10.0, 60.0),
+    "DeltaPrime": st.floats(10.0, 160.0), "delta3": st.floats(10.0, 400.0),
+    "delta4": st.floats(-40.0, 40.0), "OmegaC": st.floats(1.0, 10.0),
+    "OmegaCPrime": st.floats(1.0, 10.0)})
+
+
+def pulse(draw, lo, hi):
+    """A pulse whose center + 2 * duration lies in [lo, hi]."""
+    center = draw(st.floats(lo, lo + 0.5 * (hi - lo)))
+    return {"peak_amplitude": draw(st.floats(0.0, 2.0)),
+            "center_time": center,
+            "duration": draw(st.floats(0.01, 0.5)) * (hi - center)}
+
+
+def grid(draw, t_max):
+    return {"nz": draw(st.integers(2, 32)), "nt": draw(st.integers(2, 32)),
+            "t_max": t_max}
+
+
+@st.composite
+def storage(draw):
+    t_max = draw(st.floats(0.5, 4.0))
+    flip = draw(st.floats(0.1, 0.9)) * t_max
+    eta = draw(st.floats(-4.0, 4.0))
+    cfg = {"experiment": "storage", "ensemble": draw(ENSEMBLE),
+           "probe": pulse(draw, 0.0, flip),
+           "schedule": [[0.0, flip, eta], [flip, t_max, -eta]],
+           "grid": grid(draw, t_max)}
+    if draw(st.booleans()):
+        cfg["signal"] = pulse(draw, 0.0, t_max)
+        cfg["signal_detuning"] = draw(st.sampled_from(["delta3", "delta4"]))
+    return cfg
+
+
+@st.composite
+def xpm_double(draw):
+    # write, eta = 0 hold on [tau1, tau2], opposite-sign recall
+    t_max = draw(st.floats(0.5, 4.0))
+    tau1 = draw(st.floats(0.2, 0.5)) * t_max
+    tau2 = draw(st.floats(0.6, 0.9)) * t_max
+    eta = draw(st.floats(-4.0, 4.0))
+    return {"experiment": "xpm-double", "ensemble": draw(ENSEMBLE),
+            "probe": pulse(draw, 0.0, 0.4 * tau1),
+            "signal": pulse(draw, 0.5 * tau1, tau1),
+            "schedule": [[0.0, tau1, eta], [tau1, tau2, 0.0],
+                         [tau2, t_max, -eta]],
+            "grid": grid(draw, t_max)}
+
+
+XPM_FREE = st.fixed_dictionaries({
+    "experiment": st.just("xpm-free"), "ensemble": ENSEMBLE,
+    "xpm_free": st.fixed_dictionaries({
+        "omega_s": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
+        "tau": st.floats(0.0, 300.0)})})
+
+
+def slots(node, out):
+    """Every (container, key) of a nested config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            slots(value, out)
+    return out
+
+
+@st.composite
+def configs(draw):
+    cfg = draw(st.one_of(storage(), xpm_double(), XPM_FREE))
+    for _ in range(draw(st.integers(0, 3))):
+        if not cfg:
+            break
+        # reversed, so that hypothesis's bias towards the first choices
+        # lands on leaf values rather than on the experiment key
+        node, key = draw(st.sampled_from(slots(cfg, [])[::-1]))
+        edit = draw(st.sampled_from(["replace", "delete", "add"]))
+        if edit == "delete":
+            del node[key]
+            continue
+        if edit == "add":
+            if not isinstance(node, dict):
+                continue
+            key = draw(st.text(max_size=3))
+        node[key] = draw(SMALL if key in ("nz", "nt") else WILD)
+    return cfg
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_every_config_runs_or_is_refused(cfg):
+    with tempfile.TemporaryDirectory() as td:
+        path = os.path.join(td, "cfg.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(cfg, fh)
+        code = main(["simulate", path, "--out", os.path.join(td, "out")])
+    assert code in (0, 2, 3)

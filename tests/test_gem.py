@@ -248,7 +248,7 @@ class TestPolariton:
                                baseline_grid):
         pol = polariton_transform(baseline_run.field, baseline_run.coherence,
                                   baseline_params)
-        kk = peak_k_trajectory(pol)
+        kk = peak_k_trajectory(pol.k, pol.values)
         t = baseline_grid.t
         mask = (t >= 6.0) & (t <= 9.0)
         # with the exp(-ikz) transform the drift rate is -eta
@@ -297,7 +297,7 @@ class TestGroupVelocity:
         pol = polariton_transform(res.field, res.coherence, p)
         t = grid.t
         mask = (t >= 21.0) & (t <= 29.5)
-        kk = peak_k_trajectory(pol)[mask]
+        kk = peak_k_trajectory(pol.k, pol.values)[mask]
         assert kk.max() == kk.min()   # stopped in k-space
         w = np.abs(res.field.values) ** 2
         zc = (w * grid.z[None, :]).sum(axis=1) / np.maximum(

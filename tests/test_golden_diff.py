@@ -1,0 +1,43 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_golden_diff():
+    spec = importlib.util.spec_from_file_location(
+        "golden_diff", ROOT / "scripts" / "golden_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def max_abs(lines):
+    return {ln.split(":")[0].strip(): float(ln.split("max_abs=")[1].split()[0])
+            for ln in lines if "max_abs=" in ln}
+
+
+def test_headerless_first_row_is_compared():
+    # the Choi body starts with data; a change in its first row must show
+    golden = (ROOT / "golden" / "fig4b_tomo_choi.csv").read_text()
+    rows = golden.splitlines()
+    cells = rows[0].split(",")
+    cells[0] = repr(float(cells[0]) + 1e-3)
+    produced = "\n".join([",".join(cells)] + rows[1:]) + "\n"
+    lines = load_golden_diff().column_deltas(produced, golden)
+    assert not any("header" in ln for ln in lines)
+    deltas = max_abs(lines)
+    assert len(deltas) == 16
+    assert abs(deltas["col0"] - 1e-3) < 1e-12
+    assert all(v == 0.0 for k, v in deltas.items() if k != "col0")
+
+
+def test_named_header_kept():
+    golden = (ROOT / "golden" / "fig4a_gate.csv").read_text()
+    rows = golden.splitlines()
+    cells = rows[1].split(",")
+    cells[1] = repr(float(cells[1]) + 0.5)
+    produced = "\n".join([rows[0], ",".join(cells)] + rows[2:]) + "\n"
+    deltas = max_abs(load_golden_diff().column_deltas(produced, golden))
+    assert list(deltas) == rows[0].split(",")
+    assert deltas[rows[0].split(",")[1]] == 0.5

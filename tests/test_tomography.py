@@ -9,13 +9,24 @@ from gemxpm import (GateParams, LeakageError, TwoQubitChannel,
                     conditional_phase, ideal_cphase_choi, initial_state,
                     process_fidelity, propagator)
 from gemxpm.gate import apply_propagator, two_qubit_block
-from gemxpm.tomography import QUBIT_DIM
+from gemxpm.tomography import _EMBED, QUBIT_DIM
 
 
 def random_density(rng, n=4):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = a @ a.conj().T
     return rho / rho.trace()
+
+
+def random_pure(rng, count, n=4):
+    vecs = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def embed(rho_q):
+    full = np.zeros((28, 28), dtype=complex)
+    full[np.ix_(list(_EMBED), list(_EMBED))] = rho_q
+    return full
 
 
 def maximally_entangled_chi():
@@ -56,23 +67,43 @@ class TestChannelFromGate:
         assert np.abs(direct - combined).max() < 1e-8
 
     def test_channel_consistent_with_direct_evolution(self, gate_params):
-        # tabulated images vs evolving a mixed state through the same path
+        # tabulated images vs evolving mixed and pure states through the
+        # same path
         h = build_hamiltonian(gate_params)
         prop = propagator(h, gate_params.gamma, 15.0)
         channel = channel_from_gate(gate_params, 15.0, renormalize="none")
         rng = np.random.default_rng(5)
-        rho_q = random_density(rng)
-        full = np.zeros((28, 28), dtype=complex)
-        from gemxpm.tomography import _EMBED
-        full[np.ix_(list(_EMBED), list(_EMBED))] = rho_q
-        reduced, _w = two_qubit_block(apply_propagator(prop, full))
-        assert np.abs(channel.apply(rho_q) - reduced).max() < 1e-10
+        inputs = [random_density(rng)]
+        inputs += [np.outer(psi, psi.conj()) for psi in random_pure(rng, 8)]
+        for rho_q in inputs:
+            reduced, _w = two_qubit_block(apply_propagator(prop,
+                                                           embed(rho_q)))
+            assert np.abs(channel.apply(rho_q) - reduced).max() < 1e-10
         assert channel.phase == conditional_phase(
             apply_propagator(prop, initial_state()))
 
     def test_leakage_logged(self, reference_channel):
-        assert reference_channel.leakage
+        assert list(reference_channel.leakage) == ["e0", "e1", "e2", "e3"]
         assert 0.0 <= reference_channel.max_leakage < 0.01
+        assert reference_channel.max_leakage >= max(
+            reference_channel.leakage.values())
+
+    def test_max_leakage_bounds_every_pure_input(self, gate_params):
+        channel = channel_from_gate(gate_params, 15.0, renormalize="none")
+        rng = np.random.default_rng(17)
+        lost = [1.0 - np.trace(channel.apply(np.outer(psi, psi.conj()))).real
+                for psi in random_pure(rng, 24)]
+        assert max(lost) <= channel.max_leakage + 1e-12
+        # the bound is attained: the least-surviving pure input
+        survival = np.trace(channel.images, axis1=2, axis2=3).T
+        _w, vecs = np.linalg.eigh(0.5 * (survival + survival.conj().T))
+        worst = np.outer(vecs[:, 0], vecs[:, 0].conj())
+        assert 1.0 - np.trace(channel.apply(worst)).real == pytest.approx(
+            channel.max_leakage, abs=1e-12)
+
+    def test_per_input_renormalisation_refused(self, gate_params):
+        with pytest.raises(ValueError, match="per-input"):
+            channel_from_gate(gate_params, 15.0, renormalize="per-input")
 
     def test_leakage_error(self):
         # gamma = 0, resonant coupling tuned to park |2> in the excited

@@ -259,14 +259,14 @@ class TestDoubleStorage:
         assert ratio == pytest.approx(2.0, rel=0.05)
 
     def test_k_trajectories(self, double_run):
-        from gemxpm import peak_k_trajectory, polariton_transform
-        pol_p = polariton_transform(double_run.probe_field,
-                                    double_run.probe_coherence, DOUBLE_PARAMS)
-        pol_s = polariton_transform(double_run.signal_field,
-                                    double_run.signal_coherence, DOUBLE_PARAMS)
-        kp = peak_k_trajectory(pol_p, source="coherence")
-        ks = peak_k_trajectory(pol_s, source="coherence")
-        t = double_run.probe_field.grid.t
+        from gemxpm import peak_k_trajectory
+        from gemxpm.gem import spatial_spectrum
+        grid = double_run.probe_field.grid
+        kp = peak_k_trajectory(*spatial_spectrum(
+            double_run.probe_coherence.values, grid))
+        ks = peak_k_trajectory(*spatial_spectrum(
+            double_run.signal_coherence.values, grid))
+        t = grid.t
         both_stored = (t >= 8.0) & (t <= 10.5)
         slope_p = np.polyfit(t[both_stored], kp[both_stored], 1)[0]
         slope_s = np.polyfit(t[both_stored], ks[both_stored], 1)[0]
