@@ -15,7 +15,7 @@ output can be pasted as the quantified diff of a golden regeneration.
 import sys
 import tempfile
 from pathlib import Path
-from typing import List
+from typing import Iterator, List
 
 import numpy as np
 
@@ -68,23 +68,29 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def preset_csvs(names: List[str], out_root: Path) -> Iterator[Path]:
+    """Run the named presets (all of them when none is named) into
+    ``out_root`` and yield every CSV they write."""
+    for name in names or preset_names():
+        cfg = parse_config(get_preset(name), default_name=name)
+        paths = run_config(cfg, out_root / name, workers=1)
+        yield from sorted(p for p in paths.values() if p.suffix == ".csv")
+
+
 def main(names: List[str]) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as td:
-        for name in names or preset_names():
-            cfg = parse_config(get_preset(name), default_name=name)
-            paths = run_config(cfg, Path(td) / name, workers=1)
-            for path in sorted(p for p in paths.values() if p.suffix == ".csv"):
-                produced = csv_body(path)
-                if not (GOLDEN_DIR / path.name).exists():
-                    print(f"{path.name}: no golden file")
-                    differ += 1
-                    continue
-                golden = (GOLDEN_DIR / path.name).read_text(encoding="utf-8")
-                same = produced == golden
-                differ += not same
-                print(f"{path.name}: {'byte-equal' if same else 'DIFFERS'}")
-                print("\n".join(column_deltas(produced, golden)))
+        for path in preset_csvs(names, Path(td)):
+            produced = csv_body(path)
+            if not (GOLDEN_DIR / path.name).exists():
+                print(f"{path.name}: no golden file")
+                differ += 1
+                continue
+            golden = (GOLDEN_DIR / path.name).read_text(encoding="utf-8")
+            same = produced == golden
+            differ += not same
+            print(f"{path.name}: {'byte-equal' if same else 'DIFFERS'}")
+            print("\n".join(column_deltas(produced, golden)))
     return 1 if differ else 0
 
 

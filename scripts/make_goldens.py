@@ -10,26 +10,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-from gemxpm.cli import run_config
-from gemxpm.config import parse_config
-from gemxpm.presets import get_preset, preset_names
 from gemxpm.reporting import csv_body
-
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+from golden_diff import GOLDEN_DIR, preset_csvs
 
 
 def main() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as td:
-        for name in preset_names():
-            cfg = parse_config(get_preset(name), default_name=name)
-            paths = run_config(cfg, Path(td) / name, workers=1)
-            for key, path in sorted(paths.items()):
-                if path.suffix != ".csv":
-                    continue
-                golden = GOLDEN_DIR / path.name
-                golden.write_text(csv_body(path), encoding="utf-8")
-                print(f"wrote {golden}")
+        for path in preset_csvs([], Path(td)):
+            golden = GOLDEN_DIR / path.name
+            golden.write_text(csv_body(path), encoding="utf-8")
+            print(f"wrote {golden}")
     return 0
 
 

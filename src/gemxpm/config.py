@@ -1,18 +1,24 @@
 """Experiment configuration: schema validation, unit conversion, presets
 round-trip.
 
-One config format (YAML mappings with arrays).  Unknown keys are rejected
-with the offending dot-path.  Lab-unit configs (``units: {system: lab,
-gamma: <rate in rad/us>}``) give rates and detunings in rad/us and times
-in us; conversion to internal gamma-units is plain scaling by the supplied
-gamma and refuses to run when gamma is missing.
+One config format (YAML mappings with arrays).  Each section is parsed,
+unit-scaled, validated and echoed from the fields of the dataclass it
+builds, so a key, its type and its default are written once, on that
+dataclass.  Unknown keys are rejected with the offending dot-path.
+Lab-unit configs (``units: {system: lab, gamma: <rate in rad/us>}``) give
+the keys in ``_RATES`` in rad/us and those in ``_TIMES`` in us;
+conversion to internal gamma-units is plain scaling by the supplied gamma
+and refuses to run when gamma is missing.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+import functools
+import math
+import typing
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Dict, Literal, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -25,23 +31,24 @@ from .xpm import HOLD_SAMPLES
 
 KINDS = ("storage", "xpm-free", "xpm-double", "gate", "tomography", "sweep")
 
-_ENSEMBLE_KEYS = ("gamma", "gamma0", "g", "N", "L", "calN", "Delta",
-                  "DeltaPrime", "delta3", "delta4", "OmegaC", "OmegaCPrime")
-_ENSEMBLE_RATE_KEYS = ("gamma", "gamma0", "g", "Delta", "DeltaPrime",
-                       "delta3", "delta4", "OmegaC", "OmegaCPrime")
-_PULSE_KEYS = ("peak_amplitude", "center_time", "duration")
-_GRID_KEYS = ("nz", "nt", "t_max")
-_GATE_KEYS = ("gamma", "OmegaC", "OmegaCPrime", "Delta", "DeltaPrime",
-              "delta4", "g", "N", "bandwidth", "stored_signal_coupling",
-              "t_end", "n_samples", "t_gate", "renormalize")
-_GATE_RATE_KEYS = ("gamma", "OmegaC", "OmegaCPrime", "Delta", "DeltaPrime",
-                   "delta4", "g")
+#: Keys a lab-unit config gives in rad/us (divided by its gamma) and in us
+#: (multiplied by it); every other key is dimensionless.
+_RATES = frozenset(("gamma", "gamma0", "g", "Delta", "DeltaPrime", "delta3",
+                    "delta4", "OmegaC", "OmegaCPrime", "peak_amplitude",
+                    "omega_s"))
+_TIMES = frozenset(("center_time", "duration", "t_max", "tau", "t_end",
+                    "t_gate"))
+#: GateParams fields derived from g and N, never read from a config.
+_DERIVED = ("g13", "g24", "g1p3p")
 
 #: Bytes the (nt, nz) complex records of one run may take; a larger grid is
-#: refused (exit 2).  Diagnostics add a few arrays of the same size.
+#: refused (exit 2).
 RECORD_BUDGET_BYTES = 2 << 30
-#: Records kept: sigma and E of the run, or of probe, signal and reference.
-RECORDS_KEPT = {"storage": 2, "xpm-double": 6}
+#: (nt, nz) complex records' worth of memory a run holds at its peak:
+#: tracemalloc over run_config measured 6.03 for storage_baseline (sigma
+#: and E plus the diagnostics built from them) and 8.02 for fig3b_double
+#: (sigma and E of probe, signal and reference plus the spatial spectra).
+RECORDS_KEPT = {"storage": 6, "xpm-double": 8}
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,16 @@ class GateRunSpec:
     t_end: float = 15.0
     n_samples: int = 151
     t_gate: float = 15.0
-    renormalize: str = "global"
+    renormalize: Literal["global", "none"] = "global"
+
+    def __post_init__(self):
+        for name in ("t_end", "t_gate"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+        if self.n_samples < 2:
+            raise ValueError(
+                f"n_samples must be at least 2, got {self.n_samples}")
 
     def effective_params(self) -> GateParams:
         return (self.params.with_stored_signal_coupling()
@@ -100,7 +116,13 @@ def _expect_mapping(obj: Any, path: str) -> Mapping:
 def _expect_number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(path, f"expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        x = float(obj)
+    except OverflowError:   # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        _fail(path, f"expected a finite number, got {x!r}")
+    return x
 
 
 def _expect_int(obj: Any, path: str) -> int:
@@ -141,15 +163,12 @@ class _Units:
     """Scaling between a lab-unit config and internal gamma-units."""
 
     def __init__(self, raw: Optional[Mapping], path: str):
-        if raw is None:
-            self.system = "gamma"
-            self.gamma = 1.0
-            return
-        raw = _expect_mapping(raw, path)
+        raw = {} if raw is None else _expect_mapping(raw, path)
         _check_keys(raw, ("system", "gamma"), path)
         self.system = _expect_str(raw.get("system", "gamma"), f"{path}.system")
         if self.system not in ("gamma", "lab"):
             _fail(f"{path}.system", "must be 'gamma' or 'lab'")
+        self.gamma = 1.0   # gamma-units: scaling by 1.0 is exact
         if self.system == "lab":
             if "gamma" not in raw:
                 _fail(f"{path}.gamma",
@@ -157,49 +176,88 @@ class _Units:
             self.gamma = _expect_number(raw["gamma"], f"{path}.gamma")
             if self.gamma <= 0:
                 _fail(f"{path}.gamma", "gamma must be positive")
-        else:
-            self.gamma = 1.0
 
     def rate(self, x: float) -> float:
-        return x / self.gamma if self.system == "lab" else x
+        return x / self.gamma
 
     def time(self, x: float) -> float:
-        return x * self.gamma if self.system == "lab" else x
+        return x * self.gamma
+
+    def scale(self, key: str, x: float) -> float:
+        """Value of config key ``key`` in gamma-units."""
+        if key in _RATES:
+            return self.rate(x)
+        return self.time(x) if key in _TIMES else x
+
+    def fixed(self) -> Dict[str, float]:
+        """Fields a lab-unit config fixes: gamma is its unit of rate."""
+        return {"gamma": 1.0} if self.system == "lab" else {}
 
 
-def _parse_ensemble(raw: Optional[Mapping], units: _Units,
-                    path: str) -> EnsembleParams:
-    values: Dict[str, float] = {}
-    if raw is not None:
-        raw = _expect_mapping(raw, path)
-        _check_keys(raw, _ENSEMBLE_KEYS, path)
-        for key, v in raw.items():
-            x = _expect_number(v, f"{path}.{key}")
-            values[key] = units.rate(x) if key in _ENSEMBLE_RATE_KEYS else x
-    if units.system == "lab":
-        values["gamma"] = 1.0
+@functools.lru_cache(maxsize=None)
+def _schema(cls: type) -> Tuple[Tuple[str, Any, bool], ...]:
+    """(name, annotated type, required) of each field of dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name],
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
+
+
+def _keys(cls: type, skip: Sequence[str] = ()) -> Tuple[str, ...]:
+    return tuple(name for name, _, _ in _schema(cls) if name not in skip)
+
+
+def _value(obj: Any, hint: Any, units: _Units, key: str, path: str) -> Any:
+    """Check one config value against its field type; scale it to gamma-units."""
+    if hint is str:
+        return _expect_str(obj, path)
+    if hint is bool:
+        return _expect_bool(obj, path)
+    if hint is int:
+        return _expect_int(obj, path)
+    if hint is float:
+        return units.scale(key, _expect_number(obj, path))
+    if typing.get_origin(hint) is Literal:
+        choices = typing.get_args(hint)
+        if _expect_str(obj, path) not in choices:
+            _fail(path, f"must be {' or '.join(map(repr, choices))}")
+        return obj
+    if hint == Tuple[float, ...]:
+        return tuple(units.scale(key, x) for x in _number_list(obj, path))
+    raise TypeError(f"no config reader for field {key!r} of type {hint!r}")
+
+
+def _section(cls: type, raw: Optional[Mapping], units: _Units, path: str,
+             skip: Sequence[str] = (), **given: Any) -> Any:
+    """Build dataclass ``cls`` from config mapping ``raw`` (None: empty).
+
+    Every field not in ``skip`` is a key; an absent key takes the field's
+    default, or is refused when the field has none.  ``given`` sets fields
+    the config does not control and wins over any key of the same name.
+    """
+    raw = {} if raw is None else _expect_mapping(raw, path)
+    _check_keys(raw, _keys(cls, skip), path)
+    values: Dict[str, Any] = {}
+    for name, hint, required in _schema(cls):
+        if name in raw:
+            values[name] = _value(raw[name], hint, units, name,
+                                  f"{path}.{name}")
+        elif required and name not in skip:
+            _fail(f"{path}.{name}", "required key missing")
+    values.update(given)
     try:
-        return EnsembleParams(**values)
+        return cls(**values)
     except ValueError as exc:
         _fail(path, str(exc))
 
 
-def _parse_pulse(raw: Mapping, units: _Units, path: str) -> PulseSpec:
-    raw = _expect_mapping(raw, path)
-    _check_keys(raw, _PULSE_KEYS, path)
-    for key in _PULSE_KEYS:
-        if key not in raw:
-            _fail(f"{path}.{key}", "required key missing")
-    try:
-        return PulseSpec(
-            peak_amplitude=units.rate(_expect_number(raw["peak_amplitude"],
-                                                     f"{path}.peak_amplitude")),
-            center_time=units.time(_expect_number(raw["center_time"],
-                                                  f"{path}.center_time")),
-            duration=units.time(_expect_number(raw["duration"],
-                                               f"{path}.duration")))
-    except ValueError as exc:
-        _fail(path, str(exc))
+def _echo(obj: Any, skip: Sequence[str] = ()) -> Dict[str, Any]:
+    """The config section that ``_section`` reads back into ``obj``."""
+    out = {}
+    for name in _keys(type(obj), skip):
+        v = getattr(obj, name)
+        out[name] = list(v) if isinstance(v, tuple) else v
+    return out
 
 
 def _parse_schedule(raw: Any, units: _Units, path: str) -> GradientSchedule:
@@ -219,53 +277,18 @@ def _parse_schedule(raw: Any, units: _Units, path: str) -> GradientSchedule:
         _fail(path, str(exc))
 
 
-def _parse_grid(raw: Mapping, units: _Units, path: str,
-                L: float) -> Grid:
-    raw = _expect_mapping(raw, path)
-    _check_keys(raw, _GRID_KEYS, path)
-    for key in _GRID_KEYS:
-        if key not in raw:
-            _fail(f"{path}.{key}", "required key missing")
-    try:
-        return Grid(nz=_expect_int(raw["nz"], f"{path}.nz"),
-                    nt=_expect_int(raw["nt"], f"{path}.nt"),
-                    t_max=units.time(_expect_number(raw["t_max"],
-                                                    f"{path}.t_max")),
-                    L=L)
-    except ValueError as exc:
-        _fail(path, str(exc))
-
-
-def _parse_gate(raw: Optional[Mapping], units: _Units, path: str) -> GateRunSpec:
-    raw = _expect_mapping(raw, path) if raw is not None else {}
-    _check_keys(raw, _GATE_KEYS, path)
-    pkw: Dict[str, float] = {}
-    for key in ("gamma", "OmegaC", "OmegaCPrime", "Delta", "DeltaPrime",
-                "delta4", "g", "N", "bandwidth"):
-        if key in raw:
-            x = _expect_number(raw[key], f"{path}.{key}")
-            pkw[key] = units.rate(x) if key in _GATE_RATE_KEYS else x
-    if units.system == "lab":
-        pkw["gamma"] = 1.0
-    stored = _expect_bool(raw.get("stored_signal_coupling", False),
-                          f"{path}.stored_signal_coupling")
-    t_end = units.time(_expect_number(raw.get("t_end", 15.0), f"{path}.t_end"))
-    n_samples = _expect_int(raw.get("n_samples", 151), f"{path}.n_samples")
-    t_gate = units.time(_expect_number(raw.get("t_gate", 15.0),
-                                       f"{path}.t_gate"))
-    renorm = _expect_str(raw.get("renormalize", "global"),
-                         f"{path}.renormalize")
-    if renorm not in ("global", "none"):
-        _fail(f"{path}.renormalize", "must be global or none")
-    if n_samples < 2:
-        _fail(f"{path}.n_samples", "need at least 2 samples")
-    try:
-        params = GateParams(**pkw)
-    except ValueError as exc:
-        _fail(path, str(exc))
-    return GateRunSpec(params=params, stored_signal_coupling=stored,
-                       t_end=t_end, n_samples=n_samples,
-                       t_gate=t_gate, renormalize=renorm)
+def _parse_gate(raw: Optional[Mapping], units: _Units,
+                path: str) -> GateRunSpec:
+    """One flat mapping holds the GateParams and the GateRunSpec keys."""
+    raw = {} if raw is None else _expect_mapping(raw, path)
+    run_keys = _keys(GateRunSpec, ("params",))
+    _check_keys(raw, _keys(GateParams, _DERIVED) + run_keys, path)
+    params = _section(GateParams,
+                      {k: v for k, v in raw.items() if k not in run_keys},
+                      units, path, _DERIVED, **units.fixed())
+    return _section(GateRunSpec,
+                    {k: v for k, v in raw.items() if k in run_keys},
+                    units, path, ("params",), params=params)
 
 
 def _parse_targets(raw: Optional[Mapping],
@@ -301,14 +324,7 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
     units = _Units(raw.get("units"), "units")
 
     if kind == "sweep":
-        if raw.get("sweep") is None:
-            _fail("sweep", "required for sweeps")
-        sweep_raw = _expect_mapping(raw["sweep"], "sweep")
-        _check_keys(sweep_raw, ("path", "values"), "sweep")
-        spath = _expect_str(sweep_raw.get("path", ""), "sweep.path")
-        if not spath:
-            _fail("sweep.path", "required key missing")
-        values = _number_list(sweep_raw.get("values"), "sweep.values")
+        sweep = _section(SweepSpec, raw.get("sweep"), units, "sweep")
         base = raw.get("base")
         if base is None:
             _fail("base", "sweeps need a base experiment config")
@@ -316,26 +332,27 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
         inner = parse_config(base, default_name=f"{name}_point")
         if inner.kind == "sweep":
             _fail("base.experiment", "nested sweeps are not supported")
-        _resolve_sweep_path(base, spath)   # fail early on a bad axis path
+        _resolve_sweep_path(base, sweep.path)   # fail early on a bad axis
         return ExperimentConfig(kind=kind, name=name,
                                 targets=_parse_targets(raw.get("targets"),
                                                        "targets"),
-                                sweep=SweepSpec(path=spath, values=values),
-                                base=base)
+                                sweep=sweep, base=base)
 
-    ensemble = _parse_ensemble(raw.get("ensemble"), units, "ensemble")
-    probe = (None if raw.get("probe") is None
-             else _parse_pulse(raw["probe"], units, "probe"))
-    signal = (None if raw.get("signal") is None
-              else _parse_pulse(raw["signal"], units, "signal"))
+    def section(key: str, cls: type, skip: Sequence[str] = (), **given):
+        return (None if raw.get(key) is None
+                else _section(cls, raw[key], units, key, skip, **given))
+
+    ensemble = _section(EnsembleParams, raw.get("ensemble"), units,
+                        "ensemble", **units.fixed())
+    probe = section("probe", PulseSpec)
+    signal = section("signal", PulseSpec)
     detuning = _expect_str(raw.get("signal_detuning", "delta3"),
                            "signal_detuning")
     if detuning not in ("delta3", "delta4"):
         _fail("signal_detuning", "must be 'delta3' or 'delta4'")
     schedule = (None if raw.get("schedule") is None
                 else _parse_schedule(raw["schedule"], units, "schedule"))
-    grid = (None if raw.get("grid") is None
-            else _parse_grid(raw["grid"], units, "grid", ensemble.L))
+    grid = section("grid", Grid, ("L",), L=ensemble.L)
     targets = _parse_targets(raw.get("targets"), "targets")
 
     if kind in ("storage", "xpm-double"):
@@ -361,25 +378,10 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
                 _fail("grid", f"the hold [{hold[0]}, {hold[1]}] spans {n} "
                       f"time samples; its quadrature needs {HOLD_SAMPLES}")
 
-    xpm_free = None
-    if kind == "xpm-free":
-        xf = raw.get("xpm_free")
-        if xf is None:
-            _fail("xpm_free", "required for xpm-free experiments")
-        xf = _expect_mapping(xf, "xpm_free")
-        _check_keys(xf, ("omega_s", "tau"), "xpm_free")
-        if "omega_s" not in xf or "tau" not in xf:
-            _fail("xpm_free", "needs omega_s (list) and tau")
-        omegas = tuple(units.rate(v) for v in
-                       _number_list(xf["omega_s"], "xpm_free.omega_s"))
-        xpm_free = XpmFreeSpec(omega_s=omegas,
-                               tau=units.time(_expect_number(
-                                   xf["tau"], "xpm_free.tau")))
-
-    gate = None
-    if kind in ("gate", "tomography"):
-        gate = _parse_gate(raw.get("gate"), units, "gate")
-
+    xpm_free = (_section(XpmFreeSpec, raw.get("xpm_free"), units, "xpm_free")
+                if kind == "xpm-free" else None)
+    gate = (_parse_gate(raw.get("gate"), units, "gate")
+            if kind in ("gate", "tomography") else None)
     return ExperimentConfig(kind=kind, name=name, ensemble=ensemble,
                             probe=probe, signal=signal,
                             signal_detuning=detuning, schedule=schedule,
@@ -435,41 +437,22 @@ def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
     """
     out: Dict[str, Any] = {"experiment": cfg.kind, "name": cfg.name}
     if cfg.kind == "sweep":
-        out["sweep"] = {"path": cfg.sweep.path,
-                        "values": list(cfg.sweep.values)}
+        out["sweep"] = _echo(cfg.sweep)
         out["base"] = copy.deepcopy(cfg.base)
         if cfg.targets:
             out["targets"] = {k: list(v) for k, v in cfg.targets.items()}
         return out
-    if cfg.ensemble is not None:
-        out["ensemble"] = {k: getattr(cfg.ensemble, k) for k in _ENSEMBLE_KEYS}
-    for fld in ("probe", "signal"):
-        pulse = getattr(cfg, fld)
-        if pulse is not None:
-            out[fld] = {"peak_amplitude": pulse.peak_amplitude,
-                        "center_time": pulse.center_time,
-                        "duration": pulse.duration}
+    for fld, skip in (("ensemble", ()), ("probe", ()), ("signal", ()),
+                      ("grid", ("L",)), ("xpm_free", ())):
+        if getattr(cfg, fld) is not None:
+            out[fld] = _echo(getattr(cfg, fld), skip)
     if cfg.signal is not None or cfg.kind in ("storage", "xpm-double"):
         out["signal_detuning"] = cfg.signal_detuning
     if cfg.schedule is not None:
         out["schedule"] = [list(s) for s in cfg.schedule.segments]
-    if cfg.grid is not None:
-        out["grid"] = {"nz": cfg.grid.nz, "nt": cfg.grid.nt,
-                       "t_max": cfg.grid.t_max}
-    if cfg.xpm_free is not None:
-        out["xpm_free"] = {"omega_s": list(cfg.xpm_free.omega_s),
-                           "tau": cfg.xpm_free.tau}
     if cfg.gate is not None:
-        g = cfg.gate
-        out["gate"] = {"gamma": g.params.gamma, "OmegaC": g.params.OmegaC,
-                       "OmegaCPrime": g.params.OmegaCPrime,
-                       "Delta": g.params.Delta,
-                       "DeltaPrime": g.params.DeltaPrime,
-                       "delta4": g.params.delta4, "g": g.params.g,
-                       "N": g.params.N, "bandwidth": g.params.bandwidth,
-                       "stored_signal_coupling": g.stored_signal_coupling,
-                       "t_end": g.t_end, "n_samples": g.n_samples,
-                       "t_gate": g.t_gate, "renormalize": g.renormalize}
+        out["gate"] = {**_echo(cfg.gate.params, _DERIVED),
+                       **_echo(cfg.gate, ("params",))}
     if cfg.targets:
         out["targets"] = {k: list(v) for k, v in cfg.targets.items()}
     return out

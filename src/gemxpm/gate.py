@@ -74,9 +74,9 @@ class GateParams:
     """Gate simulation parameters.
 
     Defaults are the reference working point: OmegaC = OmegaCPrime = 20,
-    Delta = DeltaPrime = 30*OmegaC, delta4 = 20, g = 0.085, N = 1e7,
-    photon bandwidth = gamma, with collective couplings g13 = g1p3p =
-    g*sqrt(N) and g24 = g (all rates in units of gamma).
+    Delta = DeltaPrime = 30*OmegaC, delta4 = 20, g = 0.085, N = 1e7, with
+    collective couplings g13 = g1p3p = g*sqrt(N) and g24 = g (all rates in
+    units of gamma).
     """
 
     gamma: float = 1.0
@@ -87,7 +87,6 @@ class GateParams:
     delta4: float = 20.0
     g: float = 0.085
     N: float = 1.0e7
-    bandwidth: float = 1.0
     g13: Optional[float] = None
     g24: Optional[float] = None
     g1p3p: Optional[float] = None
@@ -101,7 +100,7 @@ class GateParams:
         if self.g1p3p is None:
             object.__setattr__(self, "g1p3p", self.g * root_n)
         for name in ("gamma", "OmegaC", "OmegaCPrime", "Delta", "DeltaPrime",
-                     "delta4", "g", "N", "bandwidth"):
+                     "delta4", "g", "N"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -223,7 +222,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray, gamma: float, t_end: float,
         if i:
             rho = apply_propagator(prop, rho)
         tr = float(rho.trace().real)
-        if abs(tr - 1.0) > 1e-6:
+        if not abs(tr - 1.0) <= 1e-6:   # NaN fails too
             raise NumericalError(f"trace drifted to {tr:.9f} at t={t:.4f}")
         states[i] = rho
     return Trajectory(times=times, states=states)
@@ -242,13 +241,13 @@ def conditional_phase(rho: np.ndarray) -> float:
         phi = arg<1,1_s| rho~ |2,1_s> - arg<1,0_s| rho~ |2,0_s>.
 
     Raises UndefinedPhaseError when either conditional coherence magnitude
-    falls below 1e-14.
+    falls below 1e-14 or is not finite.
     """
     rp = _trace_out_p(np.asarray(rho))
     i1, i2 = LEVELS.index("1"), LEVELS.index("2")
     c1 = rp[i1, 1, i2, 1]
     c0 = rp[i1, 0, i2, 0]
-    if min(abs(c0), abs(c1)) < 1e-14:
+    if not min(abs(c0), abs(c1)) >= 1e-14:   # NaN fails too
         raise UndefinedPhaseError(
             f"conditional coherences too small to define a phase "
             f"(|c0|={abs(c0):.3e}, |c1|={abs(c1):.3e})")
@@ -337,10 +336,14 @@ def propagator(H: np.ndarray, gamma: float, t: float) -> np.ndarray:
 
     One matrix exponential amortised over arbitrarily many applications:
     evolve applies one step propagator between all its samples, and
-    process tomography reads all sixteen channel images off one.
+    process tomography reads all sixteen channel images off one.  Raises
+    NumericalError when the exponential is not finite.
     """
     import scipy.linalg   # here, so that storage runs never import scipy
-    return scipy.linalg.expm(liouvillian_matrix(H, gamma) * t)
+    prop = scipy.linalg.expm(liouvillian_matrix(H, gamma) * t)
+    if not np.isfinite(prop).all():
+        raise NumericalError(f"exp(L*t) is not finite at t={t:.6g}")
+    return prop
 
 
 def apply_propagator(prop: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ class EnsembleParams:
     gamma: float = 1.0          # excited-state decay rate (time unit)
     gamma0: float = 0.0         # ground-state decoherence rate
     g: float = 1.0              # single-atom coupling constant
-    N: float = 1.0e7            # atom number
     L: float = 1.0              # ensemble length
     calN: float = 250.0         # effective linear atomic density
     Delta: float = 40.0         # probe Raman detuning
@@ -50,8 +49,6 @@ class EnsembleParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.gamma0 < 0:
             raise ValueError(f"gamma0 must be non-negative, got {self.gamma0}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
         if not (self.L > 0):
             raise ValueError(f"L must be positive, got {self.L}")
         for name in ("Delta", "DeltaPrime", "delta3", "delta4",

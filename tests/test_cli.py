@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,9 @@ import yaml
 
 import gemxpm
 from gemxpm import apply_stark_drive, propagate
-from gemxpm.cli import _run_storage, main, run
-from gemxpm.config import config_to_dict, parse_config, set_sweep_value
+from gemxpm.cli import _run_storage, main, run, run_config
+from gemxpm.config import (RECORDS_KEPT, config_to_dict, parse_config,
+                           set_sweep_value)
 from gemxpm.errors import ConfigError
 from gemxpm.presets import get_preset, preset_names
 from gemxpm.reporting import ResultTable, choi_export, csv_body, format_float
@@ -126,6 +128,61 @@ class TestConfigValidation:
         assert main(["simulate", write_yaml(tmp_path, cfg),
                      "--out", str(tmp_path / "out")]) == 2
         assert f"config error at '{path}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, code, message", [
+        ({"experiment": "gate", "gate": {"t_end": -1.0, "n_samples": 2}},
+         2, "config error at 'gate': t_end must be positive"),
+        ({"experiment": "tomography", "gate": {"t_gate": -1.0}},
+         2, "config error at 'gate': t_gate must be positive"),
+        ({"experiment": "sweep",
+          "sweep": {"path": "gate.t_gate", "values": [-1.0]},
+          "base": {"experiment": "tomography", "gate": {"t_gate": 15.0}}},
+         2, "config error at 'gate': t_gate must be positive"),
+        ({"experiment": "gate", "gate": {"gamma": math.nan, "n_samples": 2}},
+         2, "config error at 'gate.gamma': expected a finite number"),
+        ({"experiment": "gate", "gate": {"t_end": math.nan, "n_samples": 2}},
+         2, "config error at 'gate.t_end': expected a finite number"),
+        ({"experiment": "gate", "gate": {"g": math.inf, "n_samples": 2}},
+         2, "config error at 'gate.g': expected a finite number"),
+        ({"experiment": "xpm-free",
+          "xpm_free": {"omega_s": [1.0], "tau": math.nan}},
+         2, "config error at 'xpm_free.tau': expected a finite number"),
+        ({"experiment": "xpm-free",
+          "xpm_free": {"omega_s": [10 ** 400], "tau": 1.0}},
+         2, "config error at 'xpm_free.omega_s[0]': expected a finite"),
+        ({"experiment": "tomography", "gate": {"t_gate": 1.0e+300}},
+         3, "NumericalError: exp(L*t) is not finite"),
+        ({"experiment": "tomography", "gate": {"OmegaC": 1.0e+200}},
+         3, "NumericalError: exp(L*t) is not finite"),
+        ({"experiment": "xpm-free", "ensemble": {"N": 1.0e7},
+          "xpm_free": {"omega_s": [1.0], "tau": 1.0}},
+         2, "config error at 'ensemble.N': unknown key"),
+        ({"experiment": "gate", "gate": {"bandwidth": 1.0, "n_samples": 2}},
+         2, "config error at 'gate.bandwidth': unknown key"),
+    ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
+            "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
+            "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
+            "tomography_t_gate_huge", "tomography_OmegaC_huge",
+            "ensemble_N_removed", "gate_bandwidth_removed"])
+    def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
+                                       message):
+        # each ended in a traceback or exited 0 with NaN results, and the
+        # two removed keys were accepted without changing any output
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_lab_units_gate_defaults(self):
+        # an omitted time is GateRunSpec's default in gamma-units, not
+        # the default read as microseconds
+        cfg = parse_config({"experiment": "tomography",
+                            "units": {"system": "lab", "gamma": 2.0},
+                            "gate": {"OmegaC": 40.0}})
+        assert cfg.gate.t_gate == cfg.gate.t_end == 15.0
+        assert cfg.gate.params.OmegaC == 20.0
+        assert cfg.gate.params.gamma == 1.0
 
     def test_lab_units_require_gamma(self):
         cfg = dict(STORAGE_CONFIG, units={"system": "lab"})
@@ -249,6 +306,26 @@ class TestRunStorage:
         assert code == 3
         assert "OverflowError" in err
         assert "Traceback" not in err
+
+
+class TestRecordBudget:
+    @pytest.mark.parametrize("preset, nz, nt", [
+        ("storage_baseline", 64, 1024), ("fig3b_double", 64, 1024)])
+    def test_peak_within_record_budget(self, tmp_path, preset, nz, nt):
+        # the budget's record count covers every array a run holds at its
+        # peak; scipy is imported first, since its import is a fixed cost
+        # of the first xpm-double run, not an array of the grid
+        import scipy.integrate  # noqa: F401
+        raw = get_preset(preset)
+        raw["grid"].update(nz=nz, nt=nt)
+        cfg = parse_config(raw, default_name=preset)
+        tracemalloc.start()
+        try:
+            run_config(cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= RECORDS_KEPT[cfg.kind] * 16 * nt * nz + (1 << 20)
 
 
 class TestSweep:

@@ -69,7 +69,6 @@ class TestBuildHamiltonian:
         assert p.delta4 == 20.0
         assert p.g == 0.085
         assert p.N == 1e7
-        assert p.bandwidth == 1.0
         assert p.g13 == p.g1p3p == pytest.approx(0.085 * math.sqrt(1e7))
         assert p.g24 == p.g
 
@@ -183,6 +182,8 @@ class TestEvolve:
         monkeypatch.setattr(gate, "propagator", no_expm)
         with pytest.raises(NumericalError, match="trace"):
             evolve(2.0 * initial_state(), caption_h, 1.0, 1.0)
+        with pytest.raises(NumericalError, match="trace"):
+            evolve(np.full((DIM, DIM), np.nan), caption_h, 1.0, 1.0)
 
     def test_reference_run_trace_drift(self, gate_trajectory):
         for rho in gate_trajectory.states:
@@ -212,6 +213,8 @@ class TestConditionalPhase:
         rho[HILBERT.index("1p", 0, 0), HILBERT.index("1p", 0, 0)] = 1.0
         with pytest.raises(UndefinedPhaseError):
             conditional_phase(rho)
+        with pytest.raises(UndefinedPhaseError):
+            conditional_phase(np.full((DIM, DIM), np.nan))
 
     def test_reference_phase_in_expected_window(self, gate_trajectory):
         # bare couplings: the free s photon shifts |2> by the full

@@ -83,8 +83,6 @@ class TestEnsembleParams:
         with pytest.raises(ValueError):
             EnsembleParams(gamma0=-0.1)
         with pytest.raises(ValueError):
-            EnsembleParams(N=0)
-        with pytest.raises(ValueError):
             EnsembleParams(Delta=math.inf)
         with pytest.raises(ValueError, match="Delta must be nonzero"):
             EnsembleParams(Delta=0.0)
