@@ -12,11 +12,16 @@ Exit codes: 0 success, 2 config error, 3 numerical or I/O failure.
 Every run writes a CSV table (figure data) and a JSON summary carrying
 the fully resolved config and provenance.  Every solver here is
 deterministic, so a config fully determines its outputs.
+
+A sweep parses all its points first.  Storage points on one ensemble,
+schedule and grid form one group and march as one exit-only batch; any
+other point is a group of its own.  ``--workers`` maps over the groups.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -32,9 +37,9 @@ from .config import (ExperimentConfig, config_to_dict, load_config,
                      parse_config, set_sweep_value)
 from .errors import ConfigError, GemXpmError
 from .gate import phase_trace
-from .gem import (apply_stark_drive, excitation_balance, peak_k_trajectory,
-                  polariton_transform, propagate, spatial_spectrum,
-                  verify_fourier_relation)
+from .gem import (StarkDrive, apply_stark_drive, excitation_balance,
+                  peak_k_trajectory, polariton_transform, propagate,
+                  spatial_spectrum, storage_batch, verify_fourier_relation)
 from .presets import get_preset, preset_names
 from .reporting import (ResultTable, choi_export, config_hash, write_summary)
 from .tomography import (channel_from_gate, choi_matrix, ideal_cphase_choi,
@@ -50,13 +55,16 @@ def _provenance(config: Dict[str, Any], wall: float) -> Dict[str, Any]:
             "wall_time_s": f"{wall:.3f}"}
 
 
+def _stark(cfg: ExperimentConfig) -> Optional[StarkDrive]:
+    if cfg.signal is None:
+        return None
+    return apply_stark_drive(cfg.signal, cfg.ensemble,
+                             detuning=getattr(cfg.ensemble, cfg.signal_detuning))
+
+
 def _run_storage(cfg: ExperimentConfig):
     params, grid = cfg.ensemble, cfg.grid
-    stark = None
-    if cfg.signal is not None:
-        detuning = getattr(params, cfg.signal_detuning)
-        stark = apply_stark_drive(cfg.signal, params, detuning=detuning)
-    result = propagate(params, cfg.probe, cfg.schedule, grid, stark=stark)
+    result = propagate(params, cfg.probe, cfg.schedule, grid, stark=_stark(cfg))
 
     pol = polariton_transform(result.field, result.coherence, params)
     flip = result.flip_time if result.flip_time is not None else grid.t_max
@@ -74,7 +82,7 @@ def _run_storage(cfg: ExperimentConfig):
         kdrift_dev_bins = float(np.max(np.abs(kk - line))
                                 / (2.0 * math.pi / params.L))
     balance = excitation_balance(result, params, 0.0, grid.t_max) \
-        if params.gamma0 == 0.0 and stark is None else math.nan
+        if params.gamma0 == 0.0 and cfg.signal is None else math.nan
 
     exit_field = result.field.values[:, -1]
     table = ResultTable(
@@ -96,12 +104,8 @@ def _run_storage(cfg: ExperimentConfig):
         "kdrift_max_dev_bins": kdrift_dev_bins,
         "excitation_balance_residual": balance,
     }
-    scalars: Scalars = {
-        "efficiency": (result.efficiency, "1"),
-        "echo_phase": (result.echo_phase, "rad"),
-        "xpm_phase": (result.xpm_phase, "rad"),
-    }
-    return table, results, scalars, None, {}
+    # storage points are swept by _sweep_group, not through this runner
+    return table, results, {}, None, {}
 
 
 def _run_xpm_free(cfg: ExperimentConfig):
@@ -272,35 +276,46 @@ _RUNNERS = {
 }
 
 
-def _sweep_point(args: Tuple[Dict[str, Any], str, float]) -> Tuple[float, Scalars]:
-    base, path, value = args
-    point_cfg = parse_config(set_sweep_value(base, path, value),
-                             default_name="sweep_point")
-    _table, _results, scalars, _report, _art = _RUNNERS[point_cfg.kind](point_cfg)
-    return value, scalars
+def _sweep_group(points: List[ExperimentConfig]) -> List[Scalars]:
+    if points[0].kind != "storage":
+        return [_RUNNERS[p.kind](p)[2] for p in points]
+    first = points[0]
+    return [{"efficiency": (r.efficiency, "1"),
+             "echo_phase": (r.echo_phase, "rad"),
+             "xpm_phase": (r.xpm_phase, "rad")}
+            for r in storage_batch(first.ensemble, first.schedule, first.grid,
+                                   [(p.probe, _stark(p)) for p in points])]
 
 
 def _run_sweep(cfg: ExperimentConfig, workers: int):
-    jobs = [(cfg.base, cfg.sweep.path, v) for v in cfg.sweep.values]
-    if workers > 1:
+    values = cfg.sweep.values
+    points = [parse_config(set_sweep_value(cfg.base, cfg.sweep.path, v),
+                           default_name="sweep_point") for v in values]
+    groups: Dict[Any, List[int]] = {}   # point indices by group
+    for i, p in enumerate(points):
+        key = (p.ensemble, p.schedule, p.grid) if p.kind == "storage" else i
+        groups.setdefault(key, []).append(i)
+    jobs = [[points[i] for i in group] for group in groups.values()]
+    if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_point, jobs))
+            done = list(pool.map(_sweep_group, jobs))
     else:
-        points = [_sweep_point(j) for j in jobs]
-
-    first_scalars = points[0][1]
-    columns = [cfg.sweep.path.split(".")[-1]] + list(first_scalars)
-    units = ["1"] + [first_scalars[k][1] for k in first_scalars]
-    rows = [[v] + [s[k][0] for k in first_scalars] for v, s in points]
+        done = [_sweep_group(j) for j in jobs]
+    by_index = dict(zip(itertools.chain(*groups.values()),
+                        itertools.chain(*done)))
+    scalars = [by_index[i] for i in range(len(points))]
+    first = scalars[0]
+    columns = [cfg.sweep.path.split(".")[-1]] + list(first)
+    units = ["1"] + [first[k][1] for k in first]
+    rows = [[v] + [s[k][0] for k in first] for v, s in zip(values, scalars)]
     table = ResultTable(columns=columns, units=units, rows=rows)
     results = {
         "axis_path": cfg.sweep.path,
-        "axis_values": list(cfg.sweep.values),
+        "axis_values": list(values),
         "points": [{"value": v, **{k: s[k][0] for k in s}}
-                   for v, s in points],
+                   for v, s in zip(values, scalars)],
     }
-    scalars: Scalars = {"n_points": (float(len(points)), "1")}
-    return table, results, scalars, None, {}
+    return table, results, {"n_points": (float(len(points)), "1")}, None, {}
 
 
 def run_config(cfg: ExperimentConfig, out_dir: Path,

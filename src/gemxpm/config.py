@@ -402,11 +402,16 @@ def _resolve_sweep_path(base: Dict[str, Any], path: str) -> None:
 
 
 def set_sweep_value(base: Dict[str, Any], path: str, value: float) -> Dict[str, Any]:
+    """``base`` with ``value`` at ``path``, as an int if it is integral
+    and replaces an int (so that grid.nt can be swept)."""
     out = copy.deepcopy(base)
     node = out
     parts = path.split(".")
     for part in parts[:-1]:
         node = node[part]
+    old = node[parts[-1]]
+    if type(old) is int and float(value).is_integer():
+        value = int(value)
     node[parts[-1]] = value
     return out
 

@@ -8,12 +8,17 @@ class GemXpmError(Exception):
 class ConfigError(GemXpmError):
     """Invalid or unparseable experiment configuration.
 
-    ``path`` names the offending config segment (dot-separated).
+    ``path`` names the offending config segment (dot-separated).  Every
+    constructor argument is passed on to ``Exception`` so that the error
+    survives a pickle round trip (a sweep worker's error reaches the parent).
     """
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"config error at '{path}': {message}")
+        super().__init__(path, message)
+
+    def __str__(self) -> str:
+        return f"config error at '{self.path}': {self.args[1]}"
 
 
 class StabilityError(GemXpmError):
@@ -22,10 +27,11 @@ class StabilityError(GemXpmError):
     def __init__(self, dt: float, dt_required: float):
         self.dt = dt
         self.dt_required = dt_required
-        super().__init__(
-            f"time step dt={dt:.3e} exceeds the stability limit; "
-            f"required dt <= {dt_required:.3e}"
-        )
+        super().__init__(dt, dt_required)
+
+    def __str__(self) -> str:
+        return (f"time step dt={self.dt:.3e} exceeds the stability limit; "
+                f"required dt <= {self.dt_required:.3e}")
 
 
 class NumericalError(GemXpmError):

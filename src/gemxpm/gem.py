@@ -147,7 +147,7 @@ class PolaritonRecord:
 
 @dataclass(frozen=True)
 class StorageResult:
-    """Full space-time solution of one storage/recall run.
+    """One storage/recall run: its records (None when exit-only) and scalars.
 
     input_energy integrates |E|^2 of the boundary input over [0, flip);
     echo_energy integrates |E(L, t)|^2 over [flip, t_max].  echo_phase is
@@ -157,8 +157,8 @@ class StorageResult:
     echo_phase (NaN for an undriven run).
     """
 
-    field: FieldRecord
-    coherence: CoherenceRecord
+    field: Optional[FieldRecord]
+    coherence: Optional[CoherenceRecord]
     input_energy: float
     echo_energy: float
     efficiency: float
@@ -327,18 +327,6 @@ def check_window(probe: PulseSpec, schedule: GradientSchedule,
     return flip
 
 
-def check_storage_run(params: EnsembleParams, probe: PulseSpec,
-                      schedule: GradientSchedule, grid: Grid,
-                      stark: Optional[StarkDrive] = None) -> Optional[float]:
-    """Check one storage/recall run and return its flip time: ValueError
-    as check_window, StabilityError when dt exceeds the stiffest rate's
-    limit."""
-    flip = check_window(probe, schedule, grid.t_max)
-    drive = (stark.max_gamma_s, stark.max_delta_ac) if stark else ()
-    check_step(params, schedule, grid, params.raman_ratio, *drive)
-    return flip
-
-
 def check_step(params: EnsembleParams, schedule: GradientSchedule,
                grid: Grid, ratio: float, *rates: float) -> None:
     """StabilityError when dt > 1/rate, rate summing gamma0, ``rates``, the
@@ -357,7 +345,7 @@ def check_step(params: EnsembleParams, schedule: GradientSchedule,
 def storage_result(records: MemberRecords, grid: Grid,
                    envelope: Callable[[np.ndarray], np.ndarray],
                    flip: Optional[float]) -> StorageResult:
-    """Energies, efficiency and echo phase of a fully recorded member."""
+    """Energies, efficiency and echo phase of a marched member."""
     t_flip = flip if flip is not None else grid.t_max
     input_energy = _window_integral(grid.t, np.abs(envelope(grid.t)) ** 2,
                                     0.0, t_flip)
@@ -383,18 +371,50 @@ def propagate(params: EnsembleParams, probe: PulseSpec,
     still provides the timing used for precondition checks).  With a Stark
     drive the signal-free reference run, keeping only its exit-face field,
     is marched in the same batch and gives ``xpm_phase``.  Raises as
-    check_storage_run and march do.
+    _storage_runs and march do.
     """
-    flip = check_storage_run(params, probe, schedule, grid, stark)
     env = input_envelope if input_envelope is not None else probe.envelope
     run = Member(env, params.raman_ratio, coupling=coupling, stark=stark)
-    reference = [replace(run, stark=None, full_records=False)] if stark else []
-    records, *reference = march(params, schedule, grid, [run, *reference])
-    result = storage_result(records, grid, env, flip)
-    if reference:
-        result = replace(result, xpm_phase=exit_phase(
-            grid, reference[0].exit_field, flip) - result.echo_phase)
-    return result
+    return _storage_runs(params, schedule, grid, [(probe, run)])[0]
+
+
+def storage_batch(params: EnsembleParams, schedule: GradientSchedule,
+                  grid: Grid,
+                  runs: Sequence[Tuple[PulseSpec, Optional[StarkDrive]]]
+                  ) -> List[StorageResult]:
+    """Exit-only (probe, stark) runs on one ensemble, schedule and grid,
+    checked and marched as ``propagate`` does: each result's efficiency,
+    echo and xpm phase (NaN when undriven) are propagate's, bit for bit,
+    and it carries no sigma/E records."""
+    probes = {}   # one envelope per distinct probe: equal runs march once
+    return _storage_runs(params, schedule, grid, [
+        (p, Member(probes.setdefault(p, p).envelope, params.raman_ratio,
+                   stark=stark, full_records=False)) for p, stark in runs])
+
+
+def _storage_runs(params: EnsembleParams, schedule: GradientSchedule,
+                  grid: Grid, runs: Sequence[Tuple[PulseSpec, Member]]
+                  ) -> List[StorageResult]:
+    """Check each (probe, member) run as check_window and check_step do,
+    march the members with the exit-only, signal-free reference of each
+    driven one, and return each run's StorageResult with its xpm_phase.
+    Equal members march once, at most max(1, nz // 16) to a march: that
+    keeps a march's stage tables at about one (nt, nz) record."""
+    for probe, m in runs:
+        flip = check_window(probe, schedule, grid.t_max)
+        drive = (m.stark.max_gamma_s, m.stark.max_delta_ac) if m.stark else ()
+        check_step(params, schedule, grid, params.raman_ratio, *drive)
+    ref = {m: replace(m, stark=None, full_records=False)
+           for _, m in runs if m.stark is not None}
+    members = list(dict.fromkeys([m for _, m in runs] + [*ref.values()]))
+    size, done = max(1, grid.nz // 16), {}
+    for i in range(0, len(members), size):
+        chunk = members[i:i + size]
+        for m, records in zip(chunk, march(params, schedule, grid, chunk)):
+            done[m] = storage_result(records, grid, m.envelope, flip)
+    return [replace(done[m], xpm_phase=done[ref[m]].echo_phase
+                    - done[m].echo_phase) if m in ref else done[m]
+            for _, m in runs]
 
 
 def _window_integral(t: np.ndarray, p: np.ndarray, lo: float, hi: float) -> float:
@@ -500,20 +520,13 @@ def peak_k_trajectory(k: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     the k axis ``k``.
 
     Ties within a relative 1e-9 of the maximum resolve to the lowest |k|
-    (and to the more negative k when +-k tie exactly).
+    (and to the more negative k when +-k tie exactly); zero rows give 0.
     """
-    mag = np.abs(spectrum)
-    out = np.empty(mag.shape[0])
     order = np.lexsort((k, np.abs(k)))   # by |k|, then by k
-    for n in range(mag.shape[0]):
-        m = mag[n]
-        top = m.max()
-        if top == 0.0:
-            out[n] = 0.0
-            continue
-        candidates = order[m[order] >= top * (1.0 - 1e-9)]
-        out[n] = k[candidates[0]]
-    return out
+    mag = np.abs(spectrum)[:, order]
+    top = mag.max(axis=1)
+    first = np.argmax(mag >= (top * (1.0 - 1e-9))[:, None], axis=1)
+    return np.where(top == 0.0, 0.0, k[order][first])
 
 
 def excitation_balance(result: StorageResult, params: EnsembleParams,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ProtocolError
 from .gem import (CoherenceRecord, CrossDrive, FieldRecord, Member, StarkDrive,
-                  StorageResult, apply_stark_drive, check_step,
-                  check_storage_run, exit_phase, march, storage_result)
+                  StorageResult, apply_stark_drive, check_step, march,
+                  storage_batch, storage_result)
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
 
@@ -120,12 +120,10 @@ def spm_scan(params: EnsembleParams, base_probe: PulseSpec,
     factors = [float(f) for f in amplitude_factors]
     if not factors or any(f <= 0 for f in factors):
         raise ValueError("amplitude factors must be positive")
-    flip = check_storage_run(params, base_probe, schedule, grid, stark)
-    runs = march(params, schedule, grid, [Member(
-        replace(base_probe, peak_amplitude=f * base_probe.peak_amplitude).envelope,
-        params.raman_ratio, stark=stark, full_records=False) for f in factors])
-    return [(f, exit_phase(grid, r.exit_field, flip))
-            for f, r in zip(factors, runs)]
+    runs = storage_batch(params, schedule, grid, [
+        (replace(base_probe, peak_amplitude=f * base_probe.peak_amplitude),
+         stark) for f in factors])
+    return [(f, r.echo_phase) for f, r in zip(factors, runs)]
 
 
 @dataclass(frozen=True)
@@ -176,16 +174,9 @@ def xpm_linearity_scan(params: EnsembleParams,
     center = signal_center if signal_center is not None else 6.0
     delta = params.delta3 if detuning is None else float(detuning)
 
-    drives = [None] + [apply_stark_drive(PulseSpec(amp, center, tau), params,
-                                         detuning=delta) for amp in amps]
-    for drive in drives:
-        flip = check_storage_run(params, probe, schedule, grid, drive)
-    reference, *runs = [
-        exit_phase(grid, r.exit_field, flip) for r in march(
-            params, schedule, grid,
-            [Member(probe.envelope, params.raman_ratio, stark=d,
-                    full_records=False) for d in drives])]
-    numeric = [reference - run for run in runs]
+    numeric = [r.xpm_phase for r in storage_batch(params, schedule, grid, [
+        (probe, apply_stark_drive(PulseSpec(amp, center, tau), params,
+                                  detuning=delta)) for amp in amps])]
     analytic = [phi_free_signal(a, delta, tau, params.gamma) for a in amps]
 
     x = np.array(amps) ** 2

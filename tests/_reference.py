@@ -4,6 +4,8 @@
   production solver through a different path: scipy's adaptive RK45 on
   the stacked coherence vector, with its own field march.  Used to
   cross-check recall efficiencies.
+* ``peak_k_trajectory_loop`` is the row-by-row form of
+  ``gem.peak_k_trajectory``, with the same tie rule.
 * ``evolve_rk4`` integrates the gate master equation with an explicit
   fourth-order step and a structured right-hand side (``lindblad_rhs``)
   that forms no superoperator, so it shares no arithmetic with the exact
@@ -60,6 +62,24 @@ def reference_storage_run(params, envelope, schedule, nz=96, t_max=20.0,
     e_echo = np.trapezoid(exit_intensity[w_echo], sol.t[w_echo])
     return {"efficiency": e_echo / e_in, "t": sol.t,
             "exit_intensity": exit_intensity}
+
+
+def peak_k_trajectory_loop(k, spectrum):
+    """Peak-|spectrum| k per row: ties within a relative 1e-9 of the row
+    maximum go to the lowest |k|, then to the more negative k; an all-zero
+    row gives 0."""
+    mag = np.abs(spectrum)
+    out = np.empty(mag.shape[0])
+    order = np.lexsort((k, np.abs(k)))   # by |k|, then by k
+    for n in range(mag.shape[0]):
+        m = mag[n]
+        top = m.max()
+        if top == 0.0:
+            out[n] = 0.0
+            continue
+        candidates = order[m[order] >= top * (1.0 - 1e-9)]
+        out[n] = k[candidates[0]]
+    return out
 
 
 @lru_cache(maxsize=8)

@@ -159,17 +159,36 @@ class TestConfigValidation:
          2, "config error at 'ensemble.N': unknown key"),
         ({"experiment": "gate", "gate": {"bandwidth": 1.0, "n_samples": 2}},
          2, "config error at 'gate.bandwidth': unknown key"),
+        ({"experiment": "sweep",
+          "sweep": {"path": "gate.t_gate", "values": [-1.0, -2.0]},
+          "base": {"experiment": "tomography", "gate": {"t_gate": 15.0}}},
+         2, "config error at 'gate': t_gate must be positive"),
+        ({"experiment": "sweep",
+          "sweep": {"path": "grid.t_max", "values": [20.0, 19.0]},
+          "base": dict(STORAGE_CONFIG,
+                       schedule=[[0.0, 9.0, 500.0], [9.0, 20.0, -500.0]],
+                       grid={"nz": 32, "nt": 64, "t_max": 20.0})},
+         3, "StabilityError: time step dt=3.175e-01 exceeds"),
+        ({"experiment": "sweep",
+          "sweep": {"path": "grid.nt", "values": [64.5]},
+          "base": STORAGE_CONFIG},
+         2, "config error at 'grid.nt': expected an integer, got 64.5"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
             "tomography_t_gate_huge", "tomography_OmegaC_huge",
-            "ensemble_N_removed", "gate_bandwidth_removed"])
+            "ensemble_N_removed", "gate_bandwidth_removed",
+            "pooled_sweep_t_gate_negative", "pooled_sweep_unstable",
+            "sweep_nt_fractional"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
-        # two removed keys were accepted without changing any output
+        # two removed keys were accepted without changing any output; a
+        # sweep of two or more groups runs them in a two-process pool,
+        # whose errors must reach the parent intact
         assert main(["simulate", write_yaml(tmp_path, cfg),
-                     "--out", str(tmp_path / "out")]) == code
+                     "--out", str(tmp_path / "out"),
+                     "--workers", "2"]) == code
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
@@ -369,12 +388,13 @@ class TestSweep:
         assert base["probe"]["peak_amplitude"] == 1.0
 
     def test_worker_pool_matches_serial(self, tmp_path):
+        # xpm-free points are served one per group, so two processes run
         sweep_cfg = {
             "experiment": "sweep",
             "name": "pooled",
-            "sweep": {"path": "probe.peak_amplitude", "values": [0.5, 1.0]},
-            "base": dict(STORAGE_CONFIG,
-                         grid={"nz": 64, "nt": 1024, "t_max": 20.0}),
+            "sweep": {"path": "xpm_free.tau", "values": [1.0, 2.0, 3.0]},
+            "base": {"experiment": "xpm-free",
+                     "xpm_free": {"omega_s": [0.5, 1.0], "tau": 1.0}},
         }
         cfg = write_yaml(tmp_path, sweep_cfg)
         assert main(["sweep", cfg, "--out", str(tmp_path / "serial")]) == 0
@@ -382,6 +402,76 @@ class TestSweep:
                      "--workers", "2"]) == 0
         assert csv_body(tmp_path / "serial" / "pooled.csv") == \
             csv_body(tmp_path / "pooled" / "pooled.csv")
+
+    @pytest.mark.parametrize("path, values, signal", [
+        ("probe.peak_amplitude", [0.5, 2.0, 0.5], None),
+        ("probe.peak_amplitude", [0.5, 2.0], SIGNAL),
+        ("signal.peak_amplitude", [0.25, 0.5, 1.0], SIGNAL),
+        ("grid.nt", [512, 256], None),
+    ], ids=["probe_undriven", "probe_driven", "signal", "grid_nt"])
+    def test_storage_rows_equal_propagate(self, tmp_path, path, values,
+                                          signal):
+        # one batch per (ensemble, schedule, grid), several marches at
+        # nz = 32: each row is its own point's propagate, NaN xpm phase
+        # included
+        base = dict(STORAGE_CONFIG, grid={"nz": 32, "nt": 512, "t_max": 20.0})
+        if signal is not None:
+            base["signal"] = signal
+        sweep_cfg = {"experiment": "sweep", "name": "rows",
+                     "sweep": {"path": path, "values": values}, "base": base}
+        assert main(["sweep", write_yaml(tmp_path, sweep_cfg),
+                     "--out", str(tmp_path)]) == 0
+        lines = csv_body(tmp_path / "rows.csv").strip().splitlines()
+        assert lines[0] == (f"{path.split('.')[-1]}[1],efficiency[1],"
+                            "echo_phase[rad],xpm_phase[rad]")
+        rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+        expected = []
+        for v in values:
+            p = parse_config(set_sweep_value(base, path, v))
+            stark = None if signal is None else apply_stark_drive(
+                p.signal, p.ensemble, detuning=p.ensemble.delta3)
+            r = propagate(p.ensemble, p.probe, p.schedule, p.grid,
+                          stark=stark)
+            expected.append([v, r.efficiency, r.echo_phase, r.xpm_phase])
+        np.testing.assert_array_equal(rows, expected)
+        assert all(math.isnan(r[3]) for r in rows) == (signal is None)
+
+    def test_fig2b_is_one_march(self, tmp_path, monkeypatch):
+        from gemxpm import cli, gem
+        calls = {"march": 0, "propagate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gem, "march", counted("march", gem.march))
+        for module in (gem, cli):
+            monkeypatch.setattr(module, "propagate",
+                                counted("propagate", module.propagate))
+        run_config(parse_config(get_preset("fig2b_spm")), tmp_path)
+        assert calls == {"march": 1, "propagate": 0}
+
+    def test_driven_sweep_within_record_budget(self, tmp_path):
+        # 40 driven points and their references are 80 members; marched
+        # at once they peak at about 9 MiB, over the 4 MiB bound below, so
+        # the batch must march them a few at a time
+        nz, nt = 256, 128
+        base = dict(STORAGE_CONFIG, signal=SIGNAL,
+                    grid={"nz": nz, "nt": nt, "t_max": 20.0})
+        cfg = parse_config({
+            "experiment": "sweep", "name": "many",
+            "sweep": {"path": "probe.peak_amplitude",
+                      "values": [0.1 * (i + 1) for i in range(40)]},
+            "base": base})
+        tracemalloc.start()
+        try:
+            run_config(cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= RECORDS_KEPT["storage"] * 16 * nt * nz + (1 << 20)
 
 
 class TestChoiExport:

@@ -2,10 +2,11 @@
 
 Each example is a plausible storage, xpm-free or xpm-double config with
 up to three random edits: a value replaced by anything YAML can hold, a
-key deleted, or an unknown key added.  Every config must either run
-(exit 0) or be refused with exit 2 (config) or 3 (numerical/I/O); no
-exception may escape ``main``.  Grids stay at nz, nt <= 32, so every run
-is small.
+key deleted, or an unknown key added.  Sweep examples wrap such a config
+and sweep one of its numeric leaves over one to four values.  Every
+config must either run (exit 0) or be refused with exit 2 (config) or 3
+(numerical/I/O); no exception may escape ``main``.  Grids stay at
+nz, nt <= 32, so every run is small.
 """
 
 import os
@@ -119,13 +120,50 @@ def configs(draw):
     return cfg
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(configs())
-def test_every_config_runs_or_is_refused(cfg):
+def numeric_leaves(node, prefix=""):
+    """Dot-paths of the numbers reachable through mappings only."""
+    out = []
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            out += numeric_leaves(value, f"{path}.")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            out.append(path)
+    return out
+
+
+@st.composite
+def sweeps(draw):
+    base = draw(configs())
+    leaves = numeric_leaves(base) if isinstance(base, dict) else []
+    path = draw(st.sampled_from(leaves)) if leaves else "probe.peak_amplitude"
+    # grid sizes stay small here too
+    value = (st.one_of(st.integers(-2, 32), st.floats(-2.0, 32.0))
+             if path.split(".")[-1] in ("nz", "nt") else st.floats())
+    return {"experiment": "sweep",
+            "sweep": {"path": path,
+                      "values": draw(st.lists(value, min_size=1,
+                                              max_size=4))},
+            "base": base}
+
+
+def run_main(cfg):
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "cfg.yaml")
         with open(path, "w", encoding="utf-8") as fh:
             yaml.safe_dump(cfg, fh)
-        code = main(["simulate", path, "--out", os.path.join(td, "out")])
-    assert code in (0, 2, 3)
+        return main(["simulate", path, "--out", os.path.join(td, "out")])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_every_config_runs_or_is_refused(cfg):
+    assert run_main(cfg) in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sweeps())
+def test_every_sweep_runs_or_is_refused(cfg):
+    assert run_main(cfg) in (0, 2, 3)

@@ -11,7 +11,7 @@ from gemxpm import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     polariton_transform, propagate, verify_fourier_relation)
 from gemxpm.gem import Member, march
 
-from _reference import reference_storage_run
+from _reference import peak_k_trajectory_loop, reference_storage_run
 
 
 TWO_PI = 2.0 * math.pi
@@ -255,6 +255,35 @@ class TestPolariton:
         line = kk[mask][0] - 8.0 * (t[mask] - t[mask][0])
         dev = np.max(np.abs(kk[mask] - line))
         assert dev <= TWO_PI / baseline_params.L
+
+    def test_peak_k_tie_rule_matches_loop(self):
+        # exact +-k ties, near-ties inside and outside the 1e-9 band, and
+        # all-zero rows on a spectrum of fig3b_double's size
+        rng = np.random.default_rng(3)
+        nt, nk = 8192, 256
+        k = TWO_PI * np.fft.fftshift(np.fft.fftfreq(nk, d=1.0 / nk))
+        spectrum = (rng.standard_normal((nt, nk))
+                    + 1j * rng.standard_normal((nt, nk)))
+        rows = np.arange(nt)
+        low = rng.integers(1, nk // 2 - 1, nt)   # +k at nk/2 + low
+        high = low + rng.integers(1, nk // 2 - low, nt)
+        top = 10.0 + rng.random(nt)
+        tie = rows % 4 == 0
+        spectrum[tie, nk // 2 + low[tie]] = top[tie]
+        spectrum[tie, nk // 2 - low[tie]] = -top[tie]
+        near = rows % 4 == 1
+        spectrum[near, nk // 2 + high[near]] = top[near]
+        spectrum[near, nk // 2 - low[near]] = top[near] * (1.0 - 5e-10)
+        far = rows % 4 == 2
+        spectrum[far, nk // 2 + high[far]] = top[far]
+        spectrum[far, nk // 2 - low[far]] = top[far] * (1.0 - 2e-9)
+        spectrum[rows % 8 == 3] = 0.0
+        kk = peak_k_trajectory(k, spectrum)
+        assert np.array_equal(kk, peak_k_trajectory_loop(k, spectrum))
+        assert np.array_equal(kk[tie], k[nk // 2 - low[tie]])
+        assert np.array_equal(kk[near], k[nk // 2 - low[near]])
+        assert np.array_equal(kk[far], k[nk // 2 + high[far]])
+        assert np.all(kk[rows % 8 == 3] == 0.0)
 
     def test_coupling_off_signal(self, baseline_params, baseline_probe):
         # write, then switch the coupling off: the field must die and the
