@@ -12,7 +12,7 @@ from .errors import (ConfigError, GemXpmError, LeakageError, NumericalError,
                      UndefinedPhaseError)
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
-from .gem import (CoherenceRecord, FieldRecord, PolaritonRecord, StarkDrive,
+from .gem import (CoherenceRecord, PolaritonRecord, StarkDrive,
                   StorageResult, apply_stark_drive, constant_stark_drive,
                   excitation_balance, group_velocity, peak_k_trajectory,
                   polariton_transform, propagate, verify_fourier_relation)

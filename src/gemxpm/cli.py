@@ -66,7 +66,7 @@ def _run_storage(cfg: ExperimentConfig):
     params, grid = cfg.ensemble, cfg.grid
     result = propagate(params, cfg.probe, cfg.schedule, grid, stark=_stark(cfg))
 
-    pol = polariton_transform(result.field, result.coherence, params)
+    pol = polariton_transform(result.coherence, params)
     flip = result.flip_time if result.flip_time is not None else grid.t_max
     t_mid = 0.5 * (cfg.probe.center_time + 2.0 * cfg.probe.duration + flip)
     residual = verify_fourier_relation(pol, params, t_mid)
@@ -84,14 +84,13 @@ def _run_storage(cfg: ExperimentConfig):
     balance = excitation_balance(result, params, 0.0, grid.t_max) \
         if params.gamma0 == 0.0 and cfg.signal is None else math.nan
 
-    exit_field = result.field.values[:, -1]
     table = ResultTable(
         columns=["t", "abs_in", "abs_out", "phase_out"],
         units=["1/gamma", "gamma", "gamma", "rad"],
         rows=[[float(tv), float(a), float(b), float(p)]
               for tv, a, b, p in zip(
-                  t, np.abs(cfg.probe.envelope(t)), np.abs(exit_field),
-                  np.angle(exit_field))])
+                  t, np.abs(cfg.probe.envelope(t)), np.abs(result.exit_field),
+                  np.angle(result.exit_field))])
     results = {
         "efficiency": result.efficiency,
         "input_energy": result.input_energy,
@@ -138,7 +137,7 @@ def _run_xpm_double(cfg: ExperimentConfig):
         "loss_factor": res.xpm.loss_factor,
         "interaction_time": res.xpm.interaction_time,
         "probe_efficiency": res.probe_efficiency,
-        "reference_efficiency": res.reference.efficiency,
+        "reference_efficiency": res.reference_efficiency,
         "quadrature_phase_rad": quad.phase,
         "quadrature_loss_factor": quad.loss_factor,
     }
@@ -276,15 +275,20 @@ _RUNNERS = {
 }
 
 
-def _sweep_group(points: List[ExperimentConfig]) -> List[Scalars]:
-    if points[0].kind != "storage":
-        return [_RUNNERS[p.kind](p)[2] for p in points]
-    first = points[0]
+def _sweep_group(job: Tuple[str, List[ExperimentConfig]]) -> List[Scalars]:
+    where, points = job
+    try:
+        if points[0].kind != "storage":
+            return [_RUNNERS[p.kind](p)[2] for p in points]
+        first = points[0]
+        runs = storage_batch(first.ensemble, first.schedule, first.grid,
+                             [(p.probe, _stark(p)) for p in points])
+    except Exception as exc:   # pickled with the error from a worker
+        exc.sweep_group = where
+        raise
     return [{"efficiency": (r.efficiency, "1"),
              "echo_phase": (r.echo_phase, "rad"),
-             "xpm_phase": (r.xpm_phase, "rad")}
-            for r in storage_batch(first.ensemble, first.schedule, first.grid,
-                                   [(p.probe, _stark(p)) for p in points])]
+             "xpm_phase": (r.xpm_phase, "rad")} for r in runs]
 
 
 def _run_sweep(cfg: ExperimentConfig, workers: int):
@@ -295,7 +299,8 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
     for i, p in enumerate(points):
         key = (p.ensemble, p.schedule, p.grid) if p.kind == "storage" else i
         groups.setdefault(key, []).append(i)
-    jobs = [[points[i] for i in group] for group in groups.values()]
+    jobs = [(f"{cfg.sweep.path} in {[values[i] for i in group]}",
+             [points[i] for i in group]) for group in groups.values()]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_group, jobs))
@@ -367,7 +372,9 @@ def _execute(cfg: ExperimentConfig, out_dir: str, workers: int) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GemXpmError, OSError, MemoryError, ArithmeticError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        where = f" at {exc.sweep_group}" if hasattr(exc, "sweep_group") else ""
+        print(f"error: {cfg.kind} config '{cfg.name}'{where}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for kind, p in sorted(paths.items()):
         print(f"{kind}: {p}")

@@ -45,10 +45,10 @@ _DERIVED = ("g13", "g24", "g1p3p")
 #: refused (exit 2).
 RECORD_BUDGET_BYTES = 2 << 30
 #: (nt, nz) complex records' worth of memory a run holds at its peak:
-#: tracemalloc over run_config measured 6.03 for storage_baseline (sigma
-#: and E plus the diagnostics built from them) and 8.02 for fig3b_double
-#: (sigma and E of probe, signal and reference plus the spatial spectra).
-RECORDS_KEPT = {"storage": 6, "xpm-double": 8}
+#: tracemalloc over run_config measured 5.04 for storage_baseline (sigma,
+#: the field rebuilt from it and the polariton spectra) and 4.14 for
+#: fig3b_double (sigma of probe, signal and reference, and one spectrum).
+RECORDS_KEPT = {"storage": 5, "xpm-double": 5}
 
 
 @dataclass(frozen=True)

@@ -105,27 +105,40 @@ def constant_stark_drive(intensity: float, detuning: float, gamma: float,
                       max_delta_ac=abs(c_shift), max_gamma_s=c_loss)
 
 
+def _slaved_field(sigma: np.ndarray, dz: float, source: np.ndarray,
+                  boundary: np.ndarray) -> np.ndarray:
+    """E(z) = E(0) + source * (trapezoid integral of sigma over [0, z]); the
+    march and CoherenceRecord.field both call it, so they agree bit for bit."""
+    cum = np.zeros_like(sigma)
+    np.cumsum(sigma[..., 1:] + sigma[..., :-1], axis=-1, out=cum[..., 1:])
+    cum[..., 1:] *= 0.5 * dz
+    e = cum * source
+    e += boundary
+    return e
+
+
 @dataclass(frozen=True)
-class _Record:
+class CoherenceRecord:
+    """Collective spin coherence sigma(t, z) on the grid, with the boundary
+    input g*E(0, t), the source coefficient i*g*calN*(OmegaC/Delta)*coupling
+    and the coupling on/off profile (1.0 when None) at the grid times."""
+
     values: np.ndarray          # (nt, nz) complex
     grid: Grid
+    boundary: np.ndarray        # (nt,) complex
+    source: np.ndarray          # (nt,) complex
     coupling: Optional[np.ndarray] = None   # (nt,) multiplier on OmegaC
 
     def __post_init__(self):
-        name = type(self).__name__
         if self.values.shape != (self.grid.nt, self.grid.nz):
-            raise ValueError(f"{name} array does not match the grid")
+            raise ValueError("CoherenceRecord array does not match the grid")
         if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError(f"{name} contains non-finite entries")
+            raise ValueError("CoherenceRecord contains non-finite entries")
 
-
-class FieldRecord(_Record):
-    """Complex probe envelope g*E(t, z) on the grid, plus the coupling-field
-    on/off profile sampled at the grid times (1.0 everywhere by default)."""
-
-
-class CoherenceRecord(_Record):
-    """Collective spin coherence sigma(t, z) on the grid."""
+    def field(self, rows=slice(None)) -> np.ndarray:
+        """The slaved probe field g*E(t, z) at the grid times ``rows``."""
+        return _slaved_field(self.values[rows], self.grid.dz,
+                             self.source[rows, None], self.boundary[rows, None])
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,7 @@ class PolaritonRecord:
 
 @dataclass(frozen=True)
 class StorageResult:
-    """One storage/recall run: its records (None when exit-only) and scalars.
+    """One storage/recall run: sigma record (None when exit-only) and scalars.
 
     input_energy integrates |E|^2 of the boundary input over [0, flip);
     echo_energy integrates |E(L, t)|^2 over [flip, t_max].  echo_phase is
@@ -157,7 +170,7 @@ class StorageResult:
     echo_phase (NaN for an undriven run).
     """
 
-    field: Optional[FieldRecord]
+    exit_field: np.ndarray      # (nt,) complex, E(L, t)
     coherence: Optional[CoherenceRecord]
     input_energy: float
     echo_energy: float
@@ -196,11 +209,10 @@ class CrossDrive:
 
 
 class MemberRecords(NamedTuple):
-    """What a march kept of one member: the sigma and E records (None
-    unless full_records) and the exit-face field E(L, t)."""
+    """What a march kept of one member: the sigma record (None unless
+    full_records) and the exit-face field E(L, t)."""
 
     coherence: Optional[CoherenceRecord]
-    field: Optional[FieldRecord]
     exit_field: np.ndarray              # (nt,) complex
 
 
@@ -258,39 +270,28 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
                        + 1j * (shift[b] + cross.c_shift * drive))
         return -rate
 
-    cum = np.zeros((len(members), nz), dtype=complex)
-
-    def field(sig, n, s):
-        # E(z) = E(0) + src * (cumulative trapezoid of sigma from 0 to z)
-        np.cumsum(sig[:, 1:] + sig[:, :-1], axis=1, out=cum[:, 1:])
-        cum[:, 1:] *= 0.5 * dz
-        e = cum * src[n, s]
-        e += env[n, s]
-        return e
-
     sigma_t = {b: np.empty((nt, nz), dtype=complex)
                for b, m in enumerate(members) if m.full_records}
-    field_t = {b: np.empty_like(rec) for b, rec in sigma_t.items()}
     exit_t = np.empty((len(members), nt), dtype=complex)
     sig = np.zeros((len(members), nz), dtype=complex)
     for n in range(nt):
-        e1 = field(sig, n, 0)
+        e1 = _slaved_field(sig, dz, src[n, 0], env[n, 0])
         for b in sigma_t:
-            sigma_t[b][n], field_t[b][n] = sig[b], e1[b]
+            sigma_t[b][n] = sig[b]
         exit_t[:, n] = e1[:, -1]
         if n == nt - 1:
             break
         k1 = coefficient(n, 0, e1) * sig + gain[n, 0] * e1
         s2 = sig + (0.5 * dt) * k1
-        e2 = field(s2, n, 1)
+        e2 = _slaved_field(s2, dz, src[n, 1], env[n, 1])
         a2 = coefficient(n, 1, e2)
         k2 = a2 * s2 + gain[n, 1] * e2
         s3 = sig + (0.5 * dt) * k2
-        e3 = field(s3, n, 1)
+        e3 = _slaved_field(s3, dz, src[n, 1], env[n, 1])
         a3 = coefficient(n, 1, e3) if driven[n, 1] else a2
         k3 = a3 * s3 + gain[n, 1] * e3
         s4 = sig + dt * k3
-        e4 = field(s4, n, 2)
+        e4 = _slaved_field(s4, dz, src[n, 2], env[n, 2])
         k4 = coefficient(n, 2, e4) * s4 + gain[n, 2] * e4
         sig = sig + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if n % _NAN_CHECK_STRIDE == 0 and not np.all(np.isfinite(sig.view(float))):
@@ -300,10 +301,10 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     if not all(np.all(np.isfinite(rec.view(float)))
                for rec in (exit_t, *sigma_t.values())):
         raise NumericalError("non-finite values in the stored trajectory")
-    coupling = mult[:, 0, :, 0]
-    return [MemberRecords(*((CoherenceRecord(sigma_t[b], grid, coupling[:, b]),
-                             FieldRecord(field_t[b], grid, coupling[:, b]))
-                            if b in sigma_t else (None, None)), exit_t[b])
+    rec = env[:, 0, :, 0], src[:, 0, :, 0], mult[:, 0, :, 0]
+    return [MemberRecords(CoherenceRecord(sigma_t[b], grid,
+                                          *(r[:, b] for r in rec))
+                          if b in sigma_t else None, exit_t[b])
             for b in range(len(members))]
 
 
@@ -352,7 +353,7 @@ def storage_result(records: MemberRecords, grid: Grid,
     echo_energy = _window_integral(grid.t, np.abs(records.exit_field) ** 2,
                                    t_flip, grid.t_max)
     return StorageResult(
-        field=records.field, coherence=records.coherence,
+        exit_field=records.exit_field, coherence=records.coherence,
         input_energy=input_energy, echo_energy=echo_energy,
         efficiency=echo_energy / input_energy if input_energy > 0.0 else 0.0,
         echo_phase=exit_phase(grid, records.exit_field, flip), flip_time=flip)
@@ -463,22 +464,23 @@ def spatial_spectrum(values: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.nda
     return k, f
 
 
-def polariton_transform(field: FieldRecord, coherence: CoherenceRecord,
+def polariton_transform(coherence: CoherenceRecord,
                         params: EnsembleParams) -> PolaritonRecord:
-    """Assemble psi(t,k) = k*E(t,k) + g*calN*(OmegaC/Delta)*sigma(t,k).
+    """Assemble psi(t,k) = k*E(t,k) + g*calN*(OmegaC/Delta)*sigma(t,k), E
+    rebuilt from the coherence record.
 
     The nominal (static) coupling ratio is used in the atomic term; when
     the coupling field is switched off the physical excitation is the bare
     coherence, retrievable from ``coherence_k``.
     """
-    if field.grid != coherence.grid:
-        raise ValueError("field and coherence live on different grids")
-    k, ek = spatial_spectrum(field.values, field.grid)
+    if coherence is None:
+        raise ValueError("polariton_transform needs a coherence record")
+    k, ek = spatial_spectrum(coherence.field(), coherence.grid)
     _, sk = spatial_spectrum(coherence.values, coherence.grid)
     weight = params.coupling_density * params.raman_ratio
     psi = k[None, :] * ek + weight * sk
     return PolaritonRecord(values=psi, field_k=ek, coherence_k=sk, k=k,
-                           grid=field.grid, coupling=field.coupling)
+                           grid=coherence.grid, coupling=coherence.coupling)
 
 
 def verify_fourier_relation(record: PolaritonRecord, params: EnsembleParams,
@@ -539,7 +541,9 @@ def excitation_balance(result: StorageResult, params: EnsembleParams,
     no drive), so the residual measures the defect of the conservation law
     against the amount of excitation actually moved.
     """
-    grid = result.field.grid
+    if result.coherence is None:
+        raise ValueError("excitation_balance needs a coherence record")
+    grid = result.coherence.grid
     t = grid.t
     i0 = int(np.searchsorted(t, t_from, side="left"))
     i1 = int(np.searchsorted(t, t_to, side="right")) - 1
@@ -548,8 +552,8 @@ def excitation_balance(result: StorageResult, params: EnsembleParams,
     sig2 = np.abs(result.coherence.values) ** 2
     stored = params.coupling_density * np.trapezoid(sig2, dx=grid.dz, axis=1)
     lhs = stored[i1] - stored[i0]
-    influx = np.abs(result.field.values[i0:i1 + 1, 0]) ** 2
-    outflux = np.abs(result.field.values[i0:i1 + 1, -1]) ** 2
+    influx = np.abs(result.coherence.boundary[i0:i1 + 1]) ** 2
+    outflux = np.abs(result.exit_field[i0:i1 + 1]) ** 2
     rhs = float(np.trapezoid(influx - outflux, t[i0:i1 + 1]))
     gross = float(np.trapezoid(influx + outflux, t[i0:i1 + 1]))
     scale = max(abs(lhs), abs(rhs), gross, 1e-300)

@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ProtocolError
-from .gem import (CoherenceRecord, CrossDrive, FieldRecord, Member, StarkDrive,
-                  StorageResult, apply_stark_drive, check_step, march,
+from .gem import (CoherenceRecord, CrossDrive, Member, StarkDrive,
+                  apply_stark_drive, check_step, check_window, march,
                   storage_batch, storage_result)
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
@@ -257,17 +257,14 @@ class DoubleStorageResult:
 
     ``xpm`` carries the recalled-probe phase (against the signal-free
     reference) and the coherence amplitude surviving the hold.  The k-t
-    diagnostics of both coherences are reconstructed from the records.
+    diagnostics of both coherences are reconstructed from their records.
     """
 
     xpm: XpmResult
-    probe_field: FieldRecord
     probe_coherence: CoherenceRecord
-    signal_field: FieldRecord
     signal_coherence: CoherenceRecord
-    reference: StorageResult
-    probe_echo_phase: float
     probe_efficiency: float
+    reference_efficiency: float
     tau1: float
     tau2: float
     effective_signal_envelope: np.ndarray   # g|E_s| weighted over the probe
@@ -295,12 +292,12 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     on the probe coherence as a local ac-Stark drive with detuning delta4.
 
     Returns the recalled-probe phase relative to a signal-free reference
-    run, the surviving coherence fraction, and both space-time records.
+    run, the surviving coherence fraction, and both coherence records.
     """
+    flip = check_window(probe, schedule, grid.t_max)
     hold = schedule.hold_window()
     _require(hold is not None, "schedule has no eta = 0 hold segment")
     tau1, tau2 = hold
-    flip = schedule.flip_time()
     _require(flip is not None, "schedule has no recall sign flip")
     _require(flip >= tau2 - 1e-12, "recall must not precede the hold")
     _require(probe.center_time < signal.center_time,
@@ -309,8 +306,6 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
              "signal pulse must be stored before the hold starts")
     _require(probe.center_time + 2.0 * probe.duration <= tau1,
              "probe pulse must be stored before the hold starts")
-    if not schedule.covers(grid.t_max):
-        raise ValueError("schedule does not cover the grid window")
 
     denom = params.gamma * params.gamma + params.delta4 * params.delta4
     c_shift, c_loss = params.delta4 / denom, params.gamma / denom
@@ -337,30 +332,23 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
                    c_shift=c_shift, c_loss=c_loss))
     probe_result = storage_result(probe_run, grid, probe.envelope, flip)
     reference = storage_result(reference_run, grid, probe.envelope, flip)
-    echo_phase = probe_result.echo_phase
-    phase = (reference.echo_phase - echo_phase
-             if math.isfinite(echo_phase) and math.isfinite(reference.echo_phase)
-             else math.nan)
 
-    times = grid.t
-    i2 = max(int(np.searchsorted(times, tau2, side="right")) - 1, 0)
+    i2 = max(int(np.searchsorted(grid.t, tau2, side="right")) - 1, 0)
     norm_sig = float(np.linalg.norm(probe_run.coherence.values[i2]))
-    norm_ref = float(np.linalg.norm(reference.coherence.values[i2]))
-    loss_factor = norm_sig / norm_ref if norm_ref > 0 else math.nan
+    norm_ref = float(np.linalg.norm(reference_run.coherence.values[i2]))
+    loss_factor = min(norm_sig / norm_ref, 1.0) if norm_ref > 0 else math.nan
 
-    hold_mask = (times >= tau1) & (times <= tau2)
-    w = np.abs(reference.coherence.values[hold_mask]) ** 2
+    hold_rows = (grid.t >= tau1) & (grid.t <= tau2)
+    w = np.abs(reference_run.coherence.values[hold_rows]) ** 2
     w_sum = np.maximum(w.sum(axis=1), 1e-300)
-    eff_intensity = ((w * np.abs(signal_run.field.values[hold_mask]) ** 2)
+    eff_intensity = ((w * np.abs(signal_run.coherence.field(hold_rows)) ** 2)
                      .sum(axis=1) / w_sum)
 
-    xpm = XpmResult(phase=phase,
-                    loss_factor=min(loss_factor, 1.0) if math.isfinite(loss_factor) else loss_factor,
-                    interaction_time=tau2 - tau1)
     return DoubleStorageResult(
-        xpm=xpm, probe_field=probe_result.field,
-        probe_coherence=probe_result.coherence, signal_field=signal_run.field,
-        signal_coherence=signal_run.coherence, reference=reference,
-        probe_echo_phase=echo_phase, probe_efficiency=probe_result.efficiency,
-        tau1=tau1, tau2=tau2,
+        xpm=XpmResult(phase=reference.echo_phase - probe_result.echo_phase,
+                      loss_factor=loss_factor, interaction_time=tau2 - tau1),
+        probe_coherence=probe_run.coherence,
+        signal_coherence=signal_run.coherence,
+        probe_efficiency=probe_result.efficiency,
+        reference_efficiency=reference.efficiency, tau1=tau1, tau2=tau2,
         effective_signal_envelope=np.sqrt(eff_intensity))

@@ -11,7 +11,7 @@ import yaml
 
 import gemxpm
 from gemxpm import apply_stark_drive, propagate
-from gemxpm.cli import _run_storage, main, run, run_config
+from gemxpm.cli import _RUNNERS, _run_storage, main, run, run_config
 from gemxpm.config import (RECORDS_KEPT, config_to_dict, parse_config,
                            set_sweep_value)
 from gemxpm.errors import ConfigError
@@ -311,19 +311,28 @@ class TestRunStorage:
         code = run(write_yaml(tmp_path, bad), out_dir=str(tmp_path / "out"))
         assert code == 3
 
-    @pytest.mark.parametrize("cfg", [
+    @pytest.mark.parametrize("cfg, where", [
         # Omega_s ** 2 in phi_free_signal
-        {"experiment": "xpm-free", "name": "huge_omega",
-         "xpm_free": {"omega_s": [1.0e+200], "tau": 1.0}},
+        ({"experiment": "xpm-free", "name": "huge_omega",
+          "xpm_free": {"omega_s": [1.0e+200], "tau": 1.0}},
+         "xpm-free config 'huge_omega'"),
         # peak_amplitude ** 2 in apply_stark_drive
-        dict(STORAGE_CONFIG, signal=dict(SIGNAL, peak_amplitude=1.0e+200)),
-    ], ids=["xpm_free", "storage_signal"])
-    def test_overflow_exit_3(self, tmp_path, capsys, cfg):
+        (dict(STORAGE_CONFIG, signal=dict(SIGNAL, peak_amplitude=1.0e+200)),
+         "storage config 'small_storage'"),
+        # the same, in one group of a sweep: the line names its points
+        ({"experiment": "sweep", "name": "huge_signal",
+          "sweep": {"path": "signal.peak_amplitude",
+                    "values": [0.5, 1.0e+200]},
+          "base": dict(STORAGE_CONFIG, signal=SIGNAL)},
+         "sweep config 'huge_signal' at signal.peak_amplitude in "
+         "[0.5, 1e+200]"),
+    ], ids=["xpm_free", "storage_signal", "storage_sweep"])
+    def test_overflow_exit_3(self, tmp_path, capsys, cfg, where):
         code = main(["simulate", write_yaml(tmp_path, cfg),
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3
-        assert "OverflowError" in err
+        assert f"error: {where}: OverflowError" in err
         assert "Traceback" not in err
 
 
@@ -345,6 +354,26 @@ class TestRecordBudget:
         finally:
             tracemalloc.stop()
         assert peak <= RECORDS_KEPT[cfg.kind] * 16 * nt * nz + (1 << 20)
+
+
+class TestRecordDiagnostics:
+    @pytest.mark.parametrize("preset, pinned", [
+        ("storage_baseline", {"fourier_residual": 0.028574305592487005,
+                              "excitation_balance_residual":
+                                  0.00012103411819211573,
+                              "kdrift_max_dev_bins": 0.8123898905723551}),
+        ("fig3b_double", {"quadrature_phase_rad": 0.004198595286462249,
+                          "loss_factor": 0.9998952892382601,
+                          "xpm_phase_rad": 0.003975127814592749}),
+    ])
+    def test_record_diagnostics_pinned(self, preset, pinned):
+        # scalars read off the sigma records and the field rebuilt from
+        # them, pinned bit for bit to the runs that stored E beside sigma
+        raw = get_preset(preset)
+        raw["grid"].update(nz=64, nt=1024)
+        cfg = parse_config(raw, default_name=preset)
+        results = _RUNNERS[cfg.kind](cfg)[1]
+        assert {k: results[k] for k in pinned} == pinned
 
 
 class TestSweep:
@@ -455,8 +484,8 @@ class TestSweep:
 
     def test_driven_sweep_within_record_budget(self, tmp_path):
         # 40 driven points and their references are 80 members; marched
-        # at once they peak at about 9 MiB, over the 4 MiB bound below, so
-        # the batch must march them a few at a time
+        # at once they peak at about 9 MiB, over the 3.5 MiB bound below,
+        # so the batch must march them a few at a time
         nz, nt = 256, 128
         base = dict(STORAGE_CONFIG, signal=SIGNAL,
                     grid={"nz": nz, "nt": nt, "t_max": 20.0})

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from gemxpm import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
-                    PulseSpec, StabilityError, NumericalError, StarkDrive,
-                    apply_stark_drive, constant_stark_drive,
-                    excitation_balance, group_velocity, peak_k_trajectory,
-                    polariton_transform, propagate, verify_fourier_relation)
-from gemxpm.gem import Member, march
+from gemxpm import (CoherenceRecord, EnsembleParams, GradientSchedule, Grid,
+                    PiecewiseConstant, PulseSpec, StabilityError,
+                    NumericalError, StarkDrive, apply_stark_drive,
+                    constant_stark_drive, excitation_balance, group_velocity,
+                    peak_k_trajectory, polariton_transform, propagate,
+                    verify_fourier_relation)
+from gemxpm.gem import Member, march, storage_batch
 
 from _reference import peak_k_trajectory_loop, reference_storage_run
 
@@ -54,7 +55,7 @@ class TestPropagate:
         grid = Grid(nz=64, nt=2048, t_max=20.0, L=p.L)
         res = propagate(p, baseline_probe, baseline_schedule, grid)
         t = grid.t
-        out = np.abs(res.field.values[:, -1])
+        out = np.abs(res.exit_field)
         expect = np.abs(baseline_probe.envelope(t))
         assert np.max(np.abs(out - expect)) < 1e-12
         assert res.efficiency == pytest.approx(0.0, abs=1e-9)
@@ -79,7 +80,7 @@ class TestPropagate:
                         input_envelope=envelope)
         t = grid.t
         inp = np.abs(envelope(t))
-        out = np.abs(res.field.values[:, -1])
+        out = np.abs(res.exit_field)
         # mirror the input about the flip time and correlate with the echo
         mirrored = np.interp(2 * 9.0 - t, t, inp, left=0.0, right=0.0)
         w_echo = t >= 9.0
@@ -106,7 +107,8 @@ class TestPropagate:
         for c in (0.1, 2.0, 10.0):
             res = propagate(baseline_params, PulseSpec(c, 3.0, 1.0),
                             baseline_schedule, baseline_grid)
-            assert np.allclose(res.field.values, c * baseline_run.field.values,
+            assert np.allclose(res.coherence.field(),
+                               c * baseline_run.coherence.field(),
                                rtol=1e-12, atol=1e-12)
             assert np.allclose(res.coherence.values,
                                c * baseline_run.coherence.values,
@@ -136,6 +138,16 @@ class TestPropagate:
         assert resid < 1e-3
         resid_abs = excitation_balance(baseline_run, baseline_params, 0.0, 6.0)
         assert resid_abs < 1e-3
+
+    def test_exit_only_run_refused_by_record_diagnostics(
+            self, baseline_params, baseline_probe, baseline_schedule):
+        grid = Grid(nz=32, nt=512, t_max=20.0, L=baseline_params.L)
+        (res,) = storage_batch(baseline_params, baseline_schedule, grid,
+                               [(baseline_probe, None)])
+        with pytest.raises(ValueError, match="coherence record"):
+            excitation_balance(res, baseline_params, 0.0, 20.0)
+        with pytest.raises(ValueError, match="coherence record"):
+            polariton_transform(res.coherence, baseline_params)
 
     def test_grid_convergence(self, baseline_params, baseline_probe,
                               baseline_schedule, baseline_run):
@@ -175,7 +187,9 @@ class TestBatchedMarch:
     def test_rows_equal_single_member_marches(self, baseline_params,
                                               baseline_schedule, with_stark):
         # a member's records are bit-identical whatever else is in the
-        # batch; an odd nz and the Stark path of a mixed batch included
+        # batch; an odd nz and the Stark path of a mixed batch included.
+        # The field rebuilt from a sigma record is the one marched with:
+        # its exit face is the kept exit field, its entry face the input.
         p = baseline_params
         grid = Grid(nz=63, nt=700, t_max=20.0, L=p.L)
         drive = (apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
@@ -184,6 +198,8 @@ class TestBatchedMarch:
             Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio),
             Member(PulseSpec(0.3, 2.5, 0.7).envelope, p.raman_ratio,
                    stark=drive, full_records=False),
+            Member(PulseSpec(0.6, 3.0, 0.8).envelope, p.raman_ratio,
+                   stark=drive),
             Member(PulseSpec(2.0, 3.5, 1.2).envelope, 0.5 * p.raman_ratio,
                    eta_sign=-1.0, extra_decay=0.05,
                    coupling=PiecewiseConstant(((0.0, 7.0, 1.0),
@@ -197,38 +213,39 @@ class TestBatchedMarch:
             if member.full_records:
                 assert np.array_equal(rec.coherence.values,
                                       alone.coherence.values)
-                assert np.array_equal(rec.field.values, alone.field.values)
-                assert np.array_equal(rec.field.values[:, -1], rec.exit_field)
+                field = rec.coherence.field()
+                assert np.array_equal(field, alone.coherence.field())
+                assert np.array_equal(field[:, -1], rec.exit_field)
+                assert np.array_equal(field[:, 0], member.envelope(grid.t))
             else:
-                assert rec.coherence is None and rec.field is None
+                assert rec.coherence is None
 
 
 class TestPolariton:
     def test_zero_records_zero_polariton(self, baseline_params):
         grid = Grid(nz=64, nt=16, t_max=1.0, L=baseline_params.L)
-        from gemxpm import FieldRecord, CoherenceRecord
         z = np.zeros((16, 64), dtype=complex)
-        pol = polariton_transform(FieldRecord(z, grid),
-                                  CoherenceRecord(z.copy(), grid),
-                                  baseline_params)
+        record = CoherenceRecord(z, grid, np.zeros(16, complex),
+                                 np.ones(16, complex))
+        pol = polariton_transform(record, baseline_params)
         assert np.all(pol.values == 0)
         assert verify_fourier_relation(pol, baseline_params, 0.5) == 0.0
 
     def test_plane_wave_peak(self, baseline_params):
         grid = Grid(nz=256, nt=4, t_max=1.0, L=baseline_params.L)
-        from gemxpm import FieldRecord, CoherenceRecord
         k0 = 12 * TWO_PI / baseline_params.L
         window = np.exp(-((grid.z - 0.5) / 0.2) ** 2)
         coh = np.tile(window * np.exp(1j * k0 * grid.z), (4, 1))
-        pol = polariton_transform(
-            FieldRecord(np.zeros_like(coh), grid),
-            CoherenceRecord(coh, grid), baseline_params)
+        # no input and no source term: the rebuilt field is zero
+        none = np.zeros(4, complex)
+        pol = polariton_transform(CoherenceRecord(coh, grid, none, none),
+                                  baseline_params)
+        assert np.all(pol.field_k == 0)
         peak = pol.k[np.argmax(np.abs(pol.coherence_k[0]))]
         assert abs(peak - k0) <= TWO_PI / baseline_params.L + 1e-9
 
     def test_k_axis_symmetric(self, baseline_run, baseline_params):
-        pol = polariton_transform(baseline_run.field, baseline_run.coherence,
-                                  baseline_params)
+        pol = polariton_transform(baseline_run.coherence, baseline_params)
         k = pol.k
         # every bin except the single Nyquist bin has its mirror
         nyquist = k.min()
@@ -238,16 +255,14 @@ class TestPolariton:
 
     def test_fourier_relation_during_storage(self, baseline_params,
                                              baseline_run):
-        pol = polariton_transform(baseline_run.field, baseline_run.coherence,
-                                  baseline_params)
+        pol = polariton_transform(baseline_run.coherence, baseline_params)
         for t in (6.0, 6.5, 7.5):
             resid = verify_fourier_relation(pol, baseline_params, t)
             assert resid is not None and resid < 1e-2
 
     def test_peak_k_drift_rate(self, baseline_params, baseline_run,
                                baseline_grid):
-        pol = polariton_transform(baseline_run.field, baseline_run.coherence,
-                                  baseline_params)
+        pol = polariton_transform(baseline_run.coherence, baseline_params)
         kk = peak_k_trajectory(pol.k, pol.values)
         t = baseline_grid.t
         mask = (t >= 6.0) & (t <= 9.0)
@@ -293,12 +308,12 @@ class TestPolariton:
         grid = Grid(nz=192, nt=3072, t_max=14.0, L=baseline_params.L)
         res = propagate(baseline_params, baseline_probe, sched, grid,
                         coupling=coupling)
-        pol = polariton_transform(res.field, res.coherence, baseline_params)
+        pol = polariton_transform(res.coherence, baseline_params)
         assert verify_fourier_relation(pol, baseline_params, 10.0) is None
         t = grid.t
         hold = t >= 7.0
         peak_in = np.abs(baseline_probe.envelope(t)).max()
-        assert np.abs(res.field.values[hold]).max() < 1e-6 * peak_in
+        assert np.abs(res.coherence.field(hold)).max() < 1e-6 * peak_in
 
 
 class TestGroupVelocity:
@@ -323,12 +338,12 @@ class TestGroupVelocity:
         sched = GradientSchedule(((0.0, 20.0, eta), (20.0, 30.0, 0.0)))
         grid = Grid(nz=256, nt=8192, t_max=30.0, L=p.L)
         res = propagate(p, PulseSpec(1.0, 4.0, 2.0), sched, grid)
-        pol = polariton_transform(res.field, res.coherence, p)
+        pol = polariton_transform(res.coherence, p)
         t = grid.t
         mask = (t >= 21.0) & (t <= 29.5)
         kk = peak_k_trajectory(pol.k, pol.values)[mask]
         assert kk.max() == kk.min()   # stopped in k-space
-        w = np.abs(res.field.values) ** 2
+        w = np.abs(res.coherence.field()) ** 2
         zc = (w * grid.z[None, :]).sum(axis=1) / np.maximum(
             w.sum(axis=1), 1e-300)
         slope = np.polyfit(t[mask], zc[mask], 1)[0]

@@ -261,7 +261,7 @@ class TestDoubleStorage:
     def test_k_trajectories(self, double_run):
         from gemxpm import peak_k_trajectory
         from gemxpm.gem import spatial_spectrum
-        grid = double_run.probe_field.grid
+        grid = double_run.probe_coherence.grid
         kp = peak_k_trajectory(*spatial_spectrum(
             double_run.probe_coherence.values, grid))
         ks = peak_k_trajectory(*spatial_spectrum(
