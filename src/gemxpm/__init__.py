@@ -12,10 +12,10 @@ from .errors import (ConfigError, GemXpmError, LeakageError, NumericalError,
                      UndefinedPhaseError)
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
-from .gem import (CoherenceRecord, PolaritonRecord, StarkDrive,
-                  StorageResult, apply_stark_drive, constant_stark_drive,
-                  excitation_balance, group_velocity, peak_k_trajectory,
-                  polariton_transform, propagate, verify_fourier_relation)
+from .gem import (CoherenceRecord, StarkDrive, StorageResult,
+                  apply_stark_drive, constant_stark_drive, excitation_balance,
+                  group_velocity, peak_k_trajectory, polariton_transform,
+                  propagate, verify_fourier_relation)
 from .xpm import (DoubleStorageResult, LinearityReport, SinglePhotonEstimate,
                   TransitionData, XpmResult, coupling_loss_rate,
                   double_storage_run, phi_free_signal, phi_stored_pair,

@@ -66,10 +66,9 @@ def _run_storage(cfg: ExperimentConfig):
     params, grid = cfg.ensemble, cfg.grid
     result = propagate(params, cfg.probe, cfg.schedule, grid, stark=_stark(cfg))
 
-    pol = polariton_transform(result.coherence, params)
     flip = result.flip_time if result.flip_time is not None else grid.t_max
     t_mid = 0.5 * (cfg.probe.center_time + 2.0 * cfg.probe.duration + flip)
-    residual = verify_fourier_relation(pol, params, t_mid)
+    residual = verify_fourier_relation(result.coherence, params, t_mid)
 
     drift_lo = cfg.probe.center_time + 3.0 * cfg.probe.duration
     t = grid.t
@@ -77,7 +76,8 @@ def _run_storage(cfg: ExperimentConfig):
     kdrift_dev_bins = math.nan
     eta0 = cfg.schedule.eta(0.5 * (drift_lo + flip))
     if mask.sum() >= 8:
-        kk = peak_k_trajectory(pol.k, pol.values)[mask]
+        kk = peak_k_trajectory(*polariton_transform(result.coherence,
+                                                    params, mask))
         line = kk[0] + (-eta0) * (t[mask] - t[mask][0])
         kdrift_dev_bins = float(np.max(np.abs(kk - line))
                                 / (2.0 * math.pi / params.L))
@@ -185,7 +185,7 @@ def _phi_targets_report(cfg: ExperimentConfig, phi: float,
         val = abs(phi) * 1e3
         checks["phi_mrad"] = {"value": val, "interval": [lo, hi],
                               "in_interval": bool(lo <= val <= hi)}
-    if "process_fidelity" in cfg.targets and "fidelity_candidates" in extra:
+    if "process_fidelity" in cfg.targets:
         lo, hi = cfg.targets["process_fidelity"]
         best = max(extra["fidelity_candidates"].values())
         checks["process_fidelity"] = {"value": best, "interval": [lo, hi],

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .gate import GateParams
+from .gate import DIM, GateParams
 from .gem import check_window
 from .model import EnsembleParams, GradientSchedule, Grid, PulseSpec
 from .xpm import HOLD_SAMPLES
@@ -41,14 +41,15 @@ _TIMES = frozenset(("center_time", "duration", "t_max", "tau", "t_end",
 #: GateParams fields derived from g and N, never read from a config.
 _DERIVED = ("g13", "g24", "g1p3p")
 
-#: Bytes the (nt, nz) complex records of one run may take; a larger grid is
-#: refused (exit 2).
+#: Bytes the records of one run may take: the (nt, nz) complex storage
+#: records, or a gate's (n_samples, DIM, DIM) complex trajectory.  A larger
+#: grid or n_samples is refused (exit 2).
 RECORD_BUDGET_BYTES = 2 << 30
 #: (nt, nz) complex records' worth of memory a run holds at its peak:
-#: tracemalloc over run_config measured 5.04 for storage_baseline (sigma,
-#: the field rebuilt from it and the polariton spectra) and 4.14 for
-#: fig3b_double (sigma of probe, signal and reference, and one spectrum).
-RECORDS_KEPT = {"storage": 5, "xpm-double": 5}
+#: tracemalloc over run_config measured 1.64 for storage_baseline and 1.90
+#: at nz = 64, nt = 1024 (sigma, plus the drift window's spectra) and 4.14
+#: for fig3b_double (sigma of probe, signal and reference, and one spectrum).
+RECORDS_KEPT = {"storage": 3, "xpm-double": 5}
 
 
 @dataclass(frozen=True)
@@ -292,16 +293,22 @@ def _parse_gate(raw: Optional[Mapping], units: _Units,
 
 
 def _parse_targets(raw: Optional[Mapping],
-                   path: str) -> Optional[Dict[str, Tuple[float, float]]]:
+                   kind: str) -> Optional[Dict[str, Tuple[float, float]]]:
+    """Target intervals of the quantities a gate (phi_mrad) or tomography
+    run (and process_fidelity) checks; any other kind checks none."""
     if raw is None:
         return None
-    raw = _expect_mapping(raw, path)
-    _check_keys(raw, ("phi_mrad", "process_fidelity"), path)
+    if kind not in ("gate", "tomography"):
+        _fail("targets", f"{kind} experiments check no targets; only gate "
+              "and tomography runs write a target report")
+    raw = _expect_mapping(raw, "targets")
+    _check_keys(raw, ("phi_mrad", "process_fidelity") if kind == "tomography"
+                else ("phi_mrad",), "targets")
     out = {}
     for key, v in raw.items():
-        pair = _number_list(v, f"{path}.{key}", minimum_len=2)
+        pair = _number_list(v, f"targets.{key}", minimum_len=2)
         if len(pair) != 2 or pair[0] > pair[1]:
-            _fail(f"{path}.{key}", "expected [low, high] with low <= high")
+            _fail(f"targets.{key}", "expected [low, high] with low <= high")
         out[key] = (pair[0], pair[1])
     return out
 
@@ -322,6 +329,7 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
         _fail("experiment", f"unknown experiment {kind!r}; one of {KINDS}")
     name = _expect_str(raw.get("name", default_name), "name")
     units = _Units(raw.get("units"), "units")
+    targets = _parse_targets(raw.get("targets"), kind)
 
     if kind == "sweep":
         sweep = _section(SweepSpec, raw.get("sweep"), units, "sweep")
@@ -333,10 +341,7 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
         if inner.kind == "sweep":
             _fail("base.experiment", "nested sweeps are not supported")
         _resolve_sweep_path(base, sweep.path)   # fail early on a bad axis
-        return ExperimentConfig(kind=kind, name=name,
-                                targets=_parse_targets(raw.get("targets"),
-                                                       "targets"),
-                                sweep=sweep, base=base)
+        return ExperimentConfig(kind=kind, name=name, sweep=sweep, base=base)
 
     def section(key: str, cls: type, skip: Sequence[str] = (), **given):
         return (None if raw.get(key) is None
@@ -353,7 +358,6 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
     schedule = (None if raw.get("schedule") is None
                 else _parse_schedule(raw["schedule"], units, "schedule"))
     grid = section("grid", Grid, ("L",), L=ensemble.L)
-    targets = _parse_targets(raw.get("targets"), "targets")
 
     if kind in ("storage", "xpm-double"):
         for fld, v in (("probe", probe), ("schedule", schedule),
@@ -382,6 +386,11 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
                 if kind == "xpm-free" else None)
     gate = (_parse_gate(raw.get("gate"), units, "gate")
             if kind in ("gate", "tomography") else None)
+    most = RECORD_BUDGET_BYTES // (DIM * DIM * 16)   # samples of a trajectory
+    if kind == "gate" and gate.n_samples > most:
+        _fail("gate.n_samples", f"the trajectory of {gate.n_samples} samples "
+              f"exceeds the {RECORD_BUDGET_BYTES / 2**30:g} GiB budget "
+              f"(at most {most})")
     return ExperimentConfig(kind=kind, name=name, ensemble=ensemble,
                             probe=probe, signal=signal,
                             signal_detuning=detuning, schedule=schedule,
@@ -444,8 +453,6 @@ def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
     if cfg.kind == "sweep":
         out["sweep"] = _echo(cfg.sweep)
         out["base"] = copy.deepcopy(cfg.base)
-        if cfg.targets:
-            out["targets"] = {k: list(v) for k, v in cfg.targets.items()}
         return out
     for fld, skip in (("ensemble", ()), ("probe", ()), ("signal", ()),
                       ("grid", ("L",)), ("xpm_free", ())):

@@ -142,23 +142,6 @@ class CoherenceRecord:
 
 
 @dataclass(frozen=True)
-class PolaritonRecord:
-    """Spatial-Fourier picture of a run.
-
-    values = k*E(t,k) + g*calN*(OmegaC/Delta)*sigma(t,k); the constituents
-    are kept separately retrievable.  The k axis is the fftshifted discrete
-    axis (ascending; for even nz the single Nyquist bin sits at -pi/dz).
-    """
-
-    values: np.ndarray          # (nt, nk) complex, the polariton
-    field_k: np.ndarray         # (nt, nk) complex
-    coherence_k: np.ndarray     # (nt, nk) complex
-    k: np.ndarray               # (nk,)
-    grid: Grid
-    coupling: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class StorageResult:
     """One storage/recall run: sigma record (None when exit-only) and scalars.
 
@@ -464,45 +447,50 @@ def spatial_spectrum(values: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.nda
     return k, f
 
 
-def polariton_transform(coherence: CoherenceRecord,
-                        params: EnsembleParams) -> PolaritonRecord:
-    """Assemble psi(t,k) = k*E(t,k) + g*calN*(OmegaC/Delta)*sigma(t,k), E
-    rebuilt from the coherence record.
+def polariton_transform(coherence: CoherenceRecord, params: EnsembleParams,
+                        rows=slice(None)) -> Tuple[np.ndarray, np.ndarray]:
+    """(k, psi) with psi(t,k) = k*E(t,k) + g*calN*(OmegaC/Delta)*sigma(t,k)
+    at the grid times ``rows`` only, E rebuilt from the coherence record;
+    k and the row layout are those of ``spatial_spectrum``.
 
     The nominal (static) coupling ratio is used in the atomic term; when
     the coupling field is switched off the physical excitation is the bare
-    coherence, retrievable from ``coherence_k``.
+    coherence, whose spectrum is spatial_spectrum(coherence.values).
     """
     if coherence is None:
         raise ValueError("polariton_transform needs a coherence record")
-    k, ek = spatial_spectrum(coherence.field(), coherence.grid)
-    _, sk = spatial_spectrum(coherence.values, coherence.grid)
-    weight = params.coupling_density * params.raman_ratio
-    psi = k[None, :] * ek + weight * sk
-    return PolaritonRecord(values=psi, field_k=ek, coherence_k=sk, k=k,
-                           grid=coherence.grid, coupling=coherence.coupling)
+    k, ek = spatial_spectrum(coherence.field(rows), coherence.grid)
+    _, sk = spatial_spectrum(coherence.values[rows], coherence.grid)
+    return k, k * ek + params.coupling_density * params.raman_ratio * sk
 
 
-def verify_fourier_relation(record: PolaritonRecord, params: EnsembleParams,
+def verify_fourier_relation(coherence: CoherenceRecord,
+                            params: EnsembleParams,
                             t: float) -> Optional[float]:
-    """Residual of k*E(k) = g*calN*(OmegaC/Delta)*sigma(k) at time t.
+    """Residual of k*E(k) = g*calN*(OmegaC/Delta)*sigma(k) at time t, from
+    the one grid row nearest t.
 
     Returns max over k != 0 of |k*E - C*sigma| / max|C*sigma| with
     C = g*calN*(OmegaC/Delta).  Returns None (the coupling-off signal) when
     the coupling field is switched off at t, where the relation degenerates;
     an all-zero record yields 0.0.
     """
-    grid = record.grid
+    if coherence is None:
+        raise ValueError("verify_fourier_relation needs a coherence record")
+    grid = coherence.grid
     n = int(round(t / grid.dt))
     if not (0 <= n < grid.nt):
         raise ValueError(f"time {t} outside the grid window [0, {grid.t_max}]")
-    if record.coupling is not None and record.coupling[n] < 1e-12:
+    if coherence.coupling is not None and coherence.coupling[n] < 1e-12:
         return None
-    mult = 1.0 if record.coupling is None else float(record.coupling[n])
+    mult = 1.0 if coherence.coupling is None else float(coherence.coupling[n])
     weight = params.coupling_density * params.raman_ratio * mult
-    mask = record.k != 0.0
-    lhs = record.k[mask] * record.field_k[n, mask]
-    rhs = weight * record.coherence_k[n, mask]
+    row = slice(n, n + 1)
+    k, ek = spatial_spectrum(coherence.field(row), grid)
+    _, sk = spatial_spectrum(coherence.values[row], grid)
+    mask = k != 0.0
+    lhs = k[mask] * ek[0, mask]
+    rhs = weight * sk[0, mask]
     scale = float(np.max(np.abs(rhs)))
     if scale == 0.0:
         return 0.0 if float(np.max(np.abs(lhs))) == 0.0 else math.inf
@@ -549,9 +537,9 @@ def excitation_balance(result: StorageResult, params: EnsembleParams,
     i1 = int(np.searchsorted(t, t_to, side="right")) - 1
     if i1 <= i0:
         raise ValueError("window too short for a balance check")
-    sig2 = np.abs(result.coherence.values) ** 2
+    sig2 = np.abs(result.coherence.values[[i0, i1]]) ** 2
     stored = params.coupling_density * np.trapezoid(sig2, dx=grid.dz, axis=1)
-    lhs = stored[i1] - stored[i0]
+    lhs = stored[1] - stored[0]
     influx = np.abs(result.coherence.boundary[i0:i1 + 1]) ** 2
     outflux = np.abs(result.exit_field[i0:i1 + 1]) ** 2
     rhs = float(np.trapezoid(influx - outflux, t[i0:i1 + 1]))

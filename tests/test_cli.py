@@ -173,13 +173,33 @@ class TestConfigValidation:
           "sweep": {"path": "grid.nt", "values": [64.5]},
           "base": STORAGE_CONFIG},
          2, "config error at 'grid.nt': expected an integer, got 64.5"),
+        ({"experiment": "gate", "gate": {"n_samples": 1000000000}},
+         2, "config error at 'gate.n_samples': the trajectory of 1000000000 "
+            "samples exceeds the 2 GiB budget (at most 171196)"),
+        (dict(STORAGE_CONFIG, targets={"phi_mrad": [0.0, 1.0]}),
+         2, "config error at 'targets': storage experiments check no"),
+        (dict(STORAGE_CONFIG, experiment="xpm-double", signal=SIGNAL,
+              targets={"phi_mrad": [0.0, 1.0]}),
+         2, "config error at 'targets': xpm-double experiments check no"),
+        ({"experiment": "xpm-free", "xpm_free": {"omega_s": [1.0], "tau": 1.0},
+          "targets": {"phi_mrad": [0.0, 1.0]}},
+         2, "config error at 'targets': xpm-free experiments check no"),
+        ({"experiment": "sweep", "targets": {"phi_mrad": [0.0, 1.0]},
+          "sweep": {"path": "gate.t_gate", "values": [5.0, 15.0]},
+          "base": {"experiment": "tomography", "gate": {"t_gate": 15.0}}},
+         2, "config error at 'targets': sweep experiments check no"),
+        ({"experiment": "gate", "gate": {"n_samples": 2},
+          "targets": {"process_fidelity": [0.75, 0.95]}},
+         2, "config error at 'targets.process_fidelity': unknown key"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
             "tomography_t_gate_huge", "tomography_OmegaC_huge",
             "ensemble_N_removed", "gate_bandwidth_removed",
             "pooled_sweep_t_gate_negative", "pooled_sweep_unstable",
-            "sweep_nt_fractional"])
+            "sweep_nt_fractional", "gate_n_samples_over_budget",
+            "storage_targets", "xpm_double_targets", "xpm_free_targets",
+            "sweep_targets", "gate_process_fidelity_target"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
@@ -484,7 +504,7 @@ class TestSweep:
 
     def test_driven_sweep_within_record_budget(self, tmp_path):
         # 40 driven points and their references are 80 members; marched
-        # at once they peak at about 9 MiB, over the 3.5 MiB bound below,
+        # at once they peak at about 9 MiB, over the 2.5 MiB bound below,
         # so the batch must march them a few at a time
         nz, nt = 256, 128
         base = dict(STORAGE_CONFIG, signal=SIGNAL,

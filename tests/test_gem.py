@@ -10,7 +10,7 @@ from gemxpm import (CoherenceRecord, EnsembleParams, GradientSchedule, Grid,
                     constant_stark_drive, excitation_balance, group_velocity,
                     peak_k_trajectory, polariton_transform, propagate,
                     verify_fourier_relation)
-from gemxpm.gem import Member, march, storage_batch
+from gemxpm.gem import Member, march, spatial_spectrum, storage_batch
 
 from _reference import peak_k_trajectory_loop, reference_storage_run
 
@@ -148,6 +148,8 @@ class TestPropagate:
             excitation_balance(res, baseline_params, 0.0, 20.0)
         with pytest.raises(ValueError, match="coherence record"):
             polariton_transform(res.coherence, baseline_params)
+        with pytest.raises(ValueError, match="coherence record"):
+            verify_fourier_relation(res.coherence, baseline_params, 10.0)
 
     def test_grid_convergence(self, baseline_params, baseline_probe,
                               baseline_schedule, baseline_run):
@@ -227,9 +229,9 @@ class TestPolariton:
         z = np.zeros((16, 64), dtype=complex)
         record = CoherenceRecord(z, grid, np.zeros(16, complex),
                                  np.ones(16, complex))
-        pol = polariton_transform(record, baseline_params)
-        assert np.all(pol.values == 0)
-        assert verify_fourier_relation(pol, baseline_params, 0.5) == 0.0
+        _, psi = polariton_transform(record, baseline_params)
+        assert np.all(psi == 0)
+        assert verify_fourier_relation(record, baseline_params, 0.5) == 0.0
 
     def test_plane_wave_peak(self, baseline_params):
         grid = Grid(nz=256, nt=4, t_max=1.0, L=baseline_params.L)
@@ -238,15 +240,15 @@ class TestPolariton:
         coh = np.tile(window * np.exp(1j * k0 * grid.z), (4, 1))
         # no input and no source term: the rebuilt field is zero
         none = np.zeros(4, complex)
-        pol = polariton_transform(CoherenceRecord(coh, grid, none, none),
-                                  baseline_params)
-        assert np.all(pol.field_k == 0)
-        peak = pol.k[np.argmax(np.abs(pol.coherence_k[0]))]
+        record = CoherenceRecord(coh, grid, none, none)
+        k, ek = spatial_spectrum(record.field(), grid)
+        _, sk = spatial_spectrum(record.values, grid)
+        assert np.all(ek == 0)
+        peak = k[np.argmax(np.abs(sk[0]))]
         assert abs(peak - k0) <= TWO_PI / baseline_params.L + 1e-9
 
     def test_k_axis_symmetric(self, baseline_run, baseline_params):
-        pol = polariton_transform(baseline_run.coherence, baseline_params)
-        k = pol.k
+        k, _ = polariton_transform(baseline_run.coherence, baseline_params)
         # every bin except the single Nyquist bin has its mirror
         nyquist = k.min()
         for kv in k:
@@ -255,15 +257,38 @@ class TestPolariton:
 
     def test_fourier_relation_during_storage(self, baseline_params,
                                              baseline_run):
-        pol = polariton_transform(baseline_run.coherence, baseline_params)
         for t in (6.0, 6.5, 7.5):
-            resid = verify_fourier_relation(pol, baseline_params, t)
+            resid = verify_fourier_relation(baseline_run.coherence,
+                                            baseline_params, t)
             assert resid is not None and resid < 1e-2
+
+    def test_row_subset_is_full_transform_rows(self, baseline_params,
+                                               baseline_run, baseline_grid):
+        # the diagnostics transform only the rows they read; those rows
+        # equal the same rows of the whole record's transform bit for bit
+        c, p, grid = baseline_run.coherence, baseline_params, baseline_grid
+        k, psi = polariton_transform(c, p)
+        t = grid.t
+        for rows in ((t >= 6.0) & (t <= 9.0), slice(1400, 1401)):
+            k_rows, psi_rows = polariton_transform(c, p, rows)
+            assert np.array_equal(k_rows, k)
+            assert np.array_equal(psi_rows, psi[rows])
+        _, ek = spatial_spectrum(c.field(), grid)
+        _, sk = spatial_spectrum(c.values, grid)
+        nonzero = k != 0.0
+        for tv in (6.0, 6.5, 7.5):
+            n = int(round(tv / grid.dt))
+            weight = p.coupling_density * p.raman_ratio * float(c.coupling[n])
+            lhs = k[nonzero] * ek[n, nonzero]
+            rhs = weight * sk[n, nonzero]
+            residual = float(np.max(np.abs(lhs - rhs))) / float(
+                np.max(np.abs(rhs)))
+            assert verify_fourier_relation(c, p, tv) == residual
 
     def test_peak_k_drift_rate(self, baseline_params, baseline_run,
                                baseline_grid):
-        pol = polariton_transform(baseline_run.coherence, baseline_params)
-        kk = peak_k_trajectory(pol.k, pol.values)
+        kk = peak_k_trajectory(*polariton_transform(baseline_run.coherence,
+                                                    baseline_params))
         t = baseline_grid.t
         mask = (t >= 6.0) & (t <= 9.0)
         # with the exp(-ikz) transform the drift rate is -eta
@@ -308,8 +333,8 @@ class TestPolariton:
         grid = Grid(nz=192, nt=3072, t_max=14.0, L=baseline_params.L)
         res = propagate(baseline_params, baseline_probe, sched, grid,
                         coupling=coupling)
-        pol = polariton_transform(res.coherence, baseline_params)
-        assert verify_fourier_relation(pol, baseline_params, 10.0) is None
+        assert verify_fourier_relation(res.coherence, baseline_params,
+                                       10.0) is None
         t = grid.t
         hold = t >= 7.0
         peak_in = np.abs(baseline_probe.envelope(t)).max()
@@ -338,10 +363,9 @@ class TestGroupVelocity:
         sched = GradientSchedule(((0.0, 20.0, eta), (20.0, 30.0, 0.0)))
         grid = Grid(nz=256, nt=8192, t_max=30.0, L=p.L)
         res = propagate(p, PulseSpec(1.0, 4.0, 2.0), sched, grid)
-        pol = polariton_transform(res.coherence, p)
         t = grid.t
         mask = (t >= 21.0) & (t <= 29.5)
-        kk = peak_k_trajectory(pol.k, pol.values)[mask]
+        kk = peak_k_trajectory(*polariton_transform(res.coherence, p, mask))
         assert kk.max() == kk.min()   # stopped in k-space
         w = np.abs(res.coherence.field()) ** 2
         zc = (w * grid.z[None, :]).sum(axis=1) / np.maximum(
