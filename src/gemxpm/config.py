@@ -1,10 +1,11 @@
 """Experiment configuration: schema validation, unit conversion, presets
 round-trip.
 
-One config format (YAML mappings with arrays).  Each section is parsed,
-unit-scaled, validated and echoed from the fields of the dataclass it
-builds, so a key, its type and its default are written once, on that
-dataclass.  Unknown keys are rejected with the offending dot-path.
+One config format (YAML mappings with arrays).  A kind accepts, builds
+and echoes only the top-level sections ``SECTIONS`` names.  Each section
+is parsed, unit-scaled, validated and echoed from the fields of the
+dataclass it builds, so a key, its type and its default are written once,
+on that dataclass.  Unknown keys are refused with their dot-path.
 Lab-unit configs (``units: {system: lab, gamma: <rate in rad/us>}``) give
 the keys in ``_RATES`` in rad/us and those in ``_TIMES`` in us;
 conversion to internal gamma-units is plain scaling by the supplied gamma
@@ -18,6 +19,7 @@ import functools
 import math
 import typing
 from dataclasses import MISSING, dataclass, fields
+from pathlib import Path
 from typing import Any, Dict, Literal, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +31,18 @@ from .gem import check_window
 from .model import EnsembleParams, GradientSchedule, Grid, PulseSpec
 from .xpm import HOLD_SAMPLES
 
-KINDS = ("storage", "xpm-free", "xpm-double", "gate", "tomography", "sweep")
+#: The top-level sections each experiment kind reads, besides experiment
+#: and name: a config that sets any other is refused, and only these echo.
+SECTIONS: Dict[str, Tuple[str, ...]] = {
+    "storage": ("units", "ensemble", "probe", "signal", "signal_detuning",
+                "schedule", "grid"),
+    "xpm-free": ("units", "ensemble", "xpm_free"),
+    "xpm-double": ("units", "ensemble", "probe", "signal", "schedule",
+                   "grid"),
+    "gate": ("units", "gate", "targets"),
+    "tomography": ("units", "gate", "targets"),
+    "sweep": ("sweep", "base"),
+}
 
 #: Keys a lab-unit config gives in rad/us (divided by its gamma) and in us
 #: (multiplied by it); every other key is dimensionless.
@@ -40,6 +53,10 @@ _TIMES = frozenset(("center_time", "duration", "t_max", "tau", "t_end",
                     "t_gate"))
 #: GateParams fields derived from g and N, never read from a config.
 _DERIVED = ("g13", "g24", "g1p3p")
+#: GateRunSpec fields a gate trace (t_end, n_samples) or a tomography run
+#: (t_gate, renormalize) does not read.
+_GATE_SKIP = {"gate": ("params", "t_gate", "renormalize"),
+              "tomography": ("params", "t_end", "n_samples")}
 
 #: Bytes the records of one run may take: the (nt, nz) complex storage
 #: records, or a gate's (n_samples, DIM, DIM) complex trajectory.  A larger
@@ -94,7 +111,7 @@ class ExperimentConfig:
     ensemble: Optional[EnsembleParams] = None
     probe: Optional[PulseSpec] = None
     signal: Optional[PulseSpec] = None
-    signal_detuning: str = "delta3"
+    signal_detuning: Optional[str] = None
     schedule: Optional[GradientSchedule] = None
     grid: Optional[Grid] = None
     xpm_free: Optional[XpmFreeSpec] = None
@@ -144,11 +161,12 @@ def _expect_str(obj: Any, path: str) -> str:
     return obj
 
 
-def _check_keys(d: Mapping, allowed: Sequence[str], path: str) -> None:
+def _check_keys(d: Mapping, allowed: Sequence[str], path: str,
+                what: str = "unknown key") -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         _fail(f"{path}.{unknown[0]}" if path else unknown[0],
-              f"unknown key (allowed: {', '.join(sorted(allowed))})")
+              f"{what} (allowed: {', '.join(sorted(allowed))})")
 
 
 def _number_list(obj: Any, path: str, minimum_len: int = 1) -> Tuple[float, ...]:
@@ -278,29 +296,26 @@ def _parse_schedule(raw: Any, units: _Units, path: str) -> GradientSchedule:
         _fail(path, str(exc))
 
 
-def _parse_gate(raw: Optional[Mapping], units: _Units,
-                path: str) -> GateRunSpec:
-    """One flat mapping holds the GateParams and the GateRunSpec keys."""
+def _parse_gate(raw: Optional[Mapping], units: _Units, path: str,
+                skip: Sequence[str]) -> GateRunSpec:
+    """One flat mapping holds the GateParams and the GateRunSpec keys
+    not in ``skip``."""
     raw = {} if raw is None else _expect_mapping(raw, path)
-    run_keys = _keys(GateRunSpec, ("params",))
+    run_keys = _keys(GateRunSpec, skip)
     _check_keys(raw, _keys(GateParams, _DERIVED) + run_keys, path)
     params = _section(GateParams,
                       {k: v for k, v in raw.items() if k not in run_keys},
                       units, path, _DERIVED, **units.fixed())
     return _section(GateRunSpec,
                     {k: v for k, v in raw.items() if k in run_keys},
-                    units, path, ("params",), params=params)
+                    units, path, skip, params=params)
 
 
 def _parse_targets(raw: Optional[Mapping],
                    kind: str) -> Optional[Dict[str, Tuple[float, float]]]:
-    """Target intervals of the quantities a gate (phi_mrad) or tomography
-    run (and process_fidelity) checks; any other kind checks none."""
+    """Target intervals of phi_mrad (and, for tomography, process_fidelity)."""
     if raw is None:
         return None
-    if kind not in ("gate", "tomography"):
-        _fail("targets", f"{kind} experiments check no targets; only gate "
-              "and tomography runs write a target report")
     raw = _expect_mapping(raw, "targets")
     _check_keys(raw, ("phi_mrad", "process_fidelity") if kind == "tomography"
                 else ("phi_mrad",), "targets")
@@ -313,115 +328,105 @@ def _parse_targets(raw: Optional[Mapping],
     return out
 
 
-_TOP_KEYS = ("experiment", "name", "units", "ensemble", "probe", "signal",
-             "signal_detuning", "schedule", "grid", "xpm_free", "gate",
-             "targets", "sweep", "base")
-
-
 def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
     """Validate a raw mapping and build the typed configuration."""
     raw = _expect_mapping(raw, "")
-    _check_keys(raw, _TOP_KEYS, "")
     if "experiment" not in raw:
         _fail("experiment", "required key missing")
     kind = _expect_str(raw["experiment"], "experiment")
-    if kind not in KINDS:
-        _fail("experiment", f"unknown experiment {kind!r}; one of {KINDS}")
+    if kind not in SECTIONS:
+        _fail("experiment",
+              f"unknown experiment {kind!r}; one of {tuple(SECTIONS)}")
+    _check_keys(raw, ("experiment", "name") + SECTIONS[kind], "",
+                f"{kind} experiments do not read this key")
     name = _expect_str(raw.get("name", default_name), "name")
     units = _Units(raw.get("units"), "units")
-    targets = _parse_targets(raw.get("targets"), kind)
 
     if kind == "sweep":
         sweep = _section(SweepSpec, raw.get("sweep"), units, "sweep")
-        base = raw.get("base")
-        if base is None:
+        if raw.get("base") is None:
             _fail("base", "sweeps need a base experiment config")
-        base = dict(_expect_mapping(base, "base"))
-        inner = parse_config(base, default_name=f"{name}_point")
-        if inner.kind == "sweep":
+        base = dict(_expect_mapping(raw["base"], "base"))
+        if parse_config(base, default_name=f"{name}_point").kind == "sweep":
             _fail("base.experiment", "nested sweeps are not supported")
-        _resolve_sweep_path(base, sweep.path)   # fail early on a bad axis
+        set_sweep_value(base, sweep.path, sweep.values[0])   # refuse bad axes
         return ExperimentConfig(kind=kind, name=name, sweep=sweep, base=base)
+
+    if kind in ("gate", "tomography"):
+        gate = _parse_gate(raw.get("gate"), units, "gate", _GATE_SKIP[kind])
+        most = RECORD_BUDGET_BYTES // (DIM * DIM * 16)   # trajectory samples
+        if gate.n_samples > most:
+            _fail("gate.n_samples", f"the trajectory of {gate.n_samples} "
+                  f"samples exceeds the {RECORD_BUDGET_BYTES / 2**30:g} GiB "
+                  f"budget (at most {most})")
+        return ExperimentConfig(kind=kind, name=name, gate=gate,
+                                targets=_parse_targets(raw.get("targets"),
+                                                       kind))
+
+    ensemble = _section(EnsembleParams, raw.get("ensemble"), units,
+                        "ensemble", **units.fixed())
+    if kind == "xpm-free":
+        spec = _section(XpmFreeSpec, raw.get("xpm_free"), units, "xpm_free")
+        return ExperimentConfig(kind=kind, name=name, ensemble=ensemble,
+                                xpm_free=spec)
 
     def section(key: str, cls: type, skip: Sequence[str] = (), **given):
         return (None if raw.get(key) is None
                 else _section(cls, raw[key], units, key, skip, **given))
 
-    ensemble = _section(EnsembleParams, raw.get("ensemble"), units,
-                        "ensemble", **units.fixed())
     probe = section("probe", PulseSpec)
     signal = section("signal", PulseSpec)
-    detuning = _expect_str(raw.get("signal_detuning", "delta3"),
-                           "signal_detuning")
-    if detuning not in ("delta3", "delta4"):
-        _fail("signal_detuning", "must be 'delta3' or 'delta4'")
+    detuning = None
+    if signal is not None and "signal_detuning" in SECTIONS[kind]:
+        detuning = _value(raw.get("signal_detuning", "delta3"),
+                          Literal["delta3", "delta4"], units,
+                          "signal_detuning", "signal_detuning")
+    elif "signal_detuning" in raw:
+        _fail("signal_detuning", "this config has no signal to detune")
     schedule = (None if raw.get("schedule") is None
                 else _parse_schedule(raw["schedule"], units, "schedule"))
     grid = section("grid", Grid, ("L",), L=ensemble.L)
-
-    if kind in ("storage", "xpm-double"):
-        for fld, v in (("probe", probe), ("schedule", schedule),
-                       ("grid", grid)):
-            if v is None:
-                _fail(fld, f"required for {kind} experiments")
-        if kind == "xpm-double" and signal is None:
-            _fail("signal", "required for xpm-double experiments")
-        need = RECORDS_KEPT[kind] * grid.nt * grid.nz * 16 / 2**30
-        if need > RECORD_BUDGET_BYTES / 2**30:
-            _fail("grid", f"records need {need:.4g} GiB, above the "
-                  f"{RECORD_BUDGET_BYTES / 2**30:g} GiB budget")
-        try:
-            check_window(probe, schedule, grid.t_max)
-        except ValueError as exc:
-            _fail("schedule", str(exc))
-        hold = schedule.hold_window()
-        if kind == "xpm-double" and hold is not None:
-            t = grid.t
-            n = int(np.count_nonzero((t >= hold[0]) & (t <= hold[1])))
-            if n < HOLD_SAMPLES:
-                _fail("grid", f"the hold [{hold[0]}, {hold[1]}] spans {n} "
-                      f"time samples; its quadrature needs {HOLD_SAMPLES}")
-
-    xpm_free = (_section(XpmFreeSpec, raw.get("xpm_free"), units, "xpm_free")
-                if kind == "xpm-free" else None)
-    gate = (_parse_gate(raw.get("gate"), units, "gate")
-            if kind in ("gate", "tomography") else None)
-    most = RECORD_BUDGET_BYTES // (DIM * DIM * 16)   # samples of a trajectory
-    if kind == "gate" and gate.n_samples > most:
-        _fail("gate.n_samples", f"the trajectory of {gate.n_samples} samples "
-              f"exceeds the {RECORD_BUDGET_BYTES / 2**30:g} GiB budget "
-              f"(at most {most})")
+    for fld, v in (("probe", probe), ("schedule", schedule), ("grid", grid)):
+        if v is None:
+            _fail(fld, f"required for {kind} experiments")
+    if kind == "xpm-double" and signal is None:
+        _fail("signal", "required for xpm-double experiments")
+    need = RECORDS_KEPT[kind] * grid.nt * grid.nz * 16 / 2**30
+    if need > RECORD_BUDGET_BYTES / 2**30:
+        _fail("grid", f"records need {need:.4g} GiB, above the "
+              f"{RECORD_BUDGET_BYTES / 2**30:g} GiB budget")
+    try:
+        check_window(probe, schedule, grid.t_max)
+    except ValueError as exc:
+        _fail("schedule", str(exc))
+    hold = schedule.hold_window()
+    if kind == "xpm-double" and hold is not None:
+        t = grid.t
+        n = int(np.count_nonzero((t >= hold[0]) & (t <= hold[1])))
+        if n < HOLD_SAMPLES:
+            _fail("grid", f"the hold [{hold[0]}, {hold[1]}] spans {n} "
+                  f"time samples; its quadrature needs {HOLD_SAMPLES}")
     return ExperimentConfig(kind=kind, name=name, ensemble=ensemble,
                             probe=probe, signal=signal,
                             signal_detuning=detuning, schedule=schedule,
-                            grid=grid, xpm_free=xpm_free, gate=gate,
-                            targets=targets)
-
-
-def _resolve_sweep_path(base: Dict[str, Any], path: str) -> None:
-    node: Any = base
-    parts = path.split(".")
-    for i, part in enumerate(parts[:-1]):
-        if not isinstance(node, Mapping) or part not in node:
-            _fail(f"base.{'.'.join(parts[:i + 1])}",
-                  f"sweep axis path {path!r} not found")
-        node = node[part]
-    if not isinstance(node, Mapping) or parts[-1] not in node:
-        _fail(f"base.{path}", f"sweep axis path {path!r} not found")
+                            grid=grid)
 
 
 def set_sweep_value(base: Dict[str, Any], path: str, value: float) -> Dict[str, Any]:
-    """``base`` with ``value`` at ``path``, as an int if it is integral
-    and replaces an int (so that grid.nt can be swept)."""
+    """``base`` with ``value`` at dot-path ``path``, as an int if it is
+    integral and replaces an int (so that grid.nt can be swept).  A path
+    that is not in ``base`` is refused at its first missing prefix."""
     out = copy.deepcopy(base)
-    node = out
     parts = path.split(".")
-    for part in parts[:-1]:
-        node = node[part]
-    old = node[parts[-1]]
-    if type(old) is int and float(value).is_integer():
+    node: Any = out
+    for i, part in enumerate(parts):
+        if not isinstance(node, Mapping) or part not in node:
+            _fail(f"base.{'.'.join(parts[:i + 1])}",
+                  f"sweep axis path {path!r} not found")
+        parent, node = node, node[part]
+    if type(node) is int and float(value).is_integer():
         value = int(value)
-    node[parts[-1]] = value
+    parent[parts[-1]] = value
     return out
 
 
@@ -436,35 +441,30 @@ def load_config(path: str, default_name: Optional[str] = None) -> ExperimentConf
         _fail(str(path), f"not valid YAML: {exc}")
     if raw is None:
         _fail(str(path), "config file is empty")
-    name = default_name
-    if name is None:
-        import os
-        name = os.path.splitext(os.path.basename(str(path)))[0]
+    name = Path(path).stem if default_name is None else default_name
     return parse_config(raw, default_name=name)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
-    """Canonical resolved form (gamma units, defaults filled).
+    """The sections cfg's kind reads, resolved: gamma units, defaults filled.
 
     parse_config(config_to_dict(cfg)) reproduces cfg exactly; the echo is
     written into every run summary.
     """
     out: Dict[str, Any] = {"experiment": cfg.kind, "name": cfg.name}
-    if cfg.kind == "sweep":
-        out["sweep"] = _echo(cfg.sweep)
-        out["base"] = copy.deepcopy(cfg.base)
-        return out
-    for fld, skip in (("ensemble", ()), ("probe", ()), ("signal", ()),
-                      ("grid", ("L",)), ("xpm_free", ())):
-        if getattr(cfg, fld) is not None:
-            out[fld] = _echo(getattr(cfg, fld), skip)
-    if cfg.signal is not None or cfg.kind in ("storage", "xpm-double"):
-        out["signal_detuning"] = cfg.signal_detuning
-    if cfg.schedule is not None:
-        out["schedule"] = [list(s) for s in cfg.schedule.segments]
-    if cfg.gate is not None:
-        out["gate"] = {**_echo(cfg.gate.params, _DERIVED),
-                       **_echo(cfg.gate, ("params",))}
-    if cfg.targets:
-        out["targets"] = {k: list(v) for k, v in cfg.targets.items()}
+    for key in SECTIONS[cfg.kind]:
+        v = getattr(cfg, key, None)   # no units: the echo is in gamma-units
+        if v is None:
+            continue
+        if key == "gate":
+            v = {**_echo(v.params, _DERIVED), **_echo(v, _GATE_SKIP[cfg.kind])}
+        elif key == "schedule":
+            v = [list(seg) for seg in v.segments]
+        elif key == "targets":
+            v = {k: list(pair) for k, pair in v.items()}
+        elif key in ("signal_detuning", "base"):
+            v = copy.deepcopy(v)
+        else:
+            v = _echo(v, ("L",) if key == "grid" else ())
+        out[key] = v
     return out

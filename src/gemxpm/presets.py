@@ -80,7 +80,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "ensemble": dict(_DOUBLE_ENSEMBLE),
         "probe": {"peak_amplitude": 1.0, "center_time": 2.5, "duration": 1.0},
         "signal": {"peak_amplitude": 1.0, "center_time": 6.0, "duration": 1.0},
-        "signal_detuning": "delta4",
         "schedule": [[0.0, 11.0, _TWO_PI], [11.0, 21.0, 0.0],
                      [21.0, 34.0, -_TWO_PI]],
         "grid": {"nz": 256, "nt": 8192, "t_max": 34.0},

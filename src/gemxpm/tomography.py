@@ -28,6 +28,8 @@ from .gate import (DIM, HILBERT, GateParams, apply_propagator,
                    propagator, two_qubit_block)
 
 QUBIT_DIM = 4
+#: Largest leakage of a pure input tomography accepts (else LeakageError).
+LEAKAGE_LIMIT = 0.2
 #: Full-space indices of the two-qubit basis (s-major ordering
 #: |0s,1>, |0s,2>, |1s,1>, |1s,2>), all with zero p photons.
 _EMBED = tuple(HILBERT.index(level, 0, n_s)
@@ -75,8 +77,7 @@ class TwoQubitChannel:
 
 
 def channel_from_gate(params: GateParams, t_gate: float, *,
-                      renormalize: str = "global",
-                      leakage_limit: float = 0.2) -> TwoQubitChannel:
+                      renormalize: str = "global") -> TwoQubitChannel:
     """Tomograph the gate channel at interaction time ``t_gate``.
 
     One dense propagator P = exp(L*t_gate) maps each embedded operator X
@@ -99,7 +100,7 @@ def channel_from_gate(params: GateParams, t_gate: float, *,
     * "none": keep the honest trace-decreasing compression.
 
     Raises LeakageError when some pure input leaves more than
-    ``leakage_limit`` of its weight outside the qubit subspace.
+    ``LEAKAGE_LIMIT`` of its weight outside the qubit subspace.
     """
     if t_gate <= 0:
         raise ValueError("t_gate must be positive")
@@ -121,11 +122,11 @@ def channel_from_gate(params: GateParams, t_gate: float, *,
                for i in range(QUBIT_DIM)}
     worst = 1.0 - float(np.linalg.eigvalsh(
         0.5 * (survival + survival.conj().T)).min())
-    if worst > leakage_limit:
+    if worst > LEAKAGE_LIMIT:
         report = ", ".join(f"{k}: {v:.3f}" for k, v in leakage.items())
         raise LeakageError(
             f"channel leaks up to {worst:.1%} of a pure input out of the "
-            f"qubit subspace (limit {leakage_limit:.0%}); basis-input "
+            f"qubit subspace (limit {LEAKAGE_LIMIT:.0%}); basis-input "
             f"leakage: {report}", leakage_report=leakage)
     if renormalize == "global":
         mean_survival = np.mean(survival.diagonal().real)

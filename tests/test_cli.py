@@ -12,8 +12,8 @@ import yaml
 import gemxpm
 from gemxpm import apply_stark_drive, propagate
 from gemxpm.cli import _RUNNERS, _run_storage, main, run, run_config
-from gemxpm.config import (RECORDS_KEPT, config_to_dict, parse_config,
-                           set_sweep_value)
+from gemxpm.config import (RECORDS_KEPT, SECTIONS, config_to_dict,
+                           parse_config, set_sweep_value)
 from gemxpm.errors import ConfigError
 from gemxpm.presets import get_preset, preset_names
 from gemxpm.reporting import ResultTable, choi_export, csv_body, format_float
@@ -177,20 +177,49 @@ class TestConfigValidation:
          2, "config error at 'gate.n_samples': the trajectory of 1000000000 "
             "samples exceeds the 2 GiB budget (at most 171196)"),
         (dict(STORAGE_CONFIG, targets={"phi_mrad": [0.0, 1.0]}),
-         2, "config error at 'targets': storage experiments check no"),
+         2, "config error at 'targets': storage experiments do not read"),
         (dict(STORAGE_CONFIG, experiment="xpm-double", signal=SIGNAL,
               targets={"phi_mrad": [0.0, 1.0]}),
-         2, "config error at 'targets': xpm-double experiments check no"),
+         2, "config error at 'targets': xpm-double experiments do not read"),
         ({"experiment": "xpm-free", "xpm_free": {"omega_s": [1.0], "tau": 1.0},
           "targets": {"phi_mrad": [0.0, 1.0]}},
-         2, "config error at 'targets': xpm-free experiments check no"),
+         2, "config error at 'targets': xpm-free experiments do not read"),
         ({"experiment": "sweep", "targets": {"phi_mrad": [0.0, 1.0]},
           "sweep": {"path": "gate.t_gate", "values": [5.0, 15.0]},
           "base": {"experiment": "tomography", "gate": {"t_gate": 15.0}}},
-         2, "config error at 'targets': sweep experiments check no"),
+         2, "config error at 'targets': sweep experiments do not read"),
         ({"experiment": "gate", "gate": {"n_samples": 2},
           "targets": {"process_fidelity": [0.75, 0.95]}},
          2, "config error at 'targets.process_fidelity': unknown key"),
+        (dict(STORAGE_CONFIG, gate="garbage", xpm_free=[1, "x"]),
+         2, "config error at 'gate': storage experiments do not read"),
+        ({"experiment": "gate", "gate": {"n_samples": 2},
+          "probe": STORAGE_CONFIG["probe"], "grid": STORAGE_CONFIG["grid"],
+          "schedule": STORAGE_CONFIG["schedule"]},
+         2, "config error at 'grid': gate experiments do not read"),
+        (dict(STORAGE_CONFIG, experiment="xpm-double", signal=SIGNAL,
+              signal_detuning="delta3",
+              schedule=[[0.0, 8.0, 8.0], [8.0, 12.0, 0.0],
+                        [12.0, 20.0, -8.0]],
+              grid={"nz": 32, "nt": 512, "t_max": 20.0}),
+         2, "config error at 'signal_detuning': xpm-double experiments do "
+            "not read"),
+        (dict(STORAGE_CONFIG, signal_detuning="delta4"),
+         2, "config error at 'signal_detuning': this config has no signal"),
+        ({"experiment": "tomography", "gate": {"n_samples": 1000000000}},
+         2, "config error at 'gate.n_samples': unknown key"),
+        ({"experiment": "gate", "gate": {"n_samples": 2, "t_gate": 5.0}},
+         2, "config error at 'gate.t_gate': unknown key"),
+        ({"experiment": "sweep", "units": {"system": "lab", "gamma": 2.0},
+          "sweep": {"path": "xpm_free.tau", "values": [1.0]},
+          "base": {"experiment": "xpm-free",
+                   "xpm_free": {"omega_s": [1.0], "tau": 1.0}}},
+         2, "config error at 'units': sweep experiments do not read"),
+        ({"experiment": "sweep",
+          "sweep": {"path": "ensemble.delta3", "values": [100.0, 400.0]},
+          "base": {"experiment": "tomography", "ensemble": {"delta3": 400.0},
+                   "gate": {"t_gate": 15.0}}},
+         2, "config error at 'ensemble': tomography experiments do not read"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
@@ -199,7 +228,11 @@ class TestConfigValidation:
             "pooled_sweep_t_gate_negative", "pooled_sweep_unstable",
             "sweep_nt_fractional", "gate_n_samples_over_budget",
             "storage_targets", "xpm_double_targets", "xpm_free_targets",
-            "sweep_targets", "gate_process_fidelity_target"])
+            "sweep_targets", "gate_process_fidelity_target",
+            "storage_gate_sections", "gate_storage_sections",
+            "xpm_double_signal_detuning", "signal_detuning_without_signal",
+            "tomography_n_samples", "gate_t_gate", "sweep_units",
+            "tomography_base_ensemble_axis"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
@@ -257,6 +290,18 @@ class TestRoundTrip:
         echoed = config_to_dict(cfg)
         again = parse_config(echoed, default_name=preset)
         assert again == cfg
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_preset_echoes_only_what_its_kind_reads(self, preset):
+        # a gate trace reads no t_gate or renormalize, tomography no t_end
+        # or n_samples, and neither reads an ensemble
+        other_gate_kind = {"gate": {"t_gate", "renormalize"},
+                           "tomography": {"t_end", "n_samples"}}
+        cfg = parse_config(get_preset(preset), default_name=preset)
+        echoed = config_to_dict(cfg)
+        assert set(echoed) <= {"experiment", "name", *SECTIONS[cfg.kind]}
+        assert not set(echoed.get("gate", {})) & other_gate_kind.get(
+            cfg.kind, set())
 
     def test_storage_roundtrip(self):
         cfg = parse_config(STORAGE_CONFIG)

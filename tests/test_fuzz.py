@@ -2,11 +2,16 @@
 
 Each example is a plausible storage, xpm-free or xpm-double config with
 up to three random edits: a value replaced by anything YAML can hold, a
-key deleted, or an unknown key added.  Sweep examples wrap such a config
-and sweep one of its numeric leaves over one to four values.  Every
-config must either run (exit 0) or be refused with exit 2 (config) or 3
-(numerical/I/O); no exception may escape ``main``.  Grids stay at
-nz, nt <= 32, so every run is small.
+key deleted, or an unknown key added (at the top level, often a section
+another kind reads).  Sweep examples wrap such a config and sweep one of
+its numeric leaves over one to four values.  Every config must either run
+(exit 0) or be refused with exit 2 (config) or 3 (numerical/I/O); no
+exception may escape ``main``.  Grids stay at nz, nt <= 32, so every run
+is small.
+
+Gate and tomography configs, and sweeps over them, are edited the same
+way but only parsed: ``parse_config`` must return or raise ConfigError.
+One gate run costs about a second, too much for a fuzz.
 """
 
 import os
@@ -17,6 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gemxpm.cli import main
+from gemxpm.config import SECTIONS, parse_config, set_sweep_value
+from gemxpm.errors import ConfigError
 
 # Values of any type the YAML loader can produce, including NaN, inf,
 # huge integers and wrong types.
@@ -28,6 +35,8 @@ WILD = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
 # Grid sizes are fuzzed in type and sign but never above 32.
 SMALL = st.one_of(st.integers(-2, 32), st.floats(-2.0, 32.0), st.booleans(),
                   st.none(), st.text(max_size=3))
+# Every top-level section some experiment kind reads.
+SECTION_NAMES = sorted({key for keys in SECTIONS.values() for key in keys})
 
 
 ENSEMBLE = st.fixed_dictionaries({}, optional={
@@ -99,9 +108,21 @@ def slots(node, out):
     return out
 
 
-@st.composite
-def configs(draw):
-    cfg = draw(st.one_of(storage(), xpm_double(), XPM_FREE))
+GATE = st.fixed_dictionaries({}, optional={
+    "gamma": st.floats(0.0, 2.0), "OmegaC": st.floats(0.0, 40.0),
+    "OmegaCPrime": st.floats(0.0, 40.0), "Delta": st.floats(-900.0, 900.0),
+    "DeltaPrime": st.floats(-900.0, 900.0), "delta4": st.floats(-40.0, 40.0),
+    "g": st.floats(0.0, 1.0), "N": st.floats(0.0, 1.0e8),
+    "stored_signal_coupling": st.booleans(), "t_end": st.floats(0.0, 30.0),
+    "n_samples": st.integers(0, 300), "t_gate": st.floats(0.0, 30.0),
+    "renormalize": st.sampled_from(["global", "none"])})
+INTERVAL = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)
+TARGETS = st.fixed_dictionaries({}, optional={"phi_mrad": INTERVAL,
+                                              "process_fidelity": INTERVAL})
+
+
+def edited(draw, cfg):
+    """``cfg`` after up to three random edits."""
     for _ in range(draw(st.integers(0, 3))):
         if not cfg:
             break
@@ -115,9 +136,26 @@ def configs(draw):
         if edit == "add":
             if not isinstance(node, dict):
                 continue
-            key = draw(st.text(max_size=3))
+            key = draw(st.sampled_from(SECTION_NAMES) | st.text(max_size=3)
+                       if node is cfg else st.text(max_size=3))
         node[key] = draw(SMALL if key in ("nz", "nt") else WILD)
     return cfg
+
+
+@st.composite
+def configs(draw):
+    return edited(draw, draw(st.one_of(storage(), xpm_double(), XPM_FREE)))
+
+
+@st.composite
+def gate_configs(draw):
+    cfg = {"experiment": draw(st.sampled_from(["gate", "tomography"])),
+           "gate": draw(GATE)}
+    if draw(st.booleans()):
+        cfg["targets"] = draw(TARGETS)
+    if draw(st.booleans()):
+        cfg["units"] = {"system": "lab", "gamma": draw(st.floats(0.5, 2.0))}
+    return edited(draw, cfg)
 
 
 def numeric_leaves(node, prefix=""):
@@ -133,8 +171,8 @@ def numeric_leaves(node, prefix=""):
 
 
 @st.composite
-def sweeps(draw):
-    base = draw(configs())
+def sweeps(draw, bases=configs()):
+    base = draw(bases)
     leaves = numeric_leaves(base) if isinstance(base, dict) else []
     path = draw(st.sampled_from(leaves)) if leaves else "probe.peak_amplitude"
     # grid sizes stay small here too
@@ -167,3 +205,21 @@ def test_every_config_runs_or_is_refused(cfg):
 @given(sweeps())
 def test_every_sweep_runs_or_is_refused(cfg):
     assert run_main(cfg) in (0, 2, 3)
+
+
+def parse_all(raw):
+    """The parsing a run does: the config, and each point of a sweep."""
+    cfg = parse_config(raw)
+    if cfg.kind == "sweep":
+        for value in cfg.sweep.values:
+            parse_config(set_sweep_value(cfg.base, cfg.sweep.path, value))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(gate_configs(), sweeps(gate_configs())))
+def test_every_gate_config_parses_or_is_refused(cfg):
+    try:
+        parse_all(cfg)
+    except ConfigError:
+        pass
