@@ -8,14 +8,16 @@ Commands:
     gemxpm presets  show <name>
     gemxpm presets  run <name> [--out DIR] ...
 
-Exit codes: 0 success, 2 config error, 3 numerical or I/O failure.
-Every run writes a CSV table (figure data) and a JSON summary carrying
-the fully resolved config and provenance.  Every solver here is
-deterministic, so a config fully determines its outputs.
+Exit codes: 0 success, 2 config error, 3 numerical or I/O failure.  Every
+command loads its config through ``parse_config``, which also parses a
+sweep's points and checks a double-storage protocol, so exit 2 comes
+before any solve.  Every run writes a CSV table (figure data) and a JSON
+summary carrying the fully resolved config and provenance.  Every solver
+here is deterministic, so a config fully determines its outputs.
 
-A sweep parses all its points first.  Storage points on one ensemble,
-schedule and grid form one group and march as one exit-only batch; any
-other point is a group of its own.  ``--workers`` maps over the groups.
+Storage points of a sweep on one ensemble, schedule and grid form one
+group and march as one exit-only batch; any other point is a group of its
+own.  ``--workers`` maps over the groups.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import yaml
 
 from . import __version__
 from .config import (ExperimentConfig, config_to_dict, load_config,
-                     parse_config, set_sweep_value)
+                     parse_config)
 from .errors import ConfigError, GemXpmError
 from .gate import phase_trace
 from .gem import (StarkDrive, apply_stark_drive, excitation_balance,
@@ -224,8 +226,7 @@ def _run_gate(cfg: ExperimentConfig):
 def _run_tomography(cfg: ExperimentConfig):
     gate = cfg.gate
     params = gate.effective_params()
-    channel = channel_from_gate(params, gate.t_gate,
-                                renormalize=gate.renormalize)
+    channel = channel_from_gate(params, gate.t_gate)
     chi = choi_matrix(channel)
     phi = channel.phase
     candidates = {
@@ -292,9 +293,7 @@ def _sweep_group(job: Tuple[str, List[ExperimentConfig]]) -> List[Scalars]:
 
 
 def _run_sweep(cfg: ExperimentConfig, workers: int):
-    values = cfg.sweep.values
-    points = [parse_config(set_sweep_value(cfg.base, cfg.sweep.path, v),
-                           default_name="sweep_point") for v in values]
+    values, points = cfg.sweep.values, cfg.points
     groups: Dict[Any, List[int]] = {}   # point indices by group
     for i, p in enumerate(points):
         key = (p.ensemble, p.schedule, p.grid) if p.kind == "storage" else i
@@ -355,22 +354,10 @@ def run_config(cfg: ExperimentConfig, out_dir: Path,
     return paths
 
 
-def run(config_path: str, out_dir: str = "out", workers: int = 1) -> int:
-    """CLI core: load, validate, execute, write outputs, map exit codes."""
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _execute(cfg, out_dir, workers)
-
-
 def _execute(cfg: ExperimentConfig, out_dir: str, workers: int) -> int:
+    """Run a loaded config and map its failures to exit 3."""
     try:
         paths = run_config(cfg, Path(out_dir), workers=workers)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (GemXpmError, OSError, MemoryError, ArithmeticError) as exc:
         where = f" at {exc.sweep_group}" if hasattr(exc, "sweep_group") else ""
         print(f"error: {cfg.kind} config '{cfg.name}'{where}: "
@@ -426,15 +413,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.action == "show":
             print(yaml.safe_dump(preset, sort_keys=False).rstrip())
             return 0
-        try:
-            cfg = parse_config(preset, default_name=args.name)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return _execute(cfg, args.out, args.workers)
 
     try:
-        cfg = load_config(args.config)
+        cfg = (parse_config(preset, default_name=args.name)
+               if args.command == "presets" else load_config(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,11 +25,11 @@ from typing import Any, Dict, Literal, Mapping, Optional, Sequence, Tuple
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 from .gate import DIM, GateParams
 from .gem import check_window
 from .model import EnsembleParams, GradientSchedule, Grid, PulseSpec
-from .xpm import HOLD_SAMPLES
+from .xpm import HOLD_SAMPLES, check_protocol
 
 #: The top-level sections each experiment kind reads, besides experiment
 #: and name: a config that sets any other is refused, and only these echo.
@@ -54,8 +54,8 @@ _TIMES = frozenset(("center_time", "duration", "t_max", "tau", "t_end",
 #: GateParams fields derived from g and N, never read from a config.
 _DERIVED = ("g13", "g24", "g1p3p")
 #: GateRunSpec fields a gate trace (t_end, n_samples) or a tomography run
-#: (t_gate, renormalize) does not read.
-_GATE_SKIP = {"gate": ("params", "t_gate", "renormalize"),
+#: (t_gate) does not read.
+_GATE_SKIP = {"gate": ("params", "t_gate"),
               "tomography": ("params", "t_end", "n_samples")}
 
 #: Bytes the records of one run may take: the (nt, nz) complex storage
@@ -82,7 +82,6 @@ class GateRunSpec:
     t_end: float = 15.0
     n_samples: int = 151
     t_gate: float = 15.0
-    renormalize: Literal["global", "none"] = "global"
 
     def __post_init__(self):
         for name in ("t_end", "t_gate"):
@@ -119,6 +118,7 @@ class ExperimentConfig:
     targets: Optional[Dict[str, Tuple[float, float]]] = None
     sweep: Optional[SweepSpec] = None
     base: Optional[Dict[str, Any]] = None
+    points: Tuple["ExperimentConfig", ...] = ()   # a sweep's, in value order
 
 
 def _fail(path: str, msg: str) -> None:
@@ -347,10 +347,18 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
         if raw.get("base") is None:
             _fail("base", "sweeps need a base experiment config")
         base = dict(_expect_mapping(raw["base"], "base"))
-        if parse_config(base, default_name=f"{name}_point").kind == "sweep":
+        if base.get("experiment") == "sweep":
             _fail("base.experiment", "nested sweeps are not supported")
-        set_sweep_value(base, sweep.path, sweep.values[0])   # refuse bad axes
-        return ExperimentConfig(kind=kind, name=name, sweep=sweep, base=base)
+        points = []
+        for value in sweep.values:
+            point = set_sweep_value(base, sweep.path, value)
+            try:
+                points.append(parse_config(point, f"{name}_point"))
+            except ConfigError as exc:   # at its path in the file
+                raise ConfigError(f"base.{exc.path}", f"{exc.args[1]} "
+                                  f"(sweep value {value!r})") from None
+        return ExperimentConfig(kind=kind, name=name, sweep=sweep, base=base,
+                                points=tuple(points))
 
     if kind in ("gate", "tomography"):
         gate = _parse_gate(raw.get("gate"), units, "gate", _GATE_SKIP[kind])
@@ -396,11 +404,13 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
         _fail("grid", f"records need {need:.4g} GiB, above the "
               f"{RECORD_BUDGET_BYTES / 2**30:g} GiB budget")
     try:
-        check_window(probe, schedule, grid.t_max)
-    except ValueError as exc:
+        if kind == "xpm-double":
+            hold = check_protocol(probe, signal, schedule, grid.t_max)[1]
+        else:
+            check_window(probe, schedule, grid.t_max)
+    except (ValueError, ProtocolError) as exc:
         _fail("schedule", str(exc))
-    hold = schedule.hold_window()
-    if kind == "xpm-double" and hold is not None:
+    if kind == "xpm-double":
         t = grid.t
         n = int(np.count_nonzero((t >= hold[0]) & (t <= hold[1])))
         if n < HOLD_SAMPLES:

@@ -5,11 +5,12 @@ qubit {|1>, |2>}) through the full 28-dimensional master equation: embed
 with no p photon and empty primed levels, evolve for the gate time with
 the exact propagator, trace out the p mode, and project the atomic sector
 back onto {|1>, |2>}.  Weight lost from the qubit subspace is reported as
-leakage, and the map is optionally renormalised by one global factor.
+leakage; the map itself stays trace-decreasing.
 
-The Choi matrix is normalised as a state (trace one):
+The Choi matrix is normalised as a state (trace one) by the channel's mean
+basis survival s:
 
-    chi = (1/4) * sum_ij |i><j| (x) Lambda(|i><j|),
+    chi = (1/(4 s)) * sum_ij |i><j| (x) Lambda(|i><j|),
 
 so the process fidelity against an ideal gate is the state overlap
 Tr(chi_ideal . chi) in [0, 1].
@@ -46,6 +47,7 @@ class TwoQubitChannel:
     leakage: Optional[Dict[str, float]] = None   # per basis input e0..e3
     max_leakage: float = 0.0        # worst case over all pure inputs
     phase: Optional[float] = None   # conditional phase of initial_state()
+    mean_survival: float = 1.0      # mean Tr Lambda(|i><i|) over e0..e3
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         m = np.asarray(m, dtype=complex)
@@ -76,8 +78,7 @@ class TwoQubitChannel:
         return cls.from_unitary(np.eye(QUBIT_DIM))
 
 
-def channel_from_gate(params: GateParams, t_gate: float, *,
-                      renormalize: str = "global") -> TwoQubitChannel:
+def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
     """Tomograph the gate channel at interaction time ``t_gate``.
 
     One dense propagator P = exp(L*t_gate) maps each embedded operator X
@@ -89,23 +90,15 @@ def channel_from_gate(params: GateParams, t_gate: float, *,
 
     Leakage comes from the survival matrix S[j, i] = Tr Lambda(|i><j|),
     with Tr Lambda(rho) = Tr(S rho): ``leakage`` holds 1 - S[i, i] for the
-    four basis inputs e0..e3, and ``max_leakage`` the worst case over every
-    pure input, 1 - lambda_min((S + S^dagger)/2).
-
-    ``renormalize`` selects the leakage handling:
-
-    * "global": divide every image by the mean survival weight of the four
-      basis states.  A uniform positive factor keeps the map completely
-      positive and the Choi trace exactly one.
-    * "none": keep the honest trace-decreasing compression.
+    four basis inputs e0..e3, ``max_leakage`` the worst case over every
+    pure input, 1 - lambda_min((S + S^dagger)/2), and ``mean_survival`` the
+    mean of S[i, i].  The images are the honest trace-decreasing map.
 
     Raises LeakageError when some pure input leaves more than
     ``LEAKAGE_LIMIT`` of its weight outside the qubit subspace.
     """
     if t_gate <= 0:
         raise ValueError("t_gate must be positive")
-    if renormalize not in ("global", "none"):
-        raise ValueError(f"unknown renormalize mode {renormalize!r}")
     prop = propagator(build_hamiltonian(params), params.gamma, t_gate)
     embed = np.ix_(_EMBED, _EMBED)
 
@@ -128,13 +121,11 @@ def channel_from_gate(params: GateParams, t_gate: float, *,
             f"channel leaks up to {worst:.1%} of a pure input out of the "
             f"qubit subspace (limit {LEAKAGE_LIMIT:.0%}); basis-input "
             f"leakage: {report}", leakage_report=leakage)
-    if renormalize == "global":
-        mean_survival = np.mean(survival.diagonal().real)
-        if mean_survival > 0.0:
-            images = images / mean_survival
     phase = conditional_phase(apply_propagator(prop, initial_state()))
     return TwoQubitChannel(images=images, t_gate=t_gate, leakage=leakage,
-                           max_leakage=worst, phase=phase)
+                           max_leakage=worst, phase=phase,
+                           mean_survival=float(np.mean(
+                               survival.diagonal().real)))
 
 
 @dataclass(frozen=True)
@@ -188,10 +179,13 @@ def _make_report(chi: np.ndarray, max_leakage: float) -> CptpReport:
 def choi_matrix(channel: TwoQubitChannel) -> ChoiMatrix:
     """Assemble the unit-trace Choi state of ``channel``.
 
-    CPTP violations are reported in the attached diagnostics, never
-    raised, so lossy channels stay inspectable.
+    The images are divided by the channel's mean basis survival: one
+    uniform positive factor, so the state stays completely positive and
+    has trace one.  CPTP violations are reported in the attached
+    diagnostics, never raised, so lossy channels stay inspectable.
     """
-    chi = 0.25 * channel.images.transpose(0, 2, 1, 3).reshape(16, 16)
+    images = channel.images / channel.mean_survival
+    chi = 0.25 * images.transpose(0, 2, 1, 3).reshape(16, 16)
     return ChoiMatrix(chi=chi, report=_make_report(chi, channel.max_leakage))
 
 

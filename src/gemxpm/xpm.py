@@ -279,6 +279,27 @@ def _require(cond: bool, why: str) -> None:
             "recall gradient")
 
 
+def check_protocol(probe: PulseSpec, signal: PulseSpec,
+                   schedule: GradientSchedule, t_max: float
+                   ) -> Tuple[float, Tuple[float, float]]:
+    """(recall flip, hold (tau1, tau2)) of a double-storage run on
+    [0, t_max]; ValueError from ``check_window``, or ProtocolError when
+    the schedule and pulses do not follow the protocol."""
+    flip = check_window(probe, schedule, t_max)
+    hold = schedule.hold_window()
+    _require(hold is not None, "schedule has no eta = 0 hold segment")
+    tau1, tau2 = hold
+    _require(flip is not None, "schedule has no recall sign flip")
+    _require(flip >= tau2 - 1e-12, "recall must not precede the hold")
+    _require(probe.center_time < signal.center_time,
+             "probe must precede the signal")
+    _require(signal.center_time + 2.0 * signal.duration <= tau1,
+             "signal pulse must be stored before the hold starts")
+    _require(probe.center_time + 2.0 * probe.duration <= tau1,
+             "probe pulse must be stored before the hold starts")
+    return flip, hold
+
+
 def double_storage_run(params: EnsembleParams, probe: PulseSpec,
                        signal: PulseSpec, schedule: GradientSchedule,
                        grid: Grid) -> DoubleStorageResult:
@@ -294,18 +315,7 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     Returns the recalled-probe phase relative to a signal-free reference
     run, the surviving coherence fraction, and both coherence records.
     """
-    flip = check_window(probe, schedule, grid.t_max)
-    hold = schedule.hold_window()
-    _require(hold is not None, "schedule has no eta = 0 hold segment")
-    tau1, tau2 = hold
-    _require(flip is not None, "schedule has no recall sign flip")
-    _require(flip >= tau2 - 1e-12, "recall must not precede the hold")
-    _require(probe.center_time < signal.center_time,
-             "probe must precede the signal")
-    _require(signal.center_time + 2.0 * signal.duration <= tau1,
-             "signal pulse must be stored before the hold starts")
-    _require(probe.center_time + 2.0 * probe.duration <= tau1,
-             "probe pulse must be stored before the hold starts")
+    flip, (tau1, tau2) = check_protocol(probe, signal, schedule, grid.t_max)
 
     denom = params.gamma * params.gamma + params.delta4 * params.delta4
     c_shift, c_loss = params.delta4 / denom, params.gamma / denom

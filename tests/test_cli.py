@@ -11,7 +11,7 @@ import yaml
 
 import gemxpm
 from gemxpm import apply_stark_drive, propagate
-from gemxpm.cli import _RUNNERS, _run_storage, main, run, run_config
+from gemxpm.cli import _RUNNERS, _run_storage, main, run_config
 from gemxpm.config import (RECORDS_KEPT, SECTIONS, config_to_dict,
                            parse_config, set_sweep_value)
 from gemxpm.errors import ConfigError
@@ -28,6 +28,10 @@ STORAGE_CONFIG = {
     "grid": {"nz": 96, "nt": 2048, "t_max": 20.0},
 }
 SIGNAL = {"peak_amplitude": 0.5, "center_time": 6.0, "duration": 1.0}
+XPM_DOUBLE = dict(STORAGE_CONFIG, experiment="xpm-double", signal=SIGNAL,
+                  schedule=[[0.0, 8.0, 8.0], [8.0, 12.0, 0.0],
+                            [12.0, 20.0, -8.0]],
+                  grid={"nz": 32, "nt": 512, "t_max": 20.0})
 
 
 def write_yaml(tmp_path, payload, name="cfg.yaml"):
@@ -47,12 +51,13 @@ class TestConfigValidation:
     def test_empty_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "empty.yaml"
         p.write_text("", encoding="utf-8")
-        code = run(str(p), out_dir=str(tmp_path / "out"))
+        code = main(["simulate", str(p), "--out", str(tmp_path / "out")])
         assert code == 2
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_2(self, tmp_path):
-        assert run(str(tmp_path / "nope.yaml"), out_dir=str(tmp_path)) == 2
+        assert main(["simulate", str(tmp_path / "nope.yaml"),
+                     "--out", str(tmp_path)]) == 2
 
     def test_unknown_key_rejected_with_path(self):
         bad = dict(STORAGE_CONFIG, typo_key=1)
@@ -86,23 +91,23 @@ class TestConfigValidation:
 
     def test_gate_dt_refused(self, tmp_path, capsys):
         cfg = {"experiment": "gate", "gate": {"dt": 0.01}}
-        assert run(write_yaml(tmp_path, cfg),
-                   out_dir=str(tmp_path / "out")) == 2
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 2
         assert "gate.dt" in capsys.readouterr().err
 
     def test_per_input_renormalisation_refused(self, tmp_path, capsys):
         cfg = {"experiment": "tomography",
                "gate": {"renormalize": "per-input"}}
-        assert run(write_yaml(tmp_path, cfg),
-                   out_dir=str(tmp_path / "out")) == 2
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 2
         assert "gate.renormalize" in capsys.readouterr().err
 
     def test_zero_raman_detuning_refused(self, tmp_path, capsys):
         for key in ("Delta", "DeltaPrime"):
             cfg = dict(STORAGE_CONFIG,
                        ensemble=dict(STORAGE_CONFIG["ensemble"], **{key: 0.0}))
-            assert run(write_yaml(tmp_path, cfg),
-                       out_dir=str(tmp_path / "out")) == 2
+            assert main(["simulate", write_yaml(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
             assert f"'ensemble': {key} must be nonzero" in err
 
@@ -137,7 +142,7 @@ class TestConfigValidation:
         ({"experiment": "sweep",
           "sweep": {"path": "gate.t_gate", "values": [-1.0]},
           "base": {"experiment": "tomography", "gate": {"t_gate": 15.0}}},
-         2, "config error at 'gate': t_gate must be positive"),
+         2, "config error at 'base.gate': t_gate must be positive"),
         ({"experiment": "gate", "gate": {"gamma": math.nan, "n_samples": 2}},
          2, "config error at 'gate.gamma': expected a finite number"),
         ({"experiment": "gate", "gate": {"t_end": math.nan, "n_samples": 2}},
@@ -162,7 +167,7 @@ class TestConfigValidation:
         ({"experiment": "sweep",
           "sweep": {"path": "gate.t_gate", "values": [-1.0, -2.0]},
           "base": {"experiment": "tomography", "gate": {"t_gate": 15.0}}},
-         2, "config error at 'gate': t_gate must be positive"),
+         2, "config error at 'base.gate': t_gate must be positive"),
         ({"experiment": "sweep",
           "sweep": {"path": "grid.t_max", "values": [20.0, 19.0]},
           "base": dict(STORAGE_CONFIG,
@@ -172,7 +177,7 @@ class TestConfigValidation:
         ({"experiment": "sweep",
           "sweep": {"path": "grid.nt", "values": [64.5]},
           "base": STORAGE_CONFIG},
-         2, "config error at 'grid.nt': expected an integer, got 64.5"),
+         2, "config error at 'base.grid.nt': expected an integer, got 64.5"),
         ({"experiment": "gate", "gate": {"n_samples": 1000000000}},
          2, "config error at 'gate.n_samples': the trajectory of 1000000000 "
             "samples exceeds the 2 GiB budget (at most 171196)"),
@@ -219,7 +224,24 @@ class TestConfigValidation:
           "sweep": {"path": "ensemble.delta3", "values": [100.0, 400.0]},
           "base": {"experiment": "tomography", "ensemble": {"delta3": 400.0},
                    "gate": {"t_gate": 15.0}}},
-         2, "config error at 'ensemble': tomography experiments do not read"),
+         2, "config error at 'base.ensemble': tomography experiments do not "
+            "read"),
+        ({"experiment": "tomography",
+          "gate": {"renormalize": "none", "stored_signal_coupling": True}},
+         2, "config error at 'gate.renormalize': unknown key"),
+        (dict(XPM_DOUBLE, schedule=[[0.0, 9.0, 8.0], [9.0, 20.0, -8.0]]),
+         2, "config error at 'schedule': schedule has no eta = 0 hold"),
+        (dict(XPM_DOUBLE, schedule=[[0.0, 8.0, 8.0], [8.0, 12.0, 0.0],
+                                    [12.0, 20.0, 8.0]]),
+         2, "config error at 'schedule': schedule has no recall sign flip"),
+        (dict(XPM_DOUBLE, probe={"peak_amplitude": 1.0, "center_time": 6.5,
+                                 "duration": 0.5}),
+         2, "config error at 'schedule': probe must precede the signal"),
+        ({"experiment": "sweep",
+          "sweep": {"path": "gate.t_gate", "values": [15, -1]},
+          "base": {"experiment": "tomography", "gate": {"t_gate": 15.0}}},
+         2, "config error at 'base.gate': t_gate must be positive and finite, "
+            "got -1.0 (sweep value -1.0)"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
@@ -232,7 +254,9 @@ class TestConfigValidation:
             "storage_gate_sections", "gate_storage_sections",
             "xpm_double_signal_detuning", "signal_detuning_without_signal",
             "tomography_n_samples", "gate_t_gate", "sweep_units",
-            "tomography_base_ensemble_axis"])
+            "tomography_base_ensemble_axis", "tomography_renormalize_none",
+            "xpm_double_no_hold", "xpm_double_no_recall",
+            "xpm_double_probe_after_signal", "sweep_second_value_bad"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
@@ -293,9 +317,9 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("preset", preset_names())
     def test_preset_echoes_only_what_its_kind_reads(self, preset):
-        # a gate trace reads no t_gate or renormalize, tomography no t_end
-        # or n_samples, and neither reads an ensemble
-        other_gate_kind = {"gate": {"t_gate", "renormalize"},
+        # a gate trace reads no t_gate, tomography no t_end or n_samples,
+        # and neither reads an ensemble
+        other_gate_kind = {"gate": {"t_gate"},
                            "tomography": {"t_end", "n_samples"}}
         cfg = parse_config(get_preset(preset), default_name=preset)
         echoed = config_to_dict(cfg)
@@ -310,8 +334,8 @@ class TestRoundTrip:
 
 class TestRunStorage:
     def test_run_writes_outputs(self, tmp_path):
-        code = run(write_yaml(tmp_path, STORAGE_CONFIG),
-                   out_dir=str(tmp_path / "out"))
+        code = main(["simulate", write_yaml(tmp_path, STORAGE_CONFIG),
+                     "--out", str(tmp_path / "out")])
         assert code == 0
         csv = tmp_path / "out" / "small_storage.csv"
         summary = tmp_path / "out" / "small_storage.summary.json"
@@ -325,8 +349,8 @@ class TestRunStorage:
 
     def test_determinism_byte_identical_bodies(self, tmp_path):
         cfg = write_yaml(tmp_path, STORAGE_CONFIG)
-        assert run(cfg, out_dir=str(tmp_path / "a")) == 0
-        assert run(cfg, out_dir=str(tmp_path / "b")) == 0
+        assert main(["simulate", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(["simulate", cfg, "--out", str(tmp_path / "b")]) == 0
         body_a = csv_body(tmp_path / "a" / "small_storage.csv")
         body_b = csv_body(tmp_path / "b" / "small_storage.csv")
         assert body_a == body_b
@@ -373,7 +397,8 @@ class TestRunStorage:
         bad = dict(STORAGE_CONFIG,
                    schedule=[[0.0, 9.0, 500.0], [9.0, 20.0, -500.0]],
                    grid={"nz": 32, "nt": 64, "t_max": 20.0})
-        code = run(write_yaml(tmp_path, bad), out_dir=str(tmp_path / "out"))
+        code = main(["simulate", write_yaml(tmp_path, bad),
+                     "--out", str(tmp_path / "out")])
         assert code == 3
 
     @pytest.mark.parametrize("cfg, where", [
@@ -449,10 +474,12 @@ class TestSweep:
             "sweep": {"path": "probe.peak_amplitude", "values": [1.0]},
             "base": dict(STORAGE_CONFIG),
         }
-        assert run(write_yaml(tmp_path, sweep_cfg, "sweep.yaml"),
-                   out_dir=str(tmp_path / "s")) == 0
-        assert run(write_yaml(tmp_path, STORAGE_CONFIG, "single.yaml"),
-                   out_dir=str(tmp_path / "p")) == 0
+        assert main(["simulate",
+                     write_yaml(tmp_path, sweep_cfg, "sweep.yaml"),
+                     "--out", str(tmp_path / "s")]) == 0
+        assert main(["simulate",
+                     write_yaml(tmp_path, STORAGE_CONFIG, "single.yaml"),
+                     "--out", str(tmp_path / "p")]) == 0
         sweep_summary = json.loads(
             (tmp_path / "s" / "one_point.summary.json").read_text())
         single_summary = json.loads(
@@ -469,8 +496,8 @@ class TestSweep:
                       "values": [2.0, 0.5, 1.0]},
             "base": dict(STORAGE_CONFIG),
         }
-        assert run(write_yaml(tmp_path, sweep_cfg),
-                   out_dir=str(tmp_path / "out")) == 0
+        assert main(["simulate", write_yaml(tmp_path, sweep_cfg),
+                     "--out", str(tmp_path / "out")]) == 0
         body = csv_body(tmp_path / "out" / "ordered.csv")
         rows = body.strip().splitlines()[1:]
         assert [float(r.split(",")[0]) for r in rows] == [2.0, 0.5, 1.0]
@@ -606,7 +633,8 @@ class TestChoiExport:
         }
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory", encoding="utf-8")
-        code = run(write_yaml(tmp_path, cfg), out_dir=str(target))
+        code = main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(target)])
         assert code == 3
 
 

@@ -71,7 +71,7 @@ class TestChannelFromGate:
         # same path
         h = build_hamiltonian(gate_params)
         prop = propagator(h, gate_params.gamma, 15.0)
-        channel = channel_from_gate(gate_params, 15.0, renormalize="none")
+        channel = channel_from_gate(gate_params, 15.0)
         rng = np.random.default_rng(5)
         inputs = [random_density(rng)]
         inputs += [np.outer(psi, psi.conj()) for psi in random_pure(rng, 8)]
@@ -89,7 +89,7 @@ class TestChannelFromGate:
             reference_channel.leakage.values())
 
     def test_max_leakage_bounds_every_pure_input(self, gate_params):
-        channel = channel_from_gate(gate_params, 15.0, renormalize="none")
+        channel = channel_from_gate(gate_params, 15.0)
         rng = np.random.default_rng(17)
         lost = [1.0 - np.trace(channel.apply(np.outer(psi, psi.conj()))).real
                 for psi in random_pure(rng, 24)]
@@ -101,9 +101,21 @@ class TestChannelFromGate:
         assert 1.0 - np.trace(channel.apply(worst)).real == pytest.approx(
             channel.max_leakage, abs=1e-12)
 
-    def test_per_input_renormalisation_refused(self, gate_params):
-        with pytest.raises(ValueError, match="per-input"):
-            channel_from_gate(gate_params, 15.0, renormalize="per-input")
+    def test_leaky_channel_is_honest_and_its_choi_state_unit_trace(
+            self, gate_params):
+        # the map keeps the weight it loses; only the Choi state divides
+        # by the mean survival
+        channel = channel_from_gate(gate_params, 15.0)
+        assert channel.max_leakage > 0.0
+        for i in range(QUBIT_DIM):
+            unit = np.zeros((QUBIT_DIM, QUBIT_DIM), dtype=complex)
+            unit[i, i] = 1.0
+            assert np.trace(channel.apply(unit)).real == pytest.approx(
+                1.0 - channel.leakage[f"e{i}"], abs=1e-14)
+        assert channel.mean_survival == pytest.approx(
+            1.0 - np.mean(list(channel.leakage.values())), abs=1e-14)
+        assert np.trace(choi_matrix(channel).chi).real == pytest.approx(
+            1.0, abs=1e-14)
 
     def test_leakage_error(self):
         # gamma = 0, resonant coupling tuned to park |2> in the excited
@@ -183,11 +195,11 @@ class TestChoiMatrix:
         assert chi.report.tp_residual < 1e-3
 
     def test_lossy_residual_attached(self, gate_params):
-        channel = channel_from_gate(gate_params, 15.0, renormalize="none")
+        channel = channel_from_gate(gate_params, 15.0)
         chi = choi_matrix(channel)
         assert chi.report.tp_residual >= 0.0
         assert chi.report.max_leakage > 0.0
-        # before renormalisation the map is trace-non-increasing
+        # the map itself is trace-non-increasing
         for i in range(QUBIT_DIM):
             unit = np.zeros((QUBIT_DIM, QUBIT_DIM), dtype=complex)
             unit[i, i] = 1.0
