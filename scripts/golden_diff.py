@@ -6,7 +6,7 @@ Usage (from the repository root, with src/ on PYTHONPATH):
     python3 scripts/golden_diff.py [PRESET ...]
 
 Runs the named presets (all of them when none is named) into a temporary
-directory and prints, for every CSV they write, whether its body (the
+directory and prints, for the CSV each writes, whether its body (the
 '#' provenance lines stripped) is byte-equal to ``golden/`` and the
 per-column max abs/rel deltas.  Exits 1 when any body differs, so the
 output can be pasted as the quantified diff of a golden regeneration.
@@ -28,20 +28,14 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 
 def column_deltas(produced: str, golden: str) -> List[str]:
-    """One line per column: max |a - b| and max |a - b| / |b|.
-
-    The first row is a header only when it is not numeric: a Choi body
-    (its '# block:' lines stripped) starts with data.
-    """
+    """One line per column: max |a - b| and max |a - b| / |b|."""
     a = [ln.split(",") for ln in produced.splitlines() if ln]
     b = [ln.split(",") for ln in golden.splitlines() if ln]
-    lines, header = [], None
-    if a and b and not _is_number(a[0][0]):
-        header, a = a[0], a[1:]
-        if b[0] != header:
-            lines.append(f"  header {','.join(header)} vs golden "
-                         f"{','.join(b[0])}")
-        b = b[1:]
+    (header, *a), (golden_header, *b) = a or [[]], b or [[]]
+    lines = []
+    if golden_header != header:
+        lines.append(f"  header {','.join(header)} vs golden "
+                     f"{','.join(golden_header)}")
     if len(a) != len(b):
         lines.append(f"  row count {len(a)} vs golden {len(b)}")
     n = min(len(a), len(b))
@@ -54,27 +48,17 @@ def column_deltas(produced: str, golden: str) -> List[str]:
         diff[both_nan] = 0.0
         rel = diff / np.maximum(np.abs(y), np.finfo(float).tiny)
         rel[both_nan] = 0.0
-        name = header[j] if header else f"col{j}"
-        lines.append(f"  {name}: max_abs={diff.max(initial=0.0):.3e} "
+        lines.append(f"  {header[j]}: max_abs={diff.max(initial=0.0):.3e} "
                      f"max_rel={rel.max(initial=0.0):.3e}")
     return lines
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def preset_csvs(names: List[str], out_root: Path) -> Iterator[Path]:
     """Run the named presets (all of them when none is named) into
-    ``out_root`` and yield every CSV they write."""
+    ``out_root`` and yield the CSV each writes."""
     for name in names or preset_names():
         cfg = parse_config(get_preset(name), default_name=name)
-        paths = run_config(cfg, out_root / name, workers=1)
-        yield from sorted(p for p in paths.values() if p.suffix == ".csv")
+        yield run_config(cfg, out_root / name, workers=1)["csv"]
 
 
 def main(names: List[str]) -> int:

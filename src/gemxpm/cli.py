@@ -11,13 +11,16 @@ Commands:
 Exit codes: 0 success, 2 config error, 3 numerical or I/O failure.  Every
 command loads its config through ``parse_config``, which also parses a
 sweep's points and checks a double-storage protocol, so exit 2 comes
-before any solve.  Every run writes a CSV table (figure data) and a JSON
-summary carrying the fully resolved config and provenance.  Every solver
-here is deterministic, so a config fully determines its outputs.
+before any solve.  Every runner returns one (table, results, report)
+triple; a run writes the table as ``<name>.csv`` (figure data) and the
+results, the target report, the fully resolved config and provenance as
+``<name>.summary.json``, and nothing else.  Every solver here is
+deterministic, so a config fully determines its outputs.
 
 Storage points of a sweep on one ensemble, schedule and grid form one
 group and march as one exit-only batch; any other point is a group of its
-own.  ``--workers`` maps over the groups.
+own.  ``--workers`` maps over the groups.  A sweep's columns are the
+point kind's ``SWEPT`` entries, read off each point's results.
 """
 
 from __future__ import annotations
@@ -43,12 +46,10 @@ from .gem import (StarkDrive, apply_stark_drive, excitation_balance,
                   peak_k_trajectory, polariton_transform, propagate,
                   spatial_spectrum, storage_batch, verify_fourier_relation)
 from .presets import get_preset, preset_names
-from .reporting import (ResultTable, choi_export, config_hash, write_summary)
+from .reporting import ResultTable, config_hash, write_summary
 from .tomography import (channel_from_gate, choi_matrix, ideal_cphase_choi,
                          process_fidelity)
 from .xpm import phi_free_signal, phi_stored_pair, double_storage_run
-
-Scalars = Dict[str, Tuple[float, str]]
 
 
 def _provenance(config: Dict[str, Any], wall: float) -> Dict[str, Any]:
@@ -105,8 +106,7 @@ def _run_storage(cfg: ExperimentConfig):
         "kdrift_max_dev_bins": kdrift_dev_bins,
         "excitation_balance_residual": balance,
     }
-    # storage points are swept by _sweep_group, not through this runner
-    return table, results, {}, None, {}
+    return table, results, None
 
 
 def _run_xpm_free(cfg: ExperimentConfig):
@@ -118,8 +118,7 @@ def _run_xpm_free(cfg: ExperimentConfig):
                         rows=[[o, p] for o, p in zip(spec.omega_s, phis)])
     results = {"delta3": params.delta3, "tau": spec.tau,
                "phi_max_rad": max(phis) if phis else math.nan}
-    scalars: Scalars = {"phi_max": (results["phi_max_rad"], "rad")}
-    return table, results, scalars, None, {}
+    return table, results, None
 
 
 def _run_xpm_double(cfg: ExperimentConfig):
@@ -143,12 +142,7 @@ def _run_xpm_double(cfg: ExperimentConfig):
         "quadrature_phase_rad": quad.phase,
         "quadrature_loss_factor": quad.loss_factor,
     }
-    scalars: Scalars = {
-        "xpm_phase": (res.xpm.phase, "rad"),
-        "loss_factor": (res.xpm.loss_factor, "1"),
-        "probe_efficiency": (res.probe_efficiency, "1"),
-    }
-    return table, results, scalars, None, {}
+    return table, results, None
 
 
 def _phi_targets_report(cfg: ExperimentConfig, phi: float,
@@ -217,10 +211,7 @@ def _run_gate(cfg: ExperimentConfig):
         "fidelity_end": float(trace.fidelity[-1]),
         "t_end": gate.t_end,
     }
-    scalars: Scalars = {"phi_end": (phi_end, "rad"),
-                        "fidelity_end": (results["fidelity_end"], "1")}
-    report = _phi_targets_report(cfg, phi_end, {})
-    return table, results, scalars, report, {}
+    return table, results, _phi_targets_report(cfg, phi_end, {})
 
 
 def _run_tomography(cfg: ExperimentConfig):
@@ -257,14 +248,14 @@ def _run_tomography(cfg: ExperimentConfig):
             "min_eigenvalue": chi.report.min_eigenvalue,
             "tp_residual": chi.report.tp_residual,
             "hermiticity_residual": chi.report.hermiticity_residual,
+            "eigenvalues": np.sort(chi.eigenvalues)[::-1],
+            "purity": chi.purity,
+            "completely_positive": chi.report.completely_positive,
+            "trace_preserving": chi.report.trace_preserving,
         },
         "max_leakage": channel.max_leakage,
     }
-    scalars: Scalars = {
-        "best_fidelity": (results["best_fidelity"], "1"),
-        "conditional_phase": (phi, "rad"),
-    }
-    return table, results, scalars, report, {"choi": chi}
+    return table, results, report
 
 
 _RUNNERS = {
@@ -275,21 +266,37 @@ _RUNNERS = {
     "tomography": _run_tomography,
 }
 
+#: The columns a sweep tabulates for each point kind, in order:
+#: (column, key of the point's results, unit).
+SWEPT = {
+    "storage": (("efficiency", "efficiency", "1"),
+                ("echo_phase", "echo_phase_rad", "rad"),
+                ("xpm_phase", "xpm_phase_rad", "rad")),
+    "xpm-free": (("phi_max", "phi_max_rad", "rad"),),
+    "xpm-double": (("xpm_phase", "xpm_phase_rad", "rad"),
+                   ("loss_factor", "loss_factor", "1"),
+                   ("probe_efficiency", "probe_efficiency", "1")),
+    "gate": (("phi_end", "phi_end_rad", "rad"),
+             ("fidelity_end", "fidelity_end", "1")),
+    "tomography": (("best_fidelity", "best_fidelity", "1"),
+                   ("conditional_phase", "conditional_phase_rad", "rad")),
+}
 
-def _sweep_group(job: Tuple[str, List[ExperimentConfig]]) -> List[Scalars]:
+
+def _sweep_group(job: Tuple[str, List[ExperimentConfig]]
+                 ) -> List[Dict[str, Any]]:
     where, points = job
     try:
         if points[0].kind != "storage":
-            return [_RUNNERS[p.kind](p)[2] for p in points]
+            return [_RUNNERS[p.kind](p)[1] for p in points]
         first = points[0]
         runs = storage_batch(first.ensemble, first.schedule, first.grid,
                              [(p.probe, _stark(p)) for p in points])
     except Exception as exc:   # pickled with the error from a worker
         exc.sweep_group = where
         raise
-    return [{"efficiency": (r.efficiency, "1"),
-             "echo_phase": (r.echo_phase, "rad"),
-             "xpm_phase": (r.xpm_phase, "rad")} for r in runs]
+    return [{"efficiency": r.efficiency, "echo_phase_rad": r.echo_phase,
+             "xpm_phase_rad": r.xpm_phase} for r in runs]
 
 
 def _run_sweep(cfg: ExperimentConfig, workers: int):
@@ -307,29 +314,26 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
         done = [_sweep_group(j) for j in jobs]
     by_index = dict(zip(itertools.chain(*groups.values()),
                         itertools.chain(*done)))
-    scalars = [by_index[i] for i in range(len(points))]
-    first = scalars[0]
-    columns = [cfg.sweep.path.split(".")[-1]] + list(first)
-    units = ["1"] + [first[k][1] for k in first]
-    rows = [[v] + [s[k][0] for k in first] for v, s in zip(values, scalars)]
-    table = ResultTable(columns=columns, units=units, rows=rows)
+    swept = SWEPT[points[0].kind]
+    columns = [c for c, _, _ in swept]
+    rows = [[v] + [by_index[i][key] for _, key, _ in swept]
+            for i, v in enumerate(values)]
+    table = ResultTable(columns=[cfg.sweep.path.split(".")[-1]] + columns,
+                        units=["1"] + [u for _, _, u in swept], rows=rows)
     results = {
         "axis_path": cfg.sweep.path,
         "axis_values": list(values),
-        "points": [{"value": v, **{k: s[k][0] for k in s}}
-                   for v, s in zip(values, scalars)],
+        "points": [{"value": r[0], **dict(zip(columns, r[1:]))} for r in rows],
     }
-    return table, results, {"n_points": (float(len(points)), "1")}, None, {}
+    return table, results, None
 
 
 def run_config(cfg: ExperimentConfig, out_dir: Path,
                workers: int = 1) -> Dict[str, Path]:
     """Execute one experiment config; returns the written file paths."""
     t0 = time.perf_counter()
-    if cfg.kind == "sweep":
-        table, results, _scalars, report, artifacts = _run_sweep(cfg, workers)
-    else:
-        table, results, _scalars, report, artifacts = _RUNNERS[cfg.kind](cfg)
+    table, results, report = (_run_sweep(cfg, workers) if cfg.kind == "sweep"
+                              else _RUNNERS[cfg.kind](cfg))
     wall = time.perf_counter() - t0
 
     out_dir = Path(out_dir)
@@ -337,20 +341,11 @@ def run_config(cfg: ExperimentConfig, out_dir: Path,
     resolved = config_to_dict(cfg)
     table.provenance = _provenance(resolved, wall)
 
-    csv_path = out_dir / f"{cfg.name}.csv"
-    table.write_csv(csv_path)
-    paths = {"csv": csv_path}
-
-    if "choi" in artifacts:
-        choi_path = out_dir / f"{cfg.name}_choi.csv"
-        choi_export(artifacts["choi"], choi_path, provenance=table.provenance)
-        paths["choi"] = choi_path
-        paths["choi_sidecar"] = choi_path.with_suffix(".json")
-
-    summary_path = out_dir / f"{cfg.name}.summary.json"
-    write_summary(summary_path, cfg.name, cfg.kind, resolved, results, wall,
-                  target_report=report)
-    paths["summary"] = summary_path
+    paths = {"csv": out_dir / f"{cfg.name}.csv",
+             "summary": out_dir / f"{cfg.name}.summary.json"}
+    table.write_csv(paths["csv"])
+    write_summary(paths["summary"], cfg.name, cfg.kind, resolved, results,
+                  wall, target_report=report)
     return paths
 
 

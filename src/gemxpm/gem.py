@@ -411,8 +411,8 @@ def _window_integral(t: np.ndarray, p: np.ndarray, lo: float, hi: float) -> floa
 
 def exit_phase(grid: Grid, e: np.ndarray, flip: Optional[float]) -> float:
     """Echo phase of an exit-face field E(L, t): its phase at the
-    |E|^2-weighted centroid time of [flip, t_max] (of the whole run without
-    a flip), NaN when that window is empty or dark.
+    |E|^2-weighted centroid time of [flip, t_max], NaN when that window is
+    empty (always so without a flip) or dark.
 
     The complex field is interpolated linearly at the centroid so the phase
     is a continuous function of the data (a nearest-sample choice would hop

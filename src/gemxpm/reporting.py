@@ -1,9 +1,10 @@
 """Result tables, CSV/JSON emission, and provenance stamping.
 
-CSV bodies are deterministic: RFC-4180-style rows, '.' decimal separator,
-17 significant digits.  Provenance (config hash, solver version, wall
-time) lives in leading '#' comment lines so golden-file comparison can
-strip it.
+A run writes one ``ResultTable`` as CSV and one JSON summary.  CSV bodies
+are deterministic: RFC-4180-style rows, '.' decimal separator, 17
+significant digits.  Provenance (config hash, solver version, wall time)
+lives in leading '#' comment lines so golden-file comparison can strip
+it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .tomography import ChoiMatrix
 
 
 def format_float(x: float) -> str:
@@ -114,37 +114,3 @@ def write_summary(path: Path, name: str, kind: str, config: Dict[str, Any],
                     encoding="utf-8")
     return path
 
-
-def choi_export(chi: ChoiMatrix, path: Path,
-                provenance: Optional[Dict[str, Any]] = None) -> Path:
-    """Write a Choi matrix as two 16x16 CSV blocks plus a JSON sidecar.
-
-    The sidecar carries the eigenvalues and the CPTP diagnostics, enough
-    to reproduce the usual bar-plot figure from any plotting tool.
-    """
-    path = Path(path)
-    lines = [f"# {k}: {v}" for k, v in (provenance or {}).items()]
-    lines.append("# block: real")
-    for row in chi.chi.real:
-        lines.append(",".join(format_float(v) for v in row))
-    lines.append("# block: imag")
-    for row in chi.chi.imag:
-        lines.append(",".join(format_float(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    sidecar = path.with_suffix(".json")
-    eigs = np.sort(chi.eigenvalues)[::-1]
-    payload = {
-        "eigenvalues": [float(v) for v in eigs],
-        "trace": chi.report.trace,
-        "purity": chi.purity,
-        "hermiticity_residual": chi.report.hermiticity_residual,
-        "min_eigenvalue": chi.report.min_eigenvalue,
-        "tp_residual": chi.report.tp_residual,
-        "max_leakage": chi.report.max_leakage,
-        "completely_positive": chi.report.completely_positive,
-        "trace_preserving": chi.report.trace_preserving,
-    }
-    sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-    return path

@@ -56,8 +56,8 @@ class TwoQubitChannel:
         return np.einsum("ij,ijkl->kl", m, self.images)
 
     @classmethod
-    def from_map(cls, fn: Callable[[np.ndarray], np.ndarray],
-                 **meta) -> "TwoQubitChannel":
+    def from_map(cls,
+                 fn: Callable[[np.ndarray], np.ndarray]) -> "TwoQubitChannel":
         images = np.empty((QUBIT_DIM, QUBIT_DIM, QUBIT_DIM, QUBIT_DIM),
                           dtype=complex)
         for i in range(QUBIT_DIM):
@@ -65,7 +65,7 @@ class TwoQubitChannel:
                 unit = np.zeros((QUBIT_DIM, QUBIT_DIM), dtype=complex)
                 unit[i, j] = 1.0
                 images[i, j] = fn(unit)
-        return cls(images=images, **meta)
+        return cls(images=images)
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "TwoQubitChannel":
@@ -136,7 +136,6 @@ class CptpReport:
     hermiticity_residual: float
     min_eigenvalue: float
     tp_residual: float            # Frobenius norm of Tr_out(chi) - I/4
-    max_leakage: float
 
     @property
     def completely_positive(self) -> bool:
@@ -163,7 +162,7 @@ class ChoiMatrix:
         return float(np.real(np.trace(self.chi @ self.chi)))
 
 
-def _make_report(chi: np.ndarray, max_leakage: float) -> CptpReport:
+def _make_report(chi: np.ndarray) -> CptpReport:
     herm = float(np.abs(chi - chi.conj().T).max())
     chi_h = 0.5 * (chi + chi.conj().T)
     eig_min = float(np.linalg.eigvalsh(chi_h).min())
@@ -173,7 +172,7 @@ def _make_report(chi: np.ndarray, max_leakage: float) -> CptpReport:
     tp = float(np.linalg.norm(tr_out - np.eye(QUBIT_DIM) / QUBIT_DIM))
     return CptpReport(trace=float(np.real(np.trace(chi))),
                       hermiticity_residual=herm, min_eigenvalue=eig_min,
-                      tp_residual=tp, max_leakage=max_leakage)
+                      tp_residual=tp)
 
 
 def choi_matrix(channel: TwoQubitChannel) -> ChoiMatrix:
@@ -186,7 +185,7 @@ def choi_matrix(channel: TwoQubitChannel) -> ChoiMatrix:
     """
     images = channel.images / channel.mean_survival
     chi = 0.25 * images.transpose(0, 2, 1, 3).reshape(16, 16)
-    return ChoiMatrix(chi=chi, report=_make_report(chi, channel.max_leakage))
+    return ChoiMatrix(chi=chi, report=_make_report(chi))
 
 
 def ideal_cphase_choi(phi: float) -> ChoiMatrix:

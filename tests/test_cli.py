@@ -10,14 +10,14 @@ import pytest
 import yaml
 
 import gemxpm
-from gemxpm import apply_stark_drive, propagate
-from gemxpm.cli import _RUNNERS, _run_storage, main, run_config
+from gemxpm import apply_stark_drive, channel_from_gate, propagate
+from gemxpm.cli import _RUNNERS, SWEPT, _run_storage, main, run_config
 from gemxpm.config import (RECORDS_KEPT, SECTIONS, config_to_dict,
                            parse_config, set_sweep_value)
 from gemxpm.errors import ConfigError
 from gemxpm.presets import get_preset, preset_names
-from gemxpm.reporting import ResultTable, choi_export, csv_body, format_float
-from gemxpm.tomography import TwoQubitChannel, choi_matrix, ideal_cphase_choi
+from gemxpm.reporting import ResultTable, csv_body, format_float
+from gemxpm.tomography import choi_matrix
 
 STORAGE_CONFIG = {
     "experiment": "storage",
@@ -32,6 +32,9 @@ XPM_DOUBLE = dict(STORAGE_CONFIG, experiment="xpm-double", signal=SIGNAL,
                   schedule=[[0.0, 8.0, 8.0], [8.0, 12.0, 0.0],
                             [12.0, 20.0, -8.0]],
                   grid={"nz": 32, "nt": 512, "t_max": 20.0})
+# a gate with a visible conditional phase whose runs stay short
+SMALL_GATE = {"Delta": 20.0, "DeltaPrime": 20.0, "delta4": 2.0,
+              "OmegaC": 2.0, "OmegaCPrime": 2.0}
 
 
 def write_yaml(tmp_path, payload, name="cfg.yaml"):
@@ -467,26 +470,36 @@ class TestRecordDiagnostics:
 
 
 class TestSweep:
-    def test_single_point_equals_single_run(self, tmp_path):
-        sweep_cfg = {
-            "experiment": "sweep",
-            "name": "one_point",
-            "sweep": {"path": "probe.peak_amplitude", "values": [1.0]},
-            "base": dict(STORAGE_CONFIG),
-        }
-        assert main(["simulate",
-                     write_yaml(tmp_path, sweep_cfg, "sweep.yaml"),
-                     "--out", str(tmp_path / "s")]) == 0
-        assert main(["simulate",
-                     write_yaml(tmp_path, STORAGE_CONFIG, "single.yaml"),
-                     "--out", str(tmp_path / "p")]) == 0
-        sweep_summary = json.loads(
-            (tmp_path / "s" / "one_point.summary.json").read_text())
-        single_summary = json.loads(
-            (tmp_path / "p" / "small_storage.summary.json").read_text())
-        point = sweep_summary["results"]["points"][0]
-        assert point["efficiency"] == single_summary["results"]["efficiency"]
-        assert point["echo_phase"] == single_summary["results"]["echo_phase_rad"]
+    @pytest.mark.parametrize("base, path, value, columns", [
+        (STORAGE_CONFIG, "probe.peak_amplitude", 1.0,
+         "efficiency[1],echo_phase[rad],xpm_phase[rad]"),
+        ({"experiment": "xpm-free",
+          "xpm_free": {"omega_s": [0.5, 1.0], "tau": 1.0}},
+         "xpm_free.tau", 2.0, "phi_max[rad]"),
+        (XPM_DOUBLE, "signal.peak_amplitude", 0.25,
+         "xpm_phase[rad],loss_factor[1],probe_efficiency[1]"),
+        ({"experiment": "gate",
+          "gate": dict(SMALL_GATE, t_end=2.0, n_samples=2)},
+         "gate.t_end", 1.0, "phi_end[rad],fidelity_end[1]"),
+        ({"experiment": "tomography", "gate": dict(SMALL_GATE, t_gate=2.0)},
+         "gate.t_gate", 1.0, "best_fidelity[1],conditional_phase[rad]"),
+    ], ids=["storage", "xpm-free", "xpm-double", "gate", "tomography"])
+    def test_single_point_equals_single_run(self, tmp_path, base, path,
+                                            value, columns):
+        # a sweep row is the point's own results at its SWEPT keys, bit
+        # for bit, under the columns the point kind has always had
+        sweep_cfg = {"experiment": "sweep", "name": "one_point",
+                     "sweep": {"path": path, "values": [value]},
+                     "base": base}
+        assert main(["sweep", write_yaml(tmp_path, sweep_cfg),
+                     "--out", str(tmp_path)]) == 0
+        header, row = csv_body(tmp_path / "one_point.csv").split()
+        assert header == f"{path.split('.')[-1]}[1],{columns}"
+        single = parse_config(set_sweep_value(base, path, value))
+        results = _RUNNERS[single.kind](single)[1]
+        np.testing.assert_array_equal(
+            [float(x) for x in row.split(",")],
+            [value] + [results[key] for _, key, _ in SWEPT[single.kind]])
 
     def test_rows_ordered_as_given(self, tmp_path):
         sweep_cfg = {
@@ -596,32 +609,25 @@ class TestSweep:
 
 
 class TestChoiExport:
-    def test_identity_export(self, tmp_path):
-        chi = choi_matrix(TwoQubitChannel.identity())
-        path = tmp_path / "chi.csv"
-        choi_export(chi, path)
-        body = csv_body(path)
-        rows = body.strip().splitlines()
-        assert len(rows) == 32
-        real_vals = [float(v) for r in rows[:16] for v in r.split(",")]
-        assert sum(1 for v in real_vals if v == 0.25) == 16
-        assert sum(1 for v in real_vals if v == 0.0) == 240
-        imag_vals = [float(v) for r in rows[16:] for v in r.split(",")]
-        assert all(v == 0.0 for v in imag_vals)
-        sidecar = json.loads((tmp_path / "chi.json").read_text())
-        assert sum(sidecar["eigenvalues"]) == pytest.approx(1.0, abs=1e-8)
-
-    def test_cphase_pi_export_sign_pattern(self, tmp_path):
-        chi = ideal_cphase_choi(math.pi)
-        path = tmp_path / "chi_pi.csv"
-        choi_export(chi, path)
-        rows = csv_body(path).strip().splitlines()
-        real = np.array([[float(v) for v in r.split(",")] for r in rows[:16]])
-        for i in range(4):
-            for j in range(4):
-                expect = 0.25 * math.cos(math.pi * ((i == 3) - (j == 3)))
-                assert real[i * 4 + i, j * 4 + j] == pytest.approx(expect,
-                                                                   abs=1e-12)
+    def test_run_writes_table_and_summary_only(self, tmp_path):
+        # the Choi state is the run's CSV and its diagnostics sit in
+        # results.cptp; a shorter gate keeps the dense propagator cheap
+        raw = get_preset("fig4b_tomo")
+        raw["gate"]["t_gate"] = 1.0
+        cfg = parse_config(raw)
+        paths = run_config(cfg, tmp_path)
+        assert set(paths) == {"csv", "summary"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fig4b_tomo.csv", "fig4b_tomo.summary.json"]
+        cptp = json.loads(paths["summary"].read_text())["results"]["cptp"]
+        eigs = cptp["eigenvalues"]
+        assert len(eigs) == 16 and eigs == sorted(eigs, reverse=True)
+        assert sum(eigs) == pytest.approx(cptp["trace"], abs=1e-12)
+        chi = choi_matrix(channel_from_gate(cfg.gate.effective_params(),
+                                            cfg.gate.t_gate))
+        assert cptp["purity"] == chi.purity
+        assert cptp["completely_positive"] == chi.report.completely_positive
+        assert cptp["trace_preserving"] == chi.report.trace_preserving
 
     def test_unwritable_path_exit_3(self, tmp_path):
         cfg = {

@@ -177,6 +177,17 @@ class TestPropagate:
             propagate(baseline_params, baseline_probe, baseline_schedule,
                       baseline_grid, stark=bad)
 
+    def test_run_without_flip_recalls_nothing(self, baseline_params,
+                                              baseline_probe):
+        # no gradient flip leaves the echo window [flip, t_max] empty:
+        # nothing is recalled and both phases are NaN
+        sched = GradientSchedule(((0.0, 20.0, 8.0),))
+        grid = Grid(nz=64, nt=1024, t_max=20.0, L=baseline_params.L)
+        res = propagate(baseline_params, baseline_probe, sched, grid)
+        assert res.flip_time is None
+        assert res.efficiency == 0.0 and res.echo_energy == 0.0
+        assert math.isnan(res.echo_phase) and math.isnan(res.xpm_phase)
+
     def test_schedule_must_cover_grid(self, baseline_params, baseline_probe):
         sched = GradientSchedule(((0.0, 5.0, 8.0), (5.0, 10.0, -8.0)))
         grid = Grid(nz=32, nt=512, t_max=20.0, L=baseline_params.L)

@@ -17,19 +17,20 @@ def max_abs(lines):
             for ln in lines if "max_abs=" in ln}
 
 
-def test_headerless_first_row_is_compared():
-    # the Choi body starts with data; a change in its first row must show
-    golden = (ROOT / "golden" / "fig4b_tomo_choi.csv").read_text()
+def test_first_data_row_is_compared():
+    # the row right under the header (the Choi state's first real row)
+    # is data: a change in it must show in its own column
+    golden = (ROOT / "golden" / "fig4b_tomo.csv").read_text()
     rows = golden.splitlines()
-    cells = rows[0].split(",")
+    cells = rows[1].split(",")
     cells[0] = repr(float(cells[0]) + 1e-3)
-    produced = "\n".join([",".join(cells)] + rows[1:]) + "\n"
+    produced = "\n".join([rows[0], ",".join(cells)] + rows[2:]) + "\n"
     lines = load_golden_diff().column_deltas(produced, golden)
-    assert not any("header" in ln for ln in lines)
+    assert not any("header" in ln or "row count" in ln for ln in lines)
     deltas = max_abs(lines)
-    assert len(deltas) == 16
-    assert abs(deltas["col0"] - 1e-3) < 1e-12
-    assert all(v == 0.0 for k, v in deltas.items() if k != "col0")
+    assert list(deltas) == [f"c{j}[1]" for j in range(16)]
+    assert abs(deltas["c0[1]"] - 1e-3) < 1e-12
+    assert all(v == 0.0 for k, v in deltas.items() if k != "c0[1]")
 
 
 def test_named_header_kept():

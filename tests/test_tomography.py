@@ -169,7 +169,14 @@ class TestChoiMatrix:
             for j in range(4):
                 sign = np.exp(1j * math.pi * ((i == 3) - (j == 3)))
                 assert chi.chi[i * 4 + i, j * 4 + j] == pytest.approx(
-                    0.25 * sign)
+                    0.25 * sign, abs=1e-12)
+
+    def test_identity_state_entries(self):
+        chi = choi_matrix(TwoQubitChannel.identity())
+        assert np.count_nonzero(chi.chi.real == 0.25) == 16
+        assert np.count_nonzero(chi.chi.real == 0.0) == 240
+        assert np.all(chi.chi.imag == 0.0)
+        assert chi.eigenvalues.sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_unitary_choi_always_pure(self):
         for phi in (0.0, 0.3, math.pi, -1.2):
@@ -198,7 +205,7 @@ class TestChoiMatrix:
         channel = channel_from_gate(gate_params, 15.0)
         chi = choi_matrix(channel)
         assert chi.report.tp_residual >= 0.0
-        assert chi.report.max_leakage > 0.0
+        assert channel.max_leakage > 0.0
         # the map itself is trace-non-increasing
         for i in range(QUBIT_DIM):
             unit = np.zeros((QUBIT_DIM, QUBIT_DIM), dtype=complex)
