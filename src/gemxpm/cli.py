@@ -47,8 +47,8 @@ from .gem import (StarkDrive, apply_stark_drive, excitation_balance,
                   spatial_spectrum, storage_batch, verify_fourier_relation)
 from .presets import get_preset, preset_names
 from .reporting import ResultTable, config_hash, write_summary
-from .tomography import (channel_from_gate, choi_matrix, ideal_cphase_choi,
-                         process_fidelity)
+from .tomography import (ChoiMatrix, channel_from_gate, choi_matrix,
+                         ideal_cphase_choi, process_fidelity)
 from .xpm import phi_free_signal, phi_stored_pair, double_storage_run
 
 
@@ -214,6 +214,14 @@ def _run_gate(cfg: ExperimentConfig):
     return table, results, _phi_targets_report(cfg, phi_end, {})
 
 
+def choi_table(chi: ChoiMatrix) -> ResultTable:
+    """The 16x16 Choi state as 32 rows: the real parts, then the imaginary."""
+    rows = [[float(v) for v in part[i]]
+            for part in (chi.chi.real, chi.chi.imag) for i in range(16)]
+    return ResultTable(
+        columns=[f"c{j}" for j in range(16)], units=["1"] * 16, rows=rows)
+
+
 def _run_tomography(cfg: ExperimentConfig):
     gate = cfg.gate
     params = gate.effective_params()
@@ -230,14 +238,7 @@ def _run_tomography(cfg: ExperimentConfig):
         "leakage": {"max": channel.max_leakage,
                     "per_input": channel.leakage},
     })
-    blocks = chi.chi
-    rows = []
-    for i in range(16):
-        rows.append([float(v) for v in blocks.real[i]])
-    for i in range(16):
-        rows.append([float(v) for v in blocks.imag[i]])
-    table = ResultTable(
-        columns=[f"c{j}" for j in range(16)], units=["1"] * 16, rows=rows)
+    table = choi_table(chi)
     results = {
         "t_gate": gate.t_gate,
         "conditional_phase_rad": phi,

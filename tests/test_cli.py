@@ -11,13 +11,14 @@ import yaml
 
 import gemxpm
 from gemxpm import apply_stark_drive, channel_from_gate, propagate
-from gemxpm.cli import _RUNNERS, SWEPT, _run_storage, main, run_config
+from gemxpm.cli import (_RUNNERS, SWEPT, _run_storage, choi_table, main,
+                        run_config)
 from gemxpm.config import (RECORDS_KEPT, SECTIONS, config_to_dict,
                            parse_config, set_sweep_value)
 from gemxpm.errors import ConfigError
 from gemxpm.presets import get_preset, preset_names
 from gemxpm.reporting import ResultTable, csv_body, format_float
-from gemxpm.tomography import choi_matrix
+from gemxpm.tomography import choi_matrix, ideal_cphase_choi
 
 STORAGE_CONFIG = {
     "experiment": "storage",
@@ -628,6 +629,20 @@ class TestChoiExport:
         assert cptp["purity"] == chi.purity
         assert cptp["completely_positive"] == chi.report.completely_positive
         assert cptp["trace_preserving"] == chi.report.trace_preserving
+
+    def test_cphase_pi_export_sign_pattern(self, tmp_path):
+        # the tomography run's CSV layout: 16 real rows, then 16 imaginary
+        path = choi_table(ideal_cphase_choi(math.pi)).write_csv(
+            tmp_path / "chi_pi.csv")
+        header, *rows = csv_body(path).strip().splitlines()
+        assert header == ",".join(f"c{j}[1]" for j in range(16))
+        assert len(rows) == 32
+        real = np.array([[float(v) for v in r.split(",")] for r in rows[:16]])
+        for i in range(4):
+            for j in range(4):
+                expect = 0.25 * math.cos(math.pi * ((i == 3) - (j == 3)))
+                assert real[i * 4 + i, j * 4 + j] == pytest.approx(expect,
+                                                                   abs=1e-12)
 
     def test_unwritable_path_exit_3(self, tmp_path):
         cfg = {
