@@ -22,9 +22,8 @@ from .xpm import (DoubleStorageResult, LinearityReport, SinglePhotonEstimate,
                   scattering_consistency, single_photon_estimate, spm_scan,
                   xpm_linearity_scan)
 from .gate import (DIM, HILBERT, GateParams, HilbertSpace, PhaseTrace,
-                   Trajectory, build_hamiltonian, collapse_operators,
-                   conditional_phase, evolve, gate_fidelity, initial_state,
-                   phase_trace, propagator)
+                   Trajectory, build_hamiltonian, conditional_phase, evolve,
+                   gate_fidelity, initial_state, phase_trace, propagator)
 from .tomography import (ChoiMatrix, CptpReport, TwoQubitChannel,
                          channel_from_gate, choi_matrix, ideal_cphase_choi,
                          process_fidelity)

@@ -3,9 +3,9 @@
 The channel maps 4x4 operators on (photonic s-qubit) (x) (polaritonic
 qubit {|1>, |2>}) through the full 28-dimensional master equation: embed
 with no p photon and empty primed levels, evolve for the gate time with
-the exact propagator, trace out the p mode, and project the atomic sector
-back onto {|1>, |2>}.  Weight lost from the qubit subspace is reported as
-leakage; the map itself stays trace-decreasing.
+the exact block-diagonal propagator, trace out the p mode, and project the
+atomic sector back onto {|1>, |2>}.  Weight lost from the qubit subspace
+is reported as leakage; the map itself stays trace-decreasing.
 
 The Choi matrix is normalised as a state (trace one) by the channel's mean
 basis survival s:
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import LeakageError, NumericalError
 from .gate import (DIM, HILBERT, GateParams, apply_propagator,
                    build_hamiltonian, conditional_phase, initial_state,
-                   propagator, two_qubit_block)
+                   propagator)
 
 QUBIT_DIM = 4
 #: Largest leakage of a pure input tomography accepts (else LeakageError).
@@ -81,10 +81,11 @@ class TwoQubitChannel:
 def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
     """Tomograph the gate channel at interaction time ``t_gate``.
 
-    One dense propagator P = exp(L*t_gate) maps each embedded operator X
-    to (P vec(X) + (P vec(X^dagger))^dagger) / 2, the Hermiticity-
-    preserving form of P vec(X), projected back onto the qubit subspace;
-    the sixteen images are those of the matrix units.  The same propagator
+    One propagator P = exp(L*t_gate) maps each embedded operator X to
+    (P vec(X) + (P vec(X^dagger))^dagger) / 2, the Hermiticity-preserving
+    form of P vec(X), projected back onto the qubit subspace.  For the
+    matrix units that projection is read straight off P: the 16x16 block of
+    its rows and columns at the embedded qubit pairs.  The same propagator
     gives the conditional phase of the gate's reference initial state,
     carried as ``phase``.
 
@@ -100,16 +101,12 @@ def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
     if t_gate <= 0:
         raise ValueError("t_gate must be positive")
     prop = propagator(build_hamiltonian(params), params.gamma, t_gate)
-    embed = np.ix_(_EMBED, _EMBED)
-
-    def image(m: np.ndarray) -> np.ndarray:
-        x = np.zeros((DIM, DIM), dtype=complex)
-        x[embed] = m
-        out = (prop @ x.reshape(-1)).reshape(DIM, DIM)
-        out_adj = (prop @ x.conj().T.reshape(-1)).reshape(DIM, DIM)
-        return two_qubit_block(0.5 * (out + out_adj.conj().T))[0]
-
-    images = TwoQubitChannel.from_map(image).images
+    # vec index of each embedded pair |a><b|; block[k, l, i, j] is entry
+    # (k, l) of P vec(|i><j|), and |i><j|^dagger = |j><i|
+    pairs = np.add.outer(np.multiply(_EMBED, DIM), _EMBED).ravel()
+    block = prop[pairs][:, pairs].toarray().reshape((QUBIT_DIM,) * 4)
+    images = 0.5 * (block + block.transpose(1, 0, 3, 2).conj())
+    images = images.transpose(2, 3, 0, 1)
     survival = np.trace(images, axis1=2, axis2=3).T
     leakage = {f"e{i}": 1.0 - float(survival[i, i].real)
                for i in range(QUBIT_DIM)}

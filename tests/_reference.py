@@ -12,8 +12,12 @@
   propagator exp(L t) that the gate engine uses.
 * ``evolve_rk4_powered`` takes the same RK4 steps as ``evolve_rk4`` as
   powers of the one-step matrix, with L built column by column from
-  ``lindblad_rhs``: the same discretisation for long runs at a fraction
-  of the cost.
+  ``lindblad_rhs`` (``dense_liouvillian``): the same discretisation for
+  long runs at a fraction of the cost.
+* ``dense_propagator`` is scipy's ``expm`` of that dense 784x784 L, the
+  oracle for the gate engine's block-by-block propagator.
+* ``collapse_operators`` spells the decay channels out as dense jump
+  operators, the textbook form ``lindblad_rhs`` is checked against.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from gemxpm.errors import NumericalError
-from gemxpm.gate import DECAY_CHANNELS, DIM, LEVELS, Trajectory
+from gemxpm.gate import DECAY_CHANNELS, DIM, HILBERT, LEVELS, Trajectory
 
 
 def reference_storage_run(params, envelope, schedule, nz=96, t_max=20.0,
@@ -107,6 +112,18 @@ def _decay_tables(gamma: float):
     return anti, tuple(jumps)
 
 
+def collapse_operators(gamma: float):
+    """Decay channels as (operator, rate) pairs on the full space."""
+    ops = []
+    for lo, hi, frac in DECAY_CHANNELS:
+        c = np.zeros((DIM, DIM), dtype=complex)
+        for n_p in (0, 1):
+            for n_s in (0, 1):
+                c[HILBERT.index(lo, n_p, n_s), HILBERT.index(hi, n_p, n_s)] = 1.0
+        ops.append((c, frac * gamma))
+    return ops
+
+
 def lindblad_rhs(rho: np.ndarray, H: np.ndarray, gamma: float) -> np.ndarray:
     """d(rho)/dt = -i[H, rho] + sum_j gamma_j D[c_j] rho.
 
@@ -127,6 +144,19 @@ def lindblad_rhs(rho: np.ndarray, H: np.ndarray, gamma: float) -> np.ndarray:
         for gsl, esl, rate in jumps:
             out[..., gsl, gsl] += rate * rho[..., esl, esl]
     return out
+
+
+def dense_liouvillian(H: np.ndarray, gamma: float) -> np.ndarray:
+    """Dense L with vec(d rho/dt) = L vec(rho) (row-major vec): column k is
+    ``lindblad_rhs`` of the k-th matrix unit, so it shares no arithmetic
+    with the gate engine's sparse L."""
+    units = np.eye(DIM * DIM, dtype=complex).reshape(-1, DIM, DIM)
+    return lindblad_rhs(units, H, gamma).reshape(DIM * DIM, DIM * DIM).T
+
+
+def dense_propagator(H: np.ndarray, gamma: float, t: float) -> np.ndarray:
+    """exp(L t) on vec(rho) as one dense 784x784 ``scipy.linalg.expm``."""
+    return scipy.linalg.expm(dense_liouvillian(H, gamma) * t)
 
 
 def _step_scale(H: np.ndarray, gamma: float) -> float:
@@ -233,8 +263,7 @@ def evolve_rk4_powered(rho0: np.ndarray, H: np.ndarray, gamma: float,
     # evolve_rk4 records each sample at the first step n with s <= (n + 1/2) h
     at = np.minimum(np.searchsorted(np.arange(n_steps + 1) * h + 0.5 * h,
                                     samples), n_steps)
-    units = np.eye(DIM * DIM, dtype=complex).reshape(-1, DIM, DIM)
-    hl = h * lindblad_rhs(units, H, gamma).reshape(DIM * DIM, DIM * DIM).T
+    hl = h * dense_liouvillian(H, gamma)
     eye = np.eye(DIM * DIM)
     step = eye + hl @ (eye + hl / 2 @ (eye + hl / 3 @ (eye + hl / 4)))
     gaps = np.diff(at, prepend=0)

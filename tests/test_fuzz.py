@@ -10,10 +10,12 @@ refused with exit 2 (config) or 3 (numerical/I/O); no exception may
 escape ``main``.  Grids stay at nz, nt <= 32, so every run is small.
 
 Gate and tomography configs, and sweeps over them, are edited the same
-way but only parsed: ``parse_config`` must return or raise ConfigError.
-One gate run costs about a second, too much for a fuzz.  A sweep parses
-all its points, so each refusal of a sweep names a key under ``sweep`` or
-``base``.
+way.  Two hundred of them are parsed: ``parse_config`` must return or
+raise ConfigError, and a sweep parses all its points, so each refusal of
+a sweep names a key under ``sweep`` or ``base``.  Sixty of them also run
+end to end under the same exit-code rule; a gate run builds its
+propagator one small block of the Liouvillian at a time, cheap enough
+for a fuzz.
 """
 
 import os
@@ -228,3 +230,10 @@ def test_every_gate_config_parses_or_is_refused(cfg):
     except ConfigError as exc:
         if cfg.get("experiment") == "sweep":
             assert exc.path.startswith(("sweep", "base")), str(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(gate_configs(), sweeps(gate_configs())))
+def test_every_gate_config_runs_or_is_refused(cfg):
+    assert run_main(cfg) in (0, 2, 3)

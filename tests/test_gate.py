@@ -1,17 +1,21 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from gemxpm import (DIM, HILBERT, GateParams, NumericalError, ProjectionError,
-                    UndefinedPhaseError, build_hamiltonian,
-                    collapse_operators, conditional_phase, evolve,
-                    gate_fidelity, initial_state, phase_trace, propagator)
+                    UndefinedPhaseError, build_hamiltonian, conditional_phase,
+                    evolve, gate_fidelity, initial_state, phase_trace,
+                    propagator)
 from gemxpm import gate
 from gemxpm.gate import apply_propagator, ideal_image_state, liouvillian_matrix
 
-from _reference import (evolve_rk4, evolve_rk4_powered, lindblad_rhs,
-                        max_stable_dt)
+from _reference import (collapse_operators, dense_liouvillian,
+                        dense_propagator, evolve_rk4, evolve_rk4_powered,
+                        lindblad_rhs, max_stable_dt)
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +303,64 @@ class TestPropagator:
         d = (lv @ rho.reshape(-1)).reshape(DIM, DIM)
         assert abs(d.trace()) < 1e-12
         assert np.abs(d - lindblad_rhs(rho, caption_h, 1.0)).max() < 1e-12
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_liouvillian_nonzeros_match_dense(self, caption_h, gamma):
+        lv = liouvillian_matrix(caption_h, gamma)
+        dense = dense_liouvillian(caption_h, gamma)
+        assert lv.format == "csr"
+        assert lv.nnz == np.count_nonzero(dense)
+        assert np.abs(lv.toarray() - dense).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ["caption", "stored", "fig4a_step",
+                                      "no_primed_drive"])
+    def test_matches_dense_oracle(self, gate_params, case):
+        # caption couplings at t = 2; the fig4b stored-signal gate at
+        # t = 15; one fig4a sample step; OmegaCPrime = 0 splits the blocks
+        # further
+        params, t = {
+            "caption": (gate_params, 2.0),
+            "stored": (gate_params.with_stored_signal_coupling(), 15.0),
+            "fig4a_step": (gate_params.with_stored_signal_coupling(), 0.1),
+            "no_primed_drive": (GateParams(OmegaCPrime=0.0), 15.0),
+        }[case]
+        h = build_hamiltonian(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prop = propagator(h, params.gamma, t)
+        expected = dense_propagator(h, params.gamma, t)
+        assert np.abs(prop.toarray() - expected).max() <= 1e-12
+
+    def test_block_structure(self, gate_params, caption_h):
+        # the README's count: 149 weakly connected blocks, the largest 42
+        # wide; the propagator has no entry outside them
+        lv = liouvillian_matrix(caption_h, gate_params.gamma)
+        _, label = connected_components(lv != 0, connection="weak")
+        sizes = np.bincount(label)
+        assert (sizes.size, sizes.max()) == (149, 42)
+        prop = propagator(caption_h, gate_params.gamma, 2.0)
+        assert prop.nnz <= int((sizes ** 2).sum())
+
+    def test_builds_one_liouvillian_and_no_dense_superoperator(
+            self, gate_params, caption_h, monkeypatch):
+        calls = []
+        build = gate.liouvillian_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(gate, "liouvillian_matrix", counted)
+        propagator(caption_h, gate_params.gamma, 2.0)   # warm the imports
+        tracemalloc.start()
+        try:
+            propagator(caption_h, gate_params.gamma, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 2
+        # one complex 784x784 array would take 9.8 MB
+        assert peak < (DIM * DIM) ** 2 * 16 // 4
 
 
 class TestConvergence:
