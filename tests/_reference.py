@@ -16,6 +16,10 @@
   long runs at a fraction of the cost.
 * ``dense_propagator`` is scipy's ``expm`` of that dense 784x784 L, the
   oracle for the gate engine's block-by-block propagator.
+* ``kron_liouvillian`` builds the sparse L from ``scipy.sparse.kron``
+  products of H and the jump operators, in the order of operations the
+  gate engine's index-arithmetic build follows, so the two must agree
+  entry for entry, bit for bit.
 * ``collapse_operators`` spells the decay channels out as dense jump
   operators, the textbook form ``lindblad_rhs`` is checked against.
 """
@@ -27,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from gemxpm.errors import NumericalError
@@ -157,6 +162,23 @@ def dense_liouvillian(H: np.ndarray, gamma: float) -> np.ndarray:
 def dense_propagator(H: np.ndarray, gamma: float, t: float) -> np.ndarray:
     """exp(L t) on vec(rho) as one dense 784x784 ``scipy.linalg.expm``."""
     return scipy.linalg.expm(dense_liouvillian(H, gamma) * t)
+
+
+def kron_liouvillian(H: np.ndarray, gamma: float):
+    """Sparse L with vec(d rho/dt) = L vec(rho) (row-major vec), as a CSR
+    matrix, built from ``scipy.sparse.kron`` products."""
+    eye = sp.eye_array(DIM)
+    photons = np.arange(4)
+    lv = -1j * (sp.kron(H, eye) - sp.kron(eye, H.T))
+    for lo, hi, frac in DECAY_CHANNELS:
+        # c = |lo><hi| on every photon state, at rate frac * gamma
+        c = sp.csr_array((np.ones(4), (HILBERT.index(lo, 0, 0) + photons,
+                                       HILBERT.index(hi, 0, 0) + photons)),
+                         shape=(DIM, DIM))
+        cdc = c.conj().T @ c
+        lv += frac * gamma * (sp.kron(c, c.conj()) - 0.5 * (
+            sp.kron(cdc, eye) + sp.kron(eye, cdc.T)))
+    return sp.csr_array(lv)
 
 
 def _step_scale(H: np.ndarray, gamma: float) -> float:

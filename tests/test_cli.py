@@ -44,11 +44,13 @@ def write_yaml(tmp_path, payload, name="cfg.yaml"):
     return str(p)
 
 
-def run_python(*args):
-    """Run a fresh interpreter with this gemxpm importable."""
+def run_python(*args, **env):
+    """Run a fresh interpreter with this gemxpm importable and ``env`` as
+    extra environment variables."""
     src = str(Path(gemxpm.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, timeout=300, env={"PYTHONPATH": src})
+                          text=True, timeout=300,
+                          env={"PYTHONPATH": src, **env})
 
 
 class TestConfigValidation:
@@ -655,6 +657,22 @@ class TestChoiExport:
         code = main(["simulate", write_yaml(tmp_path, cfg),
                      "--out", str(target)])
         assert code == 3
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset", ["fig4a_gate", "fig4b_tomo"])
+    def test_gate_bodies_equal_across_blas_threads(self, tmp_path, preset):
+        # the block exponentials run through BLAS; the CSV a gate preset
+        # writes must not depend on how many threads OpenBLAS uses
+        bodies = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            done = run_python("-m", "gemxpm.cli", "presets", "run", preset,
+                              "--out", str(out),
+                              OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            bodies.append(csv_body(out / f"{preset}.csv"))
+        assert bodies[0] == bodies[1]
 
 
 class TestMainEntry:

@@ -15,7 +15,11 @@ raise ConfigError, and a sweep parses all its points, so each refusal of
 a sweep names a key under ``sweep`` or ``base``.  Sixty of them also run
 end to end under the same exit-code rule; a gate run builds its
 propagator one small block of the Liouvillian at a time, cheap enough
-for a fuzz.
+for a fuzz.  Since random edits leave few of those configs runnable, a
+second sixty are drawn from the valid domain only (times in [0.5, 20],
+2 to 40 samples, gamma in [0, 2], the primed drive on or off, the stored
+coupling on or off, and sweeps over ``gate.t_gate``): each must exit 0
+or 3, and at least half must run.
 """
 
 import os
@@ -168,6 +172,31 @@ def gate_configs(draw):
     return edited(draw, cfg)
 
 
+GATE_TIME = st.floats(0.5, 20.0)
+
+
+@st.composite
+def valid_gate_configs(draw):
+    """A gate trace, a tomography run or a ``gate.t_gate`` sweep of one,
+    every value inside the domain ``parse_config`` accepts."""
+    gate = {"gamma": draw(st.floats(0.0, 2.0)),
+            "OmegaCPrime": draw(st.sampled_from([0.0, 20.0])),
+            "stored_signal_coupling": draw(st.booleans())}
+    kind = draw(st.sampled_from(["gate", "tomography", "sweep"]))
+    if kind == "gate":
+        gate.update(t_end=draw(GATE_TIME), n_samples=draw(st.integers(2, 40)))
+        return {"experiment": "gate", "gate": gate}
+    tomo = {"experiment": "tomography", "gate": {**gate,
+                                                 "t_gate": draw(GATE_TIME)}}
+    if kind == "tomography":
+        return tomo
+    return {"experiment": "sweep",
+            "sweep": {"path": "gate.t_gate",
+                      "values": draw(st.lists(GATE_TIME, min_size=1,
+                                              max_size=4))},
+            "base": tomo}
+
+
 def numeric_leaves(node, prefix=""):
     """Dot-paths of the numbers reachable through mappings only."""
     out = []
@@ -237,3 +266,17 @@ def test_every_gate_config_parses_or_is_refused(cfg):
 @given(st.one_of(gate_configs(), sweeps(gate_configs())))
 def test_every_gate_config_runs_or_is_refused(cfg):
     assert run_main(cfg) in (0, 2, 3)
+
+
+def test_valid_gate_configs_run():
+    codes = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(valid_gate_configs())
+    def run(cfg):
+        codes.append(run_main(cfg))
+        assert codes[-1] in (0, 3), cfg
+
+    run()
+    assert 2 * codes.count(0) >= len(codes), codes

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
 from gemxpm import (DIM, HILBERT, GateParams, NumericalError, ProjectionError,
@@ -15,7 +16,7 @@ from gemxpm.gate import apply_propagator, ideal_image_state, liouvillian_matrix
 
 from _reference import (collapse_operators, dense_liouvillian,
                         dense_propagator, evolve_rk4, evolve_rk4_powered,
-                        lindblad_rhs, max_stable_dt)
+                        kron_liouvillian, lindblad_rhs, max_stable_dt)
 
 
 @pytest.fixture(scope="module")
@@ -331,15 +332,47 @@ class TestPropagator:
         expected = dense_propagator(h, params.gamma, t)
         assert np.abs(prop.toarray() - expected).max() <= 1e-12
 
-    def test_block_structure(self, gate_params, caption_h):
+    @pytest.mark.parametrize("case", ["caption", "stored", "no_decay",
+                                      "no_primed_drive"])
+    def test_liouvillian_equals_kron_oracle(self, gate_params, case):
+        # the index-arithmetic build sums the same terms in the same order
+        # as the kron build, so every array is bit-identical
+        params = {
+            "caption": gate_params,
+            "stored": gate_params.with_stored_signal_coupling(),
+            "no_decay": GateParams(gamma=0.0),
+            "no_primed_drive": GateParams(OmegaCPrime=0.0),
+        }[case]
+        h = build_hamiltonian(params)
+        lv = liouvillian_matrix(h, params.gamma)
+        expected = kron_liouvillian(h, params.gamma)
+        assert lv.format == "csr"
+        assert np.array_equal(lv.indptr, expected.indptr)
+        assert np.array_equal(lv.indices, expected.indices)
+        assert lv.data.dtype == expected.data.dtype
+        assert lv.data.tobytes() == expected.data.tobytes()
+
+    def test_block_structure(self, gate_params, caption_h, monkeypatch):
         # the README's count: 149 weakly connected blocks, the largest 42
-        # wide; the propagator has no entry outside them
+        # wide, of which 39 are distinct and exponentiated once each; the
+        # propagator stores every entry of every block and none outside
         lv = liouvillian_matrix(caption_h, gate_params.gamma)
         _, label = connected_components(lv != 0, connection="weak")
         sizes = np.bincount(label)
         assert (sizes.size, sizes.max()) == (149, 42)
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
         prop = propagator(caption_h, gate_params.gamma, 2.0)
-        assert prop.nnz <= int((sizes ** 2).sum())
+        assert len(calls) == 39
+        assert prop.nnz == int((sizes ** 2).sum())
+        rows = np.repeat(np.arange(DIM * DIM), np.diff(prop.indptr))
+        assert (label[rows] == label[prop.indices]).all()
 
     def test_builds_one_liouvillian_and_no_dense_superoperator(
             self, gate_params, caption_h, monkeypatch):
