@@ -105,6 +105,8 @@ def _run_storage(cfg: ExperimentConfig):
         "fourier_residual_time": t_mid,
         "kdrift_max_dev_bins": kdrift_dev_bins,
         "excitation_balance_residual": balance,
+        "march_steps": grid.nt - 1,
+        "dt_over_limit": grid.dt / result.dt_limit,
     }
     return table, results, None
 
@@ -141,6 +143,8 @@ def _run_xpm_double(cfg: ExperimentConfig):
         "reference_efficiency": res.reference_efficiency,
         "quadrature_phase_rad": quad.phase,
         "quadrature_loss_factor": quad.loss_factor,
+        "march_steps": grid.nt - 1,
+        "dt_over_limit": grid.dt / res.dt_limit,
     }
     return table, results, None
 

@@ -106,15 +106,27 @@ def constant_stark_drive(intensity: float, detuning: float, gamma: float,
 
 
 def _slaved_field(sigma: np.ndarray, dz: float, source: np.ndarray,
-                  boundary: np.ndarray) -> np.ndarray:
+                  boundary: np.ndarray, out: Optional[np.ndarray] = None,
+                  cum: Optional[np.ndarray] = None) -> np.ndarray:
     """E(z) = E(0) + source * (trapezoid integral of sigma over [0, z]); the
-    march and CoherenceRecord.field both call it, so they agree bit for bit."""
-    cum = np.zeros_like(sigma)
-    np.cumsum(sigma[..., 1:] + sigma[..., :-1], axis=-1, out=cum[..., 1:])
-    cum[..., 1:] *= 0.5 * dz
-    e = cum * source
-    e += boundary
-    return e
+    march and CoherenceRecord.field both call it, so they agree bit for bit.
+
+    ``out`` and ``cum`` (column 0 zero) are C-ordered buffers shaped like
+    sigma, allocated here unless the march passes its own.  The pairs
+    sigma[j + 1] + sigma[j] come from one add over the flattened stack
+    into ``out``; each row's last slot then holds a cross-row sum, never
+    read.
+    """
+    if out is None:
+        out = np.empty_like(sigma, order="C")
+        cum = np.zeros_like(sigma, order="C")
+    flat = sigma.reshape(-1)
+    np.add(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
+    np.add.accumulate(out[..., :-1], axis=-1, out=cum[..., 1:])
+    cum *= 0.5 * dz
+    np.multiply(cum, source, out=out)
+    out += boundary
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,7 +162,8 @@ class StorageResult:
     the argument of the exit-face field at the energy-weighted centroid of
     the echo (NaN when the echo window is empty or dark).  xpm_phase is
     the echo phase of the same run without its Stark drive minus
-    echo_phase (NaN for an undriven run).
+    echo_phase (NaN for an undriven run).  dt_limit is the run's stability
+    limit on dt from check_step (inf until the run is checked).
     """
 
     exit_field: np.ndarray      # (nt,) complex, E(L, t)
@@ -161,6 +174,7 @@ class StorageResult:
     echo_phase: float
     flip_time: Optional[float]
     xpm_phase: float = math.nan
+    dt_limit: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -207,6 +221,14 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     depends on time alone is tabulated once on the stage times t_n,
     t_n + dt/2, t_n + dt.  Each row repeats the arithmetic of a one-member
     march in the same order, so its records do not depend on the batch.
+
+    The state, stage state, field, slopes k1..k4, field scratch and a
+    stage's per-member factors spread along z are (B, nz) buffers allocated
+    once per march; every stage writes into them with ``out=``, so a step
+    allocates nothing unless cross-driven.  The operations and their order
+    are those of a march that allocates its stage arrays afresh, down to
+    ((k1 + 2 k2) + 2 k3) + k4, so its records and every golden are
+    byte-equal to that march's.
     Step-size checks are the caller's; NumericalError on non-finite state.
     """
     nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
@@ -215,19 +237,25 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     def table(values):   # (nt, 3, B, 1): one column per member
         return np.stack([values(m) for m in members], axis=-1)[..., None]
 
+    stark = any(m.stark is not None for m in members)
+    # the per-member factors of every stage: source, input, gain and,
+    # with a Stark drive, -(loss + i*shift)
+    factors = np.empty((nt, 3, 3 + stark, len(members), 1), dtype=complex)
+    src, env, gain = factors[:, :, 0], factors[:, :, 1], factors[:, :, 2]
     mult = table(lambda m: m.coupling.values(stage_t) if m.coupling
                  else np.ones_like(stage_t))
-    env = table(lambda m: m.envelope(stage_t))
+    for b, m in enumerate(members):   # no stacked temporary table
+        env[:, :, b, 0] = m.envelope(stage_t)
     ratio = np.array([m.ratio for m in members])[:, None]
-    src = (1j * params.coupling_density * ratio) * mult
-    gain = (1j * ratio) * mult
+    np.multiply(1j * params.coupling_density * ratio, mult, out=src)
+    np.multiply(1j * ratio, mult, out=gain)
     decay0 = np.array([params.gamma0 + m.extra_decay for m in members])
-    stark = any(m.stark is not None for m in members)
     if stark:
         loss = table(lambda m: m.stark.gamma_s(stage_t) if m.stark
-                     else 0.0 * stage_t)[..., 0]
+                     else 0.0 * stage_t)
         ac = table(lambda m: m.stark.delta_ac(stage_t) if m.stark
                    else 0.0 * stage_t)
+        np.negative(loss + 1j * ac, out=factors[:, :, 3])
     lo, hi = cross.window if cross is not None else (0.0, 0.0)
     driven = (stage_t >= lo) & (stage_t < hi)
     # eta(t) takes a few distinct values, so eta*zeta (and, without a
@@ -239,44 +267,74 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     eta_zeta = rows[:, :, None] * (grid.z - params.L / 2.0)
     fixed = -(decay0[:, None] + 1j * eta_zeta)
 
-    def coefficient(n, s, e):
-        # -(decay + i*shift), the sigma-diagonal part of the RHS
-        if not (stark or driven[n, s]):
-            return fixed[which[n, s]]
-        decay, shift = decay0, eta_zeta[which[n, s]]
-        if stark:
-            decay, shift = decay + loss[n, s], shift + ac[n, s]
-        rate = decay[:, None] + 1j * shift
-        if driven[n, s]:
-            b, drive = cross.target, np.abs(e[cross.source]) ** 2
-            rate[b] = ((decay[b] + cross.c_loss * drive)
-                       + 1j * (shift[b] + cross.c_shift * drive))
-        return -rate
-
     sigma_t = {b: np.empty((nt, nz), dtype=complex)
                for b, m in enumerate(members) if m.full_records}
     exit_t = np.empty((len(members), nt), dtype=complex)
-    sig = np.zeros((len(members), nz), dtype=complex)
+    sig, s, e, ge, coef, cum = np.zeros((6, len(members), nz), dtype=complex)
+    k = np.empty((4, len(members), nz), dtype=complex)
+    # A stage's factors, spread along z once per stage time: a stage op
+    # with a (B, 1) operand would cost NumPy a buffered copy of it.
+    spread = np.empty(factors.shape[2:-1] + (nz,), dtype=complex)
+    src_z, env_z, gain_z = spread[:3]
+    stark_z = spread[3] if stark else None
+
+    def coefficient(n, j):
+        # -(decay + i*shift), the sigma-diagonal part of the RHS at stage
+        # j of step n, for the field in ``e``
+        if stark:
+            np.add(fixed[which[n, j]], stark_z, out=coef)
+        elif driven[n, j]:
+            np.copyto(coef, fixed[which[n, j]])
+        else:
+            return fixed[which[n, j]]
+        if driven[n, j]:
+            b, drive = cross.target, np.abs(e[cross.source]) ** 2
+            decay, shift = decay0[b], eta_zeta[which[n, j], b]
+            if stark:
+                decay, shift = decay + loss[n, j, b, 0], shift + ac[n, j, b, 0]
+            coef[b] = -((decay + cross.c_loss * drive)
+                        + 1j * (shift + cross.c_shift * drive))
+        return coef
+
+    def slope(i, n, j, state, a=None):
+        # k_i = a*state + gain*E at stage j of step n, E already in e and
+        # the stage's factors in spread; a is formed unless given
+        a = coefficient(n, j) if a is None else a
+        np.multiply(a, state, out=k[i])
+        np.multiply(gain_z, e, out=ge)
+        k[i] += ge
+        return a
+
+    def advance(i, h):
+        # the stage state sig + h*k_i and its field
+        np.multiply(k[i], h, out=s)
+        np.add(s, sig, out=s)
+        _slaved_field(s, dz, src_z, env_z, e, cum)
+
     for n in range(nt):
-        e1 = _slaved_field(sig, dz, src[n, 0], env[n, 0])
+        np.copyto(spread, factors[n, 0])
+        _slaved_field(sig, dz, src_z, env_z, e, cum)
         for b in sigma_t:
             sigma_t[b][n] = sig[b]
-        exit_t[:, n] = e1[:, -1]
+        exit_t[:, n] = e[:, -1]
         if n == nt - 1:
             break
-        k1 = coefficient(n, 0, e1) * sig + gain[n, 0] * e1
-        s2 = sig + (0.5 * dt) * k1
-        e2 = _slaved_field(s2, dz, src[n, 1], env[n, 1])
-        a2 = coefficient(n, 1, e2)
-        k2 = a2 * s2 + gain[n, 1] * e2
-        s3 = sig + (0.5 * dt) * k2
-        e3 = _slaved_field(s3, dz, src[n, 1], env[n, 1])
-        a3 = coefficient(n, 1, e3) if driven[n, 1] else a2
-        k3 = a3 * s3 + gain[n, 1] * e3
-        s4 = sig + dt * k3
-        e4 = _slaved_field(s4, dz, src[n, 2], env[n, 2])
-        k4 = coefficient(n, 2, e4) * s4 + gain[n, 2] * e4
-        sig = sig + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        slope(0, n, 0, sig)
+        np.copyto(spread, factors[n, 1])
+        advance(0, 0.5 * dt)
+        a2 = slope(1, n, 1, s)
+        advance(1, 0.5 * dt)
+        slope(2, n, 1, s, None if driven[n, 1] else a2)
+        np.copyto(spread, factors[n, 2])
+        advance(2, dt)
+        slope(3, n, 2, s)
+        # sig += (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), summed in k1
+        k[1:3] *= 2.0
+        k[0] += k[1]
+        k[0] += k[2]
+        k[0] += k[3]
+        k[0] *= dt / 6.0
+        sig += k[0]
         if n % _NAN_CHECK_STRIDE == 0 and not np.all(np.isfinite(sig.view(float))):
             raise NumericalError(
                 f"non-finite coherence at t={stage_t[n, 2]:.4f} (step {n + 1}); "
@@ -284,10 +342,12 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     if not all(np.all(np.isfinite(rec.view(float)))
                for rec in (exit_t, *sigma_t.values())):
         raise NumericalError("non-finite values in the stored trajectory")
-    rec = env[:, 0, :, 0], src[:, 0, :, 0], mult[:, 0, :, 0]
-    return [MemberRecords(CoherenceRecord(sigma_t[b], grid,
-                                          *(r[:, b] for r in rec))
-                          if b in sigma_t else None, exit_t[b])
+
+    def record(b):   # inputs copied, so a record keeps no stage table alive
+        return CoherenceRecord(sigma_t[b], grid, *(
+            r[:, 0, b, 0].copy() for r in (env, src, mult)))
+
+    return [MemberRecords(record(b) if b in sigma_t else None, exit_t[b])
             for b in range(len(members))]
 
 
@@ -312,18 +372,21 @@ def check_window(probe: PulseSpec, schedule: GradientSchedule,
 
 
 def check_step(params: EnsembleParams, schedule: GradientSchedule,
-               grid: Grid, ratio: float, *rates: float) -> None:
-    """StabilityError when dt > 1/rate, rate summing gamma0, ``rates``, the
-    detuning ramp and the slowest-k polariton exchange at Raman ratio
-    ``ratio``.  (RK4 allows |lambda|*dt up to 2*sqrt(2); the margin covers
-    the transient growth of the z-marched coupling.)"""
+               grid: Grid, ratio: float, *rates: float) -> float:
+    """The stability limit 1/rate on dt (inf when rate is 0), rate summing
+    gamma0, ``rates``, the detuning ramp and the slowest-k polariton
+    exchange at Raman ratio ``ratio``; StabilityError when dt exceeds it.
+    (RK4 allows |lambda|*dt up to 2*sqrt(2); the margin covers the
+    transient growth of the z-marched coupling.)"""
     rate = params.gamma0
     for r in rates:
         rate += r
     rate += schedule.max_abs_eta * params.L / 2.0
     rate += params.coupling_density * ratio ** 2 * params.L / (2.0 * math.pi)
-    if rate > 0.0 and grid.dt > 1.0 / rate:
-        raise StabilityError(grid.dt, 1.0 / rate)
+    limit = 1.0 / rate if rate > 0.0 else math.inf
+    if grid.dt > limit:
+        raise StabilityError(grid.dt, limit)
+    return limit
 
 
 def storage_result(records: MemberRecords, grid: Grid,
@@ -381,13 +444,15 @@ def _storage_runs(params: EnsembleParams, schedule: GradientSchedule,
                   ) -> List[StorageResult]:
     """Check each (probe, member) run as check_window and check_step do,
     march the members with the exit-only, signal-free reference of each
-    driven one, and return each run's StorageResult with its xpm_phase.
-    Equal members march once, at most max(1, nz // 16) to a march: that
-    keeps a march's stage tables at about one (nt, nz) record."""
+    driven one, and return each run's StorageResult with its xpm_phase and
+    dt_limit.  Equal members march once, at most max(1, nz // 16) to a
+    march: that keeps a march's stage tables at about one (nt, nz) record."""
+    limits = []
     for probe, m in runs:
         flip = check_window(probe, schedule, grid.t_max)
         drive = (m.stark.max_gamma_s, m.stark.max_delta_ac) if m.stark else ()
-        check_step(params, schedule, grid, params.raman_ratio, *drive)
+        limits.append(check_step(params, schedule, grid, params.raman_ratio,
+                                 *drive))
     ref = {m: replace(m, stark=None, full_records=False)
            for _, m in runs if m.stark is not None}
     members = list(dict.fromkeys([m for _, m in runs] + [*ref.values()]))
@@ -396,9 +461,10 @@ def _storage_runs(params: EnsembleParams, schedule: GradientSchedule,
         chunk = members[i:i + size]
         for m, records in zip(chunk, march(params, schedule, grid, chunk)):
             done[m] = storage_result(records, grid, m.envelope, flip)
-    return [replace(done[m], xpm_phase=done[ref[m]].echo_phase
-                    - done[m].echo_phase) if m in ref else done[m]
-            for _, m in runs]
+    return [replace(done[m], dt_limit=limit,
+                    xpm_phase=(done[ref[m]].echo_phase - done[m].echo_phase
+                               if m in ref else math.nan))
+            for (_, m), limit in zip(runs, limits)]
 
 
 def _window_integral(t: np.ndarray, p: np.ndarray, lo: float, hi: float) -> float:

@@ -258,6 +258,7 @@ class DoubleStorageResult:
     ``xpm`` carries the recalled-probe phase (against the signal-free
     reference) and the coherence amplitude surviving the hold.  The k-t
     diagnostics of both coherences are reconstructed from their records.
+    dt_limit is the march's stability limit on dt from check_step.
     """
 
     xpm: XpmResult
@@ -268,6 +269,7 @@ class DoubleStorageResult:
     tau1: float
     tau2: float
     effective_signal_envelope: np.ndarray   # g|E_s| weighted over the probe
+    dt_limit: float
 
 
 def _require(cond: bool, why: str) -> None:
@@ -327,9 +329,10 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
 
     # Both coherences see the gradient ramp; the probe also sees the
     # drive, bounded by the signal input peak intensity.
-    check_step(params, schedule, grid,
-               max(params.raman_ratio, params.raman_ratio_signal), sig_loss,
-               signal.peak_amplitude ** 2 * max(abs(c_shift), c_loss))
+    dt_limit = check_step(
+        params, schedule, grid,
+        max(params.raman_ratio, params.raman_ratio_signal), sig_loss,
+        signal.peak_amplitude ** 2 * max(abs(c_shift), c_loss))
 
     # probe, signal (opposite gradient, coupling on) and the reference,
     # which is the probe without the signal's drive
@@ -361,4 +364,4 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
         signal_coherence=signal_run.coherence,
         probe_efficiency=probe_result.efficiency,
         reference_efficiency=reference.efficiency, tau1=tau1, tau2=tau2,
-        effective_signal_envelope=np.sqrt(eff_intensity))
+        effective_signal_envelope=np.sqrt(eff_intensity), dt_limit=dt_limit)

@@ -20,6 +20,11 @@
   products of H and the jump operators, in the order of operations the
   gate engine's index-arithmetic build follows, so the two must agree
   entry for entry, bit for bit.
+* ``reference_march`` is the storage engine's batched RK4 march as it
+  stood before its stage buffers were preallocated (with its field march,
+  ``_reference_field``): it allocates fresh arrays at every stage.
+  ``gem.march`` keeps its arithmetic and order, so the two must agree
+  bit for bit.
 * ``collapse_operators`` spells the decay channels out as dense jump
   operators, the textbook form ``lindblad_rhs`` is checked against.
 """
@@ -36,6 +41,7 @@ from scipy.integrate import solve_ivp
 
 from gemxpm.errors import NumericalError
 from gemxpm.gate import DECAY_CHANNELS, DIM, HILBERT, LEVELS, Trajectory
+from gemxpm.gem import _NAN_CHECK_STRIDE, CoherenceRecord, MemberRecords
 
 
 def reference_storage_run(params, envelope, schedule, nz=96, t_max=20.0,
@@ -300,3 +306,104 @@ def evolve_rk4_powered(rho0: np.ndarray, H: np.ndarray, gamma: float,
                 vec = step @ vec
         states[i] = vec.reshape(DIM, DIM)
     return Trajectory(times=samples, states=states)
+
+
+def _reference_field(sigma, dz, source, boundary):
+    """E(z) = E(0) + source * (trapezoid integral of sigma over [0, z]),
+    with fresh arrays on every call."""
+    cum = np.zeros_like(sigma)
+    np.cumsum(sigma[..., 1:] + sigma[..., :-1], axis=-1, out=cum[..., 1:])
+    cum[..., 1:] *= 0.5 * dz
+    e = cum * source
+    e += boundary
+    return e
+
+
+def reference_march(params, schedule, grid, members, cross=None):
+    """Advance a (B, nz) stack of coherences, one row per member, by RK4
+    steps with the slaved field marched along z at every stage.  What
+    depends on time alone is tabulated once on the stage times t_n,
+    t_n + dt/2, t_n + dt.  Each row repeats the arithmetic of a one-member
+    march in the same order, so its records do not depend on the batch.
+    Step-size checks are the caller's; NumericalError on non-finite state.
+    """
+    nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
+    stage_t = grid.t[:, None] + np.array([0.0, 0.5 * dt, dt])
+
+    def table(values):   # (nt, 3, B, 1): one column per member
+        return np.stack([values(m) for m in members], axis=-1)[..., None]
+
+    mult = table(lambda m: m.coupling.values(stage_t) if m.coupling
+                 else np.ones_like(stage_t))
+    env = table(lambda m: m.envelope(stage_t))
+    ratio = np.array([m.ratio for m in members])[:, None]
+    src = (1j * params.coupling_density * ratio) * mult
+    gain = (1j * ratio) * mult
+    decay0 = np.array([params.gamma0 + m.extra_decay for m in members])
+    stark = any(m.stark is not None for m in members)
+    if stark:
+        loss = table(lambda m: m.stark.gamma_s(stage_t) if m.stark
+                     else 0.0 * stage_t)[..., 0]
+        ac = table(lambda m: m.stark.delta_ac(stage_t) if m.stark
+                   else 0.0 * stage_t)
+    lo, hi = cross.window if cross is not None else (0.0, 0.0)
+    driven = (stage_t >= lo) & (stage_t < hi)
+    # eta(t) takes a few distinct values, so eta*zeta (and, without a
+    # Stark drive, the whole sigma coefficient) is formed once per value.
+    eta = table(lambda m: m.eta_sign * schedule.values(stage_t))[..., 0]
+    rows, which = np.unique(eta.reshape(-1, len(members)), axis=0,
+                            return_inverse=True)
+    which = which.reshape(stage_t.shape)
+    eta_zeta = rows[:, :, None] * (grid.z - params.L / 2.0)
+    fixed = -(decay0[:, None] + 1j * eta_zeta)
+
+    def coefficient(n, s, e):
+        # -(decay + i*shift), the sigma-diagonal part of the RHS
+        if not (stark or driven[n, s]):
+            return fixed[which[n, s]]
+        decay, shift = decay0, eta_zeta[which[n, s]]
+        if stark:
+            decay, shift = decay + loss[n, s], shift + ac[n, s]
+        rate = decay[:, None] + 1j * shift
+        if driven[n, s]:
+            b, drive = cross.target, np.abs(e[cross.source]) ** 2
+            rate[b] = ((decay[b] + cross.c_loss * drive)
+                       + 1j * (shift[b] + cross.c_shift * drive))
+        return -rate
+
+    sigma_t = {b: np.empty((nt, nz), dtype=complex)
+               for b, m in enumerate(members) if m.full_records}
+    exit_t = np.empty((len(members), nt), dtype=complex)
+    sig = np.zeros((len(members), nz), dtype=complex)
+    for n in range(nt):
+        e1 = _reference_field(sig, dz, src[n, 0], env[n, 0])
+        for b in sigma_t:
+            sigma_t[b][n] = sig[b]
+        exit_t[:, n] = e1[:, -1]
+        if n == nt - 1:
+            break
+        k1 = coefficient(n, 0, e1) * sig + gain[n, 0] * e1
+        s2 = sig + (0.5 * dt) * k1
+        e2 = _reference_field(s2, dz, src[n, 1], env[n, 1])
+        a2 = coefficient(n, 1, e2)
+        k2 = a2 * s2 + gain[n, 1] * e2
+        s3 = sig + (0.5 * dt) * k2
+        e3 = _reference_field(s3, dz, src[n, 1], env[n, 1])
+        a3 = coefficient(n, 1, e3) if driven[n, 1] else a2
+        k3 = a3 * s3 + gain[n, 1] * e3
+        s4 = sig + dt * k3
+        e4 = _reference_field(s4, dz, src[n, 2], env[n, 2])
+        k4 = coefficient(n, 2, e4) * s4 + gain[n, 2] * e4
+        sig = sig + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if n % _NAN_CHECK_STRIDE == 0 and not np.all(np.isfinite(sig.view(float))):
+            raise NumericalError(
+                f"non-finite coherence at t={stage_t[n, 2]:.4f} (step {n + 1}); "
+                "reduce dt or check the drive for singular values")
+    if not all(np.all(np.isfinite(rec.view(float)))
+               for rec in (exit_t, *sigma_t.values())):
+        raise NumericalError("non-finite values in the stored trajectory")
+    rec = env[:, 0, :, 0], src[:, 0, :, 0], mult[:, 0, :, 0]
+    return [MemberRecords(CoherenceRecord(sigma_t[b], grid,
+                                          *(r[:, b] for r in rec))
+                          if b in sigma_t else None, exit_t[b])
+            for b in range(len(members))]

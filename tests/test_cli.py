@@ -452,6 +452,23 @@ class TestRecordBudget:
         assert peak <= RECORDS_KEPT[cfg.kind] * 16 * nt * nz + (1 << 20)
 
 
+class TestMarchTelemetry:
+    @pytest.mark.parametrize("preset", [
+        n for n in preset_names()
+        if get_preset(n)["experiment"] in ("storage", "xpm-double")])
+    def test_summary_records_steps_and_dt_headroom(self, tmp_path, preset):
+        # the step count and dt over the stability limit reach the summary
+        # only.  Neither dt nor the limit depends on nz, so a coarse z grid
+        # reports the preset's own headroom.
+        raw = get_preset(preset)
+        raw["grid"]["nz"] = 16
+        cfg = parse_config(raw, default_name=preset)
+        results = json.loads(
+            run_config(cfg, tmp_path)["summary"].read_text())["results"]
+        assert results["march_steps"] == cfg.grid.nt - 1
+        assert 0.0 < results["dt_over_limit"] < 1.0
+
+
 class TestRecordDiagnostics:
     @pytest.mark.parametrize("preset, pinned", [
         ("storage_baseline", {"fourier_residual": 0.028574305592487005,

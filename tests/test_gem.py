@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,51 @@ from gemxpm import (CoherenceRecord, EnsembleParams, GradientSchedule, Grid,
                     constant_stark_drive, excitation_balance, group_velocity,
                     peak_k_trajectory, polariton_transform, propagate,
                     verify_fourier_relation)
-from gemxpm.gem import Member, march, spatial_spectrum, storage_batch
+from gemxpm import gem
+from gemxpm.gem import (CrossDrive, Member, check_step, march,
+                        spatial_spectrum, storage_batch)
 
-from _reference import peak_k_trajectory_loop, reference_storage_run
+from _reference import (peak_k_trajectory_loop, reference_march,
+                        reference_storage_run)
 
 
 TWO_PI = 2.0 * math.pi
+HOLD_SCHEDULE = GradientSchedule(((0.0, 8.0, 8.0), (8.0, 12.0, 0.0),
+                                  (12.0, 20.0, -8.0)))
+
+
+def mixed_members(p, drive):
+    """Four members that differ in every Member field; the second and
+    third carry ``drive`` and the second keeps its exit field only."""
+    return [
+        Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio),
+        Member(PulseSpec(0.3, 2.5, 0.7).envelope, p.raman_ratio,
+               stark=drive, full_records=False),
+        Member(PulseSpec(0.6, 3.0, 0.8).envelope, p.raman_ratio,
+               stark=drive),
+        Member(PulseSpec(2.0, 3.5, 1.2).envelope, 0.5 * p.raman_ratio,
+               eta_sign=-1.0, extra_decay=0.05,
+               coupling=PiecewiseConstant(((0.0, 7.0, 1.0),
+                                           (7.0, 12.0, 0.0),
+                                           (12.0, 20.0, 1.0)))),
+    ]
+
+
+def held_pair(p, probe_drive=None):
+    """Probe, signal and reference members shaped like double_storage_run's
+    batch, with the cross drive of the signal on the probe over the hold
+    [8, 12) of HOLD_SCHEDULE; ``probe_drive`` adds a Stark drive to the
+    driven probe."""
+    denom = p.gamma ** 2 + p.delta4 ** 2
+    held = Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio,
+                  coupling=PiecewiseConstant(((0.0, 8.0, 1.0),
+                                              (8.0, 12.0, 0.0),
+                                              (12.0, 20.0, 1.0))))
+    signal = Member(PulseSpec(0.5, 5.0, 0.8).envelope, p.raman_ratio_signal,
+                    eta_sign=-1.0, extra_decay=0.3)
+    return ([dataclasses.replace(held, stark=probe_drive), signal, held],
+            CrossDrive(source=1, target=0, window=(8.0, 12.0),
+                       c_shift=p.delta4 / denom, c_loss=p.gamma / denom))
 
 
 class TestStarkDrive:
@@ -167,6 +207,20 @@ class TestPropagate:
         assert err.value.dt_required < grid.dt
         assert "required dt" in str(err.value)
 
+    def test_check_step_returns_stability_limit(self, baseline_params,
+                                                baseline_schedule,
+                                                baseline_grid, baseline_run):
+        p = baseline_params
+        rate = (p.gamma0 + baseline_schedule.max_abs_eta * p.L / 2.0
+                + p.coupling_density * p.raman_ratio ** 2 * p.L / TWO_PI)
+        limit = check_step(p, baseline_schedule, baseline_grid, p.raman_ratio)
+        assert limit == 1.0 / rate
+        assert 0.0 < baseline_grid.dt / limit < 1.0
+        assert baseline_run.dt_limit == limit
+        # no decay, gradient or exchange: nothing limits the step
+        flat = GradientSchedule(((0.0, 20.0, 0.0),))
+        assert check_step(p, flat, baseline_grid, 0.0) == math.inf
+
     def test_nan_detection_aborts(self, baseline_params, baseline_probe,
                                   baseline_schedule, baseline_grid):
         bad = StarkDrive(
@@ -207,18 +261,7 @@ class TestBatchedMarch:
         grid = Grid(nz=63, nt=700, t_max=20.0, L=p.L)
         drive = (apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
                                    detuning=p.delta3) if with_stark else None)
-        members = [
-            Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio),
-            Member(PulseSpec(0.3, 2.5, 0.7).envelope, p.raman_ratio,
-                   stark=drive, full_records=False),
-            Member(PulseSpec(0.6, 3.0, 0.8).envelope, p.raman_ratio,
-                   stark=drive),
-            Member(PulseSpec(2.0, 3.5, 1.2).envelope, 0.5 * p.raman_ratio,
-                   eta_sign=-1.0, extra_decay=0.05,
-                   coupling=PiecewiseConstant(((0.0, 7.0, 1.0),
-                                               (7.0, 12.0, 0.0),
-                                               (12.0, 20.0, 1.0)))),
-        ]
+        members = mixed_members(p, drive)
         batch = march(p, baseline_schedule, grid, members)
         for member, rec in zip(members, batch):
             (alone,) = march(p, baseline_schedule, grid, [member])
@@ -232,6 +275,81 @@ class TestBatchedMarch:
                 assert np.array_equal(field[:, 0], member.envelope(grid.t))
             else:
                 assert rec.coherence is None
+
+    @pytest.mark.parametrize("case, nz", [
+        ("one_member", 64), ("mixed_stark", 63), ("cross", 48),
+        ("cross_stark", 33), ("mixed_stark", 2)])
+    def test_equals_reference_march(self, baseline_params, baseline_schedule,
+                                    case, nz):
+        # the buffered march keeps the arithmetic and order of the march
+        # that allocates its stage arrays afresh: records equal bit for
+        # bit, signed zeros included, on even, odd and two-point grids
+        p = baseline_params
+        grid = Grid(nz=nz, nt=500, t_max=20.0, L=p.L)
+        drive = apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
+                                  detuning=p.delta3)
+        schedule, cross = baseline_schedule, None
+        if case == "one_member":
+            members = mixed_members(p, None)[:1]
+        elif case == "mixed_stark":
+            members = mixed_members(p, drive)
+        else:
+            schedule = HOLD_SCHEDULE
+            members, cross = held_pair(
+                p, apply_stark_drive(PulseSpec(0.8, 9.0, 1.0), p,
+                                     detuning=p.delta4)
+                if case == "cross_stark" else None)
+        got = march(p, schedule, grid, members, cross)
+        want = reference_march(p, schedule, grid, members, cross)
+        for rec, ref in zip(got, want):
+            assert np.array_equal(rec.exit_field, ref.exit_field)
+            assert rec.exit_field.tobytes() == ref.exit_field.tobytes()
+            assert (rec.coherence is None) == (ref.coherence is None)
+            if rec.coherence is not None:
+                for a, b in ((rec.coherence.values, ref.coherence.values),
+                             (rec.coherence.field(), ref.coherence.field())):
+                    assert np.array_equal(a, b)
+                    assert a.tobytes() == b.tobytes()
+
+    def test_steps_allocate_nothing(self, baseline_params, baseline_schedule,
+                                    monkeypatch):
+        # Every array a step writes exists before the first step: from the
+        # first field march on, the traced peak grows by less than one
+        # (B, nz) stage array (the NaN check and the final finiteness check
+        # allocate less; the march that allocates per stage grows by 17).
+        # Over the whole march the traced peak, less the exit fields it
+        # returns, stays within its stage tables (a few (nt, 3, B) arrays)
+        # and about 17 (B, nz) arrays: the stage buffers, a stage's
+        # factors and the per-eta coefficients.
+        p = baseline_params
+        grid = Grid(nz=1024, nt=2001, t_max=20.0, L=p.L)
+        drive = apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
+                                  detuning=p.delta3)
+        members = [dataclasses.replace(m, full_records=False)
+                   for m in mixed_members(p, drive)[1:]]
+        field, before_steps = gem._slaved_field, []
+
+        def marked_field(*args):
+            if not before_steps:
+                before_steps.extend(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+            return field(*args)
+
+        monkeypatch.setattr(gem, "_slaved_field", marked_field)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            records = march(p, baseline_schedule, grid, members)
+            peak_in_steps = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        at_first_step, peak_before = before_steps
+        stage = len(members) * grid.nz * 16
+        table = grid.nt * 3 * len(members) * 16
+        kept = sum(r.exit_field.nbytes for r in records)
+        assert peak_in_steps - at_first_step < stage
+        assert (max(peak_before, peak_in_steps) - start - kept
+                < 8 * table + 20 * stage)
 
 
 class TestPolariton:
