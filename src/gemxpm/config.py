@@ -51,8 +51,6 @@ _RATES = frozenset(("gamma", "gamma0", "g", "Delta", "DeltaPrime", "delta3",
                     "omega_s"))
 _TIMES = frozenset(("center_time", "duration", "t_max", "tau", "t_end",
                     "t_gate"))
-#: GateParams fields derived from g and N, never read from a config.
-_DERIVED = ("g13", "g24", "g1p3p")
 #: GateRunSpec fields a gate trace (t_end, n_samples) or a tomography run
 #: (t_gate) does not read.
 _GATE_SKIP = {"gate": ("params", "t_gate"),
@@ -78,7 +76,6 @@ class XpmFreeSpec:
 @dataclass(frozen=True)
 class GateRunSpec:
     params: GateParams
-    stored_signal_coupling: bool = False
     t_end: float = 15.0
     n_samples: int = 151
     t_gate: float = 15.0
@@ -91,10 +88,6 @@ class GateRunSpec:
         if self.n_samples < 2:
             raise ValueError(
                 f"n_samples must be at least 2, got {self.n_samples}")
-
-    def effective_params(self) -> GateParams:
-        return (self.params.with_stored_signal_coupling()
-                if self.stored_signal_coupling else self.params)
 
 
 @dataclass(frozen=True)
@@ -302,10 +295,10 @@ def _parse_gate(raw: Optional[Mapping], units: _Units, path: str,
     not in ``skip``."""
     raw = {} if raw is None else _expect_mapping(raw, path)
     run_keys = _keys(GateRunSpec, skip)
-    _check_keys(raw, _keys(GateParams, _DERIVED) + run_keys, path)
+    _check_keys(raw, _keys(GateParams) + run_keys, path)
     params = _section(GateParams,
                       {k: v for k, v in raw.items() if k not in run_keys},
-                      units, path, _DERIVED, **units.fixed())
+                      units, path, **units.fixed())
     return _section(GateRunSpec,
                     {k: v for k, v in raw.items() if k in run_keys},
                     units, path, skip, params=params)
@@ -467,7 +460,7 @@ def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
         if v is None:
             continue
         if key == "gate":
-            v = {**_echo(v.params, _DERIVED), **_echo(v, _GATE_SKIP[cfg.kind])}
+            v = {**_echo(v.params), **_echo(v, _GATE_SKIP[cfg.kind])}
         elif key == "schedule":
             v = [list(seg) for seg in v.segments]
         elif key == "targets":

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -80,9 +80,9 @@ class GateParams:
     """Gate simulation parameters.
 
     Defaults are the reference working point: OmegaC = OmegaCPrime = 20,
-    Delta = DeltaPrime = 30*OmegaC, delta4 = 20, g = 0.085, N = 1e7, with
-    collective couplings g13 = g1p3p = g*sqrt(N) and g24 = g (all rates in
-    units of gamma).
+    Delta = DeltaPrime = 30*OmegaC, delta4 = 20, g = 0.085, N = 1e7 (all
+    rates in units of gamma).  The couplings g13, g1p3p and g24 derive
+    from these.
     """
 
     gamma: float = 1.0
@@ -93,26 +93,26 @@ class GateParams:
     delta4: float = 20.0
     g: float = 0.085
     N: float = 1.0e7
-    g13: Optional[float] = None
-    g24: Optional[float] = None
-    g1p3p: Optional[float] = None
+    stored_signal_coupling: bool = False
 
     def __post_init__(self):
-        root_n = math.sqrt(self.N)
-        if self.g13 is None:
-            object.__setattr__(self, "g13", self.g * root_n)
-        if self.g24 is None:
-            object.__setattr__(self, "g24", self.g)
-        if self.g1p3p is None:
-            object.__setattr__(self, "g1p3p", self.g * root_n)
         for name in ("gamma", "OmegaC", "OmegaCPrime", "Delta", "DeltaPrime",
                      "delta4", "g", "N"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def with_stored_signal_coupling(self) -> "GateParams":
-        """Replace g24 by the probe-facing Rabi frequency of the *stored*
-        signal photon.
+    @property
+    def g13(self) -> float:
+        """Collective coupling g*sqrt(N), on |1'> -> |3'> too (g1p3p)."""
+        return self.g * math.sqrt(self.N)
+
+    g1p3p = g13
+
+    @property
+    def g24(self) -> float:
+        """Coupling of mode s on |2> -> |4>: g, or with
+        ``stored_signal_coupling`` the probe-facing Rabi frequency of the
+        *stored* signal photon.
 
         A signal excitation held as a dark polariton of the primed system
         keeps only the photonic amplitude OmegaCPrime/sqrt(g1p3p^2 +
@@ -121,9 +121,14 @@ class GateParams:
         bandwidth-gamma signal photon enters the gate window once it has
         been mapped into the memory.
         """
+        if not self.stored_signal_coupling:
+            return self.g
         w = math.hypot(self.g1p3p, self.OmegaCPrime)
-        factor = self.OmegaCPrime / w if w > 0 else 0.0
-        return replace(self, g24=self.g24 * factor)
+        return self.g * (self.OmegaCPrime / w if w > 0 else 0.0)
+
+    def with_stored_signal_coupling(self) -> "GateParams":
+        """These parameters with the stored signal's g24."""
+        return replace(self, stored_signal_coupling=True)
 
 
 def build_hamiltonian(params: GateParams) -> np.ndarray:

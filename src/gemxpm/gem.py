@@ -2,7 +2,7 @@
 
 The model is the adiabatically eliminated two-field pair
 
-    d(sigma)/dt = -[gamma0 + Gamma_s(z,t) + i*(eta(t)*(z - L/2) + delta_ac(z,t))]*sigma
+    d(sigma)/dt = -[gamma0 + (c_loss + i*c_shift)*I(z,t) + i*eta(t)*(z - L/2)]*sigma
                   + i*(OmegaC/Delta)*E,
     dE/dz       = i*(g*calN)*(OmegaC/Delta)*sigma,
 
@@ -10,8 +10,11 @@ where E = g*script-E is the probe Rabi envelope and sigma the collective
 spin coherence.  The field is slaved: at every Runge-Kutta stage it is
 marched along z from the boundary value (instantaneous-field limit); one
 stepper, ``march``, advances a stack of such coherences in t by classic
-RK4 steps.  The gradient is centred on the cell (eta*(z - L/2)) and
-Gamma_s/delta_ac vanish unless an ac-Stark drive is supplied.
+RK4 steps.  The gradient is centred on the cell (eta*(z - L/2)).  A drive
+is an intensity I = |g*E_s|^2 (0 without one) and the ``light_shift`` pair
+(c_shift, c_loss) of its detuning: I(t) of a signal filling the cell for a
+``StarkDrive``, another member's |E|^2 for a ``CrossDrive``.  Both bound
+dt by one rule, their ``rates`` (c_loss, |c_shift|) times peak intensity.
 
 Sign conventions worth knowing when reading diagnostics:
 
@@ -38,19 +41,34 @@ from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
 _NAN_CHECK_STRIDE = 64
 
 
+def light_shift(gamma: float, detuning: float) -> Tuple[float, float]:
+    """(c_shift, c_loss) = (detuning, gamma) / (gamma^2 + detuning^2): an
+    intensity I = |g*E_s|^2 at ``detuning`` shifts a stored coherence by
+    c_shift*I and scatters its amplitude at c_loss*I."""
+    denom = gamma * gamma + detuning * detuning
+    if denom == 0.0:
+        raise ValueError("gamma and detuning cannot both vanish")
+    return detuning / denom, gamma / denom
+
+
+class _LightShiftRates:
+    @property
+    def rates(self) -> Tuple[float, float]:
+        """(loss, |shift|) at the peak intensity, for check_step."""
+        return self.c_loss * self.peak, abs(self.c_shift) * self.peak
+
+
 @dataclass(frozen=True)
-class StarkDrive:
-    """Space-uniform ac-Stark drive produced by a far-detuned signal field.
+class StarkDrive(_LightShiftRates):
+    """Space-uniform ac-Stark drive produced by a far-detuned signal field:
+    the vectorised intensity I(t) = |g*E_s(t)|^2, at most ``peak``, shifts
+    the spin coherence by c_shift*I(t) and scatters it at c_loss*I(t)
+    (the ``light_shift`` pair)."""
 
-    ``delta_ac(t)`` is the light shift of the spin coherence and
-    ``gamma_s(t)`` the induced amplitude scattering rate.  Both are
-    vectorised callables of time; the maxima are used for step-size checks.
-    """
-
-    delta_ac: Callable[[np.ndarray], np.ndarray]
-    gamma_s: Callable[[np.ndarray], np.ndarray]
-    max_delta_ac: float
-    max_gamma_s: float
+    intensity: Callable[[np.ndarray], np.ndarray]
+    peak: float
+    c_shift: float
+    c_loss: float
 
 
 def apply_stark_drive(signal: PulseSpec, params: EnsembleParams,
@@ -58,51 +76,22 @@ def apply_stark_drive(signal: PulseSpec, params: EnsembleParams,
     """Reduce a counter-propagating signal pulse to its ac-Stark drive.
 
     The signal illuminates the whole cell, so the drive carries no z
-    dependence.  With intensity I(t) = |g*E_s(t)|^2 and detuning delta,
-
-        delta_ac(t) = I(t) * delta / (gamma^2 + delta^2),
-        Gamma_s(t)  = I(t) * gamma / (gamma^2 + delta^2).
-
-    ``detuning`` defaults to params.delta3 (the free-propagating signal
-    transition); pass params.delta4 for the stored-pair geometry.
+    dependence.  ``detuning`` defaults to params.delta3 (the
+    free-propagating signal transition); pass params.delta4 for the
+    stored-pair geometry.
     """
     delta = params.delta3 if detuning is None else float(detuning)
-    gamma = params.gamma
-    denom = gamma * gamma + delta * delta
-    if denom == 0.0:
-        raise ValueError("gamma and detuning cannot both vanish")
-    c_shift = delta / denom
-    c_loss = gamma / denom
-    peak_intensity = signal.peak_amplitude ** 2
-
-    def delta_ac(t):
-        return c_shift * np.abs(signal.envelope(t)) ** 2
-
-    def gamma_s(t):
-        return c_loss * np.abs(signal.envelope(t)) ** 2
-
-    return StarkDrive(delta_ac=delta_ac, gamma_s=gamma_s,
-                      max_delta_ac=abs(c_shift) * peak_intensity,
-                      max_gamma_s=c_loss * peak_intensity)
+    return StarkDrive(lambda t: np.abs(signal.envelope(t)) ** 2,
+                      signal.peak_amplitude ** 2,
+                      *light_shift(params.gamma, delta))
 
 
 def constant_stark_drive(intensity: float, detuning: float, gamma: float,
                          window: Tuple[float, float]) -> StarkDrive:
     """Rectangular drive with |g*E_s|^2 = intensity inside ``window``."""
-    denom = gamma * gamma + detuning * detuning
-    if denom == 0.0:
-        raise ValueError("gamma and detuning cannot both vanish")
     lo, hi = window
-    c_shift = intensity * detuning / denom
-    c_loss = intensity * gamma / denom
-
-    def _gate(t):
-        t = np.asarray(t, dtype=float)
-        return ((t >= lo) & (t < hi)).astype(float)
-
-    return StarkDrive(delta_ac=lambda t: c_shift * _gate(t),
-                      gamma_s=lambda t: c_loss * _gate(t),
-                      max_delta_ac=abs(c_shift), max_gamma_s=c_loss)
+    return StarkDrive(lambda t: intensity * ((t >= lo) & (t < hi)),
+                      intensity, *light_shift(gamma, detuning))
 
 
 def _slaved_field(sigma: np.ndarray, dz: float, source: np.ndarray,
@@ -144,8 +133,6 @@ class CoherenceRecord:
     def __post_init__(self):
         if self.values.shape != (self.grid.nt, self.grid.nz):
             raise ValueError("CoherenceRecord array does not match the grid")
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("CoherenceRecord contains non-finite entries")
 
     def field(self, rows=slice(None)) -> np.ndarray:
         """The slaved probe field g*E(t, z) at the grid times ``rows``."""
@@ -194,13 +181,15 @@ class Member:
 
 
 @dataclass(frozen=True)
-class CrossDrive:
+class CrossDrive(_LightShiftRates):
     """Drive of member ``target`` by member ``source``'s field for t in
-    [window): Gamma_s, delta_ac = c_loss, c_shift times |E_source(z,t)|^2."""
+    [window): the intensity |E_source(z,t)|^2, at most ``peak``, shifts
+    the target by c_shift times it and scatters it at c_loss times it."""
 
     source: int
     target: int
     window: Tuple[float, float]
+    peak: float
     c_shift: float
     c_loss: float
 
@@ -250,12 +239,14 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     np.multiply(1j * params.coupling_density * ratio, mult, out=src)
     np.multiply(1j * ratio, mult, out=gain)
     decay0 = np.array([params.gamma0 + m.extra_decay for m in members])
-    if stark:
-        loss = table(lambda m: m.stark.gamma_s(stage_t) if m.stark
-                     else 0.0 * stage_t)
-        ac = table(lambda m: m.stark.delta_ac(stage_t) if m.stark
-                   else 0.0 * stage_t)
-        np.negative(loss + 1j * ac, out=factors[:, :, 3])
+    if stark:   # loss and shift are c_loss and c_shift times intensity
+        intensity = table(lambda m: m.stark.intensity(stage_t) if m.stark
+                          else 0.0 * stage_t)
+        c_loss, c_shift = np.array([(m.stark.c_loss, m.stark.c_shift)
+                                    if m.stark else (0.0, 0.0)
+                                    for m in members]).T[..., None]
+        np.negative(c_loss * intensity + 1j * (c_shift * intensity),
+                    out=factors[:, :, 3])
     lo, hi = cross.window if cross is not None else (0.0, 0.0)
     driven = (stage_t >= lo) & (stage_t < hi)
     # eta(t) takes a few distinct values, so eta*zeta (and, without a
@@ -291,7 +282,8 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
             b, drive = cross.target, np.abs(e[cross.source]) ** 2
             decay, shift = decay0[b], eta_zeta[which[n, j], b]
             if stark:
-                decay, shift = decay + loss[n, j, b, 0], shift + ac[n, j, b, 0]
+                decay = decay + c_loss[b, 0] * intensity[n, j, b, 0]
+                shift = shift + c_shift[b, 0] * intensity[n, j, b, 0]
             coef[b] = -((decay + cross.c_loss * drive)
                         + 1j * (shift + cross.c_shift * drive))
         return coef
@@ -450,9 +442,8 @@ def _storage_runs(params: EnsembleParams, schedule: GradientSchedule,
     limits = []
     for probe, m in runs:
         flip = check_window(probe, schedule, grid.t_max)
-        drive = (m.stark.max_gamma_s, m.stark.max_delta_ac) if m.stark else ()
         limits.append(check_step(params, schedule, grid, params.raman_ratio,
-                                 *drive))
+                                 *(m.stark.rates if m.stark else ())))
     ref = {m: replace(m, stark=None, full_records=False)
            for _, m in runs if m.stark is not None}
     members = list(dict.fromkeys([m for _, m in runs] + [*ref.values()]))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ProtocolError
 from .gem import (CoherenceRecord, CrossDrive, Member, StarkDrive,
-                  apply_stark_drive, check_step, check_window, march,
-                  storage_batch, storage_result)
+                  apply_stark_drive, check_step, check_window, light_shift,
+                  march, storage_batch, storage_result)
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
 
@@ -319,20 +319,20 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     """
     flip, (tau1, tau2) = check_protocol(probe, signal, schedule, grid.t_max)
 
-    denom = params.gamma * params.gamma + params.delta4 * params.delta4
-    c_shift, c_loss = params.delta4 / denom, params.gamma / denom
     sig_loss = coupling_loss_rate(params.OmegaCPrime, params.DeltaPrime,
                                   params.gamma)
-
     probe_coupling = PiecewiseConstant((
         (0.0, tau1, 1.0), (tau1, tau2, 0.0), (tau2, grid.t_max, 1.0)))
+    # the signal's field drives the probe over the hold, its intensity
+    # bounded by the signal input's peak
+    cross = CrossDrive(1, 0, (tau1, tau2), signal.peak_amplitude ** 2,
+                       *light_shift(params.gamma, params.delta4))
 
-    # Both coherences see the gradient ramp; the probe also sees the
-    # drive, bounded by the signal input peak intensity.
+    # Both coherences see the gradient ramp; the probe also sees the drive.
     dt_limit = check_step(
         params, schedule, grid,
         max(params.raman_ratio, params.raman_ratio_signal), sig_loss,
-        signal.peak_amplitude ** 2 * max(abs(c_shift), c_loss))
+        *cross.rates)
 
     # probe, signal (opposite gradient, coupling on) and the reference,
     # which is the probe without the signal's drive
@@ -340,9 +340,7 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     probe_run, signal_run, reference_run = march(
         params, schedule, grid,
         [held, Member(signal.envelope, params.raman_ratio_signal,
-                      eta_sign=-1.0, extra_decay=sig_loss), held],
-        CrossDrive(source=1, target=0, window=(tau1, tau2),
-                   c_shift=c_shift, c_loss=c_loss))
+                      eta_sign=-1.0, extra_decay=sig_loss), held], cross)
     probe_result = storage_result(probe_run, grid, probe.envelope, flip)
     reference = storage_result(reference_run, grid, probe.envelope, flip)
 

@@ -342,10 +342,10 @@ def reference_march(params, schedule, grid, members, cross=None):
     decay0 = np.array([params.gamma0 + m.extra_decay for m in members])
     stark = any(m.stark is not None for m in members)
     if stark:
-        loss = table(lambda m: m.stark.gamma_s(stage_t) if m.stark
-                     else 0.0 * stage_t)[..., 0]
-        ac = table(lambda m: m.stark.delta_ac(stage_t) if m.stark
-                   else 0.0 * stage_t)
+        loss = table(lambda m: m.stark.c_loss * m.stark.intensity(stage_t)
+                     if m.stark else 0.0 * stage_t)[..., 0]
+        ac = table(lambda m: m.stark.c_shift * m.stark.intensity(stage_t)
+                   if m.stark else 0.0 * stage_t)
     lo, hi = cross.window if cross is not None else (0.0, 0.0)
     driven = (stage_t >= lo) & (stage_t < hi)
     # eta(t) takes a few distinct values, so eta*zeta (and, without a

@@ -200,7 +200,7 @@ def test_criterion_08_gate_reproduction_targets():
 
     cfg = parse_config(get_preset("fig4b_tomo"), default_name="fig4b_tomo")
     gate = cfg.gate
-    params = gate.effective_params()
+    params = gate.params
 
     trace = phase_trace(params, t_end=15.0, n_samples=16)
     phi_mrad = abs(trace.phi[-1]) * 1e3

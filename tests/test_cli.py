@@ -17,7 +17,8 @@ from gemxpm.config import (RECORDS_KEPT, SECTIONS, config_to_dict,
                            parse_config, set_sweep_value)
 from gemxpm.errors import ConfigError
 from gemxpm.presets import get_preset, preset_names
-from gemxpm.reporting import ResultTable, csv_body, format_float
+from gemxpm.reporting import (ResultTable, config_hash, csv_body,
+                              format_float)
 from gemxpm.tomography import choi_matrix, ideal_cphase_choi
 
 STORAGE_CONFIG = {
@@ -285,6 +286,35 @@ class TestConfigValidation:
         assert cfg.gate.t_gate == cfg.gate.t_end == 15.0
         assert cfg.gate.params.OmegaC == 20.0
         assert cfg.gate.params.gamma == 1.0
+
+    @pytest.mark.parametrize("key", ["g13", "g24", "g1p3p"])
+    def test_derived_gate_coupling_refused(self, tmp_path, capsys, key):
+        # the couplings derive from g, N and stored_signal_coupling
+        assert main(["simulate", write_yaml(tmp_path, {
+            "experiment": "gate", "gate": {key: 1.0, "n_samples": 2}}),
+            "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error at 'gate.{key}': unknown key" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, run_keys, sha", [
+        ("fig4a_gate", {"t_end": 15.0, "n_samples": 151},
+         "500b70c10b1e3012f2f2c7ceec27517a6ee1ec03737b1112f60021bea455db1a"),
+        ("fig4b_tomo", {"t_gate": 15.0},
+         "00a946a7cc569372881be9f59622fdc5108822eaab56caf7d7d3d50636cd74d7")])
+    def test_gate_echo_and_hash_stable(self, name, run_keys, sha):
+        # one flat gate mapping: the GateParams fields, then the run's
+        # keys, in field order; the hash is that of the summaries so far
+        cfg = parse_config(get_preset(name), default_name=name)
+        assert cfg.gate.params.stored_signal_coupling is True
+        resolved = config_to_dict(cfg)
+        assert list(resolved["gate"].items()) == [
+            ("gamma", 1.0), ("OmegaC", 20.0), ("OmegaCPrime", 20.0),
+            ("Delta", 600.0), ("DeltaPrime", 600.0), ("delta4", 20.0),
+            ("g", 0.085), ("N", 1.0e7), ("stored_signal_coupling", True),
+            *run_keys.items()]
+        assert config_hash(resolved) == sha
+        assert parse_config(resolved) == cfg
 
     def test_lab_units_require_gamma(self):
         cfg = dict(STORAGE_CONFIG, units={"system": "lab"})
@@ -641,8 +671,7 @@ class TestChoiExport:
         eigs = cptp["eigenvalues"]
         assert len(eigs) == 16 and eigs == sorted(eigs, reverse=True)
         assert sum(eigs) == pytest.approx(cptp["trace"], abs=1e-12)
-        chi = choi_matrix(channel_from_gate(cfg.gate.effective_params(),
-                                            cfg.gate.t_gate))
+        chi = choi_matrix(channel_from_gate(cfg.gate.params, cfg.gate.t_gate))
         assert cptp["purity"] == chi.purity
         assert cptp["completely_positive"] == chi.report.completely_positive
         assert cptp["trace_preserving"] == chi.report.trace_preserving

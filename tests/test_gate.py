@@ -397,7 +397,6 @@ class TestPropagator:
 
 
 class TestConvergence:
-    @pytest.mark.slow
     def test_phi_converged_in_dt(self, gate_params, dressed_phase_trace):
         # the RK4 oracle at 0.7 of its step bound converges on the exact
         # fig4a trajectory: phi and F agree on every one of the 31 samples.

@@ -12,7 +12,7 @@ from gemxpm import (CoherenceRecord, EnsembleParams, GradientSchedule, Grid,
                     peak_k_trajectory, polariton_transform, propagate,
                     verify_fourier_relation)
 from gemxpm import gem
-from gemxpm.gem import (CrossDrive, Member, check_step, march,
+from gemxpm.gem import (CrossDrive, Member, check_step, light_shift, march,
                         spatial_spectrum, storage_batch)
 
 from _reference import (peak_k_trajectory_loop, reference_march,
@@ -46,7 +46,6 @@ def held_pair(p, probe_drive=None):
     batch, with the cross drive of the signal on the probe over the hold
     [8, 12) of HOLD_SCHEDULE; ``probe_drive`` adds a Stark drive to the
     driven probe."""
-    denom = p.gamma ** 2 + p.delta4 ** 2
     held = Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio,
                   coupling=PiecewiseConstant(((0.0, 8.0, 1.0),
                                               (8.0, 12.0, 0.0),
@@ -54,23 +53,52 @@ def held_pair(p, probe_drive=None):
     signal = Member(PulseSpec(0.5, 5.0, 0.8).envelope, p.raman_ratio_signal,
                     eta_sign=-1.0, extra_decay=0.3)
     return ([dataclasses.replace(held, stark=probe_drive), signal, held],
-            CrossDrive(source=1, target=0, window=(8.0, 12.0),
-                       c_shift=p.delta4 / denom, c_loss=p.gamma / denom))
+            CrossDrive(1, 0, (8.0, 12.0), 0.25,
+                       *light_shift(p.gamma, p.delta4)))
 
 
 class TestStarkDrive:
+    @pytest.mark.parametrize("gamma, detuning", [
+        (1.0, 20.0), (1.0, -3.0), (0.5, 0.0), (0.0, 2.0)])
+    def test_light_shift_pair(self, gamma, detuning):
+        denom = gamma * gamma + detuning * detuning
+        assert light_shift(gamma, detuning) == (detuning / denom,
+                                                gamma / denom)
+
+    def test_light_shift_refuses_vanishing_denominator(self):
+        with pytest.raises(ValueError, match="cannot both vanish"):
+            light_shift(0.0, 0.0)
+        with pytest.raises(ValueError, match="cannot both vanish"):
+            constant_stark_drive(1.0, 0.0, 0.0, (5.0, 8.0))
+
+    @pytest.mark.parametrize("amplitude, detuning", [
+        (0.8, 25.0), (0.3, -7.5), (1.7, 0.0)])
+    def test_rates_are_peak_loss_and_shift(self, baseline_params,
+                                           amplitude, detuning):
+        # the step check's terms: gamma/denom and |delta/denom| times the
+        # signal's peak intensity, bit for bit
+        gamma = baseline_params.gamma
+        denom = gamma * gamma + detuning * detuning
+        peak = amplitude ** 2
+        drive = apply_stark_drive(PulseSpec(amplitude, 5.0, 1.0),
+                                  baseline_params, detuning=detuning)
+        assert drive.rates == (gamma / denom * peak,
+                               abs(detuning / denom) * peak)
+
     def test_zero_signal(self, baseline_params):
         drive = apply_stark_drive(PulseSpec(0.0, 5.0, 1.0), baseline_params)
         t = np.linspace(0, 10, 11)
-        assert np.all(drive.delta_ac(t) == 0)
-        assert np.all(drive.gamma_s(t) == 0)
+        assert np.all(drive.c_shift * drive.intensity(t) == 0)
+        assert np.all(drive.c_loss * drive.intensity(t) == 0)
 
     def test_on_resonance_pure_loss(self, baseline_params):
         drive = apply_stark_drive(PulseSpec(0.5, 5.0, 1.0), baseline_params,
                                   detuning=0.0)
-        assert np.all(drive.delta_ac(np.linspace(0, 10, 21)) == 0)
+        assert np.all(drive.c_shift * drive.intensity(np.linspace(0, 10, 21))
+                      == 0)
         # peak loss = |Omega|^2 / gamma at pulse center
-        assert drive.gamma_s(5.0) == pytest.approx(0.25 / baseline_params.gamma)
+        assert (drive.c_loss * drive.intensity(5.0)
+                == pytest.approx(0.25 / baseline_params.gamma))
 
     def test_constant_drive_phase_advance(self, baseline_params,
                                           baseline_probe, baseline_schedule,
@@ -165,9 +193,8 @@ class TestPropagate:
             self, baseline_params, baseline_probe, baseline_schedule,
             baseline_grid, baseline_run):
         drive = StarkDrive(
-            delta_ac=lambda t: 0.05 * ((np.asarray(t) >= 5) & (np.asarray(t) < 8)),
-            gamma_s=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            max_delta_ac=0.05, max_gamma_s=0.0)
+            intensity=lambda t: 0.05 * ((np.asarray(t) >= 5) & (np.asarray(t) < 8)),
+            peak=0.05, c_shift=1.0, c_loss=0.0)
         res = propagate(baseline_params, baseline_probe, baseline_schedule,
                         baseline_grid, stark=drive)
         assert abs(res.efficiency - baseline_run.efficiency) < 1e-6
@@ -224,12 +251,26 @@ class TestPropagate:
     def test_nan_detection_aborts(self, baseline_params, baseline_probe,
                                   baseline_schedule, baseline_grid):
         bad = StarkDrive(
-            delta_ac=lambda t: np.where(np.asarray(t) < 5.0, 0.0, math.nan),
-            gamma_s=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            max_delta_ac=0.1, max_gamma_s=0.0)
+            intensity=lambda t: np.where(np.asarray(t) < 5.0, 0.0, math.nan),
+            peak=0.1, c_shift=1.0, c_loss=0.0)
         with pytest.raises(NumericalError):
             propagate(baseline_params, baseline_probe, baseline_schedule,
                       baseline_grid, stark=bad)
+
+    def test_late_nan_refused_by_record_check(self, baseline_params,
+                                              baseline_probe,
+                                              baseline_schedule,
+                                              baseline_grid):
+        # NaN enters sigma after the last every-64-steps check (the last
+        # step checked is 4032 of 4095): only the check of the finished
+        # records refuses the run
+        late = StarkDrive(
+            intensity=lambda t: np.where(np.asarray(t) < 19.99, 0.0, math.nan),
+            peak=0.1, c_shift=1.0, c_loss=0.0)
+        with pytest.raises(NumericalError,
+                           match="non-finite values in the stored trajectory"):
+            propagate(baseline_params, baseline_probe, baseline_schedule,
+                      baseline_grid, stark=late)
 
     def test_run_without_flip_recalls_nothing(self, baseline_params,
                                               baseline_probe):

@@ -9,6 +9,7 @@ from gemxpm import (EnsembleParams, GradientSchedule, Grid, ProtocolError,
                     double_storage_run, phi_free_signal, phi_stored_pair,
                     scattering_consistency, single_photon_estimate, spm_scan,
                     xpm_linearity_scan)
+from gemxpm.gem import check_step, light_shift
 from gemxpm.xpm import EXPERIMENT_GEOMETRY, TransitionData
 
 TWO_PI = 2.0 * math.pi
@@ -244,6 +245,19 @@ class TestDoubleStorage:
                                  double_schedule(), grid)
         assert res.xpm.phase == pytest.approx(0.0, abs=1e-12)
         assert res.xpm.loss_factor == pytest.approx(1.0, abs=1e-12)
+
+    def test_dt_limit_bounds_the_cross_drive(self, double_run):
+        # one rule for every drive: check_step adds the cross drive's
+        # peak loss and peak |shift|, the signal's input peak intensity
+        # times the light-shift pair at delta4
+        p = DOUBLE_PARAMS
+        c_shift, c_loss = light_shift(p.gamma, p.delta4)
+        peak = DOUBLE_SIGNAL.peak_amplitude ** 2
+        assert double_run.dt_limit == check_step(
+            p, double_schedule(), double_run.probe_coherence.grid,
+            max(p.raman_ratio, p.raman_ratio_signal),
+            coupling_loss_rate(p.OmegaCPrime, p.DeltaPrime, p.gamma),
+            c_loss * peak, abs(c_shift) * peak)
 
     def test_phase_against_quadrature(self, double_run):
         chk = phi_stored_pair(double_run.effective_signal_envelope,
