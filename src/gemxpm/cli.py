@@ -215,6 +215,8 @@ def _run_gate(cfg: ExperimentConfig):
         "phi_end_mrad": 1e3 * phi_end,
         "fidelity_end": float(trace.fidelity[-1]),
         "t_end": gate.t_end,
+        "max_trace_drift": trace.max_trace_drift,
+        "final_min_eigenvalue": trace.min_eigenvalue,
     }
     return table, results, _phi_targets_report(cfg, phi_end, {})
 

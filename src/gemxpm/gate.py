@@ -27,6 +27,9 @@ sparse and is built by index arithmetic on H's nonzeros and the decay
 channels.  It splits into small weakly connected blocks, most of them
 repeats of another, so ``propagator`` builds exp(L t) once, with one
 ``expm`` per distinct block (39 of 149 at the reference parameters).
+Each is pre-scaled so that ``expm`` does only its Pade step, and squared
+in scipy's BLAS: numpy and scipy each bundle an OpenBLAS thread pool, and
+alternating them on the 42-wide block, which OpenBLAS threads, stalls both.
 """
 
 from __future__ import annotations
@@ -303,6 +306,8 @@ class PhaseTrace:
     times: np.ndarray
     phi: np.ndarray
     fidelity: np.ndarray
+    max_trace_drift: float      # max |Tr(rho) - 1| over the samples
+    min_eigenvalue: float       # lambda_min of the final rho
 
 
 def phase_trace(params: GateParams, t_end: float = 15.0,
@@ -316,7 +321,10 @@ def phase_trace(params: GateParams, t_end: float = 15.0,
     for i, rho in enumerate(traj.states):
         phis[i] = conditional_phase(rho)
         fids[i] = gate_fidelity(rho, phis[i])
-    return PhaseTrace(times=traj.times, phi=phis, fidelity=fids)
+    drift = np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0).max()
+    return PhaseTrace(times=traj.times, phi=phis, fidelity=fids,
+                      max_trace_drift=float(drift),
+                      min_eigenvalue=float(np.linalg.eigvalsh(traj.final)[0]))
 
 
 def liouvillian_matrix(H: np.ndarray, gamma: float) -> csr_array:
@@ -369,15 +377,19 @@ def propagator(H: np.ndarray, gamma: float, t: float) -> csr_array:
 
     L couples vec(rho) only within its weakly connected blocks (149 at the
     reference parameters, the largest 42 wide), so exp(L t) is one
-    scaling-and-squaring ``expm`` per block; no 784x784 array is formed.
-    The blocks are gathered into one flat buffer, and each distinct block
-    is exponentiated once (39 of the 149 at the reference parameters):
-    equal input gives equal output.  Every entry of a block's exponential
-    is stored, zeros included.  Raises NumericalError when the exponential
-    is not finite.
+    exponential per block; no 784x784 array is formed.  The blocks are
+    gathered into one flat buffer, and each distinct block is
+    exponentiated once (39 of the 149 at the reference parameters): equal
+    input gives equal output.  A block is scaled by 2^-s, the least s >= 0
+    that brings its 1-norm below 4.25, where ``expm`` starts squaring;
+    ``expm`` takes the Pade step and scipy's ``zgemm`` squares it s times,
+    so no BLAS call goes to numpy's OpenBLAS (see the module docstring).
+    Every entry of a block's exponential is stored, zeros included.
+    Raises NumericalError when t*L or its exponential is not finite.
     """
     import scipy.linalg   # here, so that storage runs never import scipy
     import scipy.sparse as sp
+    from scipy.linalg.blas import zgemm
     from scipy.sparse.csgraph import connected_components
     lv = liouvillian_matrix(H, gamma)
     _, label = connected_components(lv != 0, connection="weak")
@@ -397,7 +409,13 @@ def propagator(H: np.ndarray, gamma: float, t: float) -> csr_array:
         blk = flat[end - size * size:end]
         key = blk.tobytes()
         if key not in done:
-            done[key] = scipy.linalg.expm(blk.reshape(size, size)).ravel()
+            a = blk.reshape(size, size)
+            # the least s >= 0 with |a|_1 / 2^s < 4.25; 0 when not finite
+            s = max(0, math.frexp(np.abs(a).sum(axis=0).max() / 4.25)[1])
+            e = np.asfortranarray(scipy.linalg.expm(a * 2.0 ** -s))
+            for _ in range(s):
+                e = zgemm(1.0, e, e)
+            done[key] = e.ravel()
         blk[:] = done[key]
     prop = sp.csr_array((flat, (rows, cols)), shape=lv.shape)
     if not np.isfinite(prop.data).all():

@@ -19,7 +19,7 @@ Tr(chi_ideal . chi) in [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -54,18 +54,6 @@ class TwoQubitChannel:
         if m.shape != (QUBIT_DIM, QUBIT_DIM):
             raise ValueError(f"input must be 4x4, got {m.shape}")
         return np.einsum("ij,ijkl->kl", m, self.images)
-
-    @classmethod
-    def from_map(cls,
-                 fn: Callable[[np.ndarray], np.ndarray]) -> "TwoQubitChannel":
-        images = np.empty((QUBIT_DIM, QUBIT_DIM, QUBIT_DIM, QUBIT_DIM),
-                          dtype=complex)
-        for i in range(QUBIT_DIM):
-            for j in range(QUBIT_DIM):
-                unit = np.zeros((QUBIT_DIM, QUBIT_DIM), dtype=complex)
-                unit[i, j] = 1.0
-                images[i, j] = fn(unit)
-        return cls(images=images)
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "TwoQubitChannel":

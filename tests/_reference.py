@@ -27,6 +27,8 @@
   bit for bit.
 * ``collapse_operators`` spells the decay channels out as dense jump
   operators, the textbook form ``lindblad_rhs`` is checked against.
+* ``channel_from_map`` tabulates any two-qubit map on the matrix units,
+  for channels with a known Choi state (dephasing, depolarising).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from scipy.integrate import solve_ivp
 from gemxpm.errors import NumericalError
 from gemxpm.gate import DECAY_CHANNELS, DIM, HILBERT, LEVELS, Trajectory
 from gemxpm.gem import _NAN_CHECK_STRIDE, CoherenceRecord, MemberRecords
+from gemxpm.tomography import QUBIT_DIM, TwoQubitChannel
 
 
 def reference_storage_run(params, envelope, schedule, nz=96, t_max=20.0,
@@ -155,6 +158,17 @@ def lindblad_rhs(rho: np.ndarray, H: np.ndarray, gamma: float) -> np.ndarray:
         for gsl, esl, rate in jumps:
             out[..., gsl, gsl] += rate * rho[..., esl, esl]
     return out
+
+
+def channel_from_map(fn) -> TwoQubitChannel:
+    """The channel whose image of each matrix unit |i><j| is fn(|i><j|)."""
+    images = np.empty((QUBIT_DIM,) * 4, dtype=complex)
+    for i in range(QUBIT_DIM):
+        for j in range(QUBIT_DIM):
+            unit = np.zeros((QUBIT_DIM, QUBIT_DIM), dtype=complex)
+            unit[i, j] = 1.0
+            images[i, j] = fn(unit)
+    return TwoQubitChannel(images=images)
 
 
 def dense_liouvillian(H: np.ndarray, gamma: float) -> np.ndarray:

@@ -499,6 +499,23 @@ class TestMarchTelemetry:
         assert 0.0 < results["dt_over_limit"] < 1.0
 
 
+class TestGateTelemetry:
+    @pytest.mark.parametrize("preset", [
+        n for n in preset_names() if get_preset(n)["experiment"] == "gate"])
+    def test_summary_records_trace_drift_and_min_eigenvalue(self, tmp_path,
+                                                            preset):
+        # the trajectory's health reaches the summary only: the CSV body
+        # stays the golden's, byte for byte
+        cfg = parse_config(get_preset(preset), default_name=preset)
+        paths = run_config(cfg, tmp_path)
+        results = json.loads(paths["summary"].read_text())["results"]
+        assert 0.0 <= results["max_trace_drift"] <= 1e-6
+        assert -1e-8 <= results["final_min_eigenvalue"] <= 1.0
+        golden = Path(__file__).resolve().parent.parent / "golden"
+        assert csv_body(paths["csv"]) == (
+            golden / f"{preset}.csv").read_text(encoding="utf-8")
+
+
 class TestRecordDiagnostics:
     @pytest.mark.parametrize("preset, pinned", [
         ("storage_baseline", {"fourier_residual": 0.028574305592487005,

@@ -315,7 +315,7 @@ class TestPropagator:
 
     @pytest.mark.parametrize("case", ["caption", "stored", "fig4a_step",
                                       "no_primed_drive"])
-    def test_matches_dense_oracle(self, gate_params, case):
+    def test_matches_dense_oracle(self, gate_params, case, monkeypatch):
         # caption couplings at t = 2; the fig4b stored-signal gate at
         # t = 15; one fig4a sample step; OmegaCPrime = 0 splits the blocks
         # further
@@ -326,11 +326,36 @@ class TestPropagator:
             "no_primed_drive": (GateParams(OmegaCPrime=0.0), 15.0),
         }[case]
         h = build_hamiltonian(params)
-        with warnings.catch_warnings():
+        norms = []
+        expm = scipy.linalg.expm
+
+        def recorded(a):
+            norms.append(np.abs(a).sum(axis=0).max())
+            return expm(a)
+
+        with warnings.catch_warnings(), monkeypatch.context() as patch:
             warnings.simplefilter("error")
+            patch.setattr(scipy.linalg, "expm", recorded)
             prop = propagator(h, params.gamma, t)
         expected = dense_propagator(h, params.gamma, t)
         assert np.abs(prop.toarray() - expected).max() <= 1e-12
+        # every block reaches expm pre-scaled below the norm at which expm
+        # starts squaring, so all squaring runs in scipy's BLAS
+        assert norms and max(norms) <= 4.25
+
+    @pytest.mark.parametrize("t, nan_entry", [
+        (math.nan, False), (math.inf, False), (1e300, False), (1.0, True)],
+        ids=["t_nan", "t_inf", "t_1e300", "nan_h"])
+    def test_non_finite_refused(self, gate_params, caption_h, t, nan_entry):
+        # a non-finite t*L, or one whose exponential overflows, is refused;
+        # t = 1e300 takes about 1000 squarings per block, not unbounded work
+        h = caption_h.copy()
+        if nan_entry:
+            h[0, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError, match="not finite"):
+                propagator(h, gate_params.gamma, t)
 
     @pytest.mark.parametrize("case", ["caption", "stored", "no_decay",
                                       "no_primed_drive"])

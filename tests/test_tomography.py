@@ -11,6 +11,8 @@ from gemxpm import (GateParams, LeakageError, TwoQubitChannel,
 from gemxpm.gate import apply_propagator, two_qubit_block
 from gemxpm.tomography import _EMBED, QUBIT_DIM
 
+from _reference import channel_from_map
+
 
 def random_density(rng, n=4):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -142,7 +144,7 @@ class TestChannelFromGate:
                         out[a, b] *= math.exp(-gamma_t)
             return out
 
-        channel = TwoQubitChannel.from_map(dephase)
+        channel = channel_from_map(dephase)
         chi = choi_matrix(channel)
         assert chi.report.completely_positive
         assert chi.report.trace_preserving
@@ -184,7 +186,7 @@ class TestChoiMatrix:
                                                                   abs=1e-12)
 
     def test_depolarizing(self):
-        dep = TwoQubitChannel.from_map(
+        dep = channel_from_map(
             lambda m: np.eye(4, dtype=complex) * np.trace(m) / 4.0)
         chi = choi_matrix(dep)
         assert np.abs(chi.chi - np.eye(16) / 16.0).max() < 1e-14
