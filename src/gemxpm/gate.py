@@ -24,12 +24,12 @@ equally among its listed ground channels (|3> -> |1>,|2>; |4> -> |2>;
 The master equation d(rho)/dt = L rho has a constant 784x784 Liouvillian
 L, so every time evolution here is exact: rho(t) = exp(L t) rho(0).  L is
 sparse and is built by index arithmetic on H's nonzeros and the decay
-channels.  It splits into small weakly connected blocks, most of them
-repeats of another, so ``propagator`` builds exp(L t) once, with one
-``expm`` per distinct block (39 of 149 at the reference parameters).
-Each is pre-scaled so that ``expm`` does only its Pade step, and squared
-in scipy's BLAS: numpy and scipy each bundle an OpenBLAS thread pool, and
-alternating them on the 42-wide block, which OpenBLAS threads, stalls both.
+channels.  It splits into small weakly connected blocks, and ``propagator``
+builds exp(L t) with one ``expm`` per block that the state it acts on, or
+its adjoint, reaches (12 of 149 for ``initial_state()``).  Each is
+pre-scaled so that ``expm`` does only its Pade step, and squared in scipy's
+BLAS: numpy and scipy each bundle an OpenBLAS thread pool, and alternating
+them on the 42-wide block, which OpenBLAS threads, stalls both.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray, gamma: float, t_end: float,
     rho = rho0.astype(complex)
     for i, t in enumerate(times):
         if i == 1:   # after rho0's trace check, so a bad rho0 costs no expm
-            prop = propagator(H, gamma, t_end / (n_samples - 1))
+            prop = propagator(H, gamma, t_end / (n_samples - 1), rho0)
         if i:
             rho = apply_propagator(prop, rho)
         tr = float(rho.trace().real)
@@ -372,20 +372,22 @@ def liouvillian_matrix(H: np.ndarray, gamma: float) -> csr_array:
     return out
 
 
-def propagator(H: np.ndarray, gamma: float, t: float) -> csr_array:
-    """exp(L t) acting on vec(rho), as a sparse block-diagonal CSR matrix.
+def propagator(H: np.ndarray, gamma: float, t: float,
+               rho: np.ndarray) -> csr_array:
+    """exp(L t) on vec(rho) as a sparse block-diagonal CSR matrix: exact on
+    the blocks of L that ``rho`` or rho^dagger reaches, zero elsewhere.
 
     L couples vec(rho) only within its weakly connected blocks (149 at the
     reference parameters, the largest 42 wide), so exp(L t) is one
-    exponential per block; no 784x784 array is formed.  The blocks are
-    gathered into one flat buffer, and each distinct block is
-    exponentiated once (39 of the 149 at the reference parameters): equal
-    input gives equal output.  A block is scaled by 2^-s, the least s >= 0
-    that brings its 1-norm below 4.25, where ``expm`` starts squaring;
-    ``expm`` takes the Pade step and scipy's ``zgemm`` squares it s times,
-    so no BLAS call goes to numpy's OpenBLAS (see the module docstring).
-    Every entry of a block's exponential is stored, zeros included.
-    Raises NumericalError when t*L or its exponential is not finite.
+    exponential per block; no 784x784 array is formed.  rho^dagger's blocks
+    are those ``apply_propagator``'s re-symmetrisation moves weight into, so
+    the result serves every step of an evolution from ``rho``.  A block is
+    scaled by 2^-s, the least s >= 0 that brings its 1-norm below 4.25, where
+    ``expm`` starts squaring; ``expm`` takes the Pade step and scipy's
+    ``zgemm`` squares it s times, so no BLAS call goes to numpy's OpenBLAS.
+    Every entry of a reached block's exponential is stored, zeros included.
+    Raises NumericalError when t*L or a block's exponential is not finite,
+    at the first square that overflows.
     """
     import scipy.linalg   # here, so that storage runs never import scipy
     import scipy.sparse as sp
@@ -395,32 +397,28 @@ def propagator(H: np.ndarray, gamma: float, t: float) -> csr_array:
     _, label = connected_components(lv != 0, connection="weak")
     order = np.argsort(label, kind="stable")
     sizes = np.bincount(label)
+    reached = np.unique(label.reshape(DIM, DIM)[abs(rho) + abs(rho).T != 0])
+    sizes, first = sizes[reached], (np.cumsum(sizes) - sizes)[reached]
     area = sizes ** 2
-    # (row, col) of every entry of every dense block, block after block,
+    # (row, col) of every entry of every reached block, block after block,
     # each block row-major over its members in increasing index order
     block = np.repeat(np.arange(sizes.size), area)
     offset = np.arange(block.size) - np.repeat(np.cumsum(area) - area, area)
     i, j = np.divmod(offset, sizes[block])
-    first = (np.cumsum(sizes) - sizes)[block]
-    rows, cols = order[first + i], order[first + j]
+    rows, cols = order[first[block] + i], order[first[block] + j]
     flat = lv[rows, cols] * t
-    done = {}
     for size, end in zip(sizes, np.cumsum(area)):
-        blk = flat[end - size * size:end]
-        key = blk.tobytes()
-        if key not in done:
-            a = blk.reshape(size, size)
-            # the least s >= 0 with |a|_1 / 2^s < 4.25; 0 when not finite
-            s = max(0, math.frexp(np.abs(a).sum(axis=0).max() / 4.25)[1])
-            e = np.asfortranarray(scipy.linalg.expm(a * 2.0 ** -s))
-            for _ in range(s):
-                e = zgemm(1.0, e, e)
-            done[key] = e.ravel()
-        blk[:] = done[key]
-    prop = sp.csr_array((flat, (rows, cols)), shape=lv.shape)
-    if not np.isfinite(prop.data).all():
-        raise NumericalError(f"exp(L*t) is not finite at t={t:.6g}")
-    return prop
+        a = flat[end - size * size:end].reshape(size, size)
+        # the least s >= 0 with |a|_1 / 2^s < 4.25; 0 when not finite
+        s = max(0, math.frexp(np.abs(a).sum(axis=0).max() / 4.25)[1])
+        e = np.asfortranarray(scipy.linalg.expm(a * 2.0 ** -s))
+        while s and np.isfinite(e).all():
+            e = zgemm(1.0, e, e)
+            s -= 1
+        if not np.isfinite(e).all():
+            raise NumericalError(f"exp(L*t) is not finite at t={t:.6g}")
+        a[:] = e
+    return sp.csr_array((flat, (rows, cols)), shape=lv.shape)
 
 
 def apply_propagator(prop: csr_array, rho: np.ndarray) -> np.ndarray:

@@ -73,9 +73,9 @@ def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
     (P vec(X) + (P vec(X^dagger))^dagger) / 2, the Hermiticity-preserving
     form of P vec(X), projected back onto the qubit subspace.  For the
     matrix units that projection is read straight off P: the 16x16 block of
-    its rows and columns at the embedded qubit pairs.  The same propagator
-    gives the conditional phase of the gate's reference initial state,
-    carried as ``phase``.
+    its rows and columns at the embedded qubit pairs, all inside the support
+    of the reference initial state that P is built for; P also gives that
+    state's conditional phase, carried as ``phase``.
 
     Leakage comes from the survival matrix S[j, i] = Tr Lambda(|i><j|),
     with Tr Lambda(rho) = Tr(S rho): ``leakage`` holds 1 - S[i, i] for the
@@ -88,7 +88,8 @@ def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
     """
     if t_gate <= 0:
         raise ValueError("t_gate must be positive")
-    prop = propagator(build_hamiltonian(params), params.gamma, t_gate)
+    rho0 = initial_state()
+    prop = propagator(build_hamiltonian(params), params.gamma, t_gate, rho0)
     # vec index of each embedded pair |a><b|; block[k, l, i, j] is entry
     # (k, l) of P vec(|i><j|), and |i><j|^dagger = |j><i|
     pairs = np.add.outer(np.multiply(_EMBED, DIM), _EMBED).ravel()
@@ -106,7 +107,7 @@ def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
             f"channel leaks up to {worst:.1%} of a pure input out of the "
             f"qubit subspace (limit {LEAKAGE_LIMIT:.0%}); basis-input "
             f"leakage: {report}", leakage_report=leakage)
-    phase = conditional_phase(apply_propagator(prop, initial_state()))
+    phase = conditional_phase(apply_propagator(prop, rho0))
     return TwoQubitChannel(images=images, t_gate=t_gate, leakage=leakage,
                            max_leakage=worst, phase=phase,
                            mean_survival=float(np.mean(

@@ -289,7 +289,7 @@ class TestPhaseTrace:
 class TestPropagator:
     def test_matches_rk4(self, gate_params, caption_h):
         rho0 = initial_state()
-        prop = propagator(caption_h, gate_params.gamma, 2.0)
+        prop = propagator(caption_h, gate_params.gamma, 2.0, rho0)
         via_prop = apply_propagator(prop, rho0)
         via_rk4 = evolve_rk4(rho0, caption_h, gate_params.gamma,
                              np.array([0.0, 2.0]),
@@ -336,7 +336,7 @@ class TestPropagator:
         with warnings.catch_warnings(), monkeypatch.context() as patch:
             warnings.simplefilter("error")
             patch.setattr(scipy.linalg, "expm", recorded)
-            prop = propagator(h, params.gamma, t)
+            prop = propagator(h, params.gamma, t, np.ones((DIM, DIM)))
         expected = dense_propagator(h, params.gamma, t)
         assert np.abs(prop.toarray() - expected).max() <= 1e-12
         # every block reaches expm pre-scaled below the norm at which expm
@@ -347,15 +347,34 @@ class TestPropagator:
         (math.nan, False), (math.inf, False), (1e300, False), (1.0, True)],
         ids=["t_nan", "t_inf", "t_1e300", "nan_h"])
     def test_non_finite_refused(self, gate_params, caption_h, t, nan_entry):
-        # a non-finite t*L, or one whose exponential overflows, is refused;
-        # t = 1e300 takes about 1000 squarings per block, not unbounded work
+        # a non-finite t*L, or one whose exponential overflows, is refused
         h = caption_h.copy()
         if nan_entry:
             h[0, 0] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NumericalError, match="not finite"):
-                propagator(h, gate_params.gamma, t)
+                propagator(h, gate_params.gamma, t, initial_state())
+
+    def test_overflow_stops_squaring(self, gate_params, caption_h,
+                                     monkeypatch):
+        # at t = 1e300 every block is scaled by 2^-1005; the first reached
+        # block (42 wide) overflows at its 64th square, and the propagator
+        # refuses it there instead of squaring on
+        calls = []
+        zgemm = scipy.linalg.blas.zgemm
+
+        def counted(*args):
+            calls.append(None)
+            return zgemm(*args)
+
+        monkeypatch.setattr(scipy.linalg.blas, "zgemm", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError, match="not finite"):
+                propagator(caption_h, gate_params.gamma, 1e300,
+                           initial_state())
+        assert 0 < len(calls) < 100
 
     @pytest.mark.parametrize("case", ["caption", "stored", "no_decay",
                                       "no_primed_drive"])
@@ -379,25 +398,51 @@ class TestPropagator:
 
     def test_block_structure(self, gate_params, caption_h, monkeypatch):
         # the README's count: 149 weakly connected blocks, the largest 42
-        # wide, of which 39 are distinct and exponentiated once each; the
-        # propagator stores every entry of every block and none outside
+        # wide; initial_state() reaches 12 of them and an all-ones input
+        # every one.  Each reached block is exponentiated once, and the
+        # propagator stores every entry of it and none outside a block
         lv = liouvillian_matrix(caption_h, gate_params.gamma)
         _, label = connected_components(lv != 0, connection="weak")
         sizes = np.bincount(label)
         assert (sizes.size, sizes.max()) == (149, 42)
-        calls = []
         expm = scipy.linalg.expm
+        for rho, expected, nnz in [
+                (initial_state(),
+                 [9, 9, 14, 14, 14, 17, 17, 26, 26, 26, 26, 42], 5796),
+                (np.ones((DIM, DIM)), sorted(sizes), 9366)]:
+            calls = []
 
-        def counted(a):
-            calls.append(a.shape)
-            return expm(a)
+            def counted(a):
+                calls.append(a.shape[0])
+                return expm(a)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counted)
-        prop = propagator(caption_h, gate_params.gamma, 2.0)
-        assert len(calls) == 39
-        assert prop.nnz == int((sizes ** 2).sum())
-        rows = np.repeat(np.arange(DIM * DIM), np.diff(prop.indptr))
-        assert (label[rows] == label[prop.indices]).all()
+            monkeypatch.setattr(scipy.linalg, "expm", counted)
+            prop = propagator(caption_h, gate_params.gamma, 2.0, rho)
+            assert sorted(calls) == expected
+            assert prop.nnz == nnz == sum(size ** 2 for size in calls)
+            rows = np.repeat(np.arange(DIM * DIM), np.diff(prop.indptr))
+            assert (label[rows] == label[prop.indices]).all()
+
+    def test_reach_covers_adjoint(self, gate_params, caption_h):
+        # a non-Hermitian rho0 whose coherence |1,0,0><2,0,1| lies in a
+        # block its transpose does not: re-symmetrisation after each step
+        # moves weight there, so the propagator must reach it from the
+        # first step on
+        a, b = HILBERT.index("1", 0, 0), HILBERT.index("2", 0, 1)
+        rho0 = np.zeros((DIM, DIM), dtype=complex)
+        rho0[a, a], rho0[a, b] = 1.0, 0.3
+        traj = evolve(rho0, caption_h, gate_params.gamma, 0.5, 6)
+        prop = dense_propagator(caption_h, gate_params.gamma, 0.1)
+        rho = rho0
+        for state in traj.states[1:]:
+            rho = (prop @ rho.reshape(-1)).reshape(DIM, DIM)
+            rho = 0.5 * (rho + rho.conj().T)
+            assert np.abs(state - rho).max() <= 1e-12
+
+    def test_reach_of_wrong_shape_refused(self, gate_params, caption_h):
+        # the reach is read entry by entry on the DIM x DIM grid of vec(rho)
+        with pytest.raises(IndexError):
+            propagator(caption_h, gate_params.gamma, 1.0, np.eye(DIM - 1))
 
     def test_builds_one_liouvillian_and_no_dense_superoperator(
             self, gate_params, caption_h, monkeypatch):
@@ -409,10 +454,11 @@ class TestPropagator:
             return build(*args)
 
         monkeypatch.setattr(gate, "liouvillian_matrix", counted)
-        propagator(caption_h, gate_params.gamma, 2.0)   # warm the imports
+        rho = initial_state()
+        propagator(caption_h, gate_params.gamma, 2.0, rho)   # warm imports
         tracemalloc.start()
         try:
-            propagator(caption_h, gate_params.gamma, 2.0)
+            propagator(caption_h, gate_params.gamma, 2.0, rho)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -68,11 +68,18 @@ class TestChannelFromGate:
             + 0.5 * reference_channel.apply(r2)
         assert np.abs(direct - combined).max() < 1e-8
 
+    def test_embedded_pairs_in_initial_support(self):
+        # channel_from_gate builds its propagator on the blocks that
+        # initial_state() reaches, so the vec index of every embedded pair
+        # |a><b| must lie in that state's support
+        pairs = np.add.outer(np.multiply(_EMBED, 28), _EMBED).ravel()
+        assert np.isin(pairs, np.flatnonzero(initial_state())).all()
+
     def test_channel_consistent_with_direct_evolution(self, gate_params):
         # tabulated images vs evolving mixed and pure states through the
         # same path
         h = build_hamiltonian(gate_params)
-        prop = propagator(h, gate_params.gamma, 15.0)
+        prop = propagator(h, gate_params.gamma, 15.0, initial_state())
         channel = channel_from_gate(gate_params, 15.0)
         rng = np.random.default_rng(5)
         inputs = [random_density(rng)]
