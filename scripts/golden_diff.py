@@ -8,7 +8,8 @@ Usage (from the repository root, with src/ on PYTHONPATH):
 Runs the named presets (all of them when none is named) into a temporary
 directory and prints, for the CSV each writes, whether its body (the
 '#' provenance lines stripped) is byte-equal to ``golden/`` and the
-per-column max abs/rel deltas.  Exits 1 when any body differs, so the
+per-column max abs/rel deltas, with the 2*pi-wrapped delta beside them for
+phase (``[rad]``) columns.  Exits 1 when any body differs, so the
 output can be pasted as the quantified diff of a golden regeneration.
 """
 
@@ -28,7 +29,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 
 def column_deltas(produced: str, golden: str) -> List[str]:
-    """One line per column: max |a - b| and max |a - b| / |b|."""
+    """One line per column: max |a - b| and max |a - b| / |b|, and for a
+    ``[rad]`` column also max |a - b| wrapped into [-pi, pi)."""
     a = [ln.split(",") for ln in produced.splitlines() if ln]
     b = [ln.split(",") for ln in golden.splitlines() if ln]
     (header, *a), (golden_header, *b) = a or [[]], b or [[]]
@@ -48,8 +50,14 @@ def column_deltas(produced: str, golden: str) -> List[str]:
         diff[both_nan] = 0.0
         rel = diff / np.maximum(np.abs(y), np.finfo(float).tiny)
         rel[both_nan] = 0.0
-        lines.append(f"  {header[j]}: max_abs={diff.max(initial=0.0):.3e} "
-                     f"max_rel={rel.max(initial=0.0):.3e}")
+        line = (f"  {header[j]}: max_abs={diff.max(initial=0.0):.3e} "
+                f"max_rel={rel.max(initial=0.0):.3e}")
+        if header[j].endswith("[rad]"):
+            # a phase that moved by a whole turn is the same phase
+            wrapped = np.abs(np.remainder(x - y + np.pi, 2.0 * np.pi) - np.pi)
+            wrapped[both_nan] = 0.0
+            line += f" max_wrapped={wrapped.max(initial=0.0):.3e}"
+        lines.append(line)
     return lines
 
 
@@ -58,7 +66,7 @@ def preset_csvs(names: List[str], out_root: Path) -> Iterator[Path]:
     ``out_root`` and yield the CSV each writes."""
     for name in names or preset_names():
         cfg = parse_config(get_preset(name), default_name=name)
-        yield run_config(cfg, out_root / name, workers=1)["csv"]
+        yield run_config(cfg, out_root / name)["csv"]
 
 
 def main(names: List[str]) -> int:

@@ -16,11 +16,10 @@ from .gem import (CoherenceRecord, StarkDrive, StorageResult,
                   apply_stark_drive, constant_stark_drive, excitation_balance,
                   group_velocity, peak_k_trajectory, polariton_transform,
                   propagate, verify_fourier_relation)
-from .xpm import (DoubleStorageResult, LinearityReport, SinglePhotonEstimate,
-                  TransitionData, XpmResult, coupling_loss_rate,
-                  double_storage_run, phi_free_signal, phi_stored_pair,
-                  scattering_consistency, single_photon_estimate, spm_scan,
-                  xpm_linearity_scan)
+from .xpm import (DoubleStorageResult, SinglePhotonEstimate, TransitionData,
+                  XpmResult, coupling_loss_rate, double_storage_run,
+                  phi_free_signal, phi_stored_pair, scattering_consistency,
+                  single_photon_estimate)
 from .gate import (DIM, HILBERT, GateParams, HilbertSpace, PhaseTrace,
                    Trajectory, build_hamiltonian, conditional_phase, evolve,
                    gate_fidelity, initial_state, phase_trace, propagator)

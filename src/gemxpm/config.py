@@ -440,6 +440,10 @@ def load_config(path: str, default_name: Optional[str] = None) -> ExperimentConf
             raw = yaml.safe_load(fh)
     except FileNotFoundError:
         _fail(str(path), "config file not found")
+    except OSError as exc:
+        _fail(str(path), f"cannot read config file: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _fail(str(path), f"config file is not UTF-8 text: {exc}")
     except yaml.YAMLError as exc:
         _fail(str(path), f"not valid YAML: {exc}")
     if raw is None:

@@ -72,18 +72,17 @@ class StarkDrive(_LightShiftRates):
 
 
 def apply_stark_drive(signal: PulseSpec, params: EnsembleParams,
-                      detuning: Optional[float] = None) -> StarkDrive:
+                      detuning: float) -> StarkDrive:
     """Reduce a counter-propagating signal pulse to its ac-Stark drive.
 
     The signal illuminates the whole cell, so the drive carries no z
-    dependence.  ``detuning`` defaults to params.delta3 (the
-    free-propagating signal transition); pass params.delta4 for the
-    stored-pair geometry.
+    dependence.  ``detuning`` is the signal's: params.delta3 for the
+    free-propagating signal transition, params.delta4 for the stored-pair
+    geometry.
     """
-    delta = params.delta3 if detuning is None else float(detuning)
     return StarkDrive(lambda t: np.abs(signal.envelope(t)) ** 2,
                       signal.peak_amplitude ** 2,
-                      *light_shift(params.gamma, delta))
+                      *light_shift(params.gamma, float(detuning)))
 
 
 def constant_stark_drive(intensity: float, detuning: float, gamma: float,

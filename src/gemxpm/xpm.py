@@ -1,27 +1,27 @@
 """Cross-phase-modulation calculators and protocol drivers.
 
-Closed forms and quadratures for the ac-Stark phase and loss, probe/signal
-scans built on the storage solver, the single-photon order-of-magnitude
-estimate, and the double-storage protocol in which probe and signal are
-held simultaneously in the memory.
+Closed forms and quadratures for the ac-Stark phase and loss, the
+single-photon order-of-magnitude estimate, and the double-storage protocol
+in which probe and signal are held simultaneously in the memory.  Probe-
+and signal-amplitude scans are sweep configs (``experiment: sweep``), run
+by the command line like any other config.
 
 Phase sign convention: reported XPM phases are positive for positive
 detuning and equal the time integral of the light shift, i.e.
-(reference echo phase) - (with-signal echo phase) for solver-based scans.
+(reference echo phase) - (with-signal echo phase) for solver-based phases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ProtocolError
-from .gem import (CoherenceRecord, CrossDrive, Member, StarkDrive,
-                  apply_stark_drive, check_step, check_window, light_shift,
-                  march, storage_batch, storage_result)
+from .gem import (CoherenceRecord, CrossDrive, Member, check_step,
+                  check_window, light_shift, march, storage_result)
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
 
@@ -104,89 +104,6 @@ def scattering_consistency(eff_with: float, eff_without: float) -> float:
             f"need 0 < eff_with <= eff_without <= 1, got "
             f"({eff_with}, {eff_without})")
     return -math.log(eff_with / eff_without)
-
-
-def spm_scan(params: EnsembleParams, base_probe: PulseSpec,
-             amplitude_factors: Sequence[float], *,
-             schedule: GradientSchedule, grid: Grid,
-             stark: Optional[StarkDrive] = None) -> List[Tuple[float, float]]:
-    """Recalled echo phase versus probe amplitude.
-
-    Marches one storage run per amplitude factor (same drive for all) as
-    one batch, keeping exit-face fields only, and returns (factor,
-    echo_phase) pairs.  The semiclassical model is linear in the probe, so
-    the phases are expected to coincide.
-    """
-    factors = [float(f) for f in amplitude_factors]
-    if not factors or any(f <= 0 for f in factors):
-        raise ValueError("amplitude factors must be positive")
-    runs = storage_batch(params, schedule, grid, [
-        (replace(base_probe, peak_amplitude=f * base_probe.peak_amplitude),
-         stark) for f in factors])
-    return [(f, r.echo_phase) for f, r in zip(factors, runs)]
-
-
-@dataclass(frozen=True)
-class LinearityReport:
-    """Fit of the recalled XPM phase against signal intensity."""
-
-    amplitudes: Tuple[float, ...]
-    numeric_phases: Tuple[float, ...]
-    analytic_phases: Tuple[float, ...]
-    slope: float
-    intercept: float
-    r_squared: float
-    analytic_slope: float
-    analytic_r_squared: float
-
-
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
-
-
-def xpm_linearity_scan(params: EnsembleParams,
-                       signal_amplitudes: Sequence[float], tau: float, *,
-                       probe: Optional[PulseSpec] = None,
-                       schedule: Optional[GradientSchedule] = None,
-                       grid: Optional[Grid] = None,
-                       signal_center: Optional[float] = None,
-                       detuning: Optional[float] = None) -> LinearityReport:
-    """Scan the signal Rabi frequency and fit phase against Omega_s^2.
-
-    The numeric branch stores the probe, applies a Gaussian signal drive of
-    1/e half-width ``tau`` during storage, recalls, and measures the echo
-    phase against a signal-free reference.  The analytic branch evaluates
-    the free-signal closed form at the same amplitudes.
-    """
-    amps = [float(a) for a in signal_amplitudes]
-    if len(amps) < 4:
-        raise ValueError(f"need at least 4 signal amplitudes, got {len(amps)}")
-    probe = probe if probe is not None else PulseSpec(1.0, 3.0, 1.0)
-    schedule = schedule if schedule is not None else GradientSchedule(
-        ((0.0, 9.0, 8.0), (9.0, 20.0, -8.0)))
-    grid = grid if grid is not None else Grid(nz=256, nt=4096, t_max=20.0,
-                                              L=params.L)
-    center = signal_center if signal_center is not None else 6.0
-    delta = params.delta3 if detuning is None else float(detuning)
-
-    numeric = [r.xpm_phase for r in storage_batch(params, schedule, grid, [
-        (probe, apply_stark_drive(PulseSpec(amp, center, tau), params,
-                                  detuning=delta)) for amp in amps])]
-    analytic = [phi_free_signal(a, delta, tau, params.gamma) for a in amps]
-
-    x = np.array(amps) ** 2
-    slope, intercept, r2 = _linear_fit(x, np.array(numeric))
-    a_slope, _a_int, a_r2 = _linear_fit(x, np.array(analytic))
-    return LinearityReport(amplitudes=tuple(amps),
-                           numeric_phases=tuple(numeric),
-                           analytic_phases=tuple(analytic),
-                           slope=slope, intercept=intercept, r_squared=r2,
-                           analytic_slope=a_slope, analytic_r_squared=a_r2)
 
 
 @dataclass(frozen=True)

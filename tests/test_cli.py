@@ -66,6 +66,21 @@ class TestConfigValidation:
         assert main(["simulate", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_directory_exit_2(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error at '{tmp_path}': cannot read config file" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "latin1.yaml"
+        p.write_bytes("experiment: storage\nname: caf\u00e9\n".encode("latin-1"))
+        assert main(["simulate", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error at '{p}': config file is not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected_with_path(self):
         bad = dict(STORAGE_CONFIG, typo_key=1)
         with pytest.raises(ConfigError, match="typo_key"):
@@ -636,6 +651,10 @@ class TestSweep:
             expected.append([v, r.efficiency, r.echo_phase, r.xpm_phase])
         np.testing.assert_array_equal(rows, expected)
         assert all(math.isnan(r[3]) for r in rows) == (signal is None)
+        if path == "signal.peak_amplitude":
+            # the XPM phase is linear in the signal intensity Omega_s^2
+            per_intensity = np.array([r[3] / r[0] ** 2 for r in rows])
+            assert np.ptp(per_intensity) < 1e-6 * np.abs(per_intensity).max()
 
     def test_fig2b_is_one_march(self, tmp_path, monkeypatch):
         from gemxpm import cli, gem

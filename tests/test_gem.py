@@ -86,7 +86,8 @@ class TestStarkDrive:
                                abs(detuning / denom) * peak)
 
     def test_zero_signal(self, baseline_params):
-        drive = apply_stark_drive(PulseSpec(0.0, 5.0, 1.0), baseline_params)
+        drive = apply_stark_drive(PulseSpec(0.0, 5.0, 1.0), baseline_params,
+                                  detuning=baseline_params.delta3)
         t = np.linspace(0, 10, 11)
         assert np.all(drive.c_shift * drive.intensity(t) == 0)
         assert np.all(drive.c_loss * drive.intensity(t) == 0)

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,3 +43,25 @@ def test_named_header_kept():
     deltas = max_abs(load_golden_diff().column_deltas(produced, golden))
     assert list(deltas) == rows[0].split(",")
     assert deltas[rows[0].split(",")[1]] == 0.5
+
+
+def test_phase_turn_reads_zero_wrapped(tmp_path, capsys):
+    # a phase_out cell moved by 2*pi is the same phase: the raw delta
+    # shows the turn, the wrapped one does not, and the body still differs
+    golden = (ROOT / "golden" / "storage_baseline.csv").read_text()
+    rows = golden.splitlines()
+    col = rows[0].split(",").index("phase_out[rad]")
+    cells = rows[100].split(",")
+    cells[col] = repr(float(cells[col]) + 2.0 * math.pi)
+    produced = "\n".join(rows[:100] + [",".join(cells)] + rows[101:]) + "\n"
+    module = load_golden_diff()
+    line, = [ln for ln in module.column_deltas(produced, golden)
+             if "phase_out" in ln]
+    assert max_abs([line])["phase_out[rad]"] == 6.283
+    assert float(line.split("max_wrapped=")[1]) == 0.0
+
+    fresh = tmp_path / "storage_baseline.csv"
+    fresh.write_text(produced)
+    module.preset_csvs = lambda names, out_root: iter([fresh])
+    assert module.main([]) == 1
+    assert "storage_baseline.csv: DIFFERS" in capsys.readouterr().out

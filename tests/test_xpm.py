@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gemxpm import (EnsembleParams, GradientSchedule, Grid, ProtocolError,
-                    PulseSpec, apply_stark_drive, coupling_loss_rate,
-                    double_storage_run, phi_free_signal, phi_stored_pair,
-                    scattering_consistency, single_photon_estimate, spm_scan,
-                    xpm_linearity_scan)
+                    PulseSpec, coupling_loss_rate, double_storage_run,
+                    phi_free_signal, phi_stored_pair, scattering_consistency,
+                    single_photon_estimate)
 from gemxpm.gem import check_step, light_shift
 from gemxpm.xpm import EXPERIMENT_GEOMETRY, TransitionData
 
@@ -136,62 +135,6 @@ class TestScatteringConsistency:
             scattering_consistency(0.0, 0.5)
         with pytest.raises(ValueError):
             scattering_consistency(0.5, 1.2)
-
-
-class TestSpmScan:
-    def test_single_factor_equals_plain_run(self, baseline_params,
-                                            baseline_probe, baseline_schedule,
-                                            baseline_grid, baseline_run):
-        out = spm_scan(baseline_params, baseline_probe, [1.0],
-                       schedule=baseline_schedule, grid=baseline_grid)
-        assert out == [(1.0, baseline_run.echo_phase)]
-
-    def test_no_signal_phases_equal(self, baseline_params, baseline_probe,
-                                    baseline_schedule, baseline_grid):
-        out = spm_scan(baseline_params, baseline_probe, [0.1, 1.0, 10.0],
-                       schedule=baseline_schedule, grid=baseline_grid)
-        phases = [p for _f, p in out]
-        assert max(phases) - min(phases) < 1e-6
-
-    def test_with_signal_same_across_factors(self, baseline_params,
-                                             baseline_probe, baseline_schedule,
-                                             baseline_grid, baseline_run):
-        drive = apply_stark_drive(PulseSpec(0.5, 6.0, 1.0), baseline_params,
-                                  detuning=baseline_params.delta3)
-        out = spm_scan(baseline_params, baseline_probe, [0.1, 1.0, 10.0],
-                       schedule=baseline_schedule, grid=baseline_grid,
-                       stark=drive)
-        phases = [p for _f, p in out]
-        assert max(phases) - min(phases) < 1e-6
-        assert abs(phases[0] - baseline_run.echo_phase) > 1e-5
-
-    def test_rejects_bad_factors(self, baseline_params, baseline_probe,
-                                 baseline_schedule, baseline_grid):
-        with pytest.raises(ValueError):
-            spm_scan(baseline_params, baseline_probe, [],
-                     schedule=baseline_schedule, grid=baseline_grid)
-        with pytest.raises(ValueError):
-            spm_scan(baseline_params, baseline_probe, [-1.0],
-                     schedule=baseline_schedule, grid=baseline_grid)
-
-
-class TestLinearityScan:
-    def test_analytic_branch_exact(self, baseline_params):
-        report = xpm_linearity_scan(baseline_params, [0.5, 1.0, 1.5, 2.0],
-                                    tau=1.0)
-        assert report.analytic_r_squared == pytest.approx(1.0, abs=1e-12)
-
-    def test_numeric_branch_linear(self, baseline_params):
-        report = xpm_linearity_scan(
-            baseline_params, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0], tau=1.0)
-        assert report.r_squared > 0.999
-        assert abs(report.intercept) < 0.01 * max(report.numeric_phases)
-
-    def test_underdetermined_rejected(self, baseline_params):
-        with pytest.raises(ValueError):
-            xpm_linearity_scan(baseline_params, [1.0], tau=1.0)
-        with pytest.raises(ValueError):
-            xpm_linearity_scan(baseline_params, [1.0, 2.0, 3.0], tau=1.0)
 
 
 class TestSinglePhotonEstimate:
