@@ -20,11 +20,10 @@ from .xpm import (DoubleStorageResult, SinglePhotonEstimate, TransitionData,
                   XpmResult, coupling_loss_rate, double_storage_run,
                   phi_free_signal, phi_stored_pair, scattering_consistency,
                   single_photon_estimate)
-from .gate import (DIM, HILBERT, GateParams, HilbertSpace, PhaseTrace,
-                   Trajectory, build_hamiltonian, conditional_phase, evolve,
+from .gate import (DIM, GateParams, PhaseTrace, Trajectory, basis_index,
+                   build_hamiltonian, conditional_phase, evolve,
                    gate_fidelity, initial_state, phase_trace, propagator)
-from .tomography import (ChoiMatrix, CptpReport, TwoQubitChannel,
-                         channel_from_gate, choi_matrix, ideal_cphase_choi,
-                         process_fidelity)
+from .tomography import (ChoiMatrix, TwoQubitChannel, channel_from_gate,
+                         choi_matrix, ideal_cphase_choi, process_fidelity)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

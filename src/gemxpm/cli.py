@@ -251,14 +251,14 @@ def _run_tomography(cfg: ExperimentConfig):
         "fidelity_candidates": candidates,
         "best_fidelity": max(candidates.values()),
         "cptp": {
-            "trace": chi.report.trace,
-            "min_eigenvalue": chi.report.min_eigenvalue,
-            "tp_residual": chi.report.tp_residual,
-            "hermiticity_residual": chi.report.hermiticity_residual,
+            "trace": chi.trace,
+            "min_eigenvalue": chi.min_eigenvalue,
+            "tp_residual": chi.tp_residual,
+            "hermiticity_residual": chi.hermiticity_residual,
             "eigenvalues": np.sort(chi.eigenvalues)[::-1],
             "purity": chi.purity,
-            "completely_positive": chi.report.completely_positive,
-            "trace_preserving": chi.report.trace_preserving,
+            "completely_positive": chi.completely_positive,
+            "trace_preserving": chi.trace_preserving,
         },
         "max_leakage": channel.max_leakage,
     }

@@ -449,7 +449,7 @@ def load_config(path: str, default_name: Optional[str] = None) -> ExperimentConf
     if raw is None:
         _fail(str(path), "config file is empty")
     name = Path(path).stem if default_name is None else default_name
-    return parse_config(raw, default_name=name)
+    return parse_config(_expect_mapping(raw, str(path)), default_name=name)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:

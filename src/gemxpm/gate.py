@@ -7,9 +7,11 @@ photon modes (p for the probe, s for the signal), each truncated to
 occupation {0, 1}.  Total dimension 28.  Basis ordering is atomic-major
 and stable:
 
-    index(level, n_p, n_s) = 4*level_index + 2*n_p + n_s,
+    basis_index(level, n_p, n_s) = 4*level_index + 2*n_p + n_s,
 
-with level order (|1>, |2>, |3>, |4>, |1'>, |2'>, |3'>).
+with level order (|1>, |2>, |3>, |4>, |1'>, |2'>, |3'>).  ``QUBIT_BASIS``
+holds the indices of the gate's two-qubit basis, read by the fidelity
+projection here and by the channel tomography.
 
 The Hamiltonian (rotating frame, detunings on the excited diagonals) is
 
@@ -59,23 +61,17 @@ DECAY_CHANNELS: Tuple[Tuple[str, str, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class HilbertSpace:
-    """Index bookkeeping for the 7-level (x) two-photon-mode space."""
-
-    levels: Tuple[str, ...] = LEVELS
-    dim: int = DIM
-
-    def level_index(self, level: str) -> int:
-        return self.levels.index(level)
-
-    def index(self, level: str, n_p: int, n_s: int) -> int:
-        if n_p not in (0, 1) or n_s not in (0, 1):
-            raise ValueError("photon occupations are truncated to {0, 1}")
-        return 4 * self.level_index(level) + 2 * n_p + n_s
+def basis_index(level: str, n_p: int, n_s: int) -> int:
+    """Index of |level, n_p, n_s> in the atomic-major basis."""
+    if n_p not in (0, 1) or n_s not in (0, 1):
+        raise ValueError("photon occupations are truncated to {0, 1}")
+    return 4 * LEVELS.index(level) + 2 * n_p + n_s
 
 
-HILBERT = HilbertSpace()
+#: Indices of the two-qubit basis, s-major (|0s,1>, |0s,2>, |1s,1>,
+#: |1s,2>), all with no p photon.
+QUBIT_BASIS: Tuple[int, ...] = tuple(
+    basis_index(level, 0, n_s) for n_s in (0, 1) for level in ("1", "2"))
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,7 @@ class GateParams:
 def build_hamiltonian(params: GateParams) -> np.ndarray:
     """Assemble the 28x28 rotating-frame Hamiltonian."""
     h = np.zeros((DIM, DIM), dtype=complex)
-    idx = HILBERT.index
+    idx = basis_index
 
     def raman(coupling: float, lower: str, upper: str) -> None:
         # coupling * |upper><lower| summed over photon occupations + h.c.
@@ -230,25 +226,20 @@ def evolve(rho0: np.ndarray, H: np.ndarray, gamma: float, t_end: float,
     return Trajectory(times=times, states=states)
 
 
-def _trace_out_p(rho: np.ndarray) -> np.ndarray:
-    """Partial trace over the p mode: (7,2,2,7,2,2) -> (7,2,7,2)."""
-    r = rho.reshape(N_LEVELS, 2, 2, N_LEVELS, 2, 2)
-    return np.einsum("apsbpt->asbt", r)
-
-
 def conditional_phase(rho: np.ndarray) -> float:
     """Phase of the |1><2| coherence conditioned on the s-photon number,
     referenced to the zero-photon branch, with the p mode traced out:
 
-        phi = arg<1,1_s| rho~ |2,1_s> - arg<1,0_s| rho~ |2,0_s>.
+        phi = arg<1,1_s| rho~ |2,1_s> - arg<1,0_s| rho~ |2,0_s>,
+
+    where <1,n_s| rho~ |2,n_s> = sum over n_p of <1,n_p,n_s| rho |2,n_p,n_s>.
 
     Raises UndefinedPhaseError when either conditional coherence magnitude
     falls below 1e-14 or is not finite.
     """
-    rp = _trace_out_p(np.asarray(rho))
-    i1, i2 = LEVELS.index("1"), LEVELS.index("2")
-    c1 = rp[i1, 1, i2, 1]
-    c0 = rp[i1, 0, i2, 0]
+    rho = np.asarray(rho)
+    c0, c1 = (sum(rho[basis_index("1", n_p, n_s), basis_index("2", n_p, n_s)]
+                  for n_p in (0, 1)) for n_s in (0, 1))
     if not min(abs(c0), abs(c1)) >= 1e-14:   # NaN fails too
         raise UndefinedPhaseError(
             f"conditional coherences too small to define a phase "
@@ -260,15 +251,12 @@ def two_qubit_block(rho: np.ndarray) -> Tuple[np.ndarray, float]:
     """Project onto the two-qubit subspace: s occupation (x) atomic
     {|1>, |2>}, with no p photon.
 
-    Returns the unnormalised 4x4 block in s-major ordering
-    (|0s,1>, |0s,2>, |1s,1>, |1s,2>) and its weight.  Weight left in p = 1
-    states, excited levels, or the primed sector counts as leakage.
+    Returns the unnormalised 4x4 block on ``QUBIT_BASIS`` and its weight.
+    Weight left in p = 1 states, excited levels, or the primed sector
+    counts as leakage.
     """
-    r = np.asarray(rho).reshape(N_LEVELS, 2, 2, N_LEVELS, 2, 2)
-    sub = r[np.ix_((0, 1), (0,), (0, 1), (0, 1), (0,), (0, 1))][:, 0, :, :, 0, :]
-    q = sub.transpose(1, 0, 3, 2).reshape(4, 4)
-    weight = float(q.trace().real)
-    return q, weight
+    q = np.asarray(rho)[np.ix_(QUBIT_BASIS, QUBIT_BASIS)]
+    return q, float(q.trace().real)
 
 
 def ideal_image_state(phi: float) -> np.ndarray:
@@ -310,8 +298,8 @@ class PhaseTrace:
     min_eigenvalue: float       # lambda_min of the final rho
 
 
-def phase_trace(params: GateParams, t_end: float = 15.0,
-                n_samples: int = 151) -> PhaseTrace:
+def phase_trace(params: GateParams, t_end: float,
+                n_samples: int) -> PhaseTrace:
     """Run the gate from the standard initial state and trace phi(t), F(t)
     on np.linspace(0, t_end, n_samples)."""
     H = build_hamiltonian(params)
@@ -350,7 +338,7 @@ def liouvillian_matrix(H: np.ndarray, gamma: float) -> csr_array:
     terms = [at(r, every, c, every), at(every, c, every, r)]
     for lo, hi, _ in DECAY_CHANNELS:
         # c = |lo><hi| on every photon state
-        lo, hi = (HILBERT.index(level, 0, 0) + photons for level in (lo, hi))
+        lo, hi = (basis_index(level, 0, 0) + photons for level in (lo, hi))
         terms += [at(lo[:, None], lo, hi[:, None], hi),
                   at(hi[:, None], every.T, hi[:, None], every.T),
                   at(every, hi, every, hi)]

@@ -22,14 +22,7 @@ from . import __version__
 
 
 def format_float(x: float) -> str:
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")
 
 
 def config_hash(config: Dict[str, Any]) -> str:

@@ -24,17 +24,13 @@ from typing import Dict, Optional
 import numpy as np
 
 from .errors import LeakageError, NumericalError
-from .gate import (DIM, HILBERT, GateParams, apply_propagator,
+from .gate import (DIM, QUBIT_BASIS, GateParams, apply_propagator,
                    build_hamiltonian, conditional_phase, initial_state,
                    propagator)
 
 QUBIT_DIM = 4
 #: Largest leakage of a pure input tomography accepts (else LeakageError).
 LEAKAGE_LIMIT = 0.2
-#: Full-space indices of the two-qubit basis (s-major ordering
-#: |0s,1>, |0s,2>, |1s,1>, |1s,2>), all with zero p photons.
-_EMBED = tuple(HILBERT.index(level, 0, n_s)
-               for n_s in (0, 1) for level in ("1", "2"))
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,6 @@ class TwoQubitChannel:
     basis: images[i, j] = Lambda(|i><j|)."""
 
     images: np.ndarray                      # (4, 4, 4, 4) complex
-    t_gate: Optional[float] = None
     leakage: Optional[Dict[str, float]] = None   # per basis input e0..e3
     max_leakage: float = 0.0        # worst case over all pure inputs
     phase: Optional[float] = None   # conditional phase of initial_state()
@@ -92,7 +87,7 @@ def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
     prop = propagator(build_hamiltonian(params), params.gamma, t_gate, rho0)
     # vec index of each embedded pair |a><b|; block[k, l, i, j] is entry
     # (k, l) of P vec(|i><j|), and |i><j|^dagger = |j><i|
-    pairs = np.add.outer(np.multiply(_EMBED, DIM), _EMBED).ravel()
+    pairs = np.add.outer(np.multiply(QUBIT_BASIS, DIM), QUBIT_BASIS).ravel()
     block = prop[pairs][:, pairs].toarray().reshape((QUBIT_DIM,) * 4)
     images = 0.5 * (block + block.transpose(1, 0, 3, 2).conj())
     images = images.transpose(2, 3, 0, 1)
@@ -108,16 +103,17 @@ def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
             f"qubit subspace (limit {LEAKAGE_LIMIT:.0%}); basis-input "
             f"leakage: {report}", leakage_report=leakage)
     phase = conditional_phase(apply_propagator(prop, rho0))
-    return TwoQubitChannel(images=images, t_gate=t_gate, leakage=leakage,
-                           max_leakage=worst, phase=phase,
-                           mean_survival=float(np.mean(
+    return TwoQubitChannel(images=images, leakage=leakage, max_leakage=worst,
+                           phase=phase, mean_survival=float(np.mean(
                                survival.diagonal().real)))
 
 
 @dataclass(frozen=True)
-class CptpReport:
-    """Diagnostics attached to a reconstructed Choi matrix."""
+class ChoiMatrix:
+    """Unit-trace Choi state of a two-qubit channel with its CPTP
+    diagnostics."""
 
+    chi: np.ndarray               # (16, 16) complex
     trace: float
     hermiticity_residual: float
     min_eigenvalue: float
@@ -131,14 +127,6 @@ class CptpReport:
     def trace_preserving(self) -> bool:
         return self.tp_residual < 1e-3
 
-
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Unit-trace Choi state of a two-qubit channel with its CPTP report."""
-
-    chi: np.ndarray               # (16, 16) complex
-    report: CptpReport
-
     @property
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(0.5 * (self.chi + self.chi.conj().T))
@@ -146,19 +134,6 @@ class ChoiMatrix:
     @property
     def purity(self) -> float:
         return float(np.real(np.trace(self.chi @ self.chi)))
-
-
-def _make_report(chi: np.ndarray) -> CptpReport:
-    herm = float(np.abs(chi - chi.conj().T).max())
-    chi_h = 0.5 * (chi + chi.conj().T)
-    eig_min = float(np.linalg.eigvalsh(chi_h).min())
-    # Tr over the output factor of each 4x4 block: chi[(i,k),(j,l)] -> sum_k
-    blocks = chi.reshape(QUBIT_DIM, QUBIT_DIM, QUBIT_DIM, QUBIT_DIM)
-    tr_out = np.einsum("ikjk->ij", blocks)
-    tp = float(np.linalg.norm(tr_out - np.eye(QUBIT_DIM) / QUBIT_DIM))
-    return CptpReport(trace=float(np.real(np.trace(chi))),
-                      hermiticity_residual=herm, min_eigenvalue=eig_min,
-                      tp_residual=tp)
 
 
 def choi_matrix(channel: TwoQubitChannel) -> ChoiMatrix:
@@ -171,7 +146,15 @@ def choi_matrix(channel: TwoQubitChannel) -> ChoiMatrix:
     """
     images = channel.images / channel.mean_survival
     chi = 0.25 * images.transpose(0, 2, 1, 3).reshape(16, 16)
-    return ChoiMatrix(chi=chi, report=_make_report(chi))
+    # Tr over the output factor of each 4x4 block: chi[(i,k),(j,l)] -> sum_k
+    tr_out = np.einsum("ikjk->ij", chi.reshape((QUBIT_DIM,) * 4))
+    return ChoiMatrix(
+        chi=chi, trace=float(np.real(np.trace(chi))),
+        hermiticity_residual=float(np.abs(chi - chi.conj().T).max()),
+        min_eigenvalue=float(np.linalg.eigvalsh(
+            0.5 * (chi + chi.conj().T)).min()),
+        tp_residual=float(np.linalg.norm(
+            tr_out - np.eye(QUBIT_DIM) / QUBIT_DIM)))
 
 
 def ideal_cphase_choi(phi: float) -> ChoiMatrix:

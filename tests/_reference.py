@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from gemxpm.errors import NumericalError
-from gemxpm.gate import DECAY_CHANNELS, DIM, HILBERT, LEVELS, Trajectory
+from gemxpm.gate import DECAY_CHANNELS, DIM, LEVELS, Trajectory, basis_index
 from gemxpm.gem import _NAN_CHECK_STRIDE, CoherenceRecord, MemberRecords
 from gemxpm.tomography import QUBIT_DIM, TwoQubitChannel
 
@@ -133,7 +133,7 @@ def collapse_operators(gamma: float):
         c = np.zeros((DIM, DIM), dtype=complex)
         for n_p in (0, 1):
             for n_s in (0, 1):
-                c[HILBERT.index(lo, n_p, n_s), HILBERT.index(hi, n_p, n_s)] = 1.0
+                c[basis_index(lo, n_p, n_s), basis_index(hi, n_p, n_s)] = 1.0
         ops.append((c, frac * gamma))
     return ops
 
@@ -192,8 +192,8 @@ def kron_liouvillian(H: np.ndarray, gamma: float):
     lv = -1j * (sp.kron(H, eye) - sp.kron(eye, H.T))
     for lo, hi, frac in DECAY_CHANNELS:
         # c = |lo><hi| on every photon state, at rate frac * gamma
-        c = sp.csr_array((np.ones(4), (HILBERT.index(lo, 0, 0) + photons,
-                                       HILBERT.index(hi, 0, 0) + photons)),
+        c = sp.csr_array((np.ones(4), (basis_index(lo, 0, 0) + photons,
+                                       basis_index(hi, 0, 0) + photons)),
                          shape=(DIM, DIM))
         cdc = c.conj().T @ c
         lv += frac * gamma * (sp.kron(c, c.conj()) - 0.5 * (

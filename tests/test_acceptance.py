@@ -25,7 +25,7 @@ from gemxpm import (EnsembleParams, GateParams, GradientSchedule, Grid,
                     verify_fourier_relation)
 from gemxpm.cli import run_config
 from gemxpm.config import parse_config
-from gemxpm.gate import DIM, HILBERT
+from gemxpm.gate import DIM, basis_index
 from gemxpm.presets import get_preset, preset_names
 from gemxpm.reporting import csv_body
 from gemxpm.tomography import (TwoQubitChannel, channel_from_gate,
@@ -186,7 +186,7 @@ def test_criterion_07_master_equation_hygiene():
     purity_drift = max(abs(p - purities[0]) for p in purities)
 
     rho0 = np.zeros((DIM, DIM), dtype=complex)
-    i3 = HILBERT.index("3", 0, 0)
+    i3 = basis_index("3", 0, 0)
     rho0[i3, i3] = 1.0
     decay = evolve(rho0, np.zeros((DIM, DIM), dtype=complex), 1.0, 5.0, 11)
     decay_err = max(abs(r[i3, i3].real - math.exp(-t))

@@ -264,6 +264,9 @@ class TestConfigValidation:
           "base": {"experiment": "tomography", "gate": {"t_gate": 15.0}}},
          2, "config error at 'base.gate': t_gate must be positive and finite, "
             "got -1.0 (sweep value -1.0)"),
+        ([{"experiment": "gate"}, {"experiment": "tomography"}],
+         2, "config error at '<file>': expected a mapping, got list"),
+        (15.0, 2, "config error at '<file>': expected a mapping, got float"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
@@ -278,18 +281,20 @@ class TestConfigValidation:
             "tomography_n_samples", "gate_t_gate", "sweep_units",
             "tomography_base_ensemble_axis", "tomography_renormalize_none",
             "xpm_double_no_hold", "xpm_double_no_recall",
-            "xpm_double_probe_after_signal", "sweep_second_value_bad"])
+            "xpm_double_probe_after_signal", "sweep_second_value_bad",
+            "top_level_list", "top_level_scalar"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
         # two removed keys were accepted without changing any output; a
         # sweep of two or more groups runs them in a two-process pool,
-        # whose errors must reach the parent intact
-        assert main(["simulate", write_yaml(tmp_path, cfg),
-                     "--out", str(tmp_path / "out"),
+        # whose errors must reach the parent intact.  '<file>' in a
+        # message stands for the config file's path
+        path = write_yaml(tmp_path, cfg)
+        assert main(["simulate", path, "--out", str(tmp_path / "out"),
                      "--workers", "2"]) == code
         err = capsys.readouterr().err
-        assert message in err
+        assert message.replace("<file>", path) in err
         assert "Traceback" not in err
 
     def test_lab_units_gate_defaults(self):
@@ -709,8 +714,8 @@ class TestChoiExport:
         assert sum(eigs) == pytest.approx(cptp["trace"], abs=1e-12)
         chi = choi_matrix(channel_from_gate(cfg.gate.params, cfg.gate.t_gate))
         assert cptp["purity"] == chi.purity
-        assert cptp["completely_positive"] == chi.report.completely_positive
-        assert cptp["trace_preserving"] == chi.report.trace_preserving
+        assert cptp["completely_positive"] == chi.completely_positive
+        assert cptp["trace_preserving"] == chi.trace_preserving
 
     def test_cphase_pi_export_sign_pattern(self, tmp_path):
         # the tomography run's CSV layout: 16 real rows, then 16 imaginary
@@ -805,6 +810,8 @@ class TestFormatting:
         assert format_float(1.0 / 3.0) == "0.33333333333333331"
         assert format_float(0.0) == "0"
         assert format_float(float("nan")) == "nan"
+        assert format_float(float("inf")) == "inf"
+        assert format_float(float("-inf")) == "-inf"
 
     def test_result_table_requires_units(self):
         with pytest.raises(ValueError):

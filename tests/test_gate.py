@@ -7,12 +7,13 @@ import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
-from gemxpm import (DIM, HILBERT, GateParams, NumericalError, ProjectionError,
-                    UndefinedPhaseError, build_hamiltonian, conditional_phase,
-                    evolve, gate_fidelity, initial_state, phase_trace,
-                    propagator)
+from gemxpm import (DIM, GateParams, NumericalError, ProjectionError,
+                    UndefinedPhaseError, basis_index, build_hamiltonian,
+                    conditional_phase, evolve, gate_fidelity, initial_state,
+                    phase_trace, propagator)
 from gemxpm import gate
-from gemxpm.gate import apply_propagator, ideal_image_state, liouvillian_matrix
+from gemxpm.gate import (LEVELS, apply_propagator, ideal_image_state,
+                         liouvillian_matrix)
 
 from _reference import (collapse_operators, dense_liouvillian,
                         dense_propagator, evolve_rk4, evolve_rk4_powered,
@@ -26,19 +27,19 @@ def caption_h(gate_params):
 
 class TestHilbertSpace:
     def test_dimension(self):
-        assert HILBERT.dim == 28
-        assert len(HILBERT.levels) == 7
+        assert DIM == 28
+        assert len(LEVELS) == 7
 
     def test_index_map_atomic_major(self):
-        assert HILBERT.index("1", 0, 0) == 0
-        assert HILBERT.index("1", 0, 1) == 1
-        assert HILBERT.index("1", 1, 0) == 2
-        assert HILBERT.index("2", 0, 0) == 4
-        assert HILBERT.index("3p", 1, 1) == 27
+        assert basis_index("1", 0, 0) == 0
+        assert basis_index("1", 0, 1) == 1
+        assert basis_index("1", 1, 0) == 2
+        assert basis_index("2", 0, 0) == 4
+        assert basis_index("3p", 1, 1) == 27
 
     def test_rejects_multiphoton(self):
         with pytest.raises(ValueError):
-            HILBERT.index("1", 2, 0)
+            basis_index("1", 2, 0)
 
 
 class TestBuildHamiltonian:
@@ -51,21 +52,21 @@ class TestBuildHamiltonian:
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
 
     def test_collective_probe_element(self, gate_params, caption_h):
-        row = HILBERT.index("3", 0, 0)
-        col = HILBERT.index("1", 1, 0)
+        row = basis_index("3", 0, 0)
+        col = basis_index("1", 1, 0)
         assert caption_h[row, col] == pytest.approx(
             gate_params.g * math.sqrt(gate_params.N))
 
     def test_signal_couplings(self, gate_params, caption_h):
-        assert caption_h[HILBERT.index("4", 0, 0), HILBERT.index("2", 0, 1)] \
+        assert caption_h[basis_index("4", 0, 0), basis_index("2", 0, 1)] \
             == pytest.approx(gate_params.g24)
-        assert caption_h[HILBERT.index("3p", 0, 0), HILBERT.index("1p", 0, 1)] \
+        assert caption_h[basis_index("3p", 0, 0), basis_index("1p", 0, 1)] \
             == pytest.approx(gate_params.g1p3p)
 
     def test_detuning_diagonals(self, gate_params, caption_h):
-        assert caption_h[HILBERT.index("3", 0, 0), HILBERT.index("3", 0, 0)] \
+        assert caption_h[basis_index("3", 0, 0), basis_index("3", 0, 0)] \
             == gate_params.Delta
-        assert caption_h[HILBERT.index("4", 1, 1), HILBERT.index("4", 1, 1)] \
+        assert caption_h[basis_index("4", 1, 1), basis_index("4", 1, 1)] \
             == gate_params.delta4
 
     def test_default_params_reference_set(self):
@@ -93,7 +94,7 @@ class TestInitialState:
 
     def test_ground_coherence_element(self):
         rho = initial_state()
-        val = rho[HILBERT.index("1", 0, 0), HILBERT.index("2", 0, 0)]
+        val = rho[basis_index("1", 0, 0), basis_index("2", 0, 0)]
         assert val == pytest.approx(0.125)
 
     def test_no_excited_population(self):
@@ -101,7 +102,7 @@ class TestInitialState:
         for level in ("3", "4", "3p"):
             for np_ in (0, 1):
                 for ns in (0, 1):
-                    i = HILBERT.index(level, np_, ns)
+                    i = basis_index(level, np_, ns)
                     assert rho[i, i] == 0.0
 
     def test_positive_semidefinite(self):
@@ -121,12 +122,12 @@ class TestLindbladRhs:
         for level in ("1", "2", "1p", "2p"):
             for np_ in (0, 1):
                 for ns in (0, 1):
-                    i = HILBERT.index(level, np_, ns)
+                    i = basis_index(level, np_, ns)
                     assert d[i, i].real >= -1e-15
 
     def test_two_level_decay_against_analytic(self):
         rho0 = np.zeros((DIM, DIM), dtype=complex)
-        i3 = HILBERT.index("3", 0, 0)
+        i3 = basis_index("3", 0, 0)
         rho0[i3, i3] = 1.0
         h = np.zeros((DIM, DIM), dtype=complex)
         traj = evolve(rho0, h, 1.0, 5.0, 11)
@@ -216,11 +217,23 @@ class TestConditionalPhase:
 
     def test_undefined_phase_signalled(self):
         rho = np.zeros((DIM, DIM), dtype=complex)
-        rho[HILBERT.index("1p", 0, 0), HILBERT.index("1p", 0, 0)] = 1.0
+        rho[basis_index("1p", 0, 0), basis_index("1p", 0, 0)] = 1.0
         with pytest.raises(UndefinedPhaseError):
             conditional_phase(rho)
         with pytest.raises(UndefinedPhaseError):
             conditional_phase(np.full((DIM, DIM), np.nan))
+
+    def test_p_mode_traced_out(self):
+        # the coherences split between the p = 0 and p = 1 sectors:
+        # c0 = 0.1 + 0.1j and c1 = 0.2 - 0.2j, so phi = -pi/2, where the
+        # p = 0 entries alone (0.1 and 0.2) would give 0
+        rho = np.zeros((DIM, DIM), dtype=complex)
+        for n_p, n_s, value in ((0, 0, 0.1), (1, 0, 0.1j),
+                                (0, 1, 0.2), (1, 1, -0.2j)):
+            i, j = basis_index("1", n_p, n_s), basis_index("2", n_p, n_s)
+            rho[i, j], rho[j, i] = value, np.conj(value)
+        assert conditional_phase(rho) == pytest.approx(-math.pi / 2,
+                                                       abs=1e-12)
 
     def test_reference_phase_in_expected_window(self, gate_trajectory):
         # bare couplings: the free s photon shifts |2> by the full
@@ -248,7 +261,7 @@ class TestGateFidelity:
         rho_q = np.outer(psi, psi.conj())
         # embed the two-qubit state back into the full space
         rho = np.zeros((DIM, DIM), dtype=complex)
-        idx = [HILBERT.index(lv, 0, ns) for ns in (0, 1) for lv in ("1", "2")]
+        idx = [basis_index(lv, 0, ns) for ns in (0, 1) for lv in ("1", "2")]
         rho[np.ix_(idx, idx)] = rho_q
         assert gate_fidelity(rho, phi) == pytest.approx(1.0, abs=1e-12)
         assert conditional_phase(rho) == pytest.approx(phi, abs=1e-12)
@@ -262,7 +275,7 @@ class TestGateFidelity:
 
     def test_projection_error(self):
         rho = np.zeros((DIM, DIM), dtype=complex)
-        rho[HILBERT.index("3p", 0, 0), HILBERT.index("3p", 0, 0)] = 1.0
+        rho[basis_index("3p", 0, 0), basis_index("3p", 0, 0)] = 1.0
         with pytest.raises(ProjectionError):
             gate_fidelity(rho, 0.0)
 
@@ -428,7 +441,7 @@ class TestPropagator:
         # block its transpose does not: re-symmetrisation after each step
         # moves weight there, so the propagator must reach it from the
         # first step on
-        a, b = HILBERT.index("1", 0, 0), HILBERT.index("2", 0, 1)
+        a, b = basis_index("1", 0, 0), basis_index("2", 0, 1)
         rho0 = np.zeros((DIM, DIM), dtype=complex)
         rho0[a, a], rho0[a, b] = 1.0, 0.3
         traj = evolve(rho0, caption_h, gate_params.gamma, 0.5, 6)

@@ -8,8 +8,8 @@ from gemxpm import (GateParams, LeakageError, TwoQubitChannel,
                     build_hamiltonian, channel_from_gate, choi_matrix,
                     conditional_phase, ideal_cphase_choi, initial_state,
                     process_fidelity, propagator)
-from gemxpm.gate import apply_propagator, two_qubit_block
-from gemxpm.tomography import _EMBED, QUBIT_DIM
+from gemxpm.gate import QUBIT_BASIS, apply_propagator, two_qubit_block
+from gemxpm.tomography import QUBIT_DIM
 
 from _reference import channel_from_map
 
@@ -27,7 +27,7 @@ def random_pure(rng, count, n=4):
 
 def embed(rho_q):
     full = np.zeros((28, 28), dtype=complex)
-    full[np.ix_(list(_EMBED), list(_EMBED))] = rho_q
+    full[np.ix_(QUBIT_BASIS, QUBIT_BASIS)] = rho_q
     return full
 
 
@@ -72,7 +72,7 @@ class TestChannelFromGate:
         # channel_from_gate builds its propagator on the blocks that
         # initial_state() reaches, so the vec index of every embedded pair
         # |a><b| must lie in that state's support
-        pairs = np.add.outer(np.multiply(_EMBED, 28), _EMBED).ravel()
+        pairs = np.add.outer(np.multiply(QUBIT_BASIS, 28), QUBIT_BASIS).ravel()
         assert np.isin(pairs, np.flatnonzero(initial_state())).all()
 
     def test_channel_consistent_with_direct_evolution(self, gate_params):
@@ -153,8 +153,8 @@ class TestChannelFromGate:
 
         channel = channel_from_map(dephase)
         chi = choi_matrix(channel)
-        assert chi.report.completely_positive
-        assert chi.report.trace_preserving
+        assert chi.completely_positive
+        assert chi.trace_preserving
         damp = math.exp(-gamma_t)
         for i in range(QUBIT_DIM):
             for j in range(QUBIT_DIM):
@@ -202,18 +202,18 @@ class TestChoiMatrix:
                                             identity_like_channel):
         for ch in (reference_channel, identity_like_channel):
             chi = choi_matrix(ch)
-            assert chi.report.trace == pytest.approx(1.0, abs=1e-8)
-            assert chi.report.min_eigenvalue >= -1e-8
-            assert chi.report.hermiticity_residual < 1e-12
+            assert chi.trace == pytest.approx(1.0, abs=1e-8)
+            assert chi.min_eigenvalue >= -1e-8
+            assert chi.hermiticity_residual < 1e-12
 
     def test_tp_residual_for_lossless(self, identity_like_channel):
         chi = choi_matrix(identity_like_channel)
-        assert chi.report.tp_residual < 1e-3
+        assert chi.tp_residual < 1e-3
 
     def test_lossy_residual_attached(self, gate_params):
         channel = channel_from_gate(gate_params, 15.0)
         chi = choi_matrix(channel)
-        assert chi.report.tp_residual >= 0.0
+        assert chi.tp_residual >= 0.0
         assert channel.max_leakage > 0.0
         # the map itself is trace-non-increasing
         for i in range(QUBIT_DIM):
