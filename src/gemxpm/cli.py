@@ -3,7 +3,6 @@
 Commands:
 
     gemxpm simulate <config.yaml> [--out DIR] [--workers N]
-    gemxpm sweep    <config.yaml> [--out DIR] [--workers N]
     gemxpm presets  list
     gemxpm presets  show <name>
     gemxpm presets  run <name> [--out DIR] ...
@@ -63,7 +62,7 @@ def _stark(cfg: ExperimentConfig) -> Optional[StarkDrive]:
     if cfg.signal is None:
         return None
     return apply_stark_drive(cfg.signal, cfg.ensemble,
-                             detuning=getattr(cfg.ensemble, cfg.signal_detuning))
+                             cfg.ensemble.delta3)
 
 
 def _run_storage(cfg: ExperimentConfig):
@@ -91,10 +90,9 @@ def _run_storage(cfg: ExperimentConfig):
     table = ResultTable(
         columns=["t", "abs_in", "abs_out", "phase_out"],
         units=["1/gamma", "gamma", "gamma", "rad"],
-        rows=[[float(tv), float(a), float(b), float(p)]
-              for tv, a, b, p in zip(
-                  t, np.abs(cfg.probe.envelope(t)), np.abs(result.exit_field),
-                  np.angle(result.exit_field))])
+        values=np.column_stack((t, np.abs(cfg.probe.envelope(t)),
+                                np.abs(result.exit_field),
+                                np.angle(result.exit_field))))
     results = {
         "efficiency": result.efficiency,
         "input_energy": result.input_energy,
@@ -118,7 +116,7 @@ def _run_xpm_free(cfg: ExperimentConfig):
     phis = [phi_free_signal(o, params.delta3, spec.tau, params.gamma)
             for o in spec.omega_s]
     table = ResultTable(columns=["Omega_s", "phi"], units=["gamma", "rad"],
-                        rows=[[o, p] for o, p in zip(spec.omega_s, phis)])
+                        values=np.column_stack((spec.omega_s, phis)))
     results = {"delta3": params.delta3, "tau": spec.tau,
                "phi_max_rad": max(phis) if phis else math.nan}
     return table, results, None
@@ -133,7 +131,7 @@ def _run_xpm_double(cfg: ExperimentConfig):
     table = ResultTable(
         columns=["t", "kpeak_probe", "kpeak_signal"],
         units=["1/gamma", "rad/L", "rad/L"],
-        rows=[[float(a), float(b), float(c)] for a, b, c in zip(t, kp, ks)])
+        values=np.column_stack((t, kp, ks)))
     quad = phi_stored_pair(res.effective_signal_envelope, params.delta4,
                            params.gamma, res.tau1, res.tau2)
     results = {
@@ -207,8 +205,7 @@ def _run_gate(cfg: ExperimentConfig):
                         n_samples=gate.n_samples)
     table = ResultTable(
         columns=["t", "phi", "fidelity"], units=["1/gamma", "rad", "1"],
-        rows=[[float(a), float(b), float(c)]
-              for a, b, c in zip(trace.times, trace.phi, trace.fidelity)])
+        values=np.column_stack((trace.times, trace.phi, trace.fidelity)))
     phi_end = float(trace.phi[-1])
     results = {
         "phi_end_rad": phi_end,
@@ -223,10 +220,8 @@ def _run_gate(cfg: ExperimentConfig):
 
 def choi_table(chi: ChoiMatrix) -> ResultTable:
     """The 16x16 Choi state as 32 rows: the real parts, then the imaginary."""
-    rows = [[float(v) for v in part[i]]
-            for part in (chi.chi.real, chi.chi.imag) for i in range(16)]
-    return ResultTable(
-        columns=[f"c{j}" for j in range(16)], units=["1"] * 16, rows=rows)
+    return ResultTable(columns=[f"c{j}" for j in range(16)], units=["1"] * 16,
+                       values=np.vstack([chi.chi.real, chi.chi.imag]))
 
 
 def _run_tomography(cfg: ExperimentConfig):
@@ -326,7 +321,8 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
     rows = [[v] + [by_index[i][key] for _, key, _ in swept]
             for i, v in enumerate(values)]
     table = ResultTable(columns=[cfg.sweep.path.split(".")[-1]] + columns,
-                        units=["1"] + [u for _, _, u in swept], rows=rows)
+                        units=["1"] + [u for _, _, u in swept],
+                        values=np.array(rows))
     results = {
         "axis_path": cfg.sweep.path,
         "axis_values": list(values),
@@ -388,10 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sim.add_argument("config")
     add_run_opts(p_sim)
 
-    p_sweep = sub.add_parser("sweep", help="run a sweep config")
-    p_sweep.add_argument("config")
-    add_run_opts(p_sweep)
-
     p_presets = sub.add_parser("presets", help="list, show, or run presets")
     p_presets.add_argument("action", choices=["list", "show", "run"])
     p_presets.add_argument("name", nargs="?")
@@ -421,10 +413,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                if args.command == "presets" else load_config(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.command == "sweep" and cfg.kind != "sweep":
-        print("error: 'sweep' requires a config with experiment: sweep "
-              "(use 'simulate' for single runs)", file=sys.stderr)
         return 2
     return _execute(cfg, args.out, args.workers)
 

@@ -20,7 +20,7 @@ import math
 import typing
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Literal, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -34,8 +34,7 @@ from .xpm import HOLD_SAMPLES, check_protocol
 #: The top-level sections each experiment kind reads, besides experiment
 #: and name: a config that sets any other is refused, and only these echo.
 SECTIONS: Dict[str, Tuple[str, ...]] = {
-    "storage": ("units", "ensemble", "probe", "signal", "signal_detuning",
-                "schedule", "grid"),
+    "storage": ("units", "ensemble", "probe", "signal", "schedule", "grid"),
     "xpm-free": ("units", "ensemble", "xpm_free"),
     "xpm-double": ("units", "ensemble", "probe", "signal", "schedule",
                    "grid"),
@@ -103,7 +102,6 @@ class ExperimentConfig:
     ensemble: Optional[EnsembleParams] = None
     probe: Optional[PulseSpec] = None
     signal: Optional[PulseSpec] = None
-    signal_detuning: Optional[str] = None
     schedule: Optional[GradientSchedule] = None
     grid: Optional[Grid] = None
     xpm_free: Optional[XpmFreeSpec] = None
@@ -188,6 +186,8 @@ class _Units:
             self.gamma = _expect_number(raw["gamma"], f"{path}.gamma")
             if self.gamma <= 0:
                 _fail(f"{path}.gamma", "gamma must be positive")
+        elif "gamma" in raw:
+            _fail(f"{path}.gamma", "read only with system: lab")
 
     def rate(self, x: float) -> float:
         return x / self.gamma
@@ -229,11 +229,6 @@ def _value(obj: Any, hint: Any, units: _Units, key: str, path: str) -> Any:
         return _expect_int(obj, path)
     if hint is float:
         return units.scale(key, _expect_number(obj, path))
-    if typing.get_origin(hint) is Literal:
-        choices = typing.get_args(hint)
-        if _expect_str(obj, path) not in choices:
-            _fail(path, f"must be {' or '.join(map(repr, choices))}")
-        return obj
     if hint == Tuple[float, ...]:
         return tuple(units.scale(key, x) for x in _number_list(obj, path))
     raise TypeError(f"no config reader for field {key!r} of type {hint!r}")
@@ -377,13 +372,6 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
 
     probe = section("probe", PulseSpec)
     signal = section("signal", PulseSpec)
-    detuning = None
-    if signal is not None and "signal_detuning" in SECTIONS[kind]:
-        detuning = _value(raw.get("signal_detuning", "delta3"),
-                          Literal["delta3", "delta4"], units,
-                          "signal_detuning", "signal_detuning")
-    elif "signal_detuning" in raw:
-        _fail("signal_detuning", "this config has no signal to detune")
     schedule = (None if raw.get("schedule") is None
                 else _parse_schedule(raw["schedule"], units, "schedule"))
     grid = section("grid", Grid, ("L",), L=ensemble.L)
@@ -410,8 +398,7 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
             _fail("grid", f"the hold [{hold[0]}, {hold[1]}] spans {n} "
                   f"time samples; its quadrature needs {HOLD_SAMPLES}")
     return ExperimentConfig(kind=kind, name=name, ensemble=ensemble,
-                            probe=probe, signal=signal,
-                            signal_detuning=detuning, schedule=schedule,
+                            probe=probe, signal=signal, schedule=schedule,
                             grid=grid)
 
 
@@ -469,7 +456,7 @@ def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
             v = [list(seg) for seg in v.segments]
         elif key == "targets":
             v = {k: list(pair) for k, pair in v.items()}
-        elif key in ("signal_detuning", "base"):
+        elif key == "base":
             v = copy.deepcopy(v)
         else:
             v = _echo(v, ("L",) if key == "grid" else ())

@@ -240,9 +240,9 @@ def conditional_phase(rho: np.ndarray) -> float:
     rho = np.asarray(rho)
     c0, c1 = (sum(rho[basis_index("1", n_p, n_s), basis_index("2", n_p, n_s)]
                   for n_p in (0, 1)) for n_s in (0, 1))
-    if not min(abs(c0), abs(c1)) >= 1e-14:   # NaN fails too
+    if not all(1e-14 <= abs(c) < math.inf for c in (c0, c1)):   # NaN fails
         raise UndefinedPhaseError(
-            f"conditional coherences too small to define a phase "
+            f"conditional coherences not finite or below 1e-14 "
             f"(|c0|={abs(c0):.3e}, |c1|={abs(c1):.3e})")
     return float(np.angle(c1 * np.conj(c0)))
 

@@ -399,20 +399,16 @@ def storage_result(records: MemberRecords, grid: Grid,
 def propagate(params: EnsembleParams, probe: PulseSpec,
               schedule: GradientSchedule, grid: Grid,
               stark: Optional[StarkDrive] = None, *,
-              coupling: Optional[PiecewiseConstant] = None,
-              input_envelope: Optional[Callable] = None) -> StorageResult:
+              coupling: Optional[PiecewiseConstant] = None) -> StorageResult:
     """Run one storage/recall simulation and return the full solution.
 
     ``coupling`` optionally switches the coupling field (a multiplier on
-    OmegaC per time window); ``input_envelope`` overrides the Gaussian
-    probe shape with an arbitrary complex callable of time (the PulseSpec
-    still provides the timing used for precondition checks).  With a Stark
-    drive the signal-free reference run, keeping only its exit-face field,
-    is marched in the same batch and gives ``xpm_phase``.  Raises as
-    _storage_runs and march do.
+    OmegaC per time window).  With a Stark drive the signal-free reference
+    run, keeping only its exit-face field, is marched in the same batch and
+    gives ``xpm_phase``.  Raises as _storage_runs and march do.
     """
-    env = input_envelope if input_envelope is not None else probe.envelope
-    run = Member(env, params.raman_ratio, coupling=coupling, stark=stark)
+    run = Member(probe.envelope, params.raman_ratio, coupling=coupling,
+                 stark=stark)
     return _storage_runs(params, schedule, grid, [(probe, run)])[0]
 
 

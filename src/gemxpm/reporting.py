@@ -32,19 +32,19 @@ def config_hash(config: Dict[str, Any]) -> str:
 
 @dataclass
 class ResultTable:
-    """Rectangular numeric table with a unit for every column."""
+    """Float table, rows x columns, with a unit for every column."""
 
     columns: List[str]
     units: List[str]
-    rows: List[List[float]]
+    values: np.ndarray
     provenance: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.columns) != len(self.units):
             raise ValueError("every column needs a unit")
-        for r in self.rows:
-            if len(r) != len(self.columns):
-                raise ValueError("ragged table row")
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
+            raise ValueError("values must be a (rows, columns) array")
 
     def header(self) -> str:
         return ",".join(f"{c}[{u}]" for c, u in zip(self.columns, self.units))
@@ -52,7 +52,7 @@ class ResultTable:
     def body_lines(self) -> List[str]:
         lines = [self.header()]
         lines.extend(",".join(format_float(v) for v in row)
-                     for row in self.rows)
+                     for row in self.values.tolist())
         return lines
 
     def write_csv(self, path: Path) -> Path:

@@ -110,14 +110,28 @@ def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
-    """Unit-trace Choi state of a two-qubit channel with its CPTP
-    diagnostics."""
+    """Unit-trace Choi state of a two-qubit channel; its CPTP diagnostics
+    are read off ``chi``."""
 
     chi: np.ndarray               # (16, 16) complex
-    trace: float
-    hermiticity_residual: float
-    min_eigenvalue: float
-    tp_residual: float            # Frobenius norm of Tr_out(chi) - I/4
+
+    @property
+    def trace(self) -> float:
+        return float(np.real(np.trace(self.chi)))
+
+    @property
+    def hermiticity_residual(self) -> float:
+        return float(np.abs(self.chi - self.chi.conj().T).max())
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues.min())
+
+    @property
+    def tp_residual(self) -> float:
+        """Frobenius norm of Tr_out(chi) - I/4: chi[(i,k),(j,l)] -> sum_k."""
+        tr_out = np.einsum("ikjk->ij", self.chi.reshape((QUBIT_DIM,) * 4))
+        return float(np.linalg.norm(tr_out - np.eye(QUBIT_DIM) / QUBIT_DIM))
 
     @property
     def completely_positive(self) -> bool:
@@ -141,20 +155,11 @@ def choi_matrix(channel: TwoQubitChannel) -> ChoiMatrix:
 
     The images are divided by the channel's mean basis survival: one
     uniform positive factor, so the state stays completely positive and
-    has trace one.  CPTP violations are reported in the attached
-    diagnostics, never raised, so lossy channels stay inspectable.
+    has trace one.  CPTP violations are reported by its diagnostics, never
+    raised, so lossy channels stay inspectable.
     """
     images = channel.images / channel.mean_survival
-    chi = 0.25 * images.transpose(0, 2, 1, 3).reshape(16, 16)
-    # Tr over the output factor of each 4x4 block: chi[(i,k),(j,l)] -> sum_k
-    tr_out = np.einsum("ikjk->ij", chi.reshape((QUBIT_DIM,) * 4))
-    return ChoiMatrix(
-        chi=chi, trace=float(np.real(np.trace(chi))),
-        hermiticity_residual=float(np.abs(chi - chi.conj().T).max()),
-        min_eigenvalue=float(np.linalg.eigvalsh(
-            0.5 * (chi + chi.conj().T)).min()),
-        tp_residual=float(np.linalg.norm(
-            tr_out - np.eye(QUBIT_DIM) / QUBIT_DIM)))
+    return ChoiMatrix(0.25 * images.transpose(0, 2, 1, 3).reshape(16, 16))
 
 
 def ideal_cphase_choi(phi: float) -> ChoiMatrix:
@@ -166,9 +171,8 @@ def ideal_cphase_choi(phi: float) -> ChoiMatrix:
 def process_fidelity(chi: ChoiMatrix, chi_ideal: ChoiMatrix) -> float:
     """Trace overlap Tr(chi_ideal . chi) of two unit-trace Choi states."""
     for name, c in (("chi", chi), ("chi_ideal", chi_ideal)):
-        tr = np.real(np.trace(c.chi))
-        if abs(tr - 1.0) > 1e-6:
-            raise ValueError(f"{name} is not trace-normalised (trace {tr})")
+        if abs(c.trace - 1.0) > 1e-6:
+            raise ValueError(f"{name} is not unit-trace (trace {c.trace})")
     overlap = complex(np.trace(chi_ideal.chi @ chi.chi))
     if abs(overlap.imag) > 1e-10:
         raise NumericalError(

@@ -232,7 +232,8 @@ class TestConfigValidation:
          2, "config error at 'signal_detuning': xpm-double experiments do "
             "not read"),
         (dict(STORAGE_CONFIG, signal_detuning="delta4"),
-         2, "config error at 'signal_detuning': this config has no signal"),
+         2, "config error at 'signal_detuning': storage experiments do not "
+            "read this key"),
         ({"experiment": "tomography", "gate": {"n_samples": 1000000000}},
          2, "config error at 'gate.n_samples': unknown key"),
         ({"experiment": "gate", "gate": {"n_samples": 2, "t_gate": 5.0}},
@@ -267,6 +268,10 @@ class TestConfigValidation:
         ([{"experiment": "gate"}, {"experiment": "tomography"}],
          2, "config error at '<file>': expected a mapping, got list"),
         (15.0, 2, "config error at '<file>': expected a mapping, got float"),
+        (dict(STORAGE_CONFIG, units={"gamma": 5.0}),
+         2, "config error at 'units.gamma': read only with system: lab"),
+        (dict(STORAGE_CONFIG, units={"system": "gamma", "gamma": 5.0}),
+         2, "config error at 'units.gamma': read only with system: lab"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
@@ -282,14 +287,15 @@ class TestConfigValidation:
             "tomography_base_ensemble_axis", "tomography_renormalize_none",
             "xpm_double_no_hold", "xpm_double_no_recall",
             "xpm_double_probe_after_signal", "sweep_second_value_bad",
-            "top_level_list", "top_level_scalar"])
+            "top_level_list", "top_level_scalar", "units_gamma_no_system",
+            "units_gamma_in_gamma_units"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
-        # two removed keys were accepted without changing any output; a
-        # sweep of two or more groups runs them in a two-process pool,
-        # whose errors must reach the parent intact.  '<file>' in a
-        # message stands for the config file's path
+        # removed keys and a units.gamma outside lab units were accepted
+        # without changing any output; a sweep of two or more groups runs
+        # them in a two-process pool, whose errors must reach the parent
+        # intact.  '<file>' in a message stands for the config file's path
         path = write_yaml(tmp_path, cfg)
         assert main(["simulate", path, "--out", str(tmp_path / "out"),
                      "--workers", "2"]) == code
@@ -578,7 +584,7 @@ class TestSweep:
         sweep_cfg = {"experiment": "sweep", "name": "one_point",
                      "sweep": {"path": path, "values": [value]},
                      "base": base}
-        assert main(["sweep", write_yaml(tmp_path, sweep_cfg),
+        assert main(["simulate", write_yaml(tmp_path, sweep_cfg),
                      "--out", str(tmp_path)]) == 0
         header, row = csv_body(tmp_path / "one_point.csv").split()
         assert header == f"{path.split('.')[-1]}[1],{columns}"
@@ -618,8 +624,8 @@ class TestSweep:
                      "xpm_free": {"omega_s": [0.5, 1.0], "tau": 1.0}},
         }
         cfg = write_yaml(tmp_path, sweep_cfg)
-        assert main(["sweep", cfg, "--out", str(tmp_path / "serial")]) == 0
-        assert main(["sweep", cfg, "--out", str(tmp_path / "pooled"),
+        assert main(["simulate", cfg, "--out", str(tmp_path / "serial")]) == 0
+        assert main(["simulate", cfg, "--out", str(tmp_path / "pooled"),
                      "--workers", "2"]) == 0
         assert csv_body(tmp_path / "serial" / "pooled.csv") == \
             csv_body(tmp_path / "pooled" / "pooled.csv")
@@ -640,7 +646,7 @@ class TestSweep:
             base["signal"] = signal
         sweep_cfg = {"experiment": "sweep", "name": "rows",
                      "sweep": {"path": path, "values": values}, "base": base}
-        assert main(["sweep", write_yaml(tmp_path, sweep_cfg),
+        assert main(["simulate", write_yaml(tmp_path, sweep_cfg),
                      "--out", str(tmp_path)]) == 0
         lines = csv_body(tmp_path / "rows.csv").strip().splitlines()
         assert lines[0] == (f"{path.split('.')[-1]}[1],efficiency[1],"
@@ -781,10 +787,6 @@ class TestMainEntry:
         cfg = write_yaml(tmp_path, STORAGE_CONFIG)
         assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 0
 
-    def test_sweep_command_rejects_non_sweep(self, tmp_path):
-        cfg = write_yaml(tmp_path, STORAGE_CONFIG)
-        assert main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 2
-
     def test_gate_targets_with_zero_light_shift_denominator(self, tmp_path,
                                                              capsys):
         # gamma = delta4 = 0: the analytic estimates are undefined, the
@@ -815,8 +817,13 @@ class TestFormatting:
 
     def test_result_table_requires_units(self):
         with pytest.raises(ValueError):
-            ResultTable(columns=["a", "b"], units=["1"], rows=[])
+            ResultTable(columns=["a", "b"], units=["1"],
+                        values=np.empty((0, 2)))
 
     def test_result_table_rejects_ragged(self):
         with pytest.raises(ValueError):
-            ResultTable(columns=["a"], units=["1"], rows=[[1.0, 2.0]])
+            ResultTable(columns=["a"], units=["1"], values=[[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            ResultTable(columns=["a"], units=["1"], values=[[1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError):
+            ResultTable(columns=["a"], units=["1"], values=[1.0])

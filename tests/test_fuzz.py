@@ -80,7 +80,9 @@ def storage(draw):
            "grid": grid(draw, t_max)}
     if draw(st.booleans()):
         cfg["signal"] = pulse(draw, 0.0, t_max)
-        cfg["signal_detuning"] = draw(st.sampled_from(["delta3", "delta4"]))
+        # the signal is detuned by delta3: over the delta4 range too
+        cfg["ensemble"]["delta3"] = draw(st.one_of(st.floats(-40.0, 40.0),
+                                                   st.floats(10.0, 400.0)))
     return cfg
 
 

@@ -223,6 +223,17 @@ class TestConditionalPhase:
         with pytest.raises(UndefinedPhaseError):
             conditional_phase(np.full((DIM, DIM), np.nan))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_non_finite_coherence_refused(self, bad, branch):
+        # one finite coherence must not let the other's NaN or inf through
+        rho = np.zeros((DIM, DIM), dtype=complex)
+        for n_s in (0, 1):
+            rho[basis_index("1", 0, n_s), basis_index("2", 0, n_s)] = 0.3
+        rho[basis_index("1", 0, branch), basis_index("2", 0, branch)] = bad
+        with pytest.raises(UndefinedPhaseError, match="not finite"):
+            conditional_phase(rho)
+
     def test_p_mode_traced_out(self):
         # the coherences split between the p = 0 and p = 1 sectors:
         # c0 = 0.1 + 0.1j and c1 = 0.2 - 0.2j, so phi = -pi/2, where the

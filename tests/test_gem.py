@@ -13,7 +13,7 @@ from gemxpm import (CoherenceRecord, EnsembleParams, GradientSchedule, Grid,
                     verify_fourier_relation)
 from gemxpm import gem
 from gemxpm.gem import (CrossDrive, Member, check_step, light_shift, march,
-                        spatial_spectrum, storage_batch)
+                        spatial_spectrum, storage_batch, storage_result)
 
 from _reference import (peak_k_trajectory_loop, reference_march,
                         reference_storage_run)
@@ -145,8 +145,9 @@ class TestPropagate:
         def envelope(t):
             return main.envelope(t) + side.envelope(t)
 
-        res = propagate(baseline_params, main, sched, grid,
-                        input_envelope=envelope)
+        records = march(baseline_params, sched, grid,
+                        [Member(envelope, baseline_params.raman_ratio)])
+        res = storage_result(records[0], grid, envelope, 9.0)
         t = grid.t
         inp = np.abs(envelope(t))
         out = np.abs(res.exit_field)

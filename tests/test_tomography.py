@@ -206,6 +206,17 @@ class TestChoiMatrix:
             assert chi.min_eigenvalue >= -1e-8
             assert chi.hermiticity_residual < 1e-12
 
+    def test_diagnostics_follow_a_replaced_state(self):
+        # the diagnostics are read off chi, so a replaced chi cannot carry
+        # the old state's trace or residuals
+        chi = ideal_cphase_choi(0.0)
+        bad = dataclasses.replace(chi, chi=2.0 * chi.chi)
+        assert bad.trace == pytest.approx(2.0, abs=1e-12)
+        assert bad.min_eigenvalue == pytest.approx(
+            2.0 * chi.min_eigenvalue, abs=1e-12)
+        assert bad.tp_residual == pytest.approx(0.5, abs=1e-12)
+        assert not bad.trace_preserving
+
     def test_tp_residual_for_lossless(self, identity_like_channel):
         chi = choi_matrix(identity_like_channel)
         assert chi.tp_residual < 1e-3
