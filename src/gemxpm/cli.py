@@ -42,9 +42,9 @@ from .config import (ExperimentConfig, config_to_dict, load_config,
                      parse_config)
 from .errors import ConfigError, GemXpmError
 from .gate import phase_trace
-from .gem import (StarkDrive, apply_stark_drive, excitation_balance,
-                  peak_k_trajectory, polariton_transform, propagate,
-                  spatial_spectrum, storage_batch, verify_fourier_relation)
+from .gem import (StarkDrive, apply_stark_drive, check_window,
+                  excitation_balance, peak_k_trajectory, polariton_transform,
+                  propagate, storage_batch, verify_fourier_relation)
 from .presets import get_preset, preset_names
 from .reporting import ResultTable, config_hash, write_summary
 from .tomography import (ChoiMatrix, channel_from_gate, choi_matrix,
@@ -66,32 +66,50 @@ def _stark(cfg: ExperimentConfig) -> Optional[StarkDrive]:
 
 
 def _run_storage(cfg: ExperimentConfig):
-    params, grid = cfg.ensemble, cfg.grid
-    result = propagate(params, cfg.probe, cfg.schedule, grid, stark=_stark(cfg))
+    params, grid, probe = cfg.ensemble, cfg.grid, cfg.probe
+    t, last = grid.t, grid.nt - 1
+    # Rows the diagnostics read, reduced as the march hands them out: the
+    # Fourier relation's at t_mid, the polariton k drift's over [drift_lo,
+    # flip] (8 at least) and the excitation balance's first and last.
+    flip = check_window(probe, cfg.schedule, grid.t_max)
+    flip = flip if flip is not None else grid.t_max
+    t_mid = 0.5 * (probe.center_time + 2.0 * probe.duration + flip)
+    n_mid = int(round(t_mid / grid.dt))
+    drift_lo = probe.center_time + 3.0 * probe.duration
+    drift = (t >= drift_lo) & (t <= flip)
+    drift &= np.count_nonzero(drift) >= 8
+    kept, kk = {}, []
 
-    flip = result.flip_time if result.flip_time is not None else grid.t_max
-    t_mid = 0.5 * (cfg.probe.center_time + 2.0 * cfg.probe.duration + flip)
-    residual = verify_fourier_relation(result.coherence, params, t_mid)
+    def reduce(n0, sigma, field):
+        for n in (0, n_mid, last):
+            if n0 <= n < n0 + len(sigma):
+                row = slice(n - n0, n - n0 + 1)
+                kept[n] = sigma[row].copy(), field[row].copy()
+        window = drift[n0:n0 + len(sigma)]
+        if window.any():
+            kk.append(peak_k_trajectory(*polariton_transform(
+                sigma[window], field[window], params, grid)))
 
-    drift_lo = cfg.probe.center_time + 3.0 * cfg.probe.duration
-    t = grid.t
-    mask = (t >= drift_lo) & (t <= flip)
+    result = propagate(params, probe, cfg.schedule, grid, stark=_stark(cfg),
+                       on_block=reduce)
+    residual = verify_fourier_relation(*kept[n_mid], params, grid)
     kdrift_dev_bins = math.nan
-    eta0 = cfg.schedule.eta(0.5 * (drift_lo + flip))
-    if mask.sum() >= 8:
-        kk = peak_k_trajectory(*polariton_transform(result.coherence,
-                                                    params, mask))
-        line = kk[0] + (-eta0) * (t[mask] - t[mask][0])
+    if kk:
+        kk = np.concatenate(kk)
+        eta0 = cfg.schedule.eta(0.5 * (drift_lo + flip))
+        line = kk[0] + (-eta0) * (t[drift] - t[drift][0])
         kdrift_dev_bins = float(np.max(np.abs(kk - line))
                                 / (2.0 * math.pi / params.L))
-    balance = excitation_balance(result, params, 0.0, grid.t_max) \
-        if params.gamma0 == 0.0 and cfg.signal is None else math.nan
+    inflow = probe.envelope(t)
+    balance = (excitation_balance(
+        np.concatenate([kept[0][0], kept[last][0]]), (0, last), inflow,
+        result.exit_field, params, grid)
+        if params.gamma0 == 0.0 and cfg.signal is None else math.nan)
 
     table = ResultTable(
         columns=["t", "abs_in", "abs_out", "phase_out"],
         units=["1/gamma", "gamma", "gamma", "rad"],
-        values=np.column_stack((t, np.abs(cfg.probe.envelope(t)),
-                                np.abs(result.exit_field),
+        values=np.column_stack((t, np.abs(inflow), np.abs(result.exit_field),
                                 np.angle(result.exit_field))))
     results = {
         "efficiency": result.efficiency,
@@ -118,20 +136,17 @@ def _run_xpm_free(cfg: ExperimentConfig):
     table = ResultTable(columns=["Omega_s", "phi"], units=["gamma", "rad"],
                         values=np.column_stack((spec.omega_s, phis)))
     results = {"delta3": params.delta3, "tau": spec.tau,
-               "phi_max_rad": max(phis) if phis else math.nan}
+               "phi_max_rad": max(phis)}
     return table, results, None
 
 
 def _run_xpm_double(cfg: ExperimentConfig):
     params, grid = cfg.ensemble, cfg.grid
     res = double_storage_run(params, cfg.probe, cfg.signal, cfg.schedule, grid)
-    kp, ks = (peak_k_trajectory(*spatial_spectrum(c.values, grid))
-              for c in (res.probe_coherence, res.signal_coherence))
-    t = grid.t
     table = ResultTable(
         columns=["t", "kpeak_probe", "kpeak_signal"],
         units=["1/gamma", "rad/L", "rad/L"],
-        values=np.column_stack((t, kp, ks)))
+        values=np.column_stack((grid.t, res.kpeak_probe, res.kpeak_signal)))
     quad = phi_stored_pair(res.effective_signal_envelope, params.delta4,
                            params.gamma, res.tau1, res.tau2)
     results = {

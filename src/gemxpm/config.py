@@ -27,7 +27,7 @@ import yaml
 
 from .errors import ConfigError, ProtocolError
 from .gate import DIM, GateParams
-from .gem import check_window
+from .gem import check_window, march_bytes
 from .model import EnsembleParams, GradientSchedule, Grid, PulseSpec
 from .xpm import HOLD_SAMPLES, check_protocol
 
@@ -55,15 +55,10 @@ _TIMES = frozenset(("center_time", "duration", "t_max", "tau", "t_end",
 _GATE_SKIP = {"gate": ("params", "t_gate"),
               "tomography": ("params", "t_end", "n_samples")}
 
-#: Bytes the records of one run may take: the (nt, nz) complex storage
-#: records, or a gate's (n_samples, DIM, DIM) complex trajectory.  A larger
-#: grid or n_samples is refused (exit 2).
+#: Bytes a run may hold in arrays that grow with it: a storage march's
+#: (``gem.march_bytes``) or a gate's (n_samples, DIM, DIM) complex
+#: trajectory.  A larger grid or n_samples is refused (exit 2).
 RECORD_BUDGET_BYTES = 2 << 30
-#: (nt, nz) complex records' worth of memory a run holds at its peak:
-#: tracemalloc over run_config measured 1.64 for storage_baseline and 1.90
-#: at nz = 64, nt = 1024 (sigma, plus the drift window's spectra) and 4.14
-#: for fig3b_double (sigma of probe, signal and reference, and one spectrum).
-RECORDS_KEPT = {"storage": 3, "xpm-double": 5}
 
 
 @dataclass(frozen=True)
@@ -380,10 +375,10 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
             _fail(fld, f"required for {kind} experiments")
     if kind == "xpm-double" and signal is None:
         _fail("signal", "required for xpm-double experiments")
-    need = RECORDS_KEPT[kind] * grid.nt * grid.nz * 16 / 2**30
+    need = march_bytes(grid) / 2**30
     if need > RECORD_BUDGET_BYTES / 2**30:
-        _fail("grid", f"records need {need:.4g} GiB, above the "
-              f"{RECORD_BUDGET_BYTES / 2**30:g} GiB budget")
+        _fail("grid", f"the march's stage tables and buffers need {need:.4g}"
+              f" GiB, above the {RECORD_BUDGET_BYTES / 2**30:g} GiB budget")
     try:
         if kind == "xpm-double":
             hold = check_protocol(probe, signal, schedule, grid.t_max)[1]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,18 @@ from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
 
 _NAN_CHECK_STRIDE = 64
+#: Grid rows of sigma and E a march hands to its consumer at once.
+BLOCK_ROWS = 256
+
+
+def march_bytes(grid: Grid, members: int = 3, blocks: bool = True) -> int:
+    """About the most bytes a march of ``members`` coherences (a run has
+    three at most) holds in arrays that grow with the grid: per member, 24
+    values per grid time (stage tables, exit field) and 16 per z sample
+    (stage buffers), and with ``blocks`` 3 * BLOCK_ROWS more per z sample
+    (the blocks of sigma and E, and a consumer's spectra of them)."""
+    per_z = 16 + 3 * BLOCK_ROWS * blocks
+    return 16 * members * (24 * grid.nt + per_z * grid.nz)
 
 
 def light_shift(gamma: float, detuning: float) -> Tuple[float, float]:
@@ -94,20 +106,16 @@ def constant_stark_drive(intensity: float, detuning: float, gamma: float,
 
 
 def _slaved_field(sigma: np.ndarray, dz: float, source: np.ndarray,
-                  boundary: np.ndarray, out: Optional[np.ndarray] = None,
-                  cum: Optional[np.ndarray] = None) -> np.ndarray:
-    """E(z) = E(0) + source * (trapezoid integral of sigma over [0, z]); the
-    march and CoherenceRecord.field both call it, so they agree bit for bit.
+                  boundary: np.ndarray, out: np.ndarray,
+                  cum: np.ndarray) -> np.ndarray:
+    """E(z) = E(0) + source * (trapezoid integral of sigma over [0, z]),
+    written into ``out``.
 
     ``out`` and ``cum`` (column 0 zero) are C-ordered buffers shaped like
-    sigma, allocated here unless the march passes its own.  The pairs
-    sigma[j + 1] + sigma[j] come from one add over the flattened stack
-    into ``out``; each row's last slot then holds a cross-row sum, never
-    read.
+    sigma.  The pairs sigma[j + 1] + sigma[j] come from one add over the
+    flattened stack into ``out``; each row's last slot then holds a
+    cross-row sum, never read.
     """
-    if out is None:
-        out = np.empty_like(sigma, order="C")
-        cum = np.zeros_like(sigma, order="C")
     flat = sigma.reshape(-1)
     np.add(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
     np.add.accumulate(out[..., :-1], axis=-1, out=cum[..., 1:])
@@ -118,30 +126,8 @@ def _slaved_field(sigma: np.ndarray, dz: float, source: np.ndarray,
 
 
 @dataclass(frozen=True)
-class CoherenceRecord:
-    """Collective spin coherence sigma(t, z) on the grid, with the boundary
-    input g*E(0, t), the source coefficient i*g*calN*(OmegaC/Delta)*coupling
-    and the coupling on/off profile (1.0 when None) at the grid times."""
-
-    values: np.ndarray          # (nt, nz) complex
-    grid: Grid
-    boundary: np.ndarray        # (nt,) complex
-    source: np.ndarray          # (nt,) complex
-    coupling: Optional[np.ndarray] = None   # (nt,) multiplier on OmegaC
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.nt, self.grid.nz):
-            raise ValueError("CoherenceRecord array does not match the grid")
-
-    def field(self, rows=slice(None)) -> np.ndarray:
-        """The slaved probe field g*E(t, z) at the grid times ``rows``."""
-        return _slaved_field(self.values[rows], self.grid.dz,
-                             self.source[rows, None], self.boundary[rows, None])
-
-
-@dataclass(frozen=True)
 class StorageResult:
-    """One storage/recall run: sigma record (None when exit-only) and scalars.
+    """One storage/recall run: its exit-face field and scalars.
 
     input_energy integrates |E|^2 of the boundary input over [0, flip);
     echo_energy integrates |E(L, t)|^2 over [flip, t_max].  echo_phase is
@@ -153,7 +139,6 @@ class StorageResult:
     """
 
     exit_field: np.ndarray      # (nt,) complex, E(L, t)
-    coherence: Optional[CoherenceRecord]
     input_energy: float
     echo_energy: float
     efficiency: float
@@ -167,8 +152,7 @@ class StorageResult:
 class Member:
     """One coherence of a batched march: its input g*E(0, t) (vectorised
     in t), Raman ratio, sign on the shared eta(t), coupling switch (1 when
-    None), decay added to gamma0 and Stark drive.  Without ``full_records``
-    only the exit-face field E(L, t) is kept."""
+    None), decay added to gamma0 and Stark drive."""
 
     envelope: Callable[[np.ndarray], np.ndarray]
     ratio: float
@@ -176,7 +160,6 @@ class Member:
     coupling: Optional[PiecewiseConstant] = None
     extra_decay: float = 0.0
     stark: Optional[StarkDrive] = None
-    full_records: bool = True
 
 
 @dataclass(frozen=True)
@@ -193,30 +176,28 @@ class CrossDrive(_LightShiftRates):
     c_loss: float
 
 
-class MemberRecords(NamedTuple):
-    """What a march kept of one member: the sigma record (None unless
-    full_records) and the exit-face field E(L, t)."""
-
-    coherence: Optional[CoherenceRecord]
-    exit_field: np.ndarray              # (nt,) complex
-
-
 def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
-          members: Sequence[Member],
-          cross: Optional[CrossDrive] = None) -> List[MemberRecords]:
+          members: Sequence[Member], cross: Optional[CrossDrive] = None,
+          on_block: Optional[Callable] = None) -> np.ndarray:
     """Advance a (B, nz) stack of coherences, one row per member, by RK4
-    steps with the slaved field marched along z at every stage.  What
-    depends on time alone is tabulated once on the stage times t_n,
-    t_n + dt/2, t_n + dt.  Each row repeats the arithmetic of a one-member
-    march in the same order, so its records do not depend on the batch.
+    steps with the slaved field marched along z at every stage, and return
+    the exit-face fields E(L, t), (B, nt).  What depends on time alone is
+    tabulated once on the stage times t_n, t_n + dt/2, t_n + dt.  Each row
+    repeats the arithmetic of a one-member march in the same order, so its
+    values do not depend on the batch.
+
+    With ``on_block``, on_block(n0, sigma, field) gets sigma and the E it
+    was marched with at rows n0, n0 + 1, ... (BLOCK_ROWS, fewer in the last
+    block) as (rows, B, nz) views of buffers reused for the next block,
+    each checked finite first.  Without it a step copies nothing.
 
     The state, stage state, field, slopes k1..k4, field scratch and a
     stage's per-member factors spread along z are (B, nz) buffers allocated
     once per march; every stage writes into them with ``out=``, so a step
     allocates nothing unless cross-driven.  The operations and their order
     are those of a march that allocates its stage arrays afresh, down to
-    ((k1 + 2 k2) + 2 k3) + k4, so its records and every golden are
-    byte-equal to that march's.
+    ((k1 + 2 k2) + 2 k3) + k4, so its rows and every golden are byte-equal
+    to that march's.
     Step-size checks are the caller's; NumericalError on non-finite state.
     """
     nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
@@ -257,9 +238,10 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     eta_zeta = rows[:, :, None] * (grid.z - params.L / 2.0)
     fixed = -(decay0[:, None] + 1j * eta_zeta)
 
-    sigma_t = {b: np.empty((nt, nz), dtype=complex)
-               for b, m in enumerate(members) if m.full_records}
     exit_t = np.empty((len(members), nt), dtype=complex)
+    if on_block is not None:
+        sig_rows, e_rows = np.empty((2, min(nt, BLOCK_ROWS), len(members), nz),
+                                    dtype=complex)
     sig, s, e, ge, coef, cum = np.zeros((6, len(members), nz), dtype=complex)
     k = np.empty((4, len(members), nz), dtype=complex)
     # A stage's factors, spread along z once per stage time: a stage op
@@ -305,9 +287,13 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     for n in range(nt):
         np.copyto(spread, factors[n, 0])
         _slaved_field(sig, dz, src_z, env_z, e, cum)
-        for b in sigma_t:
-            sigma_t[b][n] = sig[b]
         exit_t[:, n] = e[:, -1]
+        if on_block is not None:
+            j = n % BLOCK_ROWS
+            sig_rows[j], e_rows[j] = sig, e
+            if j == BLOCK_ROWS - 1 or n == nt - 1:
+                _check_finite(sig_rows[:j + 1], e_rows[:j + 1])
+                on_block(n - j, sig_rows[:j + 1], e_rows[:j + 1])
         if n == nt - 1:
             break
         slope(0, n, 0, sig)
@@ -330,16 +316,13 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
             raise NumericalError(
                 f"non-finite coherence at t={stage_t[n, 2]:.4f} (step {n + 1}); "
                 "reduce dt or check the drive for singular values")
-    if not all(np.all(np.isfinite(rec.view(float)))
-               for rec in (exit_t, *sigma_t.values())):
+    _check_finite(exit_t)
+    return exit_t
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(a.view(float))) for a in arrays):
         raise NumericalError("non-finite values in the stored trajectory")
-
-    def record(b):   # inputs copied, so a record keeps no stage table alive
-        return CoherenceRecord(sigma_t[b], grid, *(
-            r[:, 0, b, 0].copy() for r in (env, src, mult)))
-
-    return [MemberRecords(record(b) if b in sigma_t else None, exit_t[b])
-            for b in range(len(members))]
 
 
 def check_window(probe: PulseSpec, schedule: GradientSchedule,
@@ -380,73 +363,81 @@ def check_step(params: EnsembleParams, schedule: GradientSchedule,
     return limit
 
 
-def storage_result(records: MemberRecords, grid: Grid,
+def storage_result(exit_field: np.ndarray, grid: Grid,
                    envelope: Callable[[np.ndarray], np.ndarray],
                    flip: Optional[float]) -> StorageResult:
-    """Energies, efficiency and echo phase of a marched member."""
+    """Energies, efficiency and echo phase of a marched exit-face field."""
     t_flip = flip if flip is not None else grid.t_max
     input_energy = _window_integral(grid.t, np.abs(envelope(grid.t)) ** 2,
                                     0.0, t_flip)
-    echo_energy = _window_integral(grid.t, np.abs(records.exit_field) ** 2,
+    echo_energy = _window_integral(grid.t, np.abs(exit_field) ** 2,
                                    t_flip, grid.t_max)
     return StorageResult(
-        exit_field=records.exit_field, coherence=records.coherence,
-        input_energy=input_energy, echo_energy=echo_energy,
+        exit_field=exit_field, input_energy=input_energy,
+        echo_energy=echo_energy,
         efficiency=echo_energy / input_energy if input_energy > 0.0 else 0.0,
-        echo_phase=exit_phase(grid, records.exit_field, flip), flip_time=flip)
+        echo_phase=exit_phase(grid, exit_field, flip), flip_time=flip)
 
 
 def propagate(params: EnsembleParams, probe: PulseSpec,
               schedule: GradientSchedule, grid: Grid,
               stark: Optional[StarkDrive] = None, *,
-              coupling: Optional[PiecewiseConstant] = None) -> StorageResult:
-    """Run one storage/recall simulation and return the full solution.
+              coupling: Optional[PiecewiseConstant] = None,
+              on_block: Optional[Callable] = None) -> StorageResult:
+    """Run one storage/recall simulation.
 
     ``coupling`` optionally switches the coupling field (a multiplier on
     OmegaC per time window).  With a Stark drive the signal-free reference
-    run, keeping only its exit-face field, is marched in the same batch and
-    gives ``xpm_phase``.  Raises as _storage_runs and march do.
+    run is marched in the same batch and gives ``xpm_phase``.  ``on_block``
+    receives the run's sigma and E rows as ``march`` hands them out, with
+    the member axis dropped: (rows, nz) views.  Raises as _storage_runs
+    and march do.
     """
     run = Member(probe.envelope, params.raman_ratio, coupling=coupling,
                  stark=stark)
-    return _storage_runs(params, schedule, grid, [(probe, run)])[0]
+    return _storage_runs(params, schedule, grid, [(probe, run)], on_block)[0]
 
 
 def storage_batch(params: EnsembleParams, schedule: GradientSchedule,
                   grid: Grid,
                   runs: Sequence[Tuple[PulseSpec, Optional[StarkDrive]]]
                   ) -> List[StorageResult]:
-    """Exit-only (probe, stark) runs on one ensemble, schedule and grid,
-    checked and marched as ``propagate`` does: each result's efficiency,
-    echo and xpm phase (NaN when undriven) are propagate's, bit for bit,
-    and it carries no sigma/E records."""
+    """(probe, stark) runs on one ensemble, schedule and grid, checked and
+    marched as ``propagate`` does: each result's efficiency, echo and xpm
+    phase (NaN when undriven) are propagate's, bit for bit.  It hands no
+    rows out."""
     probes = {}   # one envelope per distinct probe: equal runs march once
     return _storage_runs(params, schedule, grid, [
         (p, Member(probes.setdefault(p, p).envelope, params.raman_ratio,
-                   stark=stark, full_records=False)) for p, stark in runs])
+                   stark=stark)) for p, stark in runs])
 
 
 def _storage_runs(params: EnsembleParams, schedule: GradientSchedule,
-                  grid: Grid, runs: Sequence[Tuple[PulseSpec, Member]]
+                  grid: Grid, runs: Sequence[Tuple[PulseSpec, Member]],
+                  on_block: Optional[Callable] = None
                   ) -> List[StorageResult]:
     """Check each (probe, member) run as check_window and check_step do,
-    march the members with the exit-only, signal-free reference of each
-    driven one, and return each run's StorageResult with its xpm_phase and
-    dt_limit.  Equal members march once, at most max(1, nz // 16) to a
-    march: that keeps a march's stage tables at about one (nt, nz) record."""
+    march the members with the signal-free reference of each driven one,
+    and return each run's StorageResult with its xpm_phase and dt_limit;
+    ``on_block`` gets the first run's rows.  Equal members march once, at
+    most max(1, nz // 16) to a march and within ``march_bytes(grid)``."""
     limits = []
     for probe, m in runs:
         flip = check_window(probe, schedule, grid.t_max)
         limits.append(check_step(params, schedule, grid, params.raman_ratio,
                                  *(m.stark.rates if m.stark else ())))
-    ref = {m: replace(m, stark=None, full_records=False)
-           for _, m in runs if m.stark is not None}
+    ref = {m: replace(m, stark=None) for _, m in runs if m.stark is not None}
     members = list(dict.fromkeys([m for _, m in runs] + [*ref.values()]))
-    size, done = max(1, grid.nz // 16), {}
+    size = max(1, min(grid.nz // 16,
+                      march_bytes(grid) // march_bytes(grid, 1, blocks=False)))
+    done, first = {}, on_block and (   # the first run's rows only
+        lambda n0, sigma, field: on_block(n0, sigma[:, 0], field[:, 0]))
     for i in range(0, len(members), size):
         chunk = members[i:i + size]
-        for m, records in zip(chunk, march(params, schedule, grid, chunk)):
-            done[m] = storage_result(records, grid, m.envelope, flip)
+        exits = march(params, schedule, grid, chunk,
+                      on_block=None if i else first)
+        for m, exit_field in zip(chunk, exits):
+            done[m] = storage_result(exit_field, grid, m.envelope, flip)
     return [replace(done[m], dt_limit=limit,
                     xpm_phase=(done[ref[m]].echo_phase - done[m].echo_phase
                                if m in ref else math.nan))
@@ -499,47 +490,38 @@ def spatial_spectrum(values: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.nda
     return k, f
 
 
-def polariton_transform(coherence: CoherenceRecord, params: EnsembleParams,
-                        rows=slice(None)) -> Tuple[np.ndarray, np.ndarray]:
+def polariton_transform(sigma: np.ndarray, field: np.ndarray,
+                        params: EnsembleParams,
+                        grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     """(k, psi) with psi(t,k) = k*E(t,k) + g*calN*(OmegaC/Delta)*sigma(t,k)
-    at the grid times ``rows`` only, E rebuilt from the coherence record;
-    k and the row layout are those of ``spatial_spectrum``.
+    for (rows, nz) rows of sigma and of the field E marched with them; k
+    and the row layout are those of ``spatial_spectrum``.
 
     The nominal (static) coupling ratio is used in the atomic term; when
     the coupling field is switched off the physical excitation is the bare
-    coherence, whose spectrum is spatial_spectrum(coherence.values).
+    coherence, whose spectrum is spatial_spectrum(sigma, grid).
     """
-    if coherence is None:
-        raise ValueError("polariton_transform needs a coherence record")
-    k, ek = spatial_spectrum(coherence.field(rows), coherence.grid)
-    _, sk = spatial_spectrum(coherence.values[rows], coherence.grid)
+    k, ek = spatial_spectrum(field, grid)
+    _, sk = spatial_spectrum(sigma, grid)
     return k, k * ek + params.coupling_density * params.raman_ratio * sk
 
 
-def verify_fourier_relation(coherence: CoherenceRecord,
-                            params: EnsembleParams,
-                            t: float) -> Optional[float]:
-    """Residual of k*E(k) = g*calN*(OmegaC/Delta)*sigma(k) at time t, from
-    the one grid row nearest t.
+def verify_fourier_relation(sigma: np.ndarray, field: np.ndarray,
+                            params: EnsembleParams, grid: Grid,
+                            coupling: float = 1.0) -> Optional[float]:
+    """Residual of k*E(k) = C*sigma(k), C = g*calN*(OmegaC/Delta)*coupling,
+    on one grid row: (1, nz) sigma and the field E marched with it, at a
+    time where the coupling multiplier on OmegaC is ``coupling``.
 
-    Returns max over k != 0 of |k*E - C*sigma| / max|C*sigma| with
-    C = g*calN*(OmegaC/Delta).  Returns None (the coupling-off signal) when
-    the coupling field is switched off at t, where the relation degenerates;
-    an all-zero record yields 0.0.
+    Returns max over k != 0 of |k*E - C*sigma| / max|C*sigma|, 0.0 for an
+    all-zero row, or None (the coupling-off signal) when the coupling field
+    is switched off, where the relation degenerates.
     """
-    if coherence is None:
-        raise ValueError("verify_fourier_relation needs a coherence record")
-    grid = coherence.grid
-    n = int(round(t / grid.dt))
-    if not (0 <= n < grid.nt):
-        raise ValueError(f"time {t} outside the grid window [0, {grid.t_max}]")
-    if coherence.coupling is not None and coherence.coupling[n] < 1e-12:
+    if coupling < 1e-12:
         return None
-    mult = 1.0 if coherence.coupling is None else float(coherence.coupling[n])
-    weight = params.coupling_density * params.raman_ratio * mult
-    row = slice(n, n + 1)
-    k, ek = spatial_spectrum(coherence.field(row), grid)
-    _, sk = spatial_spectrum(coherence.values[row], grid)
+    weight = params.coupling_density * params.raman_ratio * float(coupling)
+    k, ek = spatial_spectrum(field, grid)
+    _, sk = spatial_spectrum(sigma, grid)
     mask = k != 0.0
     lhs = k[mask] * ek[0, mask]
     rhs = weight * sk[0, mask]
@@ -571,9 +553,12 @@ def peak_k_trajectory(k: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     return np.where(top == 0.0, 0.0, k[order][first])
 
 
-def excitation_balance(result: StorageResult, params: EnsembleParams,
-                       t_from: float, t_to: float) -> float:
-    """Relative excitation-conservation residual over [t_from, t_to].
+def excitation_balance(ends: np.ndarray, rows: Tuple[int, int],
+                       boundary: np.ndarray, exit_field: np.ndarray,
+                       params: EnsembleParams, grid: Grid) -> float:
+    """Relative excitation-conservation residual between grid rows
+    ``rows`` = (i0, i1), i0 < i1: ``ends`` is sigma at them, (2, nz), and
+    ``boundary`` and ``exit_field`` are E(0, t) and E(L, t), (nt,).
 
     Checks  Delta[ g*calN * integral |sigma|^2 dz ] =
             integral (|E(0,t)|^2 - |E(L,t)|^2) dt,
@@ -581,20 +566,15 @@ def excitation_balance(result: StorageResult, params: EnsembleParams,
     no drive), so the residual measures the defect of the conservation law
     against the amount of excitation actually moved.
     """
-    if result.coherence is None:
-        raise ValueError("excitation_balance needs a coherence record")
-    grid = result.coherence.grid
-    t = grid.t
-    i0 = int(np.searchsorted(t, t_from, side="left"))
-    i1 = int(np.searchsorted(t, t_to, side="right")) - 1
-    if i1 <= i0:
+    if rows[1] <= rows[0]:
         raise ValueError("window too short for a balance check")
-    sig2 = np.abs(result.coherence.values[[i0, i1]]) ** 2
-    stored = params.coupling_density * np.trapezoid(sig2, dx=grid.dz, axis=1)
+    window = slice(rows[0], rows[1] + 1)
+    t = grid.t[window]
+    stored = params.coupling_density * np.trapezoid(np.abs(ends) ** 2,
+                                                    dx=grid.dz, axis=1)
     lhs = stored[1] - stored[0]
-    influx = np.abs(result.coherence.boundary[i0:i1 + 1]) ** 2
-    outflux = np.abs(result.exit_field[i0:i1 + 1]) ** 2
-    rhs = float(np.trapezoid(influx - outflux, t[i0:i1 + 1]))
-    gross = float(np.trapezoid(influx + outflux, t[i0:i1 + 1]))
+    influx, outflux = (np.abs(f[window]) ** 2 for f in (boundary, exit_field))
+    rhs = float(np.trapezoid(influx - outflux, t))
+    gross = float(np.trapezoid(influx + outflux, t))
     scale = max(abs(lhs), abs(rhs), gross, 1e-300)
     return abs(lhs - rhs) / scale

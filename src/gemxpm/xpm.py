@@ -20,8 +20,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ProtocolError
-from .gem import (CoherenceRecord, CrossDrive, Member, check_step,
-                  check_window, light_shift, march, storage_result)
+from .gem import (CrossDrive, Member, check_step, check_window, light_shift,
+                  march, peak_k_trajectory, spatial_spectrum, storage_result)
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
 
@@ -174,13 +174,13 @@ class DoubleStorageResult:
 
     ``xpm`` carries the recalled-probe phase (against the signal-free
     reference) and the coherence amplitude surviving the hold.  The k-t
-    diagnostics of both coherences are reconstructed from their records.
-    dt_limit is the march's stability limit on dt from check_step.
+    trajectories are the peak-|sigma(k)| k of each coherence per grid
+    time.  dt_limit is the march's stability limit on dt from check_step.
     """
 
     xpm: XpmResult
-    probe_coherence: CoherenceRecord
-    signal_coherence: CoherenceRecord
+    kpeak_probe: np.ndarray      # (nt,)
+    kpeak_signal: np.ndarray     # (nt,)
     probe_efficiency: float
     reference_efficiency: float
     tau1: float
@@ -232,7 +232,8 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     on the probe coherence as a local ac-Stark drive with detuning delta4.
 
     Returns the recalled-probe phase relative to a signal-free reference
-    run, the surviving coherence fraction, and both coherence records.
+    run, the surviving coherence fraction, and the k-t trajectories of
+    both coherences, reduced from the rows the march hands out.
     """
     flip, (tau1, tau2) = check_protocol(probe, signal, schedule, grid.t_max)
 
@@ -252,31 +253,39 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
         *cross.rates)
 
     # probe, signal (opposite gradient, coupling on) and the reference,
-    # which is the probe without the signal's drive
+    # which is the probe without the signal's drive, reduced row by row
+    i2 = max(int(np.searchsorted(grid.t, tau2, side="right")) - 1, 0)
+    hold = (grid.t >= tau1) & (grid.t <= tau2)
+    kpeak, intensity, norms = np.empty((2, grid.nt)), np.empty(grid.nt), {}
+
+    def reduce(n0, sigma, field):
+        rows = slice(n0, n0 + len(sigma))
+        for b in (0, 1):   # probe and signal
+            kpeak[b, rows] = peak_k_trajectory(
+                *spatial_spectrum(sigma[:, b], grid))
+        if n0 <= i2 < rows.stop:   # norms[0] probe, norms[1] reference
+            norms.update(enumerate(map(np.linalg.norm, sigma[i2 - n0, ::2])))
+        # |sigma_ref|^2-weighted |E_signal|^2 over the hold
+        w = np.abs(sigma[hold[rows], 2]) ** 2
+        intensity[rows][hold[rows]] = ((w * np.abs(field[hold[rows], 1]) ** 2)
+                                       .sum(axis=1)
+                                       / np.maximum(w.sum(axis=1), 1e-300))
+
     held = Member(probe.envelope, params.raman_ratio, coupling=probe_coupling)
-    probe_run, signal_run, reference_run = march(
+    probe_exit, _, reference_exit = march(
         params, schedule, grid,
         [held, Member(signal.envelope, params.raman_ratio_signal,
-                      eta_sign=-1.0, extra_decay=sig_loss), held], cross)
-    probe_result = storage_result(probe_run, grid, probe.envelope, flip)
-    reference = storage_result(reference_run, grid, probe.envelope, flip)
-
-    i2 = max(int(np.searchsorted(grid.t, tau2, side="right")) - 1, 0)
-    norm_sig = float(np.linalg.norm(probe_run.coherence.values[i2]))
-    norm_ref = float(np.linalg.norm(reference_run.coherence.values[i2]))
-    loss_factor = min(norm_sig / norm_ref, 1.0) if norm_ref > 0 else math.nan
-
-    hold_rows = (grid.t >= tau1) & (grid.t <= tau2)
-    w = np.abs(reference_run.coherence.values[hold_rows]) ** 2
-    w_sum = np.maximum(w.sum(axis=1), 1e-300)
-    eff_intensity = ((w * np.abs(signal_run.coherence.field(hold_rows)) ** 2)
-                     .sum(axis=1) / w_sum)
+                      eta_sign=-1.0, extra_decay=sig_loss), held], cross,
+        on_block=reduce)
+    probe_result = storage_result(probe_exit, grid, probe.envelope, flip)
+    reference = storage_result(reference_exit, grid, probe.envelope, flip)
+    loss_factor = (min(float(norms[0] / norms[1]), 1.0) if norms[1] > 0
+                   else math.nan)
 
     return DoubleStorageResult(
         xpm=XpmResult(phase=reference.echo_phase - probe_result.echo_phase,
                       loss_factor=loss_factor, interaction_time=tau2 - tau1),
-        probe_coherence=probe_run.coherence,
-        signal_coherence=signal_run.coherence,
+        kpeak_probe=kpeak[0], kpeak_signal=kpeak[1],
         probe_efficiency=probe_result.efficiency,
         reference_efficiency=reference.efficiency, tau1=tau1, tau2=tau2,
-        effective_signal_envelope=np.sqrt(eff_intensity), dt_limit=dt_limit)
+        effective_signal_envelope=np.sqrt(intensity[hold]), dt_limit=dt_limit)

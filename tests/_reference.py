@@ -22,9 +22,13 @@
   entry for entry, bit for bit.
 * ``reference_march`` is the storage engine's batched RK4 march as it
   stood before its stage buffers were preallocated (with its field march,
-  ``_reference_field``): it allocates fresh arrays at every stage.
-  ``gem.march`` keeps its arithmetic and order, so the two must agree
-  bit for bit.
+  ``_reference_field``): it allocates fresh arrays at every stage and
+  keeps whole (nt, B, nz) records of sigma and of the field.
+  ``gem.march`` keeps its arithmetic and order, so the rows it hands out
+  and the records must agree bit for bit.
+* ``FullRecords`` is a block consumer for ``gem.march`` and
+  ``gem.propagate`` that keeps every row handed out, for the tests that
+  read whole records.
 * ``collapse_operators`` spells the decay channels out as dense jump
   operators, the textbook form ``lindblad_rhs`` is checked against.
 * ``channel_from_map`` tabulates any two-qubit map on the matrix units,
@@ -43,7 +47,7 @@ from scipy.integrate import solve_ivp
 
 from gemxpm.errors import NumericalError
 from gemxpm.gate import DECAY_CHANNELS, DIM, LEVELS, Trajectory, basis_index
-from gemxpm.gem import _NAN_CHECK_STRIDE, CoherenceRecord, MemberRecords
+from gemxpm.gem import _NAN_CHECK_STRIDE
 from gemxpm.tomography import QUBIT_DIM, TwoQubitChannel
 
 
@@ -333,9 +337,31 @@ def _reference_field(sigma, dz, source, boundary):
     return e
 
 
+class FullRecords:
+    """Block consumer that copies every row a march hands out: after the
+    run, ``sigma`` and ``field`` are the whole records, (nt, B, nz) from
+    ``gem.march`` and (nt, nz) from ``gem.propagate``."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __call__(self, n0, sigma, field):
+        assert n0 == sum(len(s) for s, _ in self.blocks)
+        self.blocks.append((sigma.copy(), field.copy()))
+
+    @property
+    def sigma(self):
+        return np.concatenate([s for s, _ in self.blocks])
+
+    @property
+    def field(self):
+        return np.concatenate([e for _, e in self.blocks])
+
+
 def reference_march(params, schedule, grid, members, cross=None):
     """Advance a (B, nz) stack of coherences, one row per member, by RK4
-    steps with the slaved field marched along z at every stage.  What
+    steps with the slaved field marched along z at every stage, and return
+    (exit fields (B, nt), sigma (nt, B, nz), field (nt, B, nz)).  What
     depends on time alone is tabulated once on the stage times t_n,
     t_n + dt/2, t_n + dt.  Each row repeats the arithmetic of a one-member
     march in the same order, so its records do not depend on the batch.
@@ -385,14 +411,12 @@ def reference_march(params, schedule, grid, members, cross=None):
                        + 1j * (shift[b] + cross.c_shift * drive))
         return -rate
 
-    sigma_t = {b: np.empty((nt, nz), dtype=complex)
-               for b, m in enumerate(members) if m.full_records}
+    sigma_t, field_t = np.empty((2, nt, len(members), nz), dtype=complex)
     exit_t = np.empty((len(members), nt), dtype=complex)
     sig = np.zeros((len(members), nz), dtype=complex)
     for n in range(nt):
         e1 = _reference_field(sig, dz, src[n, 0], env[n, 0])
-        for b in sigma_t:
-            sigma_t[b][n] = sig[b]
+        sigma_t[n], field_t[n] = sig, e1
         exit_t[:, n] = e1[:, -1]
         if n == nt - 1:
             break
@@ -414,10 +438,6 @@ def reference_march(params, schedule, grid, members, cross=None):
                 f"non-finite coherence at t={stage_t[n, 2]:.4f} (step {n + 1}); "
                 "reduce dt or check the drive for singular values")
     if not all(np.all(np.isfinite(rec.view(float)))
-               for rec in (exit_t, *sigma_t.values())):
+               for rec in (exit_t, sigma_t, field_t)):
         raise NumericalError("non-finite values in the stored trajectory")
-    rec = env[:, 0, :, 0], src[:, 0, :, 0], mult[:, 0, :, 0]
-    return [MemberRecords(CoherenceRecord(sigma_t[b], grid,
-                                          *(r[:, b] for r in rec))
-                          if b in sigma_t else None, exit_t[b])
-            for b in range(len(members))]
+    return exit_t, sigma_t, field_t

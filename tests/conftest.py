@@ -9,6 +9,8 @@ from gemxpm import (EnsembleParams, GateParams, GradientSchedule, Grid,
                     PulseSpec, build_hamiltonian, evolve,
                     initial_state, phase_trace, propagate)
 
+from _reference import FullRecords
+
 
 @pytest.fixture(scope="session")
 def baseline_params():
@@ -31,10 +33,22 @@ def baseline_grid(baseline_params):
 
 
 @pytest.fixture(scope="session")
-def baseline_run(baseline_params, baseline_probe, baseline_schedule,
-                 baseline_grid):
+def baseline_marched(baseline_params, baseline_probe, baseline_schedule,
+                     baseline_grid):
+    """The baseline run and the whole sigma and E records of its march."""
+    records = FullRecords()
     return propagate(baseline_params, baseline_probe, baseline_schedule,
-                     baseline_grid)
+                     baseline_grid, on_block=records), records
+
+
+@pytest.fixture(scope="session")
+def baseline_run(baseline_marched):
+    return baseline_marched[0]
+
+
+@pytest.fixture(scope="session")
+def baseline_records(baseline_marched):
+    return baseline_marched[1]
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,8 @@ from gemxpm.tomography import (TwoQubitChannel, channel_from_gate,
                                process_fidelity)
 from gemxpm.xpm import EXPERIMENT_GEOMETRY
 
+from _reference import FullRecords
+
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 TWO_PI = 2.0 * math.pi
 
@@ -117,12 +119,16 @@ def test_criterion_04_storage_baseline():
     eta = 8.0
     schedule = GradientSchedule(((0.0, 9.0, eta), (9.0, 20.0, -eta)))
     grid = Grid(nz=256, nt=4096, t_max=20.0, L=params.L)
-    res = propagate(params, probe, schedule, grid)
-    residuals = [verify_fourier_relation(res.coherence, params, t)
-                 for t in (6.0, 6.5, 7.5)]
+    records = FullRecords()
+    res = propagate(params, probe, schedule, grid, on_block=records)
+    sigma, field = records.sigma, records.field
+    rows = [int(round(t / grid.dt)) for t in (6.0, 6.5, 7.5)]
+    residuals = [verify_fourier_relation(sigma[n:n + 1], field[n:n + 1],
+                                         params, grid) for n in rows]
     t_axis = grid.t
     mask = (t_axis >= 6.0) & (t_axis <= 9.0)
-    kk = peak_k_trajectory(*polariton_transform(res.coherence, params, mask))
+    kk = peak_k_trajectory(*polariton_transform(sigma[mask], field[mask],
+                                                params, grid))
     # drift rate is -eta with the exp(-ikz) spatial transform
     line = kk[0] - eta * (t_axis[mask] - t_axis[mask][0])
     dev_bins = float(np.max(np.abs(kk - line)) / (TWO_PI / params.L))

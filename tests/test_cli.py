@@ -13,8 +13,8 @@ import gemxpm
 from gemxpm import apply_stark_drive, channel_from_gate, propagate
 from gemxpm.cli import (_RUNNERS, SWEPT, _run_storage, choi_table, main,
                         run_config)
-from gemxpm.config import (RECORDS_KEPT, SECTIONS, config_to_dict,
-                           parse_config, set_sweep_value)
+from gemxpm.config import (SECTIONS, config_to_dict, parse_config,
+                           set_sweep_value)
 from gemxpm.errors import ConfigError
 from gemxpm.presets import get_preset, preset_names
 from gemxpm.reporting import (ResultTable, config_hash, csv_body,
@@ -272,6 +272,15 @@ class TestConfigValidation:
          2, "config error at 'units.gamma': read only with system: lab"),
         (dict(STORAGE_CONFIG, units={"system": "gamma", "gamma": 5.0}),
          2, "config error at 'units.gamma': read only with system: lab"),
+        ({"experiment": "xpm-free", "xpm_free": {"omega_s": [], "tau": 1.0}},
+         2, "config error at 'xpm_free.omega_s': need at least 1 entries, "
+            "got 0"),
+        (dict(STORAGE_CONFIG, grid={"nz": 2 ** 24, "nt": 64, "t_max": 20.0}),
+         2, "config error at 'grid': the march's stage tables and buffers "
+            "need"),
+        (dict(STORAGE_CONFIG, grid={"nz": 16, "nt": 2 ** 24, "t_max": 20.0}),
+         2, "config error at 'grid': the march's stage tables and buffers "
+            "need"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
@@ -288,7 +297,8 @@ class TestConfigValidation:
             "xpm_double_no_hold", "xpm_double_no_recall",
             "xpm_double_probe_after_signal", "sweep_second_value_bad",
             "top_level_list", "top_level_scalar", "units_gamma_no_system",
-            "units_gamma_in_gamma_units"])
+            "units_gamma_in_gamma_units", "xpm_free_omega_s_empty",
+            "grid_nz_oversized", "grid_nt_oversized"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
@@ -418,8 +428,8 @@ class TestRunStorage:
         assert body_a == body_b
 
     def test_oversized_grid_refused_without_traceback(self, tmp_path):
-        # 2**48 cells per record: refused by the record budget at parse
-        # time, before any array exists
+        # 2**24 rows of 2**24 samples: refused by the bound on the march's
+        # stage tables and buffers at parse time, before any array exists
         cfg = dict(STORAGE_CONFIG,
                    grid={"nz": 16777216, "nt": 16777216, "t_max": 20.0})
         proc = run_python("-m", "gemxpm.cli", "simulate",
@@ -429,12 +439,17 @@ class TestRunStorage:
         assert "config error at 'grid'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_storage_run_imports_no_scipy(self, tmp_path):
-        cfg = write_yaml(tmp_path, dict(STORAGE_CONFIG, signal=SIGNAL))
+    @pytest.mark.parametrize("path", ["simulate", "sweep"])
+    def test_storage_run_imports_no_scipy(self, tmp_path, path):
+        # a driven storage run, and a storage sweep (fig2b_spm, one batched
+        # march through storage_batch)
+        argv = (["simulate",
+                 write_yaml(tmp_path, dict(STORAGE_CONFIG, signal=SIGNAL))]
+                if path == "simulate" else ["presets", "run", "fig2b_spm"])
+        argv += ["--out", str(tmp_path / "out")]
         code = ("import sys\n"
                 "from gemxpm.cli import main\n"
-                f"rc = main(['simulate', {cfg!r}, '--out', "
-                f"{str(tmp_path / 'out')!r}])\n"
+                f"rc = main({argv!r})\n"
                 "print('scipy' in sys.modules)\n"
                 "sys.exit(rc)\n")
         proc = run_python("-c", code)
@@ -489,23 +504,24 @@ class TestRunStorage:
 
 
 class TestRecordBudget:
-    @pytest.mark.parametrize("preset, nz, nt", [
-        ("storage_baseline", 64, 1024), ("fig3b_double", 64, 1024)])
-    def test_peak_within_record_budget(self, tmp_path, preset, nz, nt):
-        # the budget's record count covers every array a run holds at its
-        # peak; scipy is imported first, since its import is a fixed cost
-        # of the first xpm-double run, not an array of the grid
+    @pytest.mark.parametrize("preset, mib", [
+        ("fig3b_double", 32), ("storage_baseline", 16)])
+    def test_peak_below_one_record(self, tmp_path, preset, mib):
+        # the march hands sigma and E out a block at a time, so a run at
+        # its shipped grid peaks below one (nt, nz) complex record (its
+        # runs kept whole records peaked at 130.5 and 25.9 MiB).  scipy is
+        # imported first, since its import is a fixed cost of the first
+        # xpm-double run, not an array of the grid
         import scipy.integrate  # noqa: F401
-        raw = get_preset(preset)
-        raw["grid"].update(nz=nz, nt=nt)
-        cfg = parse_config(raw, default_name=preset)
+        cfg = parse_config(get_preset(preset), default_name=preset)
+        assert 16 * cfg.grid.nt * cfg.grid.nz == mib << 20
         tracemalloc.start()
         try:
             run_config(cfg, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= RECORDS_KEPT[cfg.kind] * 16 * nt * nz + (1 << 20)
+        assert peak < mib << 20
 
 
 class TestMarchTelemetry:
@@ -702,7 +718,7 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= RECORDS_KEPT["storage"] * 16 * nt * nz + (1 << 20)
+        assert peak <= 2.5 * 2 ** 20
 
 
 class TestChoiExport:

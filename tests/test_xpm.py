@@ -173,11 +173,13 @@ class TestSinglePhotonEstimate:
             constants.c, constants.epsilon_0, constants.hbar)
 
 
+DOUBLE_GRID = Grid(nz=256, nt=8192, t_max=34.0, L=DOUBLE_PARAMS.L)
+
+
 @pytest.fixture(scope="module")
 def double_run():
-    grid = Grid(nz=256, nt=8192, t_max=34.0, L=DOUBLE_PARAMS.L)
     return double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE, DOUBLE_SIGNAL,
-                              double_schedule(), grid)
+                              double_schedule(), DOUBLE_GRID)
 
 
 class TestDoubleStorage:
@@ -197,7 +199,7 @@ class TestDoubleStorage:
         c_shift, c_loss = light_shift(p.gamma, p.delta4)
         peak = DOUBLE_SIGNAL.peak_amplitude ** 2
         assert double_run.dt_limit == check_step(
-            p, double_schedule(), double_run.probe_coherence.grid,
+            p, double_schedule(), DOUBLE_GRID,
             max(p.raman_ratio, p.raman_ratio_signal),
             coupling_loss_rate(p.OmegaCPrime, p.DeltaPrime, p.gamma),
             c_loss * peak, abs(c_shift) * peak)
@@ -216,14 +218,8 @@ class TestDoubleStorage:
         assert ratio == pytest.approx(2.0, rel=0.05)
 
     def test_k_trajectories(self, double_run):
-        from gemxpm import peak_k_trajectory
-        from gemxpm.gem import spatial_spectrum
-        grid = double_run.probe_coherence.grid
-        kp = peak_k_trajectory(*spatial_spectrum(
-            double_run.probe_coherence.values, grid))
-        ks = peak_k_trajectory(*spatial_spectrum(
-            double_run.signal_coherence.values, grid))
-        t = grid.t
+        kp, ks = double_run.kpeak_probe, double_run.kpeak_signal
+        t = DOUBLE_GRID.t
         both_stored = (t >= 8.0) & (t <= 10.5)
         slope_p = np.polyfit(t[both_stored], kp[both_stored], 1)[0]
         slope_s = np.polyfit(t[both_stored], ks[both_stored], 1)[0]
