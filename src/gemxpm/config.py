@@ -27,7 +27,7 @@ import yaml
 
 from .errors import ConfigError, ProtocolError
 from .gate import DIM, GateParams
-from .gem import check_window, march_bytes
+from .gem import BLOCK_ROWS, RECORD_BUDGET_BYTES, check_window, member_bytes
 from .model import EnsembleParams, GradientSchedule, Grid, PulseSpec
 from .xpm import HOLD_SAMPLES, check_protocol
 
@@ -54,12 +54,6 @@ _TIMES = frozenset(("center_time", "duration", "t_max", "tau", "t_end",
 #: (t_gate) does not read.
 _GATE_SKIP = {"gate": ("params", "t_gate"),
               "tomography": ("params", "t_end", "n_samples")}
-
-#: Bytes a run may hold in arrays that grow with it: a storage march's
-#: (``gem.march_bytes``) or a gate's (n_samples, DIM, DIM) complex
-#: trajectory.  A larger grid or n_samples is refused (exit 2).
-RECORD_BUDGET_BYTES = 2 << 30
-
 
 @dataclass(frozen=True)
 class XpmFreeSpec:
@@ -375,7 +369,9 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
             _fail(fld, f"required for {kind} experiments")
     if kind == "xpm-double" and signal is None:
         _fail("signal", "required for xpm-double experiments")
-    need = march_bytes(grid) / 2**30
+    # each of a run's three members at most also fills blocks of sigma and
+    # E, which the peak-k reductions turn into spectra: 3 * BLOCK_ROWS per z
+    need = 3 * (member_bytes(grid) + 16 * 3 * BLOCK_ROWS * grid.nz) / 2**30
     if need > RECORD_BUDGET_BYTES / 2**30:
         _fail("grid", f"the march's stage tables and buffers need {need:.4g}"
               f" GiB, above the {RECORD_BUDGET_BYTES / 2**30:g} GiB budget")

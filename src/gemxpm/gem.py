@@ -43,14 +43,17 @@ _NAN_CHECK_STRIDE = 64
 BLOCK_ROWS = 256
 
 
-def march_bytes(grid: Grid, members: int = 3, blocks: bool = True) -> int:
-    """About the most bytes a march of ``members`` coherences (a run has
-    three at most) holds in arrays that grow with the grid: per member, 24
-    values per grid time (stage tables, exit field) and 16 per z sample
-    (stage buffers), and with ``blocks`` 3 * BLOCK_ROWS more per z sample
-    (the blocks of sigma and E, and a consumer's spectra of them)."""
-    per_z = 16 + 3 * BLOCK_ROWS * blocks
-    return 16 * members * (24 * grid.nt + per_z * grid.nz)
+#: Bytes a run may hold in arrays that grow with it: config refuses a larger
+#: storage march or gate trajectory (exit 2), and a storage sweep marches no
+#: more members at once than fit (``member_bytes`` each).
+RECORD_BUDGET_BYTES = 2 << 30
+
+
+def member_bytes(grid: Grid) -> int:
+    """About the bytes one member of an exit-only march holds in arrays that
+    grow with the grid: 24 values per grid time (stage tables, exit field)
+    and 16 per z sample (stage buffers)."""
+    return 16 * (24 * grid.nt + 16 * grid.nz)
 
 
 def light_shift(gamma: float, detuning: float) -> Tuple[float, float]:
@@ -420,7 +423,8 @@ def _storage_runs(params: EnsembleParams, schedule: GradientSchedule,
     march the members with the signal-free reference of each driven one,
     and return each run's StorageResult with its xpm_phase and dt_limit;
     ``on_block`` gets the first run's rows.  Equal members march once, at
-    most max(1, nz // 16) to a march and within ``march_bytes(grid)``."""
+    most max(1, nz // 16) to a march and no more than fit
+    RECORD_BUDGET_BYTES."""
     limits = []
     for probe, m in runs:
         flip = check_window(probe, schedule, grid.t_max)
@@ -429,7 +433,7 @@ def _storage_runs(params: EnsembleParams, schedule: GradientSchedule,
     ref = {m: replace(m, stark=None) for _, m in runs if m.stark is not None}
     members = list(dict.fromkeys([m for _, m in runs] + [*ref.values()]))
     size = max(1, min(grid.nz // 16,
-                      march_bytes(grid) // march_bytes(grid, 1, blocks=False)))
+                      RECORD_BUDGET_BYTES // member_bytes(grid)))
     done, first = {}, on_block and (   # the first run's rows only
         lambda n0, sigma, field: on_block(n0, sigma[:, 0], field[:, 0]))
     for i in range(0, len(members), size):

@@ -700,6 +700,52 @@ class TestSweep:
         run_config(parse_config(get_preset("fig2b_spm")), tmp_path)
         assert calls == {"march": 1, "propagate": 0}
 
+    def test_shipped_grid_sweep_marches_nz_over_16(self, tmp_path,
+                                                   monkeypatch):
+        # five driven points and their references are ten members; at the
+        # shipped storage grid (nz = 256, nt = 4096) a march takes up to
+        # nz // 16 = 16 members, so the sweep is one march of all ten
+        from gemxpm import gem
+        sizes = []
+
+        def sized(params, schedule, grid, members, *args, **kwargs):
+            sizes.append(len(members))
+            return march(params, schedule, grid, members, *args, **kwargs)
+
+        march = gem.march
+        monkeypatch.setattr(gem, "march", sized)
+        raw = get_preset("fig2b_spm")
+        raw["sweep"]["values"] = [0.1, 0.5, 1.0, 2.0, 10.0]
+        run_config(parse_config(raw), tmp_path)
+        assert sizes == [10]
+
+    def test_budget_caps_members_per_march(self, tmp_path, monkeypatch):
+        # a budget that fits one exit-only member marches one at a time,
+        # and every row stays what the uncapped batch gives
+        from gemxpm import gem
+        base = dict(STORAGE_CONFIG, signal=SIGNAL,
+                    grid={"nz": 64, "nt": 256, "t_max": 20.0})
+        cfg = parse_config({
+            "experiment": "sweep", "name": "capped",
+            "sweep": {"path": "probe.peak_amplitude",
+                      "values": [0.5, 1.0, 2.0]},
+            "base": base})
+        run_config(cfg, tmp_path / "whole")
+        sizes = []
+
+        def sized(params, schedule, grid, members, *args, **kwargs):
+            sizes.append(len(members))
+            return march(params, schedule, grid, members, *args, **kwargs)
+
+        march = gem.march
+        monkeypatch.setattr(gem, "march", sized)
+        monkeypatch.setattr(gem, "RECORD_BUDGET_BYTES",
+                            gem.member_bytes(cfg.points[0].grid))
+        run_config(cfg, tmp_path / "capped")
+        assert sizes == [1] * 6
+        assert csv_body(tmp_path / "capped" / "capped.csv") == \
+            csv_body(tmp_path / "whole" / "capped.csv")
+
     def test_driven_sweep_within_record_budget(self, tmp_path):
         # 40 driven points and their references are 80 members; marched
         # at once they peak at about 9 MiB, over the 2.5 MiB bound below,
