@@ -108,26 +108,6 @@ def constant_stark_drive(intensity: float, detuning: float, gamma: float,
                       intensity, *light_shift(gamma, detuning))
 
 
-def _slaved_field(sigma: np.ndarray, dz: float, source: np.ndarray,
-                  boundary: np.ndarray, out: np.ndarray,
-                  cum: np.ndarray) -> np.ndarray:
-    """E(z) = E(0) + source * (trapezoid integral of sigma over [0, z]),
-    written into ``out``.
-
-    ``out`` and ``cum`` (column 0 zero) are C-ordered buffers shaped like
-    sigma.  The pairs sigma[j + 1] + sigma[j] come from one add over the
-    flattened stack into ``out``; each row's last slot then holds a
-    cross-row sum, never read.
-    """
-    flat = sigma.reshape(-1)
-    np.add(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
-    np.add.accumulate(out[..., :-1], axis=-1, out=cum[..., 1:])
-    cum *= 0.5 * dz
-    np.multiply(cum, source, out=out)
-    out += boundary
-    return out
-
-
 @dataclass(frozen=True)
 class StorageResult:
     """One storage/recall run: its exit-face field and scalars.
@@ -179,146 +159,220 @@ class CrossDrive(_LightShiftRates):
     c_loss: float
 
 
+def _stage_tables(params: EnsembleParams, schedule: GradientSchedule,
+                  members: Sequence[Member], cross: Optional[CrossDrive],
+                  levels: np.ndarray, stage_t: Sequence[np.ndarray],
+                  factors: np.ndarray, intensity: Optional[np.ndarray]
+                  ) -> Tuple[list, list]:
+    """Tabulate each member's factors at a block's stage times, ``stage_t``
+    = (t_n, t_n + dt/2, t_n + dt) for its rows of steps n, into
+    factors[:rows]: source, input, gain and, with a Stark drive
+    (``intensity`` given), -(loss + i*shift), its intensities going to
+    intensity[:rows].  Return, per stage, lists over the rows of the index
+    of eta(t) in ``levels`` and of whether the cross drive is on.  One
+    member and stage at a time, so the temporaries are a few (rows,)
+    arrays.
+    """
+    rows = len(stage_t[0])
+    ratio = np.array([m.ratio for m in members])
+    src_coef, gain_coef = 1j * params.coupling_density * ratio, 1j * ratio
+    lo, hi = cross.window if cross is not None else (0.0, 0.0)
+    which, driven = [], []
+    for j, t in enumerate(stage_t):
+        src, env, gain = (factors[:rows, j, i, :, 0] for i in range(3))
+        for b, m in enumerate(members):
+            mult = m.coupling.values(t) if m.coupling else 1.0
+            np.multiply(src_coef[b], mult, out=src[:, b])
+            np.multiply(gain_coef[b], mult, out=gain[:, b])
+            env[:, b] = m.envelope(t)
+            if intensity is not None:   # members without a drive get zeros
+                drive = m.stark.intensity(t) if m.stark else 0.0 * t
+                c_loss, c_shift = ((m.stark.c_loss, m.stark.c_shift)
+                                   if m.stark else (0.0, 0.0))
+                intensity[:rows, j, b] = drive
+                # -(c_loss*I + 1j*(c_shift*I)), formed in its table slot
+                rate = factors[:rows, j, 3, b, 0]
+                np.multiply(1j, c_shift * drive, out=rate)
+                np.negative(np.add(c_loss * drive, rate, out=rate), out=rate)
+        which.append(np.searchsorted(levels, schedule.values(t)).tolist())
+        driven.append(((t >= lo) & (t < hi)).tolist())
+    return which, driven
+
+
 def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
           members: Sequence[Member], cross: Optional[CrossDrive] = None,
           on_block: Optional[Callable] = None) -> np.ndarray:
     """Advance a (B, nz) stack of coherences, one row per member, by RK4
     steps with the slaved field marched along z at every stage, and return
     the exit-face fields E(L, t), (B, nt).  What depends on time alone is
-    tabulated once on the stage times t_n, t_n + dt/2, t_n + dt.  Each row
-    repeats the arithmetic of a one-member march in the same order, so its
-    values do not depend on the batch.
+    tabulated on the stage times t_n, t_n + dt/2, t_n + dt a block of
+    BLOCK_ROWS steps at a time (``_stage_tables``), and the sigma
+    coefficient once per value eta(t) takes.  Each row repeats the
+    arithmetic of a one-member march in the same order, so its values do
+    not depend on the batch.
+
+    The slaved field is E(z) = E(0) + source * (trapezoid integral of
+    sigma over [0, z]); the pair sums sigma[j + 1] + sigma[j] come from one
+    add over the flattened stack, whose cross-row sum in each row's last
+    slot is never read.
 
     With ``on_block``, on_block(n0, sigma, field) gets sigma and the E it
     was marched with at rows n0, n0 + 1, ... (BLOCK_ROWS, fewer in the last
     block) as (rows, B, nz) views of buffers reused for the next block,
     each checked finite first.  Without it a step copies nothing.
 
-    The state, stage state, field, slopes k1..k4, field scratch and a
-    stage's per-member factors spread along z are (B, nz) buffers allocated
-    once per march; every stage writes into them with ``out=``, so a step
-    allocates nothing unless cross-driven.  The operations and their order
-    are those of a march that allocates its stage arrays afresh, down to
-    ((k1 + 2 k2) + 2 k3) + k4, so its rows and every golden are byte-equal
-    to that march's.
+    The state, stage state, field, slopes k1..k4, field scratch, a stage's
+    per-member factors spread along z and the cross drive's scratch are
+    buffers allocated once per march, as are the views a step reads; every
+    stage writes into them with ``out=``, so a step allocates no array (a
+    block's tables cost a few (BLOCK_ROWS,) temporaries).  The
+    stages are written out in the loop with the ufuncs bound locally and
+    the stage tables read as Python lists, so a step does little but its
+    ufunc calls.  The operations and their order are those of a march that
+    allocates its stage arrays afresh, down to ((k1 + 2 k2) + 2 k3) + k4,
+    so its rows and every golden are byte-equal to that march's.
     Step-size checks are the caller's; NumericalError on non-finite state.
     """
     nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
-    stage_t = grid.t[:, None] + np.array([0.0, 0.5 * dt, dt])
-
-    def table(values):   # (nt, 3, B, 1): one column per member
-        return np.stack([values(m) for m in members], axis=-1)[..., None]
-
+    size = len(members)
     stark = any(m.stark is not None for m in members)
-    # the per-member factors of every stage: source, input, gain and,
-    # with a Stark drive, -(loss + i*shift)
-    factors = np.empty((nt, 3, 3 + stark, len(members), 1), dtype=complex)
-    src, env, gain = factors[:, :, 0], factors[:, :, 1], factors[:, :, 2]
-    mult = table(lambda m: m.coupling.values(stage_t) if m.coupling
-                 else np.ones_like(stage_t))
-    for b, m in enumerate(members):   # no stacked temporary table
-        env[:, :, b, 0] = m.envelope(stage_t)
-    ratio = np.array([m.ratio for m in members])[:, None]
-    np.multiply(1j * params.coupling_density * ratio, mult, out=src)
-    np.multiply(1j * ratio, mult, out=gain)
+    # eta(t) takes the schedule's few values, so eta*zeta (and, without a
+    # Stark drive, the whole sigma coefficient) is formed once per value
+    levels = np.unique([v for _, _, v in schedule.segments])
+    eta = levels[:, None] * np.array([m.eta_sign for m in members])
+    eta_zeta = eta[:, :, None] * (grid.z - params.L / 2.0)
     decay0 = np.array([params.gamma0 + m.extra_decay for m in members])
-    if stark:   # loss and shift are c_loss and c_shift times intensity
-        intensity = table(lambda m: m.stark.intensity(stage_t) if m.stark
-                          else 0.0 * stage_t)
-        c_loss, c_shift = np.array([(m.stark.c_loss, m.stark.c_shift)
-                                    if m.stark else (0.0, 0.0)
-                                    for m in members]).T[..., None]
-        np.negative(c_loss * intensity + 1j * (c_shift * intensity),
-                    out=factors[:, :, 3])
-    lo, hi = cross.window if cross is not None else (0.0, 0.0)
-    driven = (stage_t >= lo) & (stage_t < hi)
-    # eta(t) takes a few distinct values, so eta*zeta (and, without a
-    # Stark drive, the whole sigma coefficient) is formed once per value.
-    eta = table(lambda m: m.eta_sign * schedule.values(stage_t))[..., 0]
-    rows, which = np.unique(eta.reshape(-1, len(members)), axis=0,
-                            return_inverse=True)
-    which = which.reshape(stage_t.shape)
-    eta_zeta = rows[:, :, None] * (grid.z - params.L / 2.0)
-    fixed = -(decay0[:, None] + 1j * eta_zeta)
+    fixed = list(-(decay0[:, None] + 1j * eta_zeta))
+    rows = min(nt, BLOCK_ROWS)
+    factors = np.empty((rows, 3, 3 + stark, size, 1), dtype=complex)
+    intensity = np.empty((rows, 3, size)) if stark else None
 
-    exit_t = np.empty((len(members), nt), dtype=complex)
+    exit_t = np.empty((size, nt), dtype=complex)
     if on_block is not None:
-        sig_rows, e_rows = np.empty((2, min(nt, BLOCK_ROWS), len(members), nz),
-                                    dtype=complex)
-    sig, s, e, ge, coef, cum = np.zeros((6, len(members), nz), dtype=complex)
-    k = np.empty((4, len(members), nz), dtype=complex)
+        sig_rows, e_rows = np.empty((2, rows, size, nz), dtype=complex)
+    sig, s, e, ge, coef, cum = np.zeros((6, size, nz), dtype=complex)
+    k = np.empty((4, size, nz), dtype=complex)
+    k0, k1, k2, k3 = k
     # A stage's factors, spread along z once per stage time: a stage op
     # with a (B, 1) operand would cost NumPy a buffered copy of it.
-    spread = np.empty(factors.shape[2:-1] + (nz,), dtype=complex)
+    spread = np.empty((3 + stark, size, nz), dtype=complex)
     src_z, env_z, gain_z = spread[:3]
     stark_z = spread[3] if stark else None
+    # views and scalars a step reads, made once: the flattened pair
+    # slices of sig and s, the field's heads, the running sums' tails
+    sig_hi, sig_lo = sig.reshape(-1)[1:], sig.reshape(-1)[:-1]
+    s_hi, s_lo = s.reshape(-1)[1:], s.reshape(-1)[:-1]
+    pairs, head, tail = e.reshape(-1)[:-1], e[:, :-1], cum[:, 1:]
+    e_exit, k_mid = e[:, -1], k[1:3]
+    # the step's real scalars as 0-d complex arrays: the (h + 0j) a
+    # complex ufunc casts a Python float to, without the per-call cast
+    half_dz, half_dt, full_dt, sixth_dt, two = (
+        np.array(h, dtype=complex) for h in (0.5 * dz, 0.5 * dt, dt, dt / 6.0,
+                                             2.0))
+    add, multiply, copyto = np.add, np.multiply, np.copyto
+    accumulate = np.add.accumulate
+    if cross is not None:   # the drive |E_source|^2 and its scratch
+        target = cross.target
+        e_source, coef_target = e[cross.source], coef[target]
+        target_shift = list(eta_zeta[:, target])
+        m = members[target]
+        c_loss, c_shift = ((m.stark.c_loss, m.stark.c_shift) if m.stark
+                           else (0.0, 0.0))
+        drive, loss, shift = np.empty((3, nz))
+        rate = np.empty(nz, dtype=complex)
 
-    def coefficient(n, j):
+    def field(hi, lo):
+        # E of the state whose flattened pair slices are hi, lo, into e
+        add(hi, lo, pairs)
+        accumulate(head, -1, None, tail)
+        multiply(cum, half_dz, cum)
+        multiply(cum, src_z, e)
+        add(e, env_z, e)
+
+    def coefficient(w, driven, r, j):
         # -(decay + i*shift), the sigma-diagonal part of the RHS at stage
-        # j of step n, for the field in ``e``
+        # j of block row r, eta(t) = levels[w], for the field in ``e``
         if stark:
-            np.add(fixed[which[n, j]], stark_z, out=coef)
-        elif driven[n, j]:
-            np.copyto(coef, fixed[which[n, j]])
+            add(fixed[w], stark_z, coef)
+        elif driven:
+            copyto(coef, fixed[w])
         else:
-            return fixed[which[n, j]]
-        if driven[n, j]:
-            b, drive = cross.target, np.abs(e[cross.source]) ** 2
-            decay, shift = decay0[b], eta_zeta[which[n, j], b]
+            return fixed[w]
+        if driven:   # the target's row, in the cross drive's scratch
+            np.abs(e_source, out=drive)
+            np.square(drive, out=drive)
+            decay, eta_shift = decay0[target], target_shift[w]
             if stark:
-                decay = decay + c_loss[b, 0] * intensity[n, j, b, 0]
-                shift = shift + c_shift[b, 0] * intensity[n, j, b, 0]
-            coef[b] = -((decay + cross.c_loss * drive)
-                        + 1j * (shift + cross.c_shift * drive))
+                decay = decay + c_loss * intensity[r, j, target]
+                eta_shift = add(eta_shift, c_shift * intensity[r, j, target],
+                                shift)
+            multiply(cross.c_loss, drive, loss)
+            add(decay, loss, loss)
+            multiply(cross.c_shift, drive, drive)
+            add(eta_shift, drive, drive)
+            multiply(1j, drive, rate)
+            add(loss, rate, rate)
+            np.negative(rate, coef_target)
         return coef
 
-    def slope(i, n, j, state, a=None):
-        # k_i = a*state + gain*E at stage j of step n, E already in e and
-        # the stage's factors in spread; a is formed unless given
-        a = coefficient(n, j) if a is None else a
-        np.multiply(a, state, out=k[i])
-        np.multiply(gain_z, e, out=ge)
-        k[i] += ge
-        return a
-
-    def advance(i, h):
-        # the stage state sig + h*k_i and its field
-        np.multiply(k[i], h, out=s)
-        np.add(s, sig, out=s)
-        _slaved_field(s, dz, src_z, env_z, e, cum)
-
-    for n in range(nt):
-        np.copyto(spread, factors[n, 0])
-        _slaved_field(sig, dz, src_z, env_z, e, cum)
-        exit_t[:, n] = e[:, -1]
-        if on_block is not None:
-            j = n % BLOCK_ROWS
-            sig_rows[j], e_rows[j] = sig, e
-            if j == BLOCK_ROWS - 1 or n == nt - 1:
-                _check_finite(sig_rows[:j + 1], e_rows[:j + 1])
-                on_block(n - j, sig_rows[:j + 1], e_rows[:j + 1])
-        if n == nt - 1:
-            break
-        slope(0, n, 0, sig)
-        np.copyto(spread, factors[n, 1])
-        advance(0, 0.5 * dt)
-        a2 = slope(1, n, 1, s)
-        advance(1, 0.5 * dt)
-        slope(2, n, 1, s, None if driven[n, 1] else a2)
-        np.copyto(spread, factors[n, 2])
-        advance(2, dt)
-        slope(3, n, 2, s)
-        # sig += (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), summed in k1
-        k[1:3] *= 2.0
-        k[0] += k[1]
-        k[0] += k[2]
-        k[0] += k[3]
-        k[0] *= dt / 6.0
-        sig += k[0]
-        if n % _NAN_CHECK_STRIDE == 0 and not np.all(np.isfinite(sig.view(float))):
-            raise NumericalError(
-                f"non-finite coherence at t={stage_t[n, 2]:.4f} (step {n + 1}); "
-                "reduce dt or check the drive for singular values")
+    times, stage_dt = grid.t, (0.0, 0.5 * dt, dt)
+    for n0 in range(0, nt, rows):
+        stage_t = [times[n0:n0 + rows] + h for h in stage_dt]
+        (w0, w1, w2), (d0, d1, d2) = _stage_tables(
+            params, schedule, members, cross, levels, stage_t, factors,
+            intensity)
+        for r in range(len(stage_t[0])):
+            n = n0 + r
+            f0, f1, f2 = factors[r]
+            copyto(spread, f0)
+            field(sig_hi, sig_lo)
+            exit_t[:, n] = e_exit
+            if on_block is not None:
+                sig_rows[r], e_rows[r] = sig, e
+                if r == rows - 1 or n == nt - 1:
+                    _check_finite(sig_rows[:r + 1], e_rows[:r + 1])
+                    on_block(n0, sig_rows[:r + 1], e_rows[:r + 1])
+            if n == nt - 1:
+                break
+            a = coefficient(w0[r], d0[r], r, 0)
+            multiply(a, sig, k0)
+            multiply(gain_z, e, ge)
+            add(k0, ge, k0)
+            copyto(spread, f1)
+            multiply(k0, half_dt, s)
+            add(s, sig, s)
+            field(s_hi, s_lo)
+            a = coefficient(w1[r], d1[r], r, 1)
+            multiply(a, s, k1)
+            multiply(gain_z, e, ge)
+            add(k1, ge, k1)
+            multiply(k1, half_dt, s)
+            add(s, sig, s)
+            field(s_hi, s_lo)
+            if d1[r]:
+                a = coefficient(w1[r], True, r, 1)
+            multiply(a, s, k2)
+            multiply(gain_z, e, ge)
+            add(k2, ge, k2)
+            copyto(spread, f2)
+            multiply(k2, full_dt, s)
+            add(s, sig, s)
+            field(s_hi, s_lo)
+            a = coefficient(w2[r], d2[r], r, 2)
+            multiply(a, s, k3)
+            multiply(gain_z, e, ge)
+            add(k3, ge, k3)
+            # sig += (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), summed in s
+            multiply(k_mid, two, k_mid)
+            add.reduce(k, 0, None, s)
+            multiply(s, sixth_dt, s)
+            add(sig, s, sig)
+            if (n % _NAN_CHECK_STRIDE == 0
+                    and not np.all(np.isfinite(sig.view(float)))):
+                raise NumericalError(
+                    f"non-finite coherence at t={stage_t[2][r]:.4f} (step "
+                    f"{n + 1}); reduce dt or check the drive for singular "
+                    "values")
     _check_finite(exit_t)
     return exit_t
 

@@ -53,6 +53,28 @@ def phi_free_signal(Omega_s: float, delta3: float, tau: float,
     return Omega_s ** 2 * delta3 * tau / (2.0 * denom)
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.floating:
+    """scipy.integrate.simpson(y, x=x) for 1-D y and strictly increasing x
+    (scipy guards zero spacings) with at least 3 samples, in scipy's
+    operation order: the composite rule for uneven spacing over the first
+    n - 1 (odd n) or n - 2 (even n) points, and for even n the last
+    interval's correction."""
+    n, h = y.size, np.diff(x)
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if n % 2 == 0:
+        h0, h1 = h[-2], h[-1]
+        alpha = (2 * (h1 * h1) + 3 * h0 * h1) / (6 * (h1 + h0))
+        beta = (h1 * h1 + 3.0 * h0 * h1) / (6 * h0)
+        eta = (1 * h1 ** 3) / (6 * h0 * (h0 + h1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
 def phi_stored_pair(signal_envelope: Sequence[float], delta4: float,
                     gamma: float, tau1: float, tau2: float) -> XpmResult:
     """Phase and loss of a stored coherence driven by a stored signal.
@@ -72,12 +94,11 @@ def phi_stored_pair(signal_envelope: Sequence[float], delta4: float,
     denom = gamma * gamma + delta4 * delta4
     if denom == 0.0:
         raise ValueError("gamma and delta4 cannot both vanish")
-    from scipy.integrate import simpson
     # integrate over elapsed time so the result depends on tau1, tau2 only
     # through the duration (manifest translation invariance)
     s = np.linspace(0.0, tau2 - tau1, env.size)
     intensity = env * env
-    integral = float(simpson(intensity, x=s))
+    integral = float(_simpson(intensity, s))
     phase = integral * delta4 / denom
     loss_exp = integral * gamma / denom
     return XpmResult(phase=phase, loss_factor=math.exp(-loss_exp),

@@ -439,13 +439,17 @@ class TestRunStorage:
         assert "config error at 'grid'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("path", ["simulate", "sweep"])
+    @pytest.mark.parametrize("path", [
+        "simulate", "sweep", "xpm_double", "fig3b_double", "fig2a_theory"])
     def test_storage_run_imports_no_scipy(self, tmp_path, path):
-        # a driven storage run, and a storage sweep (fig2b_spm, one batched
-        # march through storage_batch)
-        argv = (["simulate",
-                 write_yaml(tmp_path, dict(STORAGE_CONFIG, signal=SIGNAL))]
-                if path == "simulate" else ["presets", "run", "fig2b_spm"])
+        # a driven storage run, a storage sweep (fig2b_spm, one batched
+        # march through storage_batch), an xpm-double run and preset (their
+        # quadrature phase included) and the xpm-free preset
+        configs = {"simulate": dict(STORAGE_CONFIG, signal=SIGNAL),
+                   "xpm_double": XPM_DOUBLE}
+        argv = (["simulate", write_yaml(tmp_path, configs[path])]
+                if path in configs else
+                ["presets", "run", "fig2b_spm" if path == "sweep" else path])
         argv += ["--out", str(tmp_path / "out")]
         code = ("import sys\n"
                 "from gemxpm.cli import main\n"
@@ -509,10 +513,7 @@ class TestRecordBudget:
     def test_peak_below_one_record(self, tmp_path, preset, mib):
         # the march hands sigma and E out a block at a time, so a run at
         # its shipped grid peaks below one (nt, nz) complex record (its
-        # runs kept whole records peaked at 130.5 and 25.9 MiB).  scipy is
-        # imported first, since its import is a fixed cost of the first
-        # xpm-double run, not an array of the grid
-        import scipy.integrate  # noqa: F401
+        # runs kept whole records peaked at 130.5 and 25.9 MiB)
         cfg = parse_config(get_preset(preset), default_name=preset)
         assert 16 * cfg.grid.nt * cfg.grid.nz == mib << 20
         tracemalloc.start()

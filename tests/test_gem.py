@@ -374,42 +374,57 @@ class TestBatchedMarch:
 
     def test_steps_allocate_nothing(self, baseline_params, baseline_schedule,
                                     monkeypatch):
-        # Every array a step writes exists before the first step: from the
-        # first field march on, the traced peak grows by less than one
-        # (B, nz) stage array (the NaN check and the final finiteness check
-        # allocate less; the march that allocates per stage grows by 17).
-        # Over the whole march the traced peak, less the exit fields it
-        # returns, stays within its stage tables (a few (nt, 3, B) arrays)
-        # and about 17 (B, nz) arrays: the stage buffers, a stage's
-        # factors and the per-eta coefficients.
         p = baseline_params
-        grid = Grid(nz=1024, nt=2001, t_max=20.0, L=p.L)
         drive = apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
                                   detuning=p.delta3)
-        members = mixed_members(p, drive)[1:]
-        field, before_steps = gem._slaved_field, []
+        assert_steps_allocate_nothing(monkeypatch, p, baseline_schedule,
+                                      mixed_members(p, drive)[1:])
 
-        def marked_field(*args):
-            if not before_steps:
-                before_steps.extend(tracemalloc.get_traced_memory())
-                tracemalloc.reset_peak()
-            return field(*args)
+    def test_cross_driven_steps_allocate_nothing(self, baseline_params,
+                                                 monkeypatch):
+        # the cross drive's coefficient is formed in the march's scratch
+        # (the march that formed it afresh grew by 1.35 stage arrays here)
+        members, cross = held_pair(baseline_params)
+        assert_steps_allocate_nothing(monkeypatch, baseline_params,
+                                      HOLD_SCHEDULE, members, cross)
 
-        monkeypatch.setattr(gem, "_slaved_field", marked_field)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            exits = march(p, baseline_schedule, grid, members)
-            peak_in_steps = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        at_first_step, peak_before = before_steps
-        stage = len(members) * grid.nz * 16
-        table = grid.nt * 3 * len(members) * 16
-        kept = exits.nbytes
-        assert peak_in_steps - at_first_step < stage
-        assert (max(peak_before, peak_in_steps) - start - kept
-                < 8 * table + 20 * stage)
+
+def assert_steps_allocate_nothing(monkeypatch, p, schedule, members,
+                                  cross=None):
+    """Every array a step writes exists before the first step: from the
+    first step on (the first block's stage tables tabulated), the traced
+    peak grows by less than one (B, nz) stage array, the next blocks'
+    tables included (the NaN check and the final finiteness check
+    allocate less; the march that allocates per stage grows by 17).  Over
+    the whole march the traced peak, less the exit fields it returns,
+    stays within its stage tables (a few (nt, 3, B) arrays) and about 17
+    (B, nz) arrays: the stage buffers, a stage's factors and the per-eta
+    coefficients."""
+    grid = Grid(nz=1024, nt=2001, t_max=20.0, L=p.L)
+    tables, before_steps = gem._stage_tables, []
+
+    def marked_tables(*args):
+        out = tables(*args)
+        if not before_steps:
+            before_steps.extend(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(gem, "_stage_tables", marked_tables)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        exits = march(p, schedule, grid, members, cross)
+        peak_in_steps = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    at_first_step, peak_before = before_steps
+    stage = len(members) * grid.nz * 16
+    table = grid.nt * 3 * len(members) * 16
+    kept = exits.nbytes
+    assert peak_in_steps - at_first_step < stage
+    assert (max(peak_before, peak_in_steps) - start - kept
+            < 8 * table + 20 * stage)
 
 
 class TestPolariton:

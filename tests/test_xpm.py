@@ -9,7 +9,8 @@ from gemxpm import (EnsembleParams, GradientSchedule, Grid, ProtocolError,
                     phi_free_signal, phi_stored_pair, scattering_consistency,
                     single_photon_estimate)
 from gemxpm.gem import check_step, light_shift
-from gemxpm.xpm import EXPERIMENT_GEOMETRY, TransitionData
+from gemxpm.xpm import (EXPERIMENT_GEOMETRY, HOLD_SAMPLES, TransitionData,
+                         _simpson)
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,6 +78,20 @@ class TestPhiStoredPair:
         stored = phi_stored_pair(np.full(101, omega), delta, gamma, 0.0, tau)
         free = phi_free_signal(omega, delta, tau, gamma)
         assert stored.phase / free == pytest.approx(2.0, rel=1e-12)
+
+    def test_simpson_matches_scipy(self):
+        # the numpy port is scipy's simpson(y, x=s) bit for bit on the
+        # uniform grids phi_stored_pair integrates over: odd and even
+        # sample counts (the last-interval correction), several durations
+        from scipy.integrate import simpson
+        rng = np.random.default_rng(7)
+        for n in [*range(HOLD_SAMPLES, HOLD_SAMPLES + 9), 97, 200, 513,
+                  1024, 1999, 2000]:
+            for T in (1e-3, 0.37, 4.0, 10.0, 283.0):
+                s = np.linspace(0.0, T, n)
+                for y in (rng.random(n), np.exp(-((s - T / 3) / T) ** 2)):
+                    assert (np.float64(_simpson(y, s)).tobytes()
+                            == np.float64(simpson(y, x=s)).tobytes())
 
     @given(st.integers(min_value=-2560, max_value=2560))
     def test_translation_invariance(self, shift64):
