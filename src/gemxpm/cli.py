@@ -42,9 +42,9 @@ from .config import (ExperimentConfig, config_to_dict, load_config,
                      parse_config)
 from .errors import ConfigError, GemXpmError
 from .gate import phase_trace
-from .gem import (StarkDrive, apply_stark_drive, check_window,
-                  excitation_balance, peak_k_trajectory, polariton_transform,
-                  propagate, storage_batch, verify_fourier_relation)
+from .gem import (StarkDrive, apply_stark_drive, excitation_balance,
+                  peak_k_trajectory, polariton_transform, propagate,
+                  storage_batch, verify_fourier_relation)
 from .presets import get_preset, preset_names
 from .reporting import ResultTable, config_hash, write_summary
 from .tomography import (ChoiMatrix, channel_from_gate, choi_matrix,
@@ -71,7 +71,7 @@ def _run_storage(cfg: ExperimentConfig):
     # Rows the diagnostics read, reduced as the march hands them out: the
     # Fourier relation's at t_mid, the polariton k drift's over [drift_lo,
     # flip] (8 at least) and the excitation balance's first and last.
-    flip = check_window(probe, cfg.schedule, grid.t_max)
+    flip = cfg.schedule.flip_time()
     flip = flip if flip is not None else grid.t_max
     t_mid = 0.5 * (probe.center_time + 2.0 * probe.duration + flip)
     n_mid = int(round(t_mid / grid.dt))

@@ -51,7 +51,8 @@ RECORD_BUDGET_BYTES = 2 << 30
 
 def member_bytes(grid: Grid) -> int:
     """About the bytes one member of an exit-only march holds in arrays that
-    grow with the grid: 24 values per grid time (stage tables, exit field)
+    grow with the grid, from above: 24 values per grid time (exit field and
+    its reductions, stage tables of 12 values a row up to BLOCK_ROWS rows)
     and 16 per z sample (stage buffers)."""
     return 16 * (24 * grid.nt + 16 * grid.nz)
 
@@ -162,16 +163,14 @@ class CrossDrive(_LightShiftRates):
 def _stage_tables(params: EnsembleParams, schedule: GradientSchedule,
                   members: Sequence[Member], cross: Optional[CrossDrive],
                   levels: np.ndarray, stage_t: Sequence[np.ndarray],
-                  factors: np.ndarray, intensity: Optional[np.ndarray]
-                  ) -> Tuple[list, list]:
+                  factors: np.ndarray, stark: bool) -> Tuple[list, list]:
     """Tabulate each member's factors at a block's stage times, ``stage_t``
     = (t_n, t_n + dt/2, t_n + dt) for its rows of steps n, into
-    factors[:rows]: source, input, gain and, with a Stark drive
-    (``intensity`` given), -(loss + i*shift), its intensities going to
-    intensity[:rows].  Return, per stage, lists over the rows of the index
-    of eta(t) in ``levels`` and of whether the cross drive is on.  One
-    member and stage at a time, so the temporaries are a few (rows,)
-    arrays.
+    factors[:rows]: source, input, gain and, with ``stark``, the Stark
+    rate -(loss + i*shift) (0 for members without a drive).  Return, per
+    stage, lists over the rows of the index of eta(t) in ``levels`` and of
+    whether the cross drive is on.  One member and stage at a time, so the
+    temporaries are a few (rows,) arrays.
     """
     rows = len(stage_t[0])
     ratio = np.array([m.ratio for m in members])
@@ -185,12 +184,10 @@ def _stage_tables(params: EnsembleParams, schedule: GradientSchedule,
             np.multiply(src_coef[b], mult, out=src[:, b])
             np.multiply(gain_coef[b], mult, out=gain[:, b])
             env[:, b] = m.envelope(t)
-            if intensity is not None:   # members without a drive get zeros
+            if stark:   # -(c_loss*I + 1j*(c_shift*I)), in its table slot
                 drive = m.stark.intensity(t) if m.stark else 0.0 * t
                 c_loss, c_shift = ((m.stark.c_loss, m.stark.c_shift)
                                    if m.stark else (0.0, 0.0))
-                intensity[:rows, j, b] = drive
-                # -(c_loss*I + 1j*(c_shift*I)), formed in its table slot
                 rate = factors[:rows, j, 3, b, 0]
                 np.multiply(1j, c_shift * drive, out=rate)
                 np.negative(np.add(c_loss * drive, rate, out=rate), out=rate)
@@ -209,7 +206,8 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     BLOCK_ROWS steps at a time (``_stage_tables``), and the sigma
     coefficient once per value eta(t) takes.  Each row repeats the
     arithmetic of a one-member march in the same order, so its values do
-    not depend on the batch.
+    not depend on the batch.  Members carry Stark drives or the batch one
+    ``cross`` drive, not both (ValueError, before any allocation).
 
     The slaved field is E(z) = E(0) + source * (trapezoid integral of
     sigma over [0, z]); the pair sums sigma[j + 1] + sigma[j] come from one
@@ -225,17 +223,19 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     per-member factors spread along z and the cross drive's scratch are
     buffers allocated once per march, as are the views a step reads; every
     stage writes into them with ``out=``, so a step allocates no array (a
-    block's tables cost a few (BLOCK_ROWS,) temporaries).  The
-    stages are written out in the loop with the ufuncs bound locally and
-    the stage tables read as Python lists, so a step does little but its
-    ufunc calls.  The operations and their order are those of a march that
-    allocates its stage arrays afresh, down to ((k1 + 2 k2) + 2 k3) + k4,
-    so its rows and every golden are byte-equal to that march's.
-    Step-size checks are the caller's; NumericalError on non-finite state.
+    block's tables cost a few (BLOCK_ROWS,) temporaries) and does little
+    but its ufunc calls.  Its operations and their order are those of a
+    march that allocates its stage arrays afresh, down to ((k1 + 2 k2) +
+    2 k3) + k4, so its rows and every golden are byte-equal to that
+    march's.  Step-size checks are the caller's; NumericalError on
+    non-finite state.
     """
     nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
     size = len(members)
     stark = any(m.stark is not None for m in members)
+    if stark and cross is not None:
+        raise ValueError("a march takes Stark drives or a cross drive, "
+                         "not both")
     # eta(t) takes the schedule's few values, so eta*zeta (and, without a
     # Stark drive, the whole sigma coefficient) is formed once per value
     levels = np.unique([v for _, _, v in schedule.segments])
@@ -245,7 +245,6 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     fixed = list(-(decay0[:, None] + 1j * eta_zeta))
     rows = min(nt, BLOCK_ROWS)
     factors = np.empty((rows, 3, 3 + stark, size, 1), dtype=complex)
-    intensity = np.empty((rows, 3, size)) if stark else None
 
     exit_t = np.empty((size, nt), dtype=complex)
     if on_block is not None:
@@ -274,11 +273,8 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     if cross is not None:   # the drive |E_source|^2 and its scratch
         target = cross.target
         e_source, coef_target = e[cross.source], coef[target]
-        target_shift = list(eta_zeta[:, target])
-        m = members[target]
-        c_loss, c_shift = ((m.stark.c_loss, m.stark.c_shift) if m.stark
-                           else (0.0, 0.0))
-        drive, loss, shift = np.empty((3, nz))
+        decay, target_shift = decay0[target], list(eta_zeta[:, target])
+        drive, loss = np.empty((2, nz))
         rate = np.empty(nz, dtype=complex)
 
     def field(hi, lo):
@@ -289,30 +285,24 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
         multiply(cum, src_z, e)
         add(e, env_z, e)
 
-    def coefficient(w, driven, r, j):
-        # -(decay + i*shift), the sigma-diagonal part of the RHS at stage
-        # j of block row r, eta(t) = levels[w], for the field in ``e``
+    def coefficient(w, driven):
+        # -(decay + i*shift), the sigma-diagonal part of the RHS at
+        # eta(t) = levels[w] for the field in ``e``; a cross-driven
+        # target's row is formed in the cross drive's scratch
         if stark:
-            add(fixed[w], stark_z, coef)
-        elif driven:
-            copyto(coef, fixed[w])
-        else:
+            return add(fixed[w], stark_z, coef)
+        if not driven:
             return fixed[w]
-        if driven:   # the target's row, in the cross drive's scratch
-            np.abs(e_source, out=drive)
-            np.square(drive, out=drive)
-            decay, eta_shift = decay0[target], target_shift[w]
-            if stark:
-                decay = decay + c_loss * intensity[r, j, target]
-                eta_shift = add(eta_shift, c_shift * intensity[r, j, target],
-                                shift)
-            multiply(cross.c_loss, drive, loss)
-            add(decay, loss, loss)
-            multiply(cross.c_shift, drive, drive)
-            add(eta_shift, drive, drive)
-            multiply(1j, drive, rate)
-            add(loss, rate, rate)
-            np.negative(rate, coef_target)
+        copyto(coef, fixed[w])
+        np.abs(e_source, out=drive)
+        np.square(drive, out=drive)
+        multiply(cross.c_loss, drive, loss)
+        add(decay, loss, loss)
+        multiply(cross.c_shift, drive, drive)
+        add(target_shift[w], drive, drive)
+        multiply(1j, drive, rate)
+        add(loss, rate, rate)
+        np.negative(rate, coef_target)
         return coef
 
     times, stage_dt = grid.t, (0.0, 0.5 * dt, dt)
@@ -320,7 +310,7 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
         stage_t = [times[n0:n0 + rows] + h for h in stage_dt]
         (w0, w1, w2), (d0, d1, d2) = _stage_tables(
             params, schedule, members, cross, levels, stage_t, factors,
-            intensity)
+            stark)
         for r in range(len(stage_t[0])):
             n = n0 + r
             f0, f1, f2 = factors[r]
@@ -334,7 +324,7 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
                     on_block(n0, sig_rows[:r + 1], e_rows[:r + 1])
             if n == nt - 1:
                 break
-            a = coefficient(w0[r], d0[r], r, 0)
+            a = coefficient(w0[r], d0[r])
             multiply(a, sig, k0)
             multiply(gain_z, e, ge)
             add(k0, ge, k0)
@@ -342,7 +332,7 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
             multiply(k0, half_dt, s)
             add(s, sig, s)
             field(s_hi, s_lo)
-            a = coefficient(w1[r], d1[r], r, 1)
+            a = coefficient(w1[r], d1[r])
             multiply(a, s, k1)
             multiply(gain_z, e, ge)
             add(k1, ge, k1)
@@ -350,7 +340,7 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
             add(s, sig, s)
             field(s_hi, s_lo)
             if d1[r]:
-                a = coefficient(w1[r], True, r, 1)
+                a = coefficient(w1[r], True)
             multiply(a, s, k2)
             multiply(gain_z, e, ge)
             add(k2, ge, k2)
@@ -358,7 +348,7 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
             multiply(k2, full_dt, s)
             add(s, sig, s)
             field(s_hi, s_lo)
-            a = coefficient(w2[r], d2[r], r, 2)
+            a = coefficient(w2[r], d2[r])
             multiply(a, s, k3)
             multiply(gain_z, e, ge)
             add(k3, ge, k3)
@@ -477,8 +467,8 @@ def _storage_runs(params: EnsembleParams, schedule: GradientSchedule,
     march the members with the signal-free reference of each driven one,
     and return each run's StorageResult with its xpm_phase and dt_limit;
     ``on_block`` gets the first run's rows.  Equal members march once, at
-    most max(1, nz // 16) to a march and no more than fit
-    RECORD_BUDGET_BYTES."""
+    most max(1, 4096 // nz) to a march (B*nz <= 4096, past which a larger
+    batch is slower) and no more than fit RECORD_BUDGET_BYTES."""
     limits = []
     for probe, m in runs:
         flip = check_window(probe, schedule, grid.t_max)
@@ -486,7 +476,7 @@ def _storage_runs(params: EnsembleParams, schedule: GradientSchedule,
                                  *(m.stark.rates if m.stark else ())))
     ref = {m: replace(m, stark=None) for _, m in runs if m.stark is not None}
     members = list(dict.fromkeys([m for _, m in runs] + [*ref.values()]))
-    size = max(1, min(grid.nz // 16,
+    size = max(1, min(4096 // grid.nz,
                       RECORD_BUDGET_BYTES // member_bytes(grid)))
     done, first = {}, on_block and (   # the first run's rows only
         lambda n0, sigma, field: on_block(n0, sigma[:, 0], field[:, 0]))

@@ -45,6 +45,19 @@ def write_yaml(tmp_path, payload, name="cfg.yaml"):
     return str(p)
 
 
+def record_march_sizes(monkeypatch):
+    """Make gem.march record each march's member count; return the list."""
+    from gemxpm import gem
+    sizes, march = [], gem.march
+
+    def sized(params, schedule, grid, members, *args, **kwargs):
+        sizes.append(len(members))
+        return march(params, schedule, grid, members, *args, **kwargs)
+
+    monkeypatch.setattr(gem, "march", sized)
+    return sizes
+
+
 def run_python(*args, **env):
     """Run a fresh interpreter with this gemxpm importable and ``env`` as
     extra environment variables."""
@@ -655,9 +668,8 @@ class TestSweep:
     ], ids=["probe_undriven", "probe_driven", "signal", "grid_nt"])
     def test_storage_rows_equal_propagate(self, tmp_path, path, values,
                                           signal):
-        # one batch per (ensemble, schedule, grid), several marches at
-        # nz = 32: each row is its own point's propagate, NaN xpm phase
-        # included
+        # one batch per (ensemble, schedule, grid), marched at nz = 32:
+        # each row is its own point's propagate, NaN xpm phase included
         base = dict(STORAGE_CONFIG, grid={"nz": 32, "nt": 512, "t_max": 20.0})
         if signal is not None:
             base["signal"] = signal
@@ -705,20 +717,27 @@ class TestSweep:
                                                    monkeypatch):
         # five driven points and their references are ten members; at the
         # shipped storage grid (nz = 256, nt = 4096) a march takes up to
-        # nz // 16 = 16 members, so the sweep is one march of all ten
-        from gemxpm import gem
-        sizes = []
-
-        def sized(params, schedule, grid, members, *args, **kwargs):
-            sizes.append(len(members))
-            return march(params, schedule, grid, members, *args, **kwargs)
-
-        march = gem.march
-        monkeypatch.setattr(gem, "march", sized)
+        # 4096 // nz = 16 members, so the sweep is one march of all ten
+        sizes = record_march_sizes(monkeypatch)
         raw = get_preset("fig2b_spm")
         raw["sweep"]["values"] = [0.1, 0.5, 1.0, 2.0, 10.0]
         run_config(parse_config(raw), tmp_path)
         assert sizes == [10]
+
+    def test_small_grid_driven_sweep_is_one_march(self, tmp_path,
+                                                  monkeypatch):
+        # three driven points and their references are six members; at
+        # nz = 32 a march takes up to 4096 // nz = 128 members, so the
+        # sweep is one march of all six
+        sizes = record_march_sizes(monkeypatch)
+        cfg = parse_config({
+            "experiment": "sweep", "name": "small",
+            "sweep": {"path": "probe.peak_amplitude",
+                      "values": [0.5, 1.0, 2.0]},
+            "base": dict(STORAGE_CONFIG, signal=SIGNAL,
+                         grid={"nz": 32, "nt": 512, "t_max": 20.0})})
+        run_config(cfg, tmp_path)
+        assert sizes == [6]
 
     def test_budget_caps_members_per_march(self, tmp_path, monkeypatch):
         # a budget that fits one exit-only member marches one at a time,
@@ -732,14 +751,7 @@ class TestSweep:
                       "values": [0.5, 1.0, 2.0]},
             "base": base})
         run_config(cfg, tmp_path / "whole")
-        sizes = []
-
-        def sized(params, schedule, grid, members, *args, **kwargs):
-            sizes.append(len(members))
-            return march(params, schedule, grid, members, *args, **kwargs)
-
-        march = gem.march
-        monkeypatch.setattr(gem, "march", sized)
+        sizes = record_march_sizes(monkeypatch)
         monkeypatch.setattr(gem, "RECORD_BUDGET_BYTES",
                             gem.member_bytes(cfg.points[0].grid))
         run_config(cfg, tmp_path / "capped")
