@@ -96,7 +96,7 @@ def _run_storage(cfg: ExperimentConfig):
     kdrift_dev_bins = math.nan
     if kk:
         kk = np.concatenate(kk)
-        eta0 = cfg.schedule.eta(0.5 * (drift_lo + flip))
+        eta0 = cfg.schedule.values(0.5 * (drift_lo + flip))
         line = kk[0] + (-eta0) * (t[drift] - t[drift][0])
         kdrift_dev_bins = float(np.max(np.abs(kk - line))
                                 / (2.0 * math.pi / params.L))

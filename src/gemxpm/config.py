@@ -2,14 +2,16 @@
 round-trip.
 
 One config format (YAML mappings with arrays).  A kind accepts, builds
-and echoes only the top-level sections ``SECTIONS`` names.  Each section
-is parsed, unit-scaled, validated and echoed from the fields of the
-dataclass it builds, so a key, its type and its default are written once,
-on that dataclass.  Unknown keys are refused with their dot-path.
+and echoes only the sections ``SECTIONS`` names and, in them, the fields
+``UNREAD`` does not, so every key a config sets changes its run.  Each
+section is parsed, unit-scaled, validated and echoed from the fields of
+the dataclass it builds, so a key, its type and its default are written
+once, on that dataclass.  Unknown keys are refused with their dot-path.
 Lab-unit configs (``units: {system: lab, gamma: <rate in rad/us>}``) give
 the keys in ``_RATES`` in rad/us and those in ``_TIMES`` in us;
 conversion to internal gamma-units is plain scaling by the supplied gamma
-and refuses to run when gamma is missing.
+(then the unit of rate, which no section sets) and refuses to run when
+gamma is missing.
 """
 
 from __future__ import annotations
@@ -43,17 +45,26 @@ SECTIONS: Dict[str, Tuple[str, ...]] = {
     "sweep": ("sweep", "base"),
 }
 
+#: The fields of a section's dataclass a kind never reads, by kind and
+#: section: setting one is refused, it keeps its default, and it does not
+#: echo.  A storage signal is detuned by delta3, a stored pair's by delta4.
+UNREAD: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    "storage": {"ensemble": ("DeltaPrime", "delta4", "OmegaCPrime")},
+    "xpm-free": {"ensemble": ("gamma0", "L", "coupling_density", "Delta",
+                              "DeltaPrime", "delta4", "OmegaC",
+                              "OmegaCPrime")},
+    "xpm-double": {"ensemble": ("delta3",)},
+    "gate": {"gate": ("t_gate",)},
+    "tomography": {"gate": ("t_end", "n_samples")},
+}
+
 #: Keys a lab-unit config gives in rad/us (divided by its gamma) and in us
 #: (multiplied by it); every other key is dimensionless.
-_RATES = frozenset(("gamma", "gamma0", "g", "Delta", "DeltaPrime", "delta3",
-                    "delta4", "OmegaC", "OmegaCPrime", "peak_amplitude",
-                    "omega_s"))
+_RATES = frozenset(("gamma", "gamma0", "g", "coupling_density", "Delta",
+                    "DeltaPrime", "delta3", "delta4", "OmegaC",
+                    "OmegaCPrime", "peak_amplitude", "omega_s"))
 _TIMES = frozenset(("center_time", "duration", "t_max", "tau", "t_end",
                     "t_gate"))
-#: GateRunSpec fields a gate trace (t_end, n_samples) or a tomography run
-#: (t_gate) does not read.
-_GATE_SKIP = {"gate": ("params", "t_gate"),
-              "tomography": ("params", "t_end", "n_samples")}
 
 @dataclass(frozen=True)
 class XpmFreeSpec:
@@ -224,23 +235,23 @@ def _value(obj: Any, hint: Any, units: _Units, key: str, path: str) -> Any:
 
 
 def _section(cls: type, raw: Optional[Mapping], units: _Units, path: str,
-             skip: Sequence[str] = (), **given: Any) -> Any:
+             unread: Sequence[str] = (), **given: Any) -> Any:
     """Build dataclass ``cls`` from config mapping ``raw`` (None: empty).
 
-    Every field not in ``skip`` is a key; an absent key takes the field's
-    default, or is refused when the field has none.  ``given`` sets fields
-    the config does not control and wins over any key of the same name.
+    ``given`` sets fields the config does not control.  Every other field
+    not in ``unread`` is a key; an absent key, like an unread field, takes
+    the field's default, and a required key is refused when absent.
     """
     raw = {} if raw is None else _expect_mapping(raw, path)
-    _check_keys(raw, _keys(cls, skip), path)
-    values: Dict[str, Any] = {}
+    keys = _keys(cls, (*unread, *given))
+    _check_keys(raw, keys, path)
+    values: Dict[str, Any] = dict(given)
     for name, hint, required in _schema(cls):
         if name in raw:
             values[name] = _value(raw[name], hint, units, name,
                                   f"{path}.{name}")
-        elif required and name not in skip:
+        elif required and name in keys:
             _fail(f"{path}.{name}", "required key missing")
-    values.update(given)
     try:
         return cls(**values)
     except ValueError as exc:
@@ -274,18 +285,18 @@ def _parse_schedule(raw: Any, units: _Units, path: str) -> GradientSchedule:
 
 
 def _parse_gate(raw: Optional[Mapping], units: _Units, path: str,
-                skip: Sequence[str]) -> GateRunSpec:
-    """One flat mapping holds the GateParams and the GateRunSpec keys
-    not in ``skip``."""
+                unread: Sequence[str]) -> GateRunSpec:
+    """One flat mapping holds the GateParams keys and the GateRunSpec
+    keys not in ``unread``."""
     raw = {} if raw is None else _expect_mapping(raw, path)
-    run_keys = _keys(GateRunSpec, skip)
-    _check_keys(raw, _keys(GateParams) + run_keys, path)
+    run_keys = _keys(GateRunSpec, ("params", *unread))
+    _check_keys(raw, _keys(GateParams, tuple(units.fixed())) + run_keys, path)
     params = _section(GateParams,
                       {k: v for k, v in raw.items() if k not in run_keys},
                       units, path, **units.fixed())
     return _section(GateRunSpec,
                     {k: v for k, v in raw.items() if k in run_keys},
-                    units, path, skip, params=params)
+                    units, path, unread, params=params)
 
 
 def _parse_targets(raw: Optional[Mapping],
@@ -338,7 +349,7 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
                                 points=tuple(points))
 
     if kind in ("gate", "tomography"):
-        gate = _parse_gate(raw.get("gate"), units, "gate", _GATE_SKIP[kind])
+        gate = _parse_gate(raw.get("gate"), units, "gate", UNREAD[kind]["gate"])
         most = RECORD_BUDGET_BYTES // (DIM * DIM * 16)   # trajectory samples
         if gate.n_samples > most:
             _fail("gate.n_samples", f"the trajectory of {gate.n_samples} "
@@ -349,21 +360,21 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
                                                        kind))
 
     ensemble = _section(EnsembleParams, raw.get("ensemble"), units,
-                        "ensemble", **units.fixed())
+                        "ensemble", UNREAD[kind]["ensemble"], **units.fixed())
     if kind == "xpm-free":
         spec = _section(XpmFreeSpec, raw.get("xpm_free"), units, "xpm_free")
         return ExperimentConfig(kind=kind, name=name, ensemble=ensemble,
                                 xpm_free=spec)
 
-    def section(key: str, cls: type, skip: Sequence[str] = (), **given):
+    def section(key: str, cls: type, **given):
         return (None if raw.get(key) is None
-                else _section(cls, raw[key], units, key, skip, **given))
+                else _section(cls, raw[key], units, key, **given))
 
     probe = section("probe", PulseSpec)
     signal = section("signal", PulseSpec)
     schedule = (None if raw.get("schedule") is None
                 else _parse_schedule(raw["schedule"], units, "schedule"))
-    grid = section("grid", Grid, ("L",), L=ensemble.L)
+    grid = section("grid", Grid, L=ensemble.L)
     for fld, v in (("probe", probe), ("schedule", schedule), ("grid", grid)):
         if v is None:
             _fail(fld, f"required for {kind} experiments")
@@ -437,12 +448,13 @@ def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
     written into every run summary.
     """
     out: Dict[str, Any] = {"experiment": cfg.kind, "name": cfg.name}
+    unread = UNREAD.get(cfg.kind, {})
     for key in SECTIONS[cfg.kind]:
         v = getattr(cfg, key, None)   # no units: the echo is in gamma-units
         if v is None:
             continue
         if key == "gate":
-            v = {**_echo(v.params), **_echo(v, _GATE_SKIP[cfg.kind])}
+            v = {**_echo(v.params), **_echo(v, ("params", *unread[key]))}
         elif key == "schedule":
             v = [list(seg) for seg in v.segments]
         elif key == "targets":
@@ -450,6 +462,7 @@ def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
         elif key == "base":
             v = copy.deepcopy(v)
         else:
-            v = _echo(v, ("L",) if key == "grid" else ())
+            # the ensemble gives a grid its L
+            v = _echo(v, ("L",) if key == "grid" else unread.get(key, ()))
         out[key] = v
     return out

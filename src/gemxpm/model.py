@@ -26,17 +26,16 @@ import numpy as np
 class EnsembleParams:
     """Physical parameters of the Raman storage medium.
 
-    ``calN`` is the effective linear atomic density, normalised so that the
-    spatial-Fourier Maxwell relation  k*E(k) = g*calN*(OmegaC/Delta)*sigma(k)
-    holds identically in the propagation model (the product g*calN is the
-    only combination the field equation sees).
+    ``coupling_density`` is g*calN, single-atom coupling times effective
+    linear atomic density: the field equation sees the two only as this
+    product, normalised so that the spatial-Fourier Maxwell relation
+    k*E(k) = coupling_density*(OmegaC/Delta)*sigma(k) holds identically.
     """
 
     gamma: float = 1.0          # excited-state decay rate (time unit)
     gamma0: float = 0.0         # ground-state decoherence rate
-    g: float = 1.0              # single-atom coupling constant
     L: float = 1.0              # ensemble length
-    calN: float = 250.0         # effective linear atomic density
+    coupling_density: float = 250.0   # g*calN
     Delta: float = 40.0         # probe Raman detuning
     DeltaPrime: float = 40.0    # signal Raman detuning
     delta3: float = 400.0       # signal detuning, free-propagating transition
@@ -52,7 +51,7 @@ class EnsembleParams:
         if not (self.L > 0):
             raise ValueError(f"L must be positive, got {self.L}")
         for name in ("Delta", "DeltaPrime", "delta3", "delta4",
-                     "OmegaC", "OmegaCPrime", "calN", "g"):
+                     "OmegaC", "OmegaCPrime", "coupling_density"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -60,11 +59,6 @@ class EnsembleParams:
         for name in ("Delta", "DeltaPrime"):
             if getattr(self, name) == 0.0:
                 raise ValueError(f"{name} must be nonzero")
-
-    @property
-    def coupling_density(self) -> float:
-        """g*calN, the source coefficient of the field equation."""
-        return self.g * self.calN
 
     @property
     def raman_ratio(self) -> float:
@@ -158,9 +152,6 @@ class GradientSchedule(PiecewiseConstant):
     protocol additionally holds eta = 0 between write and recall.
     """
 
-    def eta(self, t):
-        return self.values(t)
-
     @property
     def max_abs_eta(self) -> float:
         return max(abs(s[2]) for s in self.segments)
@@ -184,9 +175,6 @@ class GradientSchedule(PiecewiseConstant):
             if v == 0.0 and 0 < i < len(self.segments) - 1:
                 return (start, end)
         return None
-
-    def negated(self) -> "GradientSchedule":
-        return GradientSchedule(tuple((a, b, -v) for a, b, v in self.segments))
 
 
 @dataclass(frozen=True)

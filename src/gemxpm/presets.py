@@ -16,20 +16,19 @@ from typing import Any, Dict, List
 _TWO_PI = 2.0 * math.pi
 
 #: Baseline storage medium: Raman ratio 0.2, effective absorption
-#: coefficient g*calN*(OmegaC/Delta)^2 = 10, gradient beta ~ 1.25.
+#: coefficient coupling_density*(OmegaC/Delta)^2 = 10, gradient beta ~ 1.25.
 _BASELINE_ENSEMBLE = {
-    "gamma": 1.0, "gamma0": 0.0, "g": 1.0, "L": 1.0,
-    "calN": 250.0, "Delta": 40.0, "DeltaPrime": 40.0,
-    "delta3": 400.0, "delta4": 40.0, "OmegaC": 8.0, "OmegaCPrime": 8.0,
+    "gamma": 1.0, "gamma0": 0.0, "L": 1.0, "coupling_density": 250.0,
+    "Delta": 40.0, "delta3": 400.0, "OmegaC": 8.0,
 }
 
 #: Double-storage medium: same absorption coefficient but Raman ratio
 #: 0.05, so the signal coherence's coupling-field scattering
 #: gamma*(OmegaCPrime/DeltaPrime)^2 = 2.5e-3 stays negligible over the hold.
 _DOUBLE_ENSEMBLE = {
-    "gamma": 1.0, "gamma0": 0.0, "g": 1.0, "L": 1.0,
-    "calN": 4000.0, "Delta": 160.0, "DeltaPrime": 160.0,
-    "delta3": 400.0, "delta4": 40.0, "OmegaC": 8.0, "OmegaCPrime": 8.0,
+    "gamma": 1.0, "gamma0": 0.0, "L": 1.0, "coupling_density": 4000.0,
+    "Delta": 160.0, "DeltaPrime": 160.0, "delta4": 40.0, "OmegaC": 8.0,
+    "OmegaCPrime": 8.0,
 }
 
 _STORAGE_BASE = {
@@ -50,7 +49,7 @@ PRESETS: Dict[str, Dict[str, Any]] = {
     "fig2a_theory": {
         "experiment": "xpm-free",
         "name": "fig2a_theory",
-        "ensemble": dict(_BASELINE_ENSEMBLE),
+        "ensemble": {"gamma": 1.0, "delta3": 400.0},
         "xpm_free": {
             "omega_s": [round(0.1 * i, 1) for i in range(21)],
             "tau": 283.0,

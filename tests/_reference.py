@@ -57,7 +57,7 @@ def reference_storage_run(params, envelope, schedule, nz=96, t_max=20.0,
     dz = z[1] - z[0]
     zeta = z - params.L / 2.0
     ratio = params.OmegaC / params.Delta
-    kappa = params.g * params.calN
+    kappa = params.coupling_density
 
     def field_of(sigma, t):
         # trapezoid accumulation written independently of the package
@@ -68,7 +68,7 @@ def reference_storage_run(params, envelope, schedule, nz=96, t_max=20.0,
     def rhs(t, y):
         sigma = y[:nz] + 1j * y[nz:]
         e = field_of(sigma, t)
-        dsig = (-(params.gamma0 + 1j * schedule.eta(t) * zeta) * sigma
+        dsig = (-(params.gamma0 + 1j * schedule.values(t) * zeta) * sigma
                 + 1j * ratio * e)
         return np.concatenate([dsig.real, dsig.imag])
 

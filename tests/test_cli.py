@@ -13,9 +13,10 @@ import gemxpm
 from gemxpm import apply_stark_drive, channel_from_gate, propagate
 from gemxpm.cli import (_RUNNERS, SWEPT, _run_storage, choi_table, main,
                         run_config)
-from gemxpm.config import (SECTIONS, config_to_dict, parse_config,
-                           set_sweep_value)
+from gemxpm.config import (SECTIONS, UNREAD, GateRunSpec, config_to_dict,
+                           parse_config, set_sweep_value)
 from gemxpm.errors import ConfigError
+from gemxpm.model import EnsembleParams
 from gemxpm.presets import get_preset, preset_names
 from gemxpm.reporting import (ResultTable, config_hash, csv_body,
                               format_float)
@@ -24,7 +25,7 @@ from gemxpm.tomography import choi_matrix, ideal_cphase_choi
 STORAGE_CONFIG = {
     "experiment": "storage",
     "name": "small_storage",
-    "ensemble": {"calN": 250.0, "Delta": 40.0, "OmegaC": 8.0},
+    "ensemble": {"coupling_density": 250.0, "Delta": 40.0, "OmegaC": 8.0},
     "probe": {"peak_amplitude": 1.0, "center_time": 3.0, "duration": 1.0},
     "schedule": [[0.0, 9.0, 8.0], [9.0, 20.0, -8.0]],
     "grid": {"nz": 96, "nt": 2048, "t_max": 20.0},
@@ -34,6 +35,8 @@ XPM_DOUBLE = dict(STORAGE_CONFIG, experiment="xpm-double", signal=SIGNAL,
                   schedule=[[0.0, 8.0, 8.0], [8.0, 12.0, 0.0],
                             [12.0, 20.0, -8.0]],
                   grid={"nz": 32, "nt": 512, "t_max": 20.0})
+XPM_FREE = {"experiment": "xpm-free",
+            "xpm_free": {"omega_s": [1.0], "tau": 1.0}}
 # a gate with a visible conditional phase whose runs stay short
 SMALL_GATE = {"Delta": 20.0, "DeltaPrime": 20.0, "delta4": 2.0,
               "OmegaC": 2.0, "OmegaCPrime": 2.0}
@@ -94,6 +97,15 @@ class TestConfigValidation:
         assert f"config error at '{p}': config file is not UTF-8 text" in err
         assert not (tmp_path / "out").exists()
 
+    def test_invalid_yaml_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.yaml"
+        p.write_text("experiment: [storage\n", encoding="utf-8")
+        assert main(["simulate", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error at '{p}': not valid YAML" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected_with_path(self):
         bad = dict(STORAGE_CONFIG, typo_key=1)
         with pytest.raises(ConfigError, match="typo_key"):
@@ -138,9 +150,10 @@ class TestConfigValidation:
         assert "gate.renormalize" in capsys.readouterr().err
 
     def test_zero_raman_detuning_refused(self, tmp_path, capsys):
-        for key in ("Delta", "DeltaPrime"):
-            cfg = dict(STORAGE_CONFIG,
-                       ensemble=dict(STORAGE_CONFIG["ensemble"], **{key: 0.0}))
+        # a storage run reads no DeltaPrime; a stored pair reads both
+        for base, key in ((STORAGE_CONFIG, "Delta"),
+                          (XPM_DOUBLE, "DeltaPrime")):
+            cfg = dict(base, ensemble=dict(base["ensemble"], **{key: 0.0}))
             assert main(["simulate", write_yaml(tmp_path, cfg),
                          "--out", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err
@@ -294,6 +307,49 @@ class TestConfigValidation:
         (dict(STORAGE_CONFIG, grid={"nz": 16, "nt": 2 ** 24, "t_max": 20.0}),
          2, "config error at 'grid': the march's stage tables and buffers "
             "need"),
+        ({"experiment": "gate",
+          "gate": {"stored_signal_coupling": 1, "n_samples": 2}},
+         2, "config error at 'gate.stored_signal_coupling': expected a "
+            "boolean, got 1"),
+        ({"experiment": "xpm-free", "xpm_free": {"omega_s": 1.0, "tau": 1.0}},
+         2, "config error at 'xpm_free.omega_s': expected a list of numbers, "
+            "got 1.0"),
+        (dict(STORAGE_CONFIG, schedule=5),
+         2, "config error at 'schedule': expected a non-empty list of "
+            "[start, end, eta] rows"),
+        (dict(STORAGE_CONFIG, schedule=[[0.0, 9.0], [9.0, 20.0, -8.0]]),
+         2, "config error at 'schedule[0]': expected [start, end, eta], got "
+            "[0.0, 9.0]"),
+        ({"experiment": "sweep",
+          "sweep": {"path": "probe.peak_amplitude", "values": [1.0]}},
+         2, "config error at 'base': sweeps need a base experiment config"),
+        ({"experiment": "sweep",
+          "sweep": {"path": "sweep.values", "values": [1.0]},
+          "base": {"experiment": "sweep",
+                   "sweep": {"path": "probe.peak_amplitude", "values": [1.0]},
+                   "base": STORAGE_CONFIG}},
+         2, "config error at 'base.experiment': nested sweeps are not "
+            "supported"),
+        ({k: v for k, v in XPM_DOUBLE.items() if k != "signal"},
+         2, "config error at 'signal': required for xpm-double experiments"),
+        (dict(STORAGE_CONFIG, units={"system": "lab", "gamma": 2.0},
+              ensemble={"gamma": 5.0}),
+         2, "config error at 'ensemble.gamma': unknown key"),
+        ({"experiment": "gate", "units": {"system": "lab", "gamma": 2.0},
+          "gate": {"gamma": 5.0, "n_samples": 2}},
+         2, "config error at 'gate.gamma': unknown key"),
+        ({"experiment": "sweep",
+          "sweep": {"path": "ensemble.delta4",
+                    "values": [20.0, 30.0, 40.0, 50.0, 60.0]},
+          "base": get_preset("storage_baseline")},
+         2, "config error at 'base.ensemble.delta4': sweep axis path "
+            "'ensemble.delta4' not found"),
+        ({"experiment": "sweep",
+          "sweep": {"path": "ensemble.delta4",
+                    "values": [20.0, 30.0, 40.0, 50.0, 60.0]},
+          "base": dict(get_preset("storage_baseline"), ensemble=dict(
+              get_preset("storage_baseline")["ensemble"], delta4=40.0))},
+         2, "config error at 'base.ensemble.delta4': unknown key"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
@@ -311,7 +367,12 @@ class TestConfigValidation:
             "xpm_double_probe_after_signal", "sweep_second_value_bad",
             "top_level_list", "top_level_scalar", "units_gamma_no_system",
             "units_gamma_in_gamma_units", "xpm_free_omega_s_empty",
-            "grid_nz_oversized", "grid_nt_oversized"])
+            "grid_nz_oversized", "grid_nt_oversized",
+            "gate_stored_signal_coupling_int", "xpm_free_omega_s_scalar",
+            "schedule_scalar", "schedule_row_two_entries", "sweep_no_base",
+            "sweep_nested", "xpm_double_no_signal", "lab_ensemble_gamma",
+            "lab_gate_gamma", "storage_sweep_delta4_absent",
+            "storage_sweep_delta4_set"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
@@ -325,6 +386,36 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert message.replace("<file>", path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("base, key", [
+        (STORAGE_CONFIG, "delta4"), (STORAGE_CONFIG, "DeltaPrime"),
+        (STORAGE_CONFIG, "OmegaCPrime"), (XPM_DOUBLE, "delta3"),
+        (XPM_FREE, "OmegaC"), (XPM_FREE, "L"),
+        *((b, k) for b in (STORAGE_CONFIG, XPM_DOUBLE, XPM_FREE)
+          for k in ("g", "calN"))],
+        ids=["storage_delta4", "storage_DeltaPrime", "storage_OmegaCPrime",
+             "xpm_double_delta3", "xpm_free_OmegaC", "xpm_free_L",
+             *(f"{b}_{k}" for b in ("storage", "xpm_double", "xpm_free")
+               for k in ("g", "calN"))])
+    def test_ensemble_key_the_kind_does_not_read_refused(self, tmp_path,
+                                                         capsys, base, key):
+        # each ran at the field's default, or g and calN, now the one key
+        # coupling_density, set the same number twice
+        cfg = dict(base, ensemble={**base.get("ensemble", {}), key: 1.0})
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error at 'ensemble.{key}': unknown key" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unread_table_names_fields(self):
+        # a misspelt entry would leave the field it meant settable
+        for kind, sections in UNREAD.items():
+            assert set(sections) <= set(SECTIONS[kind])
+            for section, unread in sections.items():
+                cls = EnsembleParams if section == "ensemble" else GateRunSpec
+                assert set(unread) < set(cls.__dataclass_fields__), kind
 
     def test_lab_units_gate_defaults(self):
         # an omitted time is GateRunSpec's default in gamma-units, not
@@ -376,7 +467,8 @@ class TestConfigValidation:
             "experiment": "storage",
             "name": "lab",
             "units": {"system": "lab", "gamma": 2.0},
-            "ensemble": {"Delta": 80.0, "OmegaC": 16.0, "calN": 250.0},
+            "ensemble": {"Delta": 80.0, "OmegaC": 16.0,
+                         "coupling_density": 500.0},
             "probe": {"peak_amplitude": 2.0, "center_time": 1.5,
                       "duration": 0.5},
             "schedule": [[0.0, 4.5, 16.0], [4.5, 10.0, -16.0]],
@@ -386,6 +478,7 @@ class TestConfigValidation:
         assert cfg.ensemble.gamma == 1.0
         assert cfg.ensemble.Delta == 40.0
         assert cfg.ensemble.OmegaC == 8.0
+        assert cfg.ensemble.coupling_density == 250.0
         assert cfg.probe.peak_amplitude == 1.0
         assert cfg.probe.center_time == 3.0
         assert cfg.schedule.segments == ((0.0, 9.0, 8.0), (9.0, 20.0, -8.0))
@@ -411,6 +504,28 @@ class TestRoundTrip:
         assert set(echoed) <= {"experiment", "name", *SECTIONS[cfg.kind]}
         assert not set(echoed.get("gate", {})) & other_gate_kind.get(
             cfg.kind, set())
+
+    @pytest.mark.parametrize("preset, keys", [
+        ("storage_baseline", {"gamma", "gamma0", "L", "coupling_density",
+                              "Delta", "delta3", "OmegaC"}),
+        ("fig2a_theory", {"gamma", "delta3"}),
+        ("fig3b_double", {"gamma", "gamma0", "L", "coupling_density",
+                          "Delta", "DeltaPrime", "delta4", "OmegaC",
+                          "OmegaCPrime"})])
+    def test_ensemble_echo_holds_the_kinds_keys(self, preset, keys):
+        # storage signals are detuned by delta3, a stored pair's by delta4,
+        # and the closed-form xpm-free phase reads gamma and delta3 alone
+        cfg = parse_config(get_preset(preset), default_name=preset)
+        assert set(config_to_dict(cfg)["ensemble"]) == keys
+
+    @pytest.mark.parametrize("cfg", [
+        STORAGE_CONFIG, XPM_DOUBLE, XPM_FREE,
+        {"experiment": "tomography", "gate": {"OmegaC": 40.0}}],
+        ids=["storage", "xpm_double", "xpm_free", "tomography"])
+    def test_lab_units_roundtrip(self, cfg):
+        # the echo is in gamma-units, where gamma is a key again
+        cfg = parse_config(dict(cfg, units={"system": "lab", "gamma": 2.0}))
+        assert parse_config(config_to_dict(cfg)) == cfg
 
     def test_storage_roundtrip(self):
         cfg = parse_config(STORAGE_CONFIG)
@@ -857,6 +972,13 @@ class TestMainEntry:
 
     def test_presets_show_unknown(self, capsys):
         assert main(["presets", "show", "fig9z"]) == 2
+
+    def test_presets_run_without_name(self, tmp_path, capsys):
+        assert main(["presets", "run", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: preset name required" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_command(self, tmp_path):
         cfg = write_yaml(tmp_path, STORAGE_CONFIG)

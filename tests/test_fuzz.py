@@ -1,13 +1,18 @@
 """Bounded fuzz of the config schema through the CLI entry point.
 
-Each example is a plausible storage, xpm-free or xpm-double config with
-up to three random edits: a value replaced by anything YAML can hold, a
-key deleted, an unknown key added (at the top level, sometimes a section
-another kind reads), or a top-level section only other kinds read added.
-Sweep examples wrap such a config and sweep one of its numeric leaves
-over one to four values.  Every config must either run (exit 0) or be
-refused with exit 2 (config) or 3 (numerical/I/O); no exception may
-escape ``main``.  Grids stay at nz, nt <= 32, so every run is small.
+Each example is a plausible storage, xpm-free or xpm-double config, its
+ensemble drawn from the keys its kind reads, with up to three random
+edits: a value replaced by anything YAML can hold, a key deleted, an
+unknown key added (at the top level, sometimes a section another kind
+reads), a top-level section only other kinds read added, or an ensemble
+key the kind does not read added.  Sweep examples wrap such a config and
+sweep one of its numeric leaves over one to four values.  Every config
+must either run (exit 0) or be refused with exit 2 (config) or 3
+(numerical/I/O); no exception may escape ``main``.  A config whose
+ensemble sets a key its kind does not read must exit 2, and at least a
+third of the configs must run.  Grids stay at nz, nt <= 32, so every run
+is small; an xpm-double grid adds the time samples its hold's quadrature
+needs (``HOLD_SAMPLES`` over the hold), without which none could run.
 
 Gate and tomography configs, and sweeps over them, are edited the same
 way.  Two hundred of them are parsed: ``parse_config`` must return or
@@ -22,16 +27,20 @@ coupling on or off, and sweeps over ``gate.t_gate``): each must exit 0
 or 3, and at least half must run.
 """
 
+import math
 import os
 import tempfile
+from dataclasses import fields
 
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gemxpm import EnsembleParams
 from gemxpm.cli import main
 from gemxpm.config import SECTIONS, parse_config
 from gemxpm.errors import ConfigError
+from gemxpm.xpm import HOLD_SAMPLES
 
 # Values of any type the YAML loader can produce, including NaN, inf,
 # huge integers and wrong types.
@@ -47,13 +56,42 @@ SMALL = st.one_of(st.integers(-2, 32), st.floats(-2.0, 32.0), st.booleans(),
 SECTION_NAMES = sorted({key for keys in SECTIONS.values() for key in keys})
 
 
-ENSEMBLE = st.fixed_dictionaries({}, optional={
+# The ensemble keys each kind reads: a storage signal is detuned by
+# delta3, a stored pair's by delta4, and the closed-form xpm-free phase
+# reads gamma and delta3 alone.
+READ = {
+    "storage": ("gamma", "gamma0", "L", "coupling_density", "Delta",
+                "delta3", "OmegaC"),
+    "xpm-double": ("gamma", "gamma0", "L", "coupling_density", "Delta",
+                   "DeltaPrime", "delta4", "OmegaC", "OmegaCPrime"),
+    "xpm-free": ("gamma", "delta3"),
+}
+# coupling_density spans the products of the g and calN ranges it replaced.
+ENSEMBLE_VALUES = {
     "gamma": st.floats(0.5, 2.0), "gamma0": st.floats(0.0, 0.5),
-    "g": st.floats(0.5, 2.0), "calN": st.floats(1.0, 100.0),
+    "coupling_density": st.floats(0.5, 200.0),
     "Delta": st.floats(10.0, 60.0),
     "DeltaPrime": st.floats(10.0, 160.0), "delta3": st.floats(10.0, 400.0),
     "delta4": st.floats(-40.0, 40.0), "OmegaC": st.floats(1.0, 10.0),
-    "OmegaCPrime": st.floats(1.0, 10.0)})
+    "OmegaCPrime": st.floats(1.0, 10.0)}
+# Per kind, the EnsembleParams fields it does not read and the two keys
+# coupling_density replaced.
+NOT_READ = {kind: sorted({f.name for f in fields(EnsembleParams)}
+                         - set(keys)) + ["calN", "g"]
+            for kind, keys in READ.items()}
+
+
+def ensemble(kind):
+    return st.fixed_dictionaries({}, optional={
+        key: ENSEMBLE_VALUES[key] for key in READ[kind]
+        if key in ENSEMBLE_VALUES})
+
+
+def sets_unread_key(cfg):
+    """Whether a config's ensemble sets a key its kind does not read."""
+    ens = cfg.get("ensemble")
+    return (cfg.get("experiment") in READ and isinstance(ens, dict)
+            and bool(set(ens) - set(READ[cfg["experiment"]])))
 
 
 def pulse(draw, lo, hi):
@@ -74,7 +112,7 @@ def storage(draw):
     t_max = draw(st.floats(0.5, 4.0))
     flip = draw(st.floats(0.1, 0.9)) * t_max
     eta = draw(st.floats(-4.0, 4.0))
-    cfg = {"experiment": "storage", "ensemble": draw(ENSEMBLE),
+    cfg = {"experiment": "storage", "ensemble": draw(ensemble("storage")),
            "probe": pulse(draw, 0.0, flip),
            "schedule": [[0.0, flip, eta], [flip, t_max, -eta]],
            "grid": grid(draw, t_max)}
@@ -93,16 +131,20 @@ def xpm_double(draw):
     tau1 = draw(st.floats(0.2, 0.5)) * t_max
     tau2 = draw(st.floats(0.6, 0.9)) * t_max
     eta = draw(st.floats(-4.0, 4.0))
-    return {"experiment": "xpm-double", "ensemble": draw(ENSEMBLE),
+    g = grid(draw, t_max)
+    # enough time samples for the hold's quadrature, or none could run
+    g["nt"] += math.ceil(HOLD_SAMPLES * t_max / (tau2 - tau1))
+    return {"experiment": "xpm-double",
+            "ensemble": draw(ensemble("xpm-double")),
             "probe": pulse(draw, 0.0, 0.4 * tau1),
             "signal": pulse(draw, 0.5 * tau1, tau1),
             "schedule": [[0.0, tau1, eta], [tau1, tau2, 0.0],
                          [tau2, t_max, -eta]],
-            "grid": grid(draw, t_max)}
+            "grid": g}
 
 
 XPM_FREE = st.fixed_dictionaries({
-    "experiment": st.just("xpm-free"), "ensemble": ENSEMBLE,
+    "experiment": st.just("xpm-free"), "ensemble": ensemble("xpm-free"),
     "xpm_free": st.fixed_dictionaries({
         "omega_s": st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
         "tau": st.floats(0.0, 300.0)})})
@@ -135,7 +177,15 @@ def edited(draw, cfg):
     foreign = [key for key in SECTION_NAMES
                if key not in SECTIONS[cfg["experiment"]]]
     for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["replace", "delete", "add", "foreign"]))
+        edit = draw(st.sampled_from(["replace", "delete", "add", "foreign",
+                                     "unread"]))
+        if edit == "unread":
+            # an ensemble key the kind does not read
+            kind = cfg.get("experiment")
+            if kind in READ and isinstance(cfg.get("ensemble"), dict):
+                key = draw(st.sampled_from(NOT_READ[kind]))
+                cfg["ensemble"][key] = draw(st.floats(0.5, 2.0))
+            continue
         if edit == "foreign":
             # a top-level section only other kinds read: an "add" lands
             # there too, but seldom
@@ -234,11 +284,20 @@ def run_main(cfg):
         return main(["simulate", path, "--out", os.path.join(td, "out")])
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(configs())
-def test_every_config_runs_or_is_refused(cfg):
-    assert run_main(cfg) in (0, 2, 3)
+def test_every_config_runs_or_is_refused():
+    codes = []
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(configs())
+    def run(cfg):
+        codes.append(run_main(cfg))
+        assert codes[-1] in (0, 2, 3)
+        if sets_unread_key(cfg):
+            assert codes[-1] == 2, cfg
+
+    run()
+    assert 3 * codes.count(0) >= len(codes), codes
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,

@@ -56,6 +56,18 @@ def held_pair(p):
                        *light_shift(p.gamma, p.delta4)))
 
 
+class TestExitPhase:
+    def test_field_zero_at_centroid_is_nan(self):
+        # +1 and -1 at two samples symmetric about the |E|^2 centroid:
+        # the interpolated field there is exactly 0 and has no phase
+        grid = Grid(nz=2, nt=11, t_max=10.0, L=1.0)
+        e = np.zeros(grid.nt, dtype=complex)
+        e[4], e[5] = 1.0, -1.0
+        assert math.isnan(gem.exit_phase(grid, e, 0.0))
+        e[5] = 1.0
+        assert gem.exit_phase(grid, e, 0.0) == 0.0
+
+
 class TestStarkDrive:
     @pytest.mark.parametrize("gamma, detuning", [
         (1.0, 20.0), (1.0, -3.0), (0.5, 0.0), (0.0, 2.0)])
@@ -119,7 +131,7 @@ class TestStarkDrive:
 class TestPropagate:
     def test_empty_medium_passes_pulse(self, baseline_probe,
                                        baseline_schedule):
-        p = EnsembleParams(calN=1e-30)
+        p = EnsembleParams(coupling_density=1e-30)
         grid = Grid(nz=64, nt=2048, t_max=20.0, L=p.L)
         res = propagate(p, baseline_probe, baseline_schedule, grid)
         t = grid.t
@@ -593,7 +605,7 @@ class TestGroupVelocity:
     def test_drift_matches_formula(self):
         # stop the polariton at large k so the bin quantisation and the
         # packet k-spread contribute little to the comparison
-        p = EnsembleParams(calN=400.0)
+        p = EnsembleParams(coupling_density=400.0)
         eta = TWO_PI * 255.0 / 256.0
         sched = GradientSchedule(((0.0, 20.0, eta), (20.0, 30.0, 0.0)))
         grid = Grid(nz=256, nt=8192, t_max=30.0, L=p.L)

@@ -15,8 +15,8 @@ from gemxpm.xpm import (EXPERIMENT_GEOMETRY, HOLD_SAMPLES, TransitionData,
 TWO_PI = 2.0 * math.pi
 
 # medium with negligible coupling-field scattering over a long hold
-DOUBLE_PARAMS = EnsembleParams(calN=4000.0, Delta=160.0, DeltaPrime=160.0,
-                               OmegaC=8.0, OmegaCPrime=8.0)
+DOUBLE_PARAMS = EnsembleParams(coupling_density=4000.0, Delta=160.0,
+                               DeltaPrime=160.0, OmegaC=8.0, OmegaCPrime=8.0)
 DOUBLE_PROBE = PulseSpec(1.0, 2.5, 1.0)
 DOUBLE_SIGNAL = PulseSpec(1.0, 6.0, 1.0)
 
