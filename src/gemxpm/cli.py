@@ -16,10 +16,10 @@ results, the target report, the fully resolved config and provenance as
 ``<name>.summary.json``, and nothing else.  Every solver here is
 deterministic, so a config fully determines its outputs.
 
-Storage points of a sweep on one ensemble, schedule and grid form one
-group and march as one exit-only batch; any other point is a group of its
-own.  ``--workers`` maps over the groups.  A sweep's columns are the
-point kind's ``SWEPT`` entries, read off each point's results.
+Storage points of a sweep on one schedule and grid form one group and
+march as one exit-only batch, across ensembles; any other point is a
+group of its own.  ``--workers`` maps over the groups.  A sweep's columns
+are the point kind's ``SWEPT`` entries, read off each point's results.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _run_storage(cfg: ExperimentConfig):
         eta0 = cfg.schedule.values(0.5 * (drift_lo + flip))
         line = kk[0] + (-eta0) * (t[drift] - t[drift][0])
         kdrift_dev_bins = float(np.max(np.abs(kk - line))
-                                / (2.0 * math.pi / params.L))
+                                / (2.0 * math.pi / grid.L))
     inflow = probe.envelope(t)
     balance = (excitation_balance(
         np.concatenate([kept[0][0], kept[last][0]]), (0, last), inflow,
@@ -306,9 +306,9 @@ def _sweep_group(job: Tuple[str, List[ExperimentConfig]]
     try:
         if points[0].kind != "storage":
             return [_RUNNERS[p.kind](p)[1] for p in points]
-        first = points[0]
-        runs = storage_batch(first.ensemble, first.schedule, first.grid,
-                             [(p.probe, _stark(p)) for p in points])
+        runs = storage_batch(points[0].schedule, points[0].grid,
+                             [(p.ensemble, p.probe, _stark(p))
+                              for p in points])
     except Exception as exc:   # pickled with the error from a worker
         exc.sweep_group = where
         raise
@@ -320,7 +320,7 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
     values, points = cfg.sweep.values, cfg.points
     groups: Dict[Any, List[int]] = {}   # point indices by group
     for i, p in enumerate(points):
-        key = (p.ensemble, p.schedule, p.grid) if p.kind == "storage" else i
+        key = (p.schedule, p.grid) if p.kind == "storage" else i
         groups.setdefault(key, []).append(i)
     jobs = [(f"{cfg.sweep.path} in {[values[i] for i in group]}",
              [points[i] for i in group]) for group in groups.values()]

@@ -50,7 +50,7 @@ SECTIONS: Dict[str, Tuple[str, ...]] = {
 #: echo.  A storage signal is detuned by delta3, a stored pair's by delta4.
 UNREAD: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "storage": {"ensemble": ("DeltaPrime", "delta4", "OmegaCPrime")},
-    "xpm-free": {"ensemble": ("gamma0", "L", "coupling_density", "Delta",
+    "xpm-free": {"ensemble": ("gamma0", "coupling_density", "Delta",
                               "DeltaPrime", "delta4", "OmegaC",
                               "OmegaCPrime")},
     "xpm-double": {"ensemble": ("delta3",)},
@@ -108,7 +108,6 @@ class ExperimentConfig:
     gate: Optional[GateRunSpec] = None
     targets: Optional[Dict[str, Tuple[float, float]]] = None
     sweep: Optional[SweepSpec] = None
-    base: Optional[Dict[str, Any]] = None
     points: Tuple["ExperimentConfig", ...] = ()   # a sweep's, in value order
 
 
@@ -332,6 +331,9 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
 
     if kind == "sweep":
         sweep = _section(SweepSpec, raw.get("sweep"), units, "sweep")
+        if sweep.path.split(".")[0] == "units":
+            _fail("sweep.path", "a sweep cannot set units: its echo is in "
+                  "gamma-units")
         if raw.get("base") is None:
             _fail("base", "sweeps need a base experiment config")
         base = dict(_expect_mapping(raw["base"], "base"))
@@ -345,8 +347,11 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
             except ConfigError as exc:   # at its path in the file
                 raise ConfigError(f"base.{exc.path}", f"{exc.args[1]} "
                                   f"(sweep value {value!r})") from None
-        return ExperimentConfig(kind=kind, name=name, sweep=sweep, base=base,
-                                points=tuple(points))
+        values = tuple(float(functools.reduce(dict.get, sweep.path.split("."),
+                                              config_to_dict(p)))
+                       for p in points)   # in gamma-units, as echoed
+        return ExperimentConfig(kind=kind, name=name, points=tuple(points),
+                                sweep=SweepSpec(sweep.path, values))
 
     if kind in ("gate", "tomography"):
         gate = _parse_gate(raw.get("gate"), units, "gate", UNREAD[kind]["gate"])
@@ -374,7 +379,7 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
     signal = section("signal", PulseSpec)
     schedule = (None if raw.get("schedule") is None
                 else _parse_schedule(raw["schedule"], units, "schedule"))
-    grid = section("grid", Grid, L=ensemble.L)
+    grid = section("grid", Grid)
     for fld, v in (("probe", probe), ("schedule", schedule), ("grid", grid)):
         if v is None:
             _fail(fld, f"required for {kind} experiments")
@@ -450,7 +455,8 @@ def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
     out: Dict[str, Any] = {"experiment": cfg.kind, "name": cfg.name}
     unread = UNREAD.get(cfg.kind, {})
     for key in SECTIONS[cfg.kind]:
-        v = getattr(cfg, key, None)   # no units: the echo is in gamma-units
+        # no units: the echo is in gamma-units, a sweep's base its first point
+        v = cfg.points[0] if key == "base" else getattr(cfg, key, None)
         if v is None:
             continue
         if key == "gate":
@@ -460,9 +466,8 @@ def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
         elif key == "targets":
             v = {k: list(pair) for k, pair in v.items()}
         elif key == "base":
-            v = copy.deepcopy(v)
+            v = config_to_dict(v)
         else:
-            # the ensemble gives a grid its L
-            v = _echo(v, ("L",) if key == "grid" else unread.get(key, ()))
+            v = _echo(v, unread.get(key, ()))
         out[key] = v
     return out

@@ -9,12 +9,13 @@ The model is the adiabatically eliminated two-field pair
 where E = g*script-E is the probe Rabi envelope and sigma the collective
 spin coherence.  The field is slaved: at every Runge-Kutta stage it is
 marched along z from the boundary value (instantaneous-field limit); one
-stepper, ``march``, advances a stack of such coherences in t by classic
-RK4 steps.  The gradient is centred on the cell (eta*(z - L/2)).  A drive
-is an intensity I = |g*E_s|^2 (0 without one) and the ``light_shift`` pair
-(c_shift, c_loss) of its detuning: I(t) of a signal filling the cell for a
-``StarkDrive``, another member's |E|^2 for a ``CrossDrive``.  Both bound
-dt by one rule, their ``rates`` (c_loss, |c_shift|) times peak intensity.
+stepper, ``march``, advances a stack of such coherences, each a ``Member``
+with its own physics, in t by classic RK4 steps.  The gradient is centred
+on the grid's cell (eta*(z - L/2)).  A drive is an intensity I = |g*E_s|^2
+(0 without one) and the ``light_shift`` pair (c_shift, c_loss) of its
+detuning: I(t) of a signal filling the cell for a ``StarkDrive``, another
+member's |E|^2 for a ``CrossDrive``.  Both bound dt by one rule, their
+``rates`` (c_loss, |c_shift|) times peak intensity.
 
 Sign conventions worth knowing when reading diagnostics:
 
@@ -134,15 +135,17 @@ class StorageResult:
 
 @dataclass(frozen=True)
 class Member:
-    """One coherence of a batched march: its input g*E(0, t) (vectorised
-    in t), Raman ratio, sign on the shared eta(t), coupling switch (1 when
-    None), decay added to gamma0 and Stark drive."""
+    """One coherence of a batched march with all of its physics: its input
+    g*E(0, t) (vectorised in t), Raman ratio, coupling density g*calN,
+    sign on the shared eta(t), coupling switch (1 when None), whole
+    ground-state decay and Stark drive."""
 
     envelope: Callable[[np.ndarray], np.ndarray]
     ratio: float
+    coupling_density: float
     eta_sign: float = 1.0
     coupling: Optional[PiecewiseConstant] = None
-    extra_decay: float = 0.0
+    decay: float = 0.0
     stark: Optional[StarkDrive] = None
 
 
@@ -160,10 +163,10 @@ class CrossDrive(_LightShiftRates):
     c_loss: float
 
 
-def _stage_tables(params: EnsembleParams, schedule: GradientSchedule,
-                  members: Sequence[Member], cross: Optional[CrossDrive],
-                  levels: np.ndarray, stage_t: Sequence[np.ndarray],
-                  factors: np.ndarray, stark: bool) -> Tuple[list, list]:
+def _stage_tables(schedule: GradientSchedule, members: Sequence[Member],
+                  cross: Optional[CrossDrive], levels: np.ndarray,
+                  stage_t: Sequence[np.ndarray], factors: np.ndarray,
+                  stark: bool) -> Tuple[list, list]:
     """Tabulate each member's factors at a block's stage times, ``stage_t``
     = (t_n, t_n + dt/2, t_n + dt) for its rows of steps n, into
     factors[:rows]: source, input, gain and, with ``stark``, the Stark
@@ -173,8 +176,9 @@ def _stage_tables(params: EnsembleParams, schedule: GradientSchedule,
     temporaries are a few (rows,) arrays.
     """
     rows = len(stage_t[0])
-    ratio = np.array([m.ratio for m in members])
-    src_coef, gain_coef = 1j * params.coupling_density * ratio, 1j * ratio
+    density, ratio = np.array([(m.coupling_density, m.ratio)
+                               for m in members]).T
+    src_coef, gain_coef = 1j * density * ratio, 1j * ratio
     lo, hi = cross.window if cross is not None else (0.0, 0.0)
     which, driven = [], []
     for j, t in enumerate(stage_t):
@@ -196,18 +200,18 @@ def _stage_tables(params: EnsembleParams, schedule: GradientSchedule,
     return which, driven
 
 
-def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
-          members: Sequence[Member], cross: Optional[CrossDrive] = None,
+def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
+          cross: Optional[CrossDrive] = None,
           on_block: Optional[Callable] = None) -> np.ndarray:
-    """Advance a (B, nz) stack of coherences, one row per member, by RK4
-    steps with the slaved field marched along z at every stage, and return
-    the exit-face fields E(L, t), (B, nt).  What depends on time alone is
-    tabulated on the stage times t_n, t_n + dt/2, t_n + dt a block of
-    BLOCK_ROWS steps at a time (``_stage_tables``), and the sigma
-    coefficient once per value eta(t) takes.  Each row repeats the
-    arithmetic of a one-member march in the same order, so its values do
-    not depend on the batch.  Members carry Stark drives or the batch one
-    ``cross`` drive, not both (ValueError, before any allocation).
+    """Advance a (B, nz) stack of coherences, one row per member, each with
+    its own physics on the shared schedule and grid, by RK4 steps with the
+    slaved field marched along z at every stage, and return the exit-face
+    fields E(L, t), (B, nt).  What depends on time alone is tabulated on the
+    stage times t_n, t_n + dt/2, t_n + dt a block of BLOCK_ROWS steps at a
+    time (``_stage_tables``), and the sigma coefficient once per value
+    eta(t) takes.  Each row repeats the arithmetic of a one-member march in
+    the same order, so its values do not depend on the batch.  Stark drives
+    exclude a ``cross`` drive (ValueError, before any allocation).
 
     The slaved field is E(z) = E(0) + source * (trapezoid integral of
     sigma over [0, z]); the pair sums sigma[j + 1] + sigma[j] come from one
@@ -240,8 +244,8 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     # Stark drive, the whole sigma coefficient) is formed once per value
     levels = np.unique([v for _, _, v in schedule.segments])
     eta = levels[:, None] * np.array([m.eta_sign for m in members])
-    eta_zeta = eta[:, :, None] * (grid.z - params.L / 2.0)
-    decay0 = np.array([params.gamma0 + m.extra_decay for m in members])
+    eta_zeta = eta[:, :, None] * (grid.z - grid.L / 2.0)
+    decay0 = np.array([m.decay for m in members])
     fixed = list(-(decay0[:, None] + 1j * eta_zeta))
     rows = min(nt, BLOCK_ROWS)
     factors = np.empty((rows, 3, 3 + stark, size, 1), dtype=complex)
@@ -309,8 +313,7 @@ def march(params: EnsembleParams, schedule: GradientSchedule, grid: Grid,
     for n0 in range(0, nt, rows):
         stage_t = [times[n0:n0 + rows] + h for h in stage_dt]
         (w0, w1, w2), (d0, d1, d2) = _stage_tables(
-            params, schedule, members, cross, levels, stage_t, factors,
-            stark)
+            schedule, members, cross, levels, stage_t, factors, stark)
         for r in range(len(stage_t[0])):
             n = n0 + r
             f0, f1, f2 = factors[r]
@@ -402,8 +405,8 @@ def check_step(params: EnsembleParams, schedule: GradientSchedule,
     rate = params.gamma0
     for r in rates:
         rate += r
-    rate += schedule.max_abs_eta * params.L / 2.0
-    rate += params.coupling_density * ratio ** 2 * params.L / (2.0 * math.pi)
+    rate += schedule.max_abs_eta * grid.L / 2.0
+    rate += params.coupling_density * ratio ** 2 * grid.L / (2.0 * math.pi)
     limit = 1.0 / rate if rate > 0.0 else math.inf
     if grid.dt > limit:
         raise StabilityError(grid.dt, limit)
@@ -440,56 +443,55 @@ def propagate(params: EnsembleParams, probe: PulseSpec,
     the member axis dropped: (rows, nz) views.  Raises as _storage_runs
     and march do.
     """
-    run = Member(probe.envelope, params.raman_ratio, coupling=coupling,
-                 stark=stark)
-    return _storage_runs(params, schedule, grid, [(probe, run)], on_block)[0]
+    return _storage_runs(schedule, grid, [(params, probe, stark, coupling)],
+                         on_block)[0]
 
 
-def storage_batch(params: EnsembleParams, schedule: GradientSchedule,
-                  grid: Grid,
-                  runs: Sequence[Tuple[PulseSpec, Optional[StarkDrive]]]
+def storage_batch(schedule: GradientSchedule, grid: Grid,
+                  runs: Sequence[Tuple[EnsembleParams, PulseSpec,
+                                       Optional[StarkDrive]]]
                   ) -> List[StorageResult]:
-    """(probe, stark) runs on one ensemble, schedule and grid, checked and
+    """(ensemble, probe, stark) runs on one schedule and grid, checked and
     marched as ``propagate`` does: each result's efficiency, echo and xpm
-    phase (NaN when undriven) are propagate's, bit for bit.  It hands no
-    rows out."""
-    probes = {}   # one envelope per distinct probe: equal runs march once
-    return _storage_runs(params, schedule, grid, [
-        (p, Member(probes.setdefault(p, p).envelope, params.raman_ratio,
-                   stark=stark)) for p, stark in runs])
+    phase (NaN when undriven) are propagate's, bit for bit.  Runs on
+    different ensembles march together; it hands no rows out."""
+    return _storage_runs(schedule, grid, [(*run, None) for run in runs])
 
 
-def _storage_runs(params: EnsembleParams, schedule: GradientSchedule,
-                  grid: Grid, runs: Sequence[Tuple[PulseSpec, Member]],
-                  on_block: Optional[Callable] = None
+def _storage_runs(schedule: GradientSchedule, grid: Grid,
+                  runs: Sequence[tuple], on_block: Optional[Callable] = None
                   ) -> List[StorageResult]:
-    """Check each (probe, member) run as check_window and check_step do,
-    march the members with the signal-free reference of each driven one,
-    and return each run's StorageResult with its xpm_phase and dt_limit;
+    """Check each (ensemble, probe, stark, coupling) run against its own
+    ensemble as check_window and check_step do, march each as a Member of
+    its ensemble with the signal-free reference of each driven one, and
+    return each run's StorageResult with its xpm_phase and dt_limit;
     ``on_block`` gets the first run's rows.  Equal members march once, at
     most max(1, 4096 // nz) to a march (B*nz <= 4096, past which a larger
     batch is slower) and no more than fit RECORD_BUDGET_BYTES."""
-    limits = []
-    for probe, m in runs:
+    limits, run_members, probes = [], [], {}   # one envelope per probe
+    for params, probe, stark, coupling in runs:
         flip = check_window(probe, schedule, grid.t_max)
         limits.append(check_step(params, schedule, grid, params.raman_ratio,
-                                 *(m.stark.rates if m.stark else ())))
-    ref = {m: replace(m, stark=None) for _, m in runs if m.stark is not None}
-    members = list(dict.fromkeys([m for _, m in runs] + [*ref.values()]))
+                                 *(stark.rates if stark else ())))
+        run_members.append(Member(
+            probes.setdefault(probe, probe).envelope, params.raman_ratio,
+            params.coupling_density, coupling=coupling, decay=params.gamma0,
+            stark=stark))
+    ref = {m: replace(m, stark=None) for m in run_members if m.stark}
+    members = list(dict.fromkeys(run_members + [*ref.values()]))
     size = max(1, min(4096 // grid.nz,
                       RECORD_BUDGET_BYTES // member_bytes(grid)))
     done, first = {}, on_block and (   # the first run's rows only
         lambda n0, sigma, field: on_block(n0, sigma[:, 0], field[:, 0]))
     for i in range(0, len(members), size):
         chunk = members[i:i + size]
-        exits = march(params, schedule, grid, chunk,
-                      on_block=None if i else first)
+        exits = march(schedule, grid, chunk, on_block=None if i else first)
         for m, exit_field in zip(chunk, exits):
             done[m] = storage_result(exit_field, grid, m.envelope, flip)
     return [replace(done[m], dt_limit=limit,
                     xpm_phase=(done[ref[m]].echo_phase - done[m].echo_phase
                                if m in ref else math.nan))
-            for (_, m), limit in zip(runs, limits)]
+            for m, limit in zip(run_members, limits)]
 
 
 def _window_integral(t: np.ndarray, p: np.ndarray, lo: float, hi: float) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Physical parameters of the Raman storage medium.
+    """Physical parameters of the Raman storage medium (length: Grid.L).
 
     ``coupling_density`` is g*calN, single-atom coupling times effective
     linear atomic density: the field equation sees the two only as this
@@ -34,7 +34,6 @@ class EnsembleParams:
 
     gamma: float = 1.0          # excited-state decay rate (time unit)
     gamma0: float = 0.0         # ground-state decoherence rate
-    L: float = 1.0              # ensemble length
     coupling_density: float = 250.0   # g*calN
     Delta: float = 40.0         # probe Raman detuning
     DeltaPrime: float = 40.0    # signal Raman detuning
@@ -48,8 +47,6 @@ class EnsembleParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.gamma0 < 0:
             raise ValueError(f"gamma0 must be non-negative, got {self.gamma0}")
-        if not (self.L > 0):
-            raise ValueError(f"L must be positive, got {self.L}")
         for name in ("Delta", "DeltaPrime", "delta3", "delta4",
                      "OmegaC", "OmegaCPrime", "coupling_density"):
             v = getattr(self, name)
@@ -188,7 +185,7 @@ class Grid:
     nz: int
     nt: int
     t_max: float
-    L: float
+    L: float = 1.0              # ensemble length
 
     def __post_init__(self):
         for name, n in (("nz", self.nz), ("nt", self.nt)):

@@ -18,7 +18,7 @@ _TWO_PI = 2.0 * math.pi
 #: Baseline storage medium: Raman ratio 0.2, effective absorption
 #: coefficient coupling_density*(OmegaC/Delta)^2 = 10, gradient beta ~ 1.25.
 _BASELINE_ENSEMBLE = {
-    "gamma": 1.0, "gamma0": 0.0, "L": 1.0, "coupling_density": 250.0,
+    "gamma": 1.0, "gamma0": 0.0, "coupling_density": 250.0,
     "Delta": 40.0, "delta3": 400.0, "OmegaC": 8.0,
 }
 
@@ -26,7 +26,7 @@ _BASELINE_ENSEMBLE = {
 #: 0.05, so the signal coherence's coupling-field scattering
 #: gamma*(OmegaCPrime/DeltaPrime)^2 = 2.5e-3 stays negligible over the hold.
 _DOUBLE_ENSEMBLE = {
-    "gamma": 1.0, "gamma0": 0.0, "L": 1.0, "coupling_density": 4000.0,
+    "gamma": 1.0, "gamma0": 0.0, "coupling_density": 4000.0,
     "Delta": 160.0, "DeltaPrime": 160.0, "delta4": 40.0, "OmegaC": 8.0,
     "OmegaCPrime": 8.0,
 }

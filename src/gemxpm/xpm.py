@@ -292,11 +292,12 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
                                        .sum(axis=1)
                                        / np.maximum(w.sum(axis=1), 1e-300))
 
-    held = Member(probe.envelope, params.raman_ratio, coupling=probe_coupling)
-    probe_exit, _, reference_exit = march(
-        params, schedule, grid,
-        [held, Member(signal.envelope, params.raman_ratio_signal,
-                      eta_sign=-1.0, extra_decay=sig_loss), held], cross,
+    held = Member(probe.envelope, params.raman_ratio, params.coupling_density,
+                  coupling=probe_coupling, decay=params.gamma0)
+    probe_exit, _, reference_exit = march(schedule, grid, [
+        held, Member(signal.envelope, params.raman_ratio_signal,
+                     params.coupling_density, eta_sign=-1.0,
+                     decay=params.gamma0 + sig_loss), held], cross,
         on_block=reduce)
     probe_result = storage_result(probe_exit, grid, probe.envelope, flip)
     reference = storage_result(reference_exit, grid, probe.envelope, flip)

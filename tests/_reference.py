@@ -52,10 +52,10 @@ from gemxpm.tomography import QUBIT_DIM, TwoQubitChannel
 
 
 def reference_storage_run(params, envelope, schedule, nz=96, t_max=20.0,
-                          n_eval=1200):
-    z = np.linspace(0.0, params.L, nz)
+                          n_eval=1200, L=1.0):
+    z = np.linspace(0.0, L, nz)
     dz = z[1] - z[0]
-    zeta = z - params.L / 2.0
+    zeta = z - L / 2.0
     ratio = params.OmegaC / params.Delta
     kappa = params.coupling_density
 
@@ -358,7 +358,7 @@ class FullRecords:
         return np.concatenate([e for _, e in self.blocks])
 
 
-def reference_march(params, schedule, grid, members, cross=None):
+def reference_march(schedule, grid, members, cross=None):
     """Advance a (B, nz) stack of coherences, one row per member, by RK4
     steps with the slaved field marched along z at every stage, and return
     (exit fields (B, nt), sigma (nt, B, nz), field (nt, B, nz)).  What
@@ -377,9 +377,10 @@ def reference_march(params, schedule, grid, members, cross=None):
                  else np.ones_like(stage_t))
     env = table(lambda m: m.envelope(stage_t))
     ratio = np.array([m.ratio for m in members])[:, None]
-    src = (1j * params.coupling_density * ratio) * mult
+    density = np.array([m.coupling_density for m in members])[:, None]
+    src = (1j * density * ratio) * mult
     gain = (1j * ratio) * mult
-    decay0 = np.array([params.gamma0 + m.extra_decay for m in members])
+    decay0 = np.array([m.decay for m in members])
     stark = any(m.stark is not None for m in members)
     if stark:
         loss = table(lambda m: m.stark.c_loss * m.stark.intensity(stage_t)
@@ -394,7 +395,7 @@ def reference_march(params, schedule, grid, members, cross=None):
     rows, which = np.unique(eta.reshape(-1, len(members)), axis=0,
                             return_inverse=True)
     which = which.reshape(stage_t.shape)
-    eta_zeta = rows[:, :, None] * (grid.z - params.L / 2.0)
+    eta_zeta = rows[:, :, None] * (grid.z - grid.L / 2.0)
     fixed = -(decay0[:, None] + 1j * eta_zeta)
 
     def coefficient(n, s, e):

@@ -29,7 +29,7 @@ def baseline_schedule():
 
 @pytest.fixture(scope="session")
 def baseline_grid(baseline_params):
-    return Grid(nz=256, nt=4096, t_max=20.0, L=baseline_params.L)
+    return Grid(nz=256, nt=4096, t_max=20.0)
 
 
 @pytest.fixture(scope="session")

@@ -118,7 +118,7 @@ def test_criterion_04_storage_baseline():
     probe = PulseSpec(1.0, 3.0, 1.0)
     eta = 8.0
     schedule = GradientSchedule(((0.0, 9.0, eta), (9.0, 20.0, -eta)))
-    grid = Grid(nz=256, nt=4096, t_max=20.0, L=params.L)
+    grid = Grid(nz=256, nt=4096, t_max=20.0)
     records = FullRecords()
     res = propagate(params, probe, schedule, grid, on_block=records)
     sigma, field = records.sigma, records.field
@@ -131,7 +131,7 @@ def test_criterion_04_storage_baseline():
                                                 params, grid))
     # drift rate is -eta with the exp(-ikz) spatial transform
     line = kk[0] - eta * (t_axis[mask] - t_axis[mask][0])
-    dev_bins = float(np.max(np.abs(kk - line)) / (TWO_PI / params.L))
+    dev_bins = float(np.max(np.abs(kk - line)) / (TWO_PI / grid.L))
     wall = time.perf_counter() - t0
     ok = (res.efficiency > 0.8
           and all(r is not None and r < 1e-2 for r in residuals)
@@ -150,7 +150,7 @@ def test_criterion_05_scattering_consistency():
                                  (16.0, 26.0, -8.0)))
     coupling = PiecewiseConstant(((0.0, 6.0, 1.0), (6.0, 16.0, 0.0),
                                   (16.0, 26.0, 1.0)))
-    grid = Grid(nz=256, nt=4096, t_max=26.0, L=params.L)
+    grid = Grid(nz=256, nt=4096, t_max=26.0)
     target_exponent = 2.02
     hold = 10.0
     intensity = target_exponent / (2.0 * hold / params.gamma)

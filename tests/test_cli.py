@@ -53,9 +53,9 @@ def record_march_sizes(monkeypatch):
     from gemxpm import gem
     sizes, march = [], gem.march
 
-    def sized(params, schedule, grid, members, *args, **kwargs):
+    def sized(schedule, grid, members, *args, **kwargs):
         sizes.append(len(members))
-        return march(params, schedule, grid, members, *args, **kwargs)
+        return march(schedule, grid, members, *args, **kwargs)
 
     monkeypatch.setattr(gem, "march", sized)
     return sizes
@@ -390,17 +390,18 @@ class TestConfigValidation:
     @pytest.mark.parametrize("base, key", [
         (STORAGE_CONFIG, "delta4"), (STORAGE_CONFIG, "DeltaPrime"),
         (STORAGE_CONFIG, "OmegaCPrime"), (XPM_DOUBLE, "delta3"),
-        (XPM_FREE, "OmegaC"), (XPM_FREE, "L"),
+        (XPM_FREE, "OmegaC"),
         *((b, k) for b in (STORAGE_CONFIG, XPM_DOUBLE, XPM_FREE)
-          for k in ("g", "calN"))],
+          for k in ("g", "calN", "L"))],
         ids=["storage_delta4", "storage_DeltaPrime", "storage_OmegaCPrime",
-             "xpm_double_delta3", "xpm_free_OmegaC", "xpm_free_L",
+             "xpm_double_delta3", "xpm_free_OmegaC",
              *(f"{b}_{k}" for b in ("storage", "xpm_double", "xpm_free")
-               for k in ("g", "calN"))])
+               for k in ("g", "calN", "L"))])
     def test_ensemble_key_the_kind_does_not_read_refused(self, tmp_path,
                                                          capsys, base, key):
         # each ran at the field's default, or g and calN, now the one key
-        # coupling_density, set the same number twice
+        # coupling_density, set the same number twice; the cell length is
+        # grid.L, never an ensemble key
         cfg = dict(base, ensemble={**base.get("ensemble", {}), key: 1.0})
         assert main(["simulate", write_yaml(tmp_path, cfg),
                      "--out", str(tmp_path / "out")]) == 2
@@ -506,10 +507,10 @@ class TestRoundTrip:
             cfg.kind, set())
 
     @pytest.mark.parametrize("preset, keys", [
-        ("storage_baseline", {"gamma", "gamma0", "L", "coupling_density",
+        ("storage_baseline", {"gamma", "gamma0", "coupling_density",
                               "Delta", "delta3", "OmegaC"}),
         ("fig2a_theory", {"gamma", "delta3"}),
-        ("fig3b_double", {"gamma", "gamma0", "L", "coupling_density",
+        ("fig3b_double", {"gamma", "gamma0", "coupling_density",
                           "Delta", "DeltaPrime", "delta4", "OmegaC",
                           "OmegaCPrime"})])
     def test_ensemble_echo_holds_the_kinds_keys(self, preset, keys):
@@ -530,6 +531,42 @@ class TestRoundTrip:
     def test_storage_roundtrip(self):
         cfg = parse_config(STORAGE_CONFIG)
         assert parse_config(config_to_dict(cfg)) == cfg
+
+    def test_grid_length_is_a_grid_key(self):
+        # L lives on the grid alone: default 1, echoed, and read back
+        cfg = parse_config(STORAGE_CONFIG)
+        assert cfg.grid.L == 1.0 and "L" not in config_to_dict(cfg)["ensemble"]
+        long = parse_config(dict(STORAGE_CONFIG,
+                                 grid=dict(STORAGE_CONFIG["grid"], L=2.0)))
+        assert config_to_dict(long)["grid"]["L"] == 2.0
+        assert long.grid.dz == 2.0 * cfg.grid.dz
+        assert parse_config(config_to_dict(long)) == long
+
+    def test_lab_unit_sweep_echoes_resolved(self, tmp_path):
+        # a sweep echoes its base as its first point, resolved, and its
+        # values in gamma-units, so a lab-unit sweep round-trips and
+        # echoes, hashes and tabulates as the gamma-unit sweep of the same
+        # points
+        def sweep(base, values):
+            return parse_config({
+                "experiment": "sweep", "name": "taus",
+                "sweep": {"path": "xpm_free.tau", "values": values},
+                "base": {"experiment": "xpm-free", **base}})
+
+        lab = sweep({"units": {"system": "lab", "gamma": 2.0},
+                     "xpm_free": {"omega_s": [1.0], "tau": 1.0}}, [1.0, 3.0])
+        gamma = sweep({"xpm_free": {"omega_s": [0.5], "tau": 2.0}},
+                      [2.0, 6.0])
+        echo = config_to_dict(lab)
+        assert "units" not in echo["base"]
+        assert echo["sweep"]["values"] == [2.0, 6.0]
+        assert parse_config(echo) == lab
+        assert lab.points == gamma.points
+        assert config_hash(echo) == config_hash(config_to_dict(gamma))
+        run_config(lab, tmp_path / "lab")
+        run_config(gamma, tmp_path / "gamma")
+        assert csv_body(tmp_path / "lab" / "taus.csv") == \
+            csv_body(tmp_path / "gamma" / "taus.csv")
 
 
 class TestRunStorage:
@@ -753,6 +790,49 @@ class TestSweep:
         rows = body.strip().splitlines()[1:]
         assert [float(r.split(",")[0]) for r in rows] == [2.0, 0.5, 1.0]
 
+    def test_units_sweep_refused(self, tmp_path, capsys):
+        # a gamma-unit echo cannot say which lab unit a point ran in
+        cfg = {"experiment": "sweep",
+               "sweep": {"path": "units.gamma", "values": [1.0, 2.0]},
+               "base": {"experiment": "xpm-free",
+                        "units": {"system": "lab", "gamma": 2.0},
+                        "xpm_free": {"omega_s": [1.0], "tau": 1.0}}}
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error at 'sweep.path': a sweep cannot set units" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, values", [
+        ("delta3", [-400.0, 40.0, 100.0, 400.0, 1000.0]),
+        ("gamma0", [0.0, 0.01, 0.02, 0.05, 0.1]),
+        ("OmegaC", [6.0, 7.0, 8.0, 9.0, 10.0]),
+        ("coupling_density", [150.0, 200.0, 250.0, 300.0, 350.0])])
+    def test_ensemble_sweep_is_one_march(self, tmp_path, monkeypatch, key,
+                                         values):
+        # storage points on one schedule and grid march together whatever
+        # their ensembles: five driven points and their references, which
+        # are one member when only the signal's detuning differs; each
+        # row is its own point's propagate, byte for byte
+        raw = get_preset("fig2b_spm")
+        raw["sweep"] = {"path": f"ensemble.{key}", "values": values}
+        cfg = parse_config(raw)
+        rows = []
+        for v, p in zip(values, cfg.points):
+            r = propagate(p.ensemble, p.probe, p.schedule, p.grid,
+                          stark=apply_stark_drive(p.signal, p.ensemble,
+                                                  p.ensemble.delta3))
+            rows.append([v, r.efficiency, r.echo_phase, r.xpm_phase])
+        swept = SWEPT["storage"]
+        expected = ResultTable([key] + [c for c, _, _ in swept],
+                               ["1"] + [u for _, _, u in swept], rows)
+        sizes = record_march_sizes(monkeypatch)
+        run_config(cfg, tmp_path)
+        assert sizes == [6 if key == "delta3" else 10]
+        assert csv_body(tmp_path / "fig2b_spm.csv") == \
+            "\n".join(expected.body_lines()) + "\n"
+
     def test_set_sweep_value_deep_copy(self):
         base = dict(STORAGE_CONFIG)
         out = set_sweep_value(base, "probe.peak_amplitude", 7.0)
@@ -783,7 +863,7 @@ class TestSweep:
     ], ids=["probe_undriven", "probe_driven", "signal", "grid_nt"])
     def test_storage_rows_equal_propagate(self, tmp_path, path, values,
                                           signal):
-        # one batch per (ensemble, schedule, grid), marched at nz = 32:
+        # one batch per (schedule, grid), marched at nz = 32:
         # each row is its own point's propagate, NaN xpm phase included
         base = dict(STORAGE_CONFIG, grid={"nz": 32, "nt": 512, "t_max": 20.0})
         if signal is not None:

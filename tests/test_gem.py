@@ -26,15 +26,17 @@ HOLD_SCHEDULE = GradientSchedule(((0.0, 8.0, 8.0), (8.0, 12.0, 0.0),
 
 def mixed_members(p, drive):
     """Four members that differ in every Member field; the second and
-    third carry ``drive``."""
+    third carry ``drive``, and the fourth its own coupling density and
+    decay."""
+    density = p.coupling_density
     return [
-        Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio),
-        Member(PulseSpec(0.3, 2.5, 0.7).envelope, p.raman_ratio,
+        Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio, density),
+        Member(PulseSpec(0.3, 2.5, 0.7).envelope, p.raman_ratio, density,
                stark=drive),
-        Member(PulseSpec(0.6, 3.0, 0.8).envelope, p.raman_ratio,
+        Member(PulseSpec(0.6, 3.0, 0.8).envelope, p.raman_ratio, density,
                stark=drive),
         Member(PulseSpec(2.0, 3.5, 1.2).envelope, 0.5 * p.raman_ratio,
-               eta_sign=-1.0, extra_decay=0.05,
+               0.6 * density, eta_sign=-1.0, decay=0.05,
                coupling=PiecewiseConstant(((0.0, 7.0, 1.0),
                                            (7.0, 12.0, 0.0),
                                            (12.0, 20.0, 1.0)))),
@@ -46,11 +48,12 @@ def held_pair(p):
     batch, with the cross drive of the signal on the probe over the hold
     [8, 12) of HOLD_SCHEDULE."""
     held = Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio,
+                  p.coupling_density,
                   coupling=PiecewiseConstant(((0.0, 8.0, 1.0),
                                               (8.0, 12.0, 0.0),
                                               (12.0, 20.0, 1.0))))
     signal = Member(PulseSpec(0.5, 5.0, 0.8).envelope, p.raman_ratio_signal,
-                    eta_sign=-1.0, extra_decay=0.3)
+                    p.coupling_density, eta_sign=-1.0, decay=0.3)
     return ([held, signal, held],
             CrossDrive(1, 0, (8.0, 12.0), 0.25,
                        *light_shift(p.gamma, p.delta4)))
@@ -132,7 +135,7 @@ class TestPropagate:
     def test_empty_medium_passes_pulse(self, baseline_probe,
                                        baseline_schedule):
         p = EnsembleParams(coupling_density=1e-30)
-        grid = Grid(nz=64, nt=2048, t_max=20.0, L=p.L)
+        grid = Grid(nz=64, nt=2048, t_max=20.0)
         res = propagate(p, baseline_probe, baseline_schedule, grid)
         t = grid.t
         out = np.abs(res.exit_field)
@@ -149,15 +152,16 @@ class TestPropagate:
         time-mirrored input, and the independent coarse-grid integrator
         must agree on the recall efficiency."""
         sched = GradientSchedule(((0.0, 9.0, 8.0), (9.0, 20.0, -8.0)))
-        grid = Grid(nz=192, nt=3072, t_max=20.0, L=baseline_params.L)
+        grid = Grid(nz=192, nt=3072, t_max=20.0)
         main = PulseSpec(1.0, 2.6, 0.7)
         side = PulseSpec(0.45, 4.4, 0.5)
 
         def envelope(t):
             return main.envelope(t) + side.envelope(t)
 
-        (exit_field,) = march(baseline_params, sched, grid,
-                              [Member(envelope, baseline_params.raman_ratio)])
+        p = baseline_params
+        (exit_field,) = march(sched, grid, [
+            Member(envelope, p.raman_ratio, p.coupling_density)])
         res = storage_result(exit_field, grid, envelope, 9.0)
         t = grid.t
         inp = np.abs(envelope(t))
@@ -231,7 +235,7 @@ class TestPropagate:
 
     def test_grid_convergence(self, baseline_params, baseline_probe,
                               baseline_schedule, baseline_run):
-        coarse = Grid(nz=128, nt=2048, t_max=20.0, L=baseline_params.L)
+        coarse = Grid(nz=128, nt=2048, t_max=20.0)
         res = propagate(baseline_params, baseline_probe, baseline_schedule,
                         coarse)
         assert abs(res.efficiency - baseline_run.efficiency) < 0.01
@@ -239,7 +243,7 @@ class TestPropagate:
     def test_stability_rejection_reports_required_dt(self, baseline_params,
                                                      baseline_probe):
         sched = GradientSchedule(((0.0, 9.0, 500.0), (9.0, 20.0, -500.0)))
-        grid = Grid(nz=32, nt=64, t_max=20.0, L=baseline_params.L)
+        grid = Grid(nz=32, nt=64, t_max=20.0)
         with pytest.raises(StabilityError) as err:
             propagate(baseline_params, baseline_probe, sched, grid)
         assert err.value.dt_required < grid.dt
@@ -249,8 +253,9 @@ class TestPropagate:
                                                 baseline_schedule,
                                                 baseline_grid, baseline_run):
         p = baseline_params
-        rate = (p.gamma0 + baseline_schedule.max_abs_eta * p.L / 2.0
-                + p.coupling_density * p.raman_ratio ** 2 * p.L / TWO_PI)
+        L = baseline_grid.L
+        rate = (p.gamma0 + baseline_schedule.max_abs_eta * L / 2.0
+                + p.coupling_density * p.raman_ratio ** 2 * L / TWO_PI)
         limit = check_step(p, baseline_schedule, baseline_grid, p.raman_ratio)
         assert limit == 1.0 / rate
         assert 0.0 < baseline_grid.dt / limit < 1.0
@@ -306,7 +311,7 @@ class TestPropagate:
         # no gradient flip leaves the echo window [flip, t_max] empty:
         # nothing is recalled and both phases are NaN
         sched = GradientSchedule(((0.0, 20.0, 8.0),))
-        grid = Grid(nz=64, nt=1024, t_max=20.0, L=baseline_params.L)
+        grid = Grid(nz=64, nt=1024, t_max=20.0)
         res = propagate(baseline_params, baseline_probe, sched, grid)
         assert res.flip_time is None
         assert res.efficiency == 0.0 and res.echo_energy == 0.0
@@ -314,7 +319,7 @@ class TestPropagate:
 
     def test_schedule_must_cover_grid(self, baseline_params, baseline_probe):
         sched = GradientSchedule(((0.0, 5.0, 8.0), (5.0, 10.0, -8.0)))
-        grid = Grid(nz=32, nt=512, t_max=20.0, L=baseline_params.L)
+        grid = Grid(nz=32, nt=512, t_max=20.0)
         with pytest.raises(ValueError):
             propagate(baseline_params, baseline_probe, sched, grid)
 
@@ -329,18 +334,18 @@ class TestBatchedMarch:
         # marched with: its exit face is the exit field, its entry face
         # the input.
         p = baseline_params
-        grid = Grid(nz=63, nt=700, t_max=20.0, L=p.L)
+        grid = Grid(nz=63, nt=700, t_max=20.0)
         drive = (apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
                                    detuning=p.delta3) if with_stark else None)
         members = mixed_members(p, drive)
         batch = FullRecords()
-        exits = march(p, baseline_schedule, grid, members, on_block=batch)
+        exits = march(baseline_schedule, grid, members, on_block=batch)
         assert [len(s) for s, _ in batch.blocks] == [
             min(BLOCK_ROWS, grid.nt - n0) for n0 in range(0, grid.nt,
                                                           BLOCK_ROWS)]
         for b, member in enumerate(members):
             alone = FullRecords()
-            (exit_alone,) = march(p, baseline_schedule, grid, [member],
+            (exit_alone,) = march(baseline_schedule, grid, [member],
                                   on_block=alone)
             assert np.array_equal(exits[b], exit_alone)
             assert np.array_equal(batch.sigma[:, b], alone.sigma[:, 0])
@@ -349,7 +354,7 @@ class TestBatchedMarch:
             assert np.array_equal(field[:, -1], exits[b])
             assert np.array_equal(field[:, 0], member.envelope(grid.t))
         # an exit-only march returns the same exit fields
-        assert np.array_equal(march(p, baseline_schedule, grid, members),
+        assert np.array_equal(march(baseline_schedule, grid, members),
                               exits)
 
     @pytest.mark.parametrize("case, nz", [
@@ -362,7 +367,7 @@ class TestBatchedMarch:
         # equal that march's whole records bit for bit, signed zeros
         # included, on even, odd and two-point grids
         p = baseline_params
-        grid = Grid(nz=nz, nt=500, t_max=20.0, L=p.L)
+        grid = Grid(nz=nz, nt=500, t_max=20.0)
         drive = apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
                                   detuning=p.delta3)
         schedule, cross = baseline_schedule, None
@@ -374,8 +379,8 @@ class TestBatchedMarch:
             schedule = HOLD_SCHEDULE
             members, cross = held_pair(p)
         got = FullRecords()
-        exits = march(p, schedule, grid, members, cross, on_block=got)
-        want = reference_march(p, schedule, grid, members, cross)
+        exits = march(schedule, grid, members, cross, on_block=got)
+        want = reference_march(schedule, grid, members, cross)
         for a, b in zip((exits, got.sigma, got.field), want):
             assert np.array_equal(a, b)
             assert a.tobytes() == b.tobytes()
@@ -390,12 +395,12 @@ class TestBatchedMarch:
         members[driven] = dataclasses.replace(
             members[driven], stark=apply_stark_drive(
                 PulseSpec(0.8, 9.0, 1.0), p, detuning=p.delta4))
-        grid = Grid(nz=1024, nt=2001, t_max=20.0, L=p.L)
+        grid = Grid(nz=1024, nt=2001, t_max=20.0)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             with pytest.raises(ValueError, match="not both"):
-                march(p, HOLD_SCHEDULE, grid, members, cross)
+                march(HOLD_SCHEDULE, grid, members, cross)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -406,7 +411,7 @@ class TestBatchedMarch:
         p = baseline_params
         drive = apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
                                   detuning=p.delta3)
-        assert_steps_allocate_nothing(monkeypatch, p, baseline_schedule,
+        assert_steps_allocate_nothing(monkeypatch, baseline_schedule,
                                       mixed_members(p, drive)[1:])
 
     def test_cross_driven_steps_allocate_nothing(self, baseline_params,
@@ -414,11 +419,11 @@ class TestBatchedMarch:
         # the cross drive's coefficient is formed in the march's scratch
         # (the march that formed it afresh grew by 1.35 stage arrays here)
         members, cross = held_pair(baseline_params)
-        assert_steps_allocate_nothing(monkeypatch, baseline_params,
-                                      HOLD_SCHEDULE, members, cross)
+        assert_steps_allocate_nothing(monkeypatch, HOLD_SCHEDULE, members,
+                                      cross)
 
 
-def assert_steps_allocate_nothing(monkeypatch, p, schedule, members,
+def assert_steps_allocate_nothing(monkeypatch, schedule, members,
                                   cross=None):
     """Every array a step writes exists before the first step: from the
     first step on (the first block's stage tables tabulated), the traced
@@ -429,7 +434,7 @@ def assert_steps_allocate_nothing(monkeypatch, p, schedule, members,
     stays within its stage tables (a few (nt, 3, B) arrays) and about 17
     (B, nz) arrays: the stage buffers, a stage's factors and the per-eta
     coefficients."""
-    grid = Grid(nz=1024, nt=2001, t_max=20.0, L=p.L)
+    grid = Grid(nz=1024, nt=2001, t_max=20.0)
     tables, before_steps = gem._stage_tables, []
 
     def marked_tables(*args):
@@ -443,7 +448,7 @@ def assert_steps_allocate_nothing(monkeypatch, p, schedule, members,
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        exits = march(p, schedule, grid, members, cross)
+        exits = march(schedule, grid, members, cross)
         peak_in_steps = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -458,7 +463,7 @@ def assert_steps_allocate_nothing(monkeypatch, p, schedule, members,
 
 class TestPolariton:
     def test_zero_records_zero_polariton(self, baseline_params):
-        grid = Grid(nz=64, nt=16, t_max=1.0, L=baseline_params.L)
+        grid = Grid(nz=64, nt=16, t_max=1.0)
         z = np.zeros((16, 64), dtype=complex)
         _, psi = polariton_transform(z, z, baseline_params, grid)
         assert np.all(psi == 0)
@@ -466,13 +471,13 @@ class TestPolariton:
                                        grid) == 0.0
 
     def test_plane_wave_peak(self, baseline_params):
-        grid = Grid(nz=256, nt=4, t_max=1.0, L=baseline_params.L)
-        k0 = 12 * TWO_PI / baseline_params.L
+        grid = Grid(nz=256, nt=4, t_max=1.0)
+        k0 = 12 * TWO_PI / grid.L
         window = np.exp(-((grid.z - 0.5) / 0.2) ** 2)
         coh = np.tile(window * np.exp(1j * k0 * grid.z), (4, 1))
         k, sk = spatial_spectrum(coh, grid)
         peak = k[np.argmax(np.abs(sk[0]))]
-        assert abs(peak - k0) <= TWO_PI / baseline_params.L + 1e-9
+        assert abs(peak - k0) <= TWO_PI / grid.L + 1e-9
 
     def test_k_axis_symmetric(self, baseline_records, baseline_params,
                               baseline_grid):
@@ -538,7 +543,7 @@ class TestPolariton:
         # with the exp(-ikz) transform the drift rate is -eta
         line = kk[mask][0] - 8.0 * (t[mask] - t[mask][0])
         dev = np.max(np.abs(kk[mask] - line))
-        assert dev <= TWO_PI / baseline_params.L
+        assert dev <= TWO_PI / baseline_grid.L
 
     def test_peak_k_tie_rule_matches_loop(self):
         # exact +-k ties, near-ties inside and outside the 1e-9 band, and
@@ -574,7 +579,7 @@ class TestPolariton:
         # relation check must signal the off condition instead of a number
         sched = GradientSchedule(((0.0, 6.0, 8.0), (6.0, 14.0, 0.0)))
         coupling = PiecewiseConstant(((0.0, 6.0, 1.0), (6.0, 14.0, 0.0)))
-        grid = Grid(nz=192, nt=3072, t_max=14.0, L=baseline_params.L)
+        grid = Grid(nz=192, nt=3072, t_max=14.0)
         records = FullRecords()
         propagate(baseline_params, baseline_probe, sched, grid,
                   coupling=coupling, on_block=records)
@@ -608,7 +613,7 @@ class TestGroupVelocity:
         p = EnsembleParams(coupling_density=400.0)
         eta = TWO_PI * 255.0 / 256.0
         sched = GradientSchedule(((0.0, 20.0, eta), (20.0, 30.0, 0.0)))
-        grid = Grid(nz=256, nt=8192, t_max=30.0, L=p.L)
+        grid = Grid(nz=256, nt=8192, t_max=30.0)
         records = FullRecords()
         propagate(p, PulseSpec(1.0, 4.0, 2.0), sched, grid, on_block=records)
         t = grid.t

@@ -10,32 +10,31 @@ from gemxpm import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
 
 class TestBuildGrid:
     def test_spacing(self):
-        p = EnsembleParams(L=1.0)
-        g = Grid(nz=11, nt=11, t_max=1.0, L=p.L)
+        g = Grid(nz=11, nt=11, t_max=1.0, L=1.0)
         assert g.dz == pytest.approx(0.1)
         assert g.dt == pytest.approx(0.1)
 
     def test_two_point_axis(self):
-        p = EnsembleParams(L=2.0)
-        g = Grid(nz=2, nt=5, t_max=1.0, L=p.L)
+        g = Grid(nz=2, nt=5, t_max=1.0, L=2.0)
         assert g.dz == pytest.approx(2.0)
         assert g.z.tolist() == [0.0, 2.0]
 
     def test_rejects_nonpositive(self):
-        p = EnsembleParams()
         with pytest.raises(ValueError):
-            Grid(nz=0, nt=16, t_max=1.0, L=p.L)
+            Grid(nz=0, nt=16, t_max=1.0)
         with pytest.raises(ValueError):
-            Grid(nz=16, nt=1, t_max=1.0, L=p.L)
+            Grid(nz=16, nt=1, t_max=1.0)
         with pytest.raises(ValueError):
-            Grid(nz=16, nt=16, t_max=-1.0, L=p.L)
+            Grid(nz=16, nt=16, t_max=-1.0)
+        with pytest.raises(ValueError):
+            Grid(nz=16, nt=16, t_max=1.0, L=0.0)
 
     def test_rejects_overflow_scale(self):
         with pytest.raises(ValueError):
-            Grid(nz=1 << 30, nt=16, t_max=1.0, L=EnsembleParams().L)
+            Grid(nz=1 << 30, nt=16, t_max=1.0)
 
     def test_axes_uniform(self):
-        g = Grid(nz=64, nt=48, t_max=7.0, L=EnsembleParams().L)
+        g = Grid(nz=64, nt=48, t_max=7.0)
         assert np.allclose(np.diff(g.z), g.dz)
         assert np.allclose(np.diff(g.t), g.dt)
 

@@ -188,7 +188,7 @@ class TestSinglePhotonEstimate:
             constants.c, constants.epsilon_0, constants.hbar)
 
 
-DOUBLE_GRID = Grid(nz=256, nt=8192, t_max=34.0, L=DOUBLE_PARAMS.L)
+DOUBLE_GRID = Grid(nz=256, nt=8192, t_max=34.0)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,7 @@ def double_run():
 
 class TestDoubleStorage:
     def test_zero_signal_zero_phase(self):
-        grid = Grid(nz=128, nt=4096, t_max=34.0, L=DOUBLE_PARAMS.L)
+        grid = Grid(nz=128, nt=4096, t_max=34.0)
         res = double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE,
                                  PulseSpec(0.0, 6.0, 1.0),
                                  double_schedule(), grid)
@@ -226,7 +226,7 @@ class TestDoubleStorage:
         assert double_run.xpm.phase == pytest.approx(chk.phase, rel=0.10)
 
     def test_hold_doubling_doubles_phase(self, double_run):
-        grid2 = Grid(nz=256, nt=10240, t_max=44.0, L=DOUBLE_PARAMS.L)
+        grid2 = Grid(nz=256, nt=10240, t_max=44.0)
         res2 = double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE, DOUBLE_SIGNAL,
                                   double_schedule(tau2=31.0), grid2)
         ratio = res2.xpm.phase / double_run.xpm.phase
@@ -244,7 +244,7 @@ class TestDoubleStorage:
         assert ks[hold].max() == ks[hold].min()
 
     def test_protocol_violations_rejected(self):
-        grid = Grid(nz=64, nt=2048, t_max=34.0, L=DOUBLE_PARAMS.L)
+        grid = Grid(nz=64, nt=2048, t_max=34.0)
         no_hold = GradientSchedule(((0.0, 21.0, TWO_PI), (21.0, 34.0, -TWO_PI)))
         with pytest.raises(ProtocolError, match="required pattern"):
             double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE, DOUBLE_SIGNAL,
