@@ -38,8 +38,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .config import (ExperimentConfig, config_to_dict, load_config,
-                     parse_config)
+from .config import (ExperimentConfig, config_to_dict, key_unit,
+                     load_config, parse_config)
 from .errors import ConfigError, GemXpmError
 from .gate import phase_trace
 from .gem import (StarkDrive, apply_stark_drive, excitation_balance,
@@ -229,6 +229,7 @@ def _run_gate(cfg: ExperimentConfig):
         "t_end": gate.t_end,
         "max_trace_drift": trace.max_trace_drift,
         "final_min_eigenvalue": trace.min_eigenvalue,
+        **trace.blocks,
     }
     return table, results, _phi_targets_report(cfg, phi_end, {})
 
@@ -271,6 +272,7 @@ def _run_tomography(cfg: ExperimentConfig):
             "trace_preserving": chi.trace_preserving,
         },
         "max_leakage": channel.max_leakage,
+        **channel.blocks,
     }
     return table, results, report
 
@@ -335,8 +337,9 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
     columns = [c for c, _, _ in swept]
     rows = [[v] + [by_index[i][key] for _, key, _ in swept]
             for i, v in enumerate(values)]
-    table = ResultTable(columns=[cfg.sweep.path.split(".")[-1]] + columns,
-                        units=["1"] + [u for _, _, u in swept],
+    axis = cfg.sweep.path.split(".")[-1]
+    table = ResultTable(columns=[axis] + columns,
+                        units=[key_unit(axis)] + [u for _, _, u in swept],
                         values=np.array(rows))
     results = {
         "axis_path": cfg.sweep.path,

@@ -66,6 +66,13 @@ _RATES = frozenset(("gamma", "gamma0", "g", "coupling_density", "Delta",
 _TIMES = frozenset(("center_time", "duration", "t_max", "tau", "t_end",
                     "t_gate"))
 
+
+def key_unit(key: str) -> str:
+    """The gamma-unit of the values of config key ``key``, as a CSV header
+    names it."""
+    return "gamma" if key in _RATES else "1/gamma" if key in _TIMES else "1"
+
+
 @dataclass(frozen=True)
 class XpmFreeSpec:
     omega_s: Tuple[float, ...]

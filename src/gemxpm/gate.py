@@ -27,25 +27,21 @@ The master equation d(rho)/dt = L rho has a constant 784x784 Liouvillian
 L, so every time evolution here is exact: rho(t) = exp(L t) rho(0).  L is
 sparse and is built by index arithmetic on H's nonzeros and the decay
 channels.  It splits into small weakly connected blocks, and ``propagator``
-builds exp(L t) with one ``expm`` per block that the state it acts on, or
-its adjoint, reaches (12 of 149 for ``initial_state()``).  Each is
-pre-scaled so that ``expm`` does only its Pade step, and squared in scipy's
-BLAS: numpy and scipy each bundle an OpenBLAS thread pool, and alternating
-them on the 42-wide block, which OpenBLAS threads, stalls both.
+builds exp(L t) on the blocks that the state it acts on, or its adjoint,
+reaches (12 of 149 for ``initial_state()``): each is pre-scaled, takes
+one Pade-13 step and is squared back, one numpy stack per block width.
+The engine needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import NumericalError, ProjectionError, UndefinedPhaseError
-
-if TYPE_CHECKING:   # annotations only: storage runs never import scipy
-    from scipy.sparse import csr_array
 
 LEVELS: Tuple[str, ...] = ("1", "2", "3", "4", "1p", "2p", "3p")
 N_LEVELS = 7
@@ -189,6 +185,7 @@ class Trajectory:
 
     times: np.ndarray            # (n,)
     states: np.ndarray           # (n, DIM, DIM)
+    blocks: Optional[Dict[str, int]] = None   # its propagator's structure
 
     @property
     def final(self) -> np.ndarray:
@@ -223,7 +220,27 @@ def evolve(rho0: np.ndarray, H: np.ndarray, gamma: float, t_end: float,
         if not abs(tr - 1.0) <= 1e-6:   # NaN fails too
             raise NumericalError(f"trace drifted to {tr:.9f} at t={t:.4f}")
         states[i] = rho
-    return Trajectory(times=times, states=states)
+    return Trajectory(times=times, states=states, blocks=prop.structure)
+
+
+#: Row and column indices of the coherences <1,n_p,n_s| rho |2,n_p,n_s>,
+#: n_s along the first axis and n_p along the second.
+_COHERENCES = tuple(np.array([[basis_index(level, n_p, n_s) for n_p in (0, 1)]
+                              for n_s in (0, 1)]) for level in ("1", "2"))
+#: Row and column indices of the block rho[QUBIT_BASIS, QUBIT_BASIS].
+_QUBIT_BLOCK = np.ix_(QUBIT_BASIS, QUBIT_BASIS)
+
+
+def _coherences(rho: np.ndarray) -> np.ndarray:
+    """The p-traced coherences <1,n_s| rho~ |2,n_s>, n_s = 0, 1, on the
+    last axis, of one rho or a stack of them."""
+    return np.asarray(rho)[(..., *_COHERENCES)].sum(axis=-1)
+
+
+def _phase_defined(c: np.ndarray) -> np.ndarray:
+    """Whether both coherences of c are finite and at least 1e-14 (NaN
+    fails)."""
+    return ((1e-14 <= np.abs(c)) & (np.abs(c) < math.inf)).all(axis=-1)
 
 
 def conditional_phase(rho: np.ndarray) -> float:
@@ -237,38 +254,44 @@ def conditional_phase(rho: np.ndarray) -> float:
     Raises UndefinedPhaseError when either conditional coherence magnitude
     falls below 1e-14 or is not finite.
     """
-    rho = np.asarray(rho)
-    c0, c1 = (sum(rho[basis_index("1", n_p, n_s), basis_index("2", n_p, n_s)]
-                  for n_p in (0, 1)) for n_s in (0, 1))
-    if not all(1e-14 <= abs(c) < math.inf for c in (c0, c1)):   # NaN fails
+    c0, c1 = c = _coherences(rho)
+    if not _phase_defined(c):
         raise UndefinedPhaseError(
             f"conditional coherences not finite or below 1e-14 "
             f"(|c0|={abs(c0):.3e}, |c1|={abs(c1):.3e})")
     return float(np.angle(c1 * np.conj(c0)))
 
 
-def two_qubit_block(rho: np.ndarray) -> Tuple[np.ndarray, float]:
+def two_qubit_block(rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Project onto the two-qubit subspace: s occupation (x) atomic
     {|1>, |2>}, with no p photon.
 
-    Returns the unnormalised 4x4 block on ``QUBIT_BASIS`` and its weight.
-    Weight left in p = 1 states, excited levels, or the primed sector
-    counts as leakage.
+    Returns the unnormalised 4x4 block on ``QUBIT_BASIS`` and its weight,
+    for one rho or each of a stack.  Weight left in p = 1 states, excited
+    levels, or the primed sector counts as leakage.
     """
-    q = np.asarray(rho)[np.ix_(QUBIT_BASIS, QUBIT_BASIS)]
-    return q, float(q.trace().real)
+    q = np.asarray(rho)[(..., *_QUBIT_BLOCK)]
+    return q, np.trace(q, axis1=-2, axis2=-1).real
 
 
 def ideal_image_state(phi: float) -> np.ndarray:
     """Two-qubit state a perfect controlled-phase gate of measured
-    conditional phase ``phi`` produces from the initial product state.
+    conditional phase ``phi`` produces from the initial product state (one
+    per entry of an array ``phi``, on the last axis).
 
     The gate multiplies the |1_s, 2> amplitude by exp(-i*phi) so that
     conditional_phase applied to the image reproduces phi.
     """
-    psi = 0.5 * np.ones(4, dtype=complex)
-    psi[3] *= np.exp(-1j * phi)
+    psi = np.full(np.shape(phi) + (4,), 0.5 + 0j)
+    psi[..., 3] *= np.exp(-1j * np.asarray(phi))
     return psi
+
+
+def _overlap(q: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Re <psi|q|psi> with psi = ideal_image_state(phi), for a 4x4 block q
+    or a stack of them."""
+    psi = ideal_image_state(phi)
+    return np.real(psi.conj()[..., None, :] @ q @ psi[..., None])[..., 0, 0]
 
 
 def gate_fidelity(rho: np.ndarray, phi: float) -> float:
@@ -282,9 +305,7 @@ def gate_fidelity(rho: np.ndarray, phi: float) -> float:
     if weight < 1e-6:
         raise ProjectionError(
             f"projection weight {weight:.3e}; state left the qubit subspace")
-    q = q / weight
-    psi = ideal_image_state(phi)
-    return float(np.real(psi.conj() @ q @ psi))
+    return float(_overlap(q / weight, phi))
 
 
 @dataclass(frozen=True)
@@ -296,35 +317,45 @@ class PhaseTrace:
     fidelity: np.ndarray
     max_trace_drift: float      # max |Tr(rho) - 1| over the samples
     min_eigenvalue: float       # lambda_min of the final rho
+    blocks: Dict[str, int]      # the propagator's ``structure``
 
 
 def phase_trace(params: GateParams, t_end: float,
                 n_samples: int) -> PhaseTrace:
     """Run the gate from the standard initial state and trace phi(t), F(t)
-    on np.linspace(0, t_end, n_samples)."""
+    on np.linspace(0, t_end, n_samples).
+
+    phi and F are taken over the whole trajectory at once; a sample where
+    either is undefined raises what ``conditional_phase`` or
+    ``gate_fidelity`` raises on it, at the first such sample.
+    """
     H = build_hamiltonian(params)
     traj = evolve(initial_state(), H, params.gamma, t_end, n_samples)
-    phis = np.empty(traj.times.size)
-    fids = np.empty(traj.times.size)
-    for i, rho in enumerate(traj.states):
-        phis[i] = conditional_phase(rho)
-        fids[i] = gate_fidelity(rho, phis[i])
+    c = _coherences(traj.states)
+    q, weight = two_qubit_block(traj.states)
+    defined = _phase_defined(c) & ~(weight < 1e-6)
+    if not defined.all():
+        rho = traj.states[np.argmin(defined)]
+        gate_fidelity(rho, conditional_phase(rho))
+    phis = np.angle(c[:, 1] * np.conj(c[:, 0]))
+    fids = _overlap(q / weight[:, None, None], phis)
     drift = np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0).max()
     return PhaseTrace(times=traj.times, phi=phis, fidelity=fids,
                       max_trace_drift=float(drift),
-                      min_eigenvalue=float(np.linalg.eigvalsh(traj.final)[0]))
+                      min_eigenvalue=float(np.linalg.eigvalsh(traj.final)[0]),
+                      blocks=traj.blocks)
 
 
-def liouvillian_matrix(H: np.ndarray, gamma: float) -> csr_array:
+def liouvillian_matrix(H: np.ndarray, gamma: float
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Superoperator L with vec(d rho/dt) = L vec(rho) (row-major vec), as
-    a CSR matrix of its nonzeros.
+    the (row, col, value) arrays of its nonzeros in row-major order.
 
     Each term's entries are placed by index arithmetic on H's nonzeros and
     the ``DECAY_CHANNELS``, then summed entry by entry in the order
     -i*(H (x) 1 - 1 (x) H^T), then each channel's
     frac*gamma*(c (x) c* - (c^dag c (x) 1 + 1 (x) (c^dag c)^T)/2).
     """
-    import scipy.sparse as sp   # here, so that storage runs never import scipy
     n = DIM * DIM
     every = np.arange(DIM)[:, None]
     photons = np.arange(4)
@@ -355,61 +386,157 @@ def liouvillian_matrix(H: np.ndarray, gamma: float) -> csr_array:
     for i, (_, _, frac) in enumerate(DECAY_CHANNELS):
         cc, cdc, cdct = (spread(i * 3 + k, 1.0) for k in (2, 3, 4))
         lv = lv + frac * gamma * (cc - 0.5 * (cdc + cdct))
-    out = sp.csr_array((lv, np.divmod(keys, n)), shape=(n, n))
-    out.eliminate_zeros()
-    return out
+    nonzero = lv != 0
+    return (*np.divmod(keys[nonzero], n), lv[nonzero])
+
+
+def _block_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Each of n nodes labelled by the least node of its weakly connected
+    block in the graph with edges (rows, cols)."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]   # a label is a node of the same block, not above it
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+#: Coefficients b_0 .. b_13 of the [13/13] Pade approximant of exp.
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+
+
+def _pade13(a: np.ndarray) -> np.ndarray:
+    """[13/13] Pade approximant r = (V - U)^-1 (V + U) of exp(a), for each
+    matrix of the stack ``a``, taken as r = I + 2 (V - U)^-1 U.
+
+    The identity split keeps the solve's rounding relative to r - I, small
+    for a scaled block, rather than to r, so the squarings that follow do
+    not amplify it (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179).
+    """
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, 2.0 * u)
+    diagonal = np.arange(a.shape[-1])
+    r[..., diagonal, diagonal] += 1.0
+    return r
+
+
+def _expm(a: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """exp of each matrix of the stack ``a`` = L's blocks times t, and the
+    number of squarings s of each.
+
+    A block is scaled by 2^-s, the least s >= 0 that brings its 1-norm
+    below 4.25, where the Pade-13 step is accurate to double precision
+    (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970); the
+    step is then squared s times.  Raises NumericalError when a block's
+    norm or exponential is not finite, at the first square that is not.
+    """
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not np.isfinite(norm).all():
+        raise NumericalError(f"exp(L*t) is not finite at t={t:.6g}")
+    s = np.maximum(0, np.frexp(norm / 4.25)[1])
+    e = _pade13(a * np.ldexp(1.0, -s)[:, None, None])
+    square = 0
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        while np.isfinite(e).all():
+            if square == s.max():
+                return e, s
+            live = s > square
+            e[live] = e[live] @ e[live]
+            square += 1
+    raise NumericalError(f"exp(L*t) is not finite at t={t:.6g} (square "
+                         f"{square} of {s.max()})")
+
+
+@dataclass(frozen=True)
+class Propagator:
+    """exp(L t) on vec(rho), exact on the blocks of L a state reaches and
+    zero on the others.
+
+    ``blocks[b]`` is the exponential of L's block on the vec indices
+    ``members[b]``, in increasing order, zero-padded to the widest reached
+    block; padding indexes the slot DIM*DIM, one past vec(rho).
+    """
+
+    members: np.ndarray      # (reached, width) int
+    blocks: np.ndarray       # (reached, width, width) complex
+    squarings: np.ndarray    # (reached,) the s of each block
+    n_blocks: int            # weakly connected blocks of L
+
+    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
+        """exp(L t) vec for vec of shape (DIM*DIM,) or (DIM*DIM, k): one
+        gather and one batched matmul over the padded blocks."""
+        padded = np.zeros((DIM * DIM + 1, vec.size // (DIM * DIM)), complex)
+        padded[:-1] = vec.reshape(DIM * DIM, -1)
+        out = np.zeros_like(padded)
+        out[self.members] = self.blocks @ padded[self.members]
+        return out[:-1].reshape(vec.shape)
+
+    @property
+    def structure(self) -> Dict[str, int]:
+        """Blocks of L, blocks reached, the widest reached block's width
+        and the most squarings a reached block took."""
+        return {"liouvillian_blocks": self.n_blocks,
+                "reached_blocks": len(self.members),
+                "widest_reached_block": self.members.shape[1],
+                "max_squarings": int(self.squarings.max(initial=0))}
 
 
 def propagator(H: np.ndarray, gamma: float, t: float,
-               rho: np.ndarray) -> csr_array:
-    """exp(L t) on vec(rho) as a sparse block-diagonal CSR matrix: exact on
-    the blocks of L that ``rho`` or rho^dagger reaches, zero elsewhere.
+               rho: np.ndarray) -> Propagator:
+    """exp(L t) on the blocks of L that ``rho`` or rho^dagger reaches.
 
     L couples vec(rho) only within its weakly connected blocks (149 at the
     reference parameters, the largest 42 wide), so exp(L t) is one
-    exponential per block; no 784x784 array is formed.  rho^dagger's blocks
-    are those ``apply_propagator``'s re-symmetrisation moves weight into, so
-    the result serves every step of an evolution from ``rho``.  A block is
-    scaled by 2^-s, the least s >= 0 that brings its 1-norm below 4.25, where
-    ``expm`` starts squaring; ``expm`` takes the Pade step and scipy's
-    ``zgemm`` squares it s times, so no BLAS call goes to numpy's OpenBLAS.
-    Every entry of a reached block's exponential is stored, zeros included.
-    Raises NumericalError when t*L or a block's exponential is not finite,
-    at the first square that overflows.
+    exponential per block (``_expm``), taken in one stack per block width;
+    no 784x784 array is formed.  rho^dagger's blocks are those
+    ``apply_propagator``'s re-symmetrisation moves weight into, so the
+    result serves every step of an evolution from ``rho``.  Raises
+    NumericalError when t*L or a block's exponential is not finite.
     """
-    import scipy.linalg   # here, so that storage runs never import scipy
-    import scipy.sparse as sp
-    from scipy.linalg.blas import zgemm
-    from scipy.sparse.csgraph import connected_components
-    lv = liouvillian_matrix(H, gamma)
-    _, label = connected_components(lv != 0, connection="weak")
-    order = np.argsort(label, kind="stable")
-    sizes = np.bincount(label)
-    reached = np.unique(label.reshape(DIM, DIM)[abs(rho) + abs(rho).T != 0])
-    sizes, first = sizes[reached], (np.cumsum(sizes) - sizes)[reached]
-    area = sizes ** 2
-    # (row, col) of every entry of every reached block, block after block,
-    # each block row-major over its members in increasing index order
-    block = np.repeat(np.arange(sizes.size), area)
-    offset = np.arange(block.size) - np.repeat(np.cumsum(area) - area, area)
-    i, j = np.divmod(offset, sizes[block])
-    rows, cols = order[first[block] + i], order[first[block] + j]
-    flat = lv[rows, cols] * t
-    for size, end in zip(sizes, np.cumsum(area)):
-        a = flat[end - size * size:end].reshape(size, size)
-        # the least s >= 0 with |a|_1 / 2^s < 4.25; 0 when not finite
-        s = max(0, math.frexp(np.abs(a).sum(axis=0).max() / 4.25)[1])
-        e = np.asfortranarray(scipy.linalg.expm(a * 2.0 ** -s))
-        while s and np.isfinite(e).all():
-            e = zgemm(1.0, e, e)
-            s -= 1
-        if not np.isfinite(e).all():
-            raise NumericalError(f"exp(L*t) is not finite at t={t:.6g}")
-        a[:] = e
-    return sp.csr_array((flat, (rows, cols)), shape=lv.shape)
+    n = DIM * DIM
+    rows, cols, values = liouvillian_matrix(H, gamma)
+    _, block = np.unique(_block_labels(rows, cols, n), return_inverse=True)
+    sizes = np.bincount(block)
+    reached = np.unique(block.reshape(DIM, DIM)[abs(rho) + abs(rho).T != 0])
+    slot = np.full(sizes.size, -1)
+    slot[reached] = np.arange(reached.size)
+    # each index's place among its block's members, in increasing order
+    order = np.argsort(block, kind="stable")
+    place = np.empty(n, int)
+    place[order] = np.arange(n) - (np.cumsum(sizes) - sizes)[block[order]]
+    widths = sizes[reached]
+    members = np.full((reached.size, widths.max(initial=0)), n)
+    mine = np.flatnonzero(slot[block] >= 0)
+    members[slot[block[mine]], place[mine]] = mine
+    a = np.zeros(members.shape + members.shape[1:], complex)
+    mine = slot[block[rows]] >= 0
+    a[slot[block[rows[mine]]], place[rows[mine]], place[cols[mine]]] = \
+        values[mine] * t
+    blocks = np.zeros_like(a)
+    squarings = np.zeros(reached.size, int)
+    for width in np.unique(widths):
+        pick = np.flatnonzero(widths == width)
+        blocks[pick, :width, :width], squarings[pick] = _expm(
+            a[pick, :width, :width], t)
+    return Propagator(members, blocks, squarings, sizes.size)
 
 
-def apply_propagator(prop: csr_array, rho: np.ndarray) -> np.ndarray:
+def apply_propagator(prop: Propagator, rho: np.ndarray) -> np.ndarray:
     """``propagator``'s exp(L t) applied to rho, then re-symmetrised."""
     out = (prop @ rho.reshape(-1)).reshape(DIM, DIM)
     return 0.5 * (out + out.conj().T)

@@ -43,6 +43,7 @@ class TwoQubitChannel:
     max_leakage: float = 0.0        # worst case over all pure inputs
     phase: Optional[float] = None   # conditional phase of initial_state()
     mean_survival: float = 1.0      # mean Tr Lambda(|i><i|) over e0..e3
+    blocks: Optional[Dict[str, int]] = None   # its propagator's structure
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         m = np.asarray(m, dtype=complex)
@@ -88,7 +89,9 @@ def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
     # vec index of each embedded pair |a><b|; block[k, l, i, j] is entry
     # (k, l) of P vec(|i><j|), and |i><j|^dagger = |j><i|
     pairs = np.add.outer(np.multiply(QUBIT_BASIS, DIM), QUBIT_BASIS).ravel()
-    block = prop[pairs][:, pairs].toarray().reshape((QUBIT_DIM,) * 4)
+    units = np.zeros((DIM * DIM, pairs.size))
+    units[pairs, np.arange(pairs.size)] = 1.0
+    block = (prop @ units)[pairs].reshape((QUBIT_DIM,) * 4)
     images = 0.5 * (block + block.transpose(1, 0, 3, 2).conj())
     images = images.transpose(2, 3, 0, 1)
     survival = np.trace(images, axis1=2, axis2=3).T
@@ -105,7 +108,8 @@ def channel_from_gate(params: GateParams, t_gate: float) -> TwoQubitChannel:
     phase = conditional_phase(apply_propagator(prop, rho0))
     return TwoQubitChannel(images=images, leakage=leakage, max_leakage=worst,
                            phase=phase, mean_survival=float(np.mean(
-                               survival.diagonal().real)))
+                               survival.diagonal().real)),
+                           blocks=prop.structure)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from gemxpm import (EnsembleParams, GateParams, GradientSchedule, Grid,
 
 from _reference import FullRecords
 
+pytest_plugins = ("pytester",)
+
 
 @pytest.fixture(scope="session")
 def baseline_params():

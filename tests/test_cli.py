@@ -605,13 +605,20 @@ class TestRunStorage:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("path", [
-        "simulate", "sweep", "xpm_double", "fig3b_double", "fig2a_theory"])
+        "simulate", "sweep", "xpm_double", "fig3b_double", "fig2a_theory",
+        "fig4a_gate", "fig4b_tomo", "tomography_sweep"])
     def test_storage_run_imports_no_scipy(self, tmp_path, path):
         # a driven storage run, a storage sweep (fig2b_spm, one batched
         # march through storage_batch), an xpm-double run and preset (their
-        # quadrature phase included) and the xpm-free preset
+        # quadrature phase included), the xpm-free preset, both gate
+        # presets and a tomography sweep over the gate time
         configs = {"simulate": dict(STORAGE_CONFIG, signal=SIGNAL),
-                   "xpm_double": XPM_DOUBLE}
+                   "xpm_double": XPM_DOUBLE,
+                   "tomography_sweep": {
+                       "experiment": "sweep",
+                       "sweep": {"path": "gate.t_gate", "values": [1.0, 2.0]},
+                       "base": {"experiment": "tomography",
+                                "gate": dict(SMALL_GATE, t_gate=2.0)}}}
         argv = (["simulate", write_yaml(tmp_path, configs[path])]
                 if path in configs else
                 ["presets", "run", "fig2b_spm" if path == "sweep" else path])
@@ -624,6 +631,20 @@ class TestRunStorage:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_gate_preset_runs_with_scipy_blocked(self, tmp_path):
+        # with scipy made unimportable, any import of it, however late or
+        # lazy, fails the run instead of passing unseen
+        argv = ["presets", "run", "fig4a_gate", "--out", str(tmp_path)]
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from gemxpm.cli import main\n"
+                f"sys.exit(main({argv!r}))\n")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        golden = Path(__file__).resolve().parent.parent / "golden"
+        assert csv_body(tmp_path / "fig4a_gate.csv") == (
+            golden / "fig4a_gate.csv").read_text(encoding="utf-8")
 
     def test_xpm_phase_from_batched_reference(self):
         # the signal-free reference marched beside the driven run gives
@@ -724,6 +745,26 @@ class TestGateTelemetry:
             golden / f"{preset}.csv").read_text(encoding="utf-8")
 
 
+    @pytest.mark.parametrize("preset, squarings", [
+        ("fig4a_gate", 5), ("fig4b_tomo", 12)])
+    def test_summary_records_propagator_blocks(self, tmp_path, preset,
+                                               squarings):
+        # L's 149 blocks, the 12 the initial state reaches, the widest of
+        # those (42) and the most squarings one took reach the summary
+        # only: the CSV body stays the golden's, byte for byte
+        cfg = parse_config(get_preset(preset), default_name=preset)
+        paths = run_config(cfg, tmp_path)
+        results = json.loads(paths["summary"].read_text())["results"]
+        assert {k: results[k] for k in (
+            "liouvillian_blocks", "reached_blocks", "widest_reached_block",
+            "max_squarings")} == {
+            "liouvillian_blocks": 149, "reached_blocks": 12,
+            "widest_reached_block": 42, "max_squarings": squarings}
+        golden = Path(__file__).resolve().parent.parent / "golden"
+        assert csv_body(paths["csv"]) == (
+            golden / f"{preset}.csv").read_text(encoding="utf-8")
+
+
 class TestRecordDiagnostics:
     @pytest.mark.parametrize("preset, pinned", [
         ("storage_baseline", {"fourier_residual": 0.028574305592487005,
@@ -747,29 +788,33 @@ class TestRecordDiagnostics:
 class TestSweep:
     @pytest.mark.parametrize("base, path, value, columns", [
         (STORAGE_CONFIG, "probe.peak_amplitude", 1.0,
-         "efficiency[1],echo_phase[rad],xpm_phase[rad]"),
+         "peak_amplitude[gamma],efficiency[1],echo_phase[rad],"
+         "xpm_phase[rad]"),
         ({"experiment": "xpm-free",
           "xpm_free": {"omega_s": [0.5, 1.0], "tau": 1.0}},
-         "xpm_free.tau", 2.0, "phi_max[rad]"),
+         "xpm_free.tau", 2.0, "tau[1/gamma],phi_max[rad]"),
         (XPM_DOUBLE, "signal.peak_amplitude", 0.25,
-         "xpm_phase[rad],loss_factor[1],probe_efficiency[1]"),
+         "peak_amplitude[gamma],xpm_phase[rad],loss_factor[1],"
+         "probe_efficiency[1]"),
         ({"experiment": "gate",
           "gate": dict(SMALL_GATE, t_end=2.0, n_samples=2)},
-         "gate.t_end", 1.0, "phi_end[rad],fidelity_end[1]"),
+         "gate.t_end", 1.0, "t_end[1/gamma],phi_end[rad],fidelity_end[1]"),
         ({"experiment": "tomography", "gate": dict(SMALL_GATE, t_gate=2.0)},
-         "gate.t_gate", 1.0, "best_fidelity[1],conditional_phase[rad]"),
+         "gate.t_gate", 1.0,
+         "t_gate[1/gamma],best_fidelity[1],conditional_phase[rad]"),
     ], ids=["storage", "xpm-free", "xpm-double", "gate", "tomography"])
     def test_single_point_equals_single_run(self, tmp_path, base, path,
                                             value, columns):
         # a sweep row is the point's own results at its SWEPT keys, bit
-        # for bit, under the columns the point kind has always had
+        # for bit, under the axis in its key's unit and the columns the
+        # point kind has always had
         sweep_cfg = {"experiment": "sweep", "name": "one_point",
                      "sweep": {"path": path, "values": [value]},
                      "base": base}
         assert main(["simulate", write_yaml(tmp_path, sweep_cfg),
                      "--out", str(tmp_path)]) == 0
         header, row = csv_body(tmp_path / "one_point.csv").split()
-        assert header == f"{path.split('.')[-1]}[1],{columns}"
+        assert header == columns
         single = parse_config(set_sweep_value(base, path, value))
         results = _RUNNERS[single.kind](single)[1]
         np.testing.assert_array_equal(
@@ -826,12 +871,30 @@ class TestSweep:
             rows.append([v, r.efficiency, r.echo_phase, r.xpm_phase])
         swept = SWEPT["storage"]
         expected = ResultTable([key] + [c for c, _, _ in swept],
-                               ["1"] + [u for _, _, u in swept], rows)
+                               ["gamma"] + [u for _, _, u in swept], rows)
         sizes = record_march_sizes(monkeypatch)
         run_config(cfg, tmp_path)
         assert sizes == [6 if key == "delta3" else 10]
         assert csv_body(tmp_path / "fig2b_spm.csv") == \
             "\n".join(expected.body_lines()) + "\n"
+
+    @pytest.mark.parametrize("base, path, unit", [
+        (XPM_FREE, "xpm_free.tau", "1/gamma"),
+        (dict(XPM_FREE, ensemble={"delta3": 400.0}), "ensemble.delta3",
+         "gamma"),
+        ({"experiment": "gate",
+          "gate": dict(SMALL_GATE, t_end=2.0, n_samples=2)},
+         "gate.n_samples", "1"),
+    ], ids=["time", "rate", "count"])
+    def test_axis_column_in_its_keys_unit(self, tmp_path, base, path, unit):
+        # the axis column is headed with the swept key's gamma-unit, the
+        # unit its echoed values are in
+        sweep_cfg = {"experiment": "sweep", "name": "axis",
+                     "sweep": {"path": path, "values": [2, 3]}, "base": base}
+        assert main(["simulate", write_yaml(tmp_path, sweep_cfg),
+                     "--out", str(tmp_path)]) == 0
+        header = csv_body(tmp_path / "axis.csv").splitlines()[0]
+        assert header.split(",")[0] == f"{path.split('.')[1]}[{unit}]"
 
     def test_set_sweep_value_deep_copy(self):
         base = dict(STORAGE_CONFIG)
@@ -855,14 +918,14 @@ class TestSweep:
         assert csv_body(tmp_path / "serial" / "pooled.csv") == \
             csv_body(tmp_path / "pooled" / "pooled.csv")
 
-    @pytest.mark.parametrize("path, values, signal", [
-        ("probe.peak_amplitude", [0.5, 2.0, 0.5], None),
-        ("probe.peak_amplitude", [0.5, 2.0], SIGNAL),
-        ("signal.peak_amplitude", [0.25, 0.5, 1.0], SIGNAL),
-        ("grid.nt", [512, 256], None),
+    @pytest.mark.parametrize("path, values, signal, unit", [
+        ("probe.peak_amplitude", [0.5, 2.0, 0.5], None, "gamma"),
+        ("probe.peak_amplitude", [0.5, 2.0], SIGNAL, "gamma"),
+        ("signal.peak_amplitude", [0.25, 0.5, 1.0], SIGNAL, "gamma"),
+        ("grid.nt", [512, 256], None, "1"),
     ], ids=["probe_undriven", "probe_driven", "signal", "grid_nt"])
     def test_storage_rows_equal_propagate(self, tmp_path, path, values,
-                                          signal):
+                                          signal, unit):
         # one batch per (schedule, grid), marched at nz = 32:
         # each row is its own point's propagate, NaN xpm phase included
         base = dict(STORAGE_CONFIG, grid={"nz": 32, "nt": 512, "t_max": 20.0})
@@ -873,7 +936,7 @@ class TestSweep:
         assert main(["simulate", write_yaml(tmp_path, sweep_cfg),
                      "--out", str(tmp_path)]) == 0
         lines = csv_body(tmp_path / "rows.csv").strip().splitlines()
-        assert lines[0] == (f"{path.split('.')[-1]}[1],efficiency[1],"
+        assert lines[0] == (f"{path.split('.')[-1]}[{unit}],efficiency[1],"
                             "echo_phase[rad],xpm_phase[rad]")
         rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
         expected = []

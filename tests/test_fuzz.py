@@ -32,6 +32,7 @@ import math
 import os
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -344,3 +345,25 @@ def test_valid_gate_configs_run():
 
     run()
     assert 2 * codes.count(0) >= len(codes), codes
+
+
+def test_failing_example_reported_as_a_failure(pytester):
+    # a failing example makes hypothesis import libcst to write a patch;
+    # under this suite's warning filters that import must not abort the
+    # session, so the failure is reported and the next file still runs
+    pytester.makepyfile(test_a_fails="""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+    """, test_b_runs="""
+        def test_runs():
+            pass
+    """)
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = pytester.runpytest_subprocess(
+        "-c", str(pyproject), "--rootdir", str(pytester.path),
+        "-p", "no:cacheprovider", str(pytester.path))
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
+    result.assert_outcomes(failed=1, passed=1)

@@ -1,10 +1,11 @@
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from gemxpm import (DIM, GateParams, NumericalError, ProjectionError,
@@ -23,6 +24,19 @@ from _reference import (collapse_operators, dense_liouvillian,
 @pytest.fixture(scope="module")
 def caption_h(gate_params):
     return build_hamiltonian(gate_params)
+
+
+def csr(lv):
+    """``liouvillian_matrix``'s (row, col, value) arrays as a CSR matrix."""
+    rows, cols, values = lv
+    return sp.csr_array((values, (rows, cols)), shape=(DIM * DIM,) * 2)
+
+
+def dense(prop):
+    """A ``Propagator``'s exp(L t) as a dense 784x784 array."""
+    out = np.zeros((DIM * DIM + 1,) * 2, complex)   # the last: padding
+    out[prop.members[:, :, None], prop.members[:, None, :]] = prop.blocks
+    return out[:-1, :-1]
 
 
 class TestHilbertSpace:
@@ -323,7 +337,7 @@ class TestPropagator:
             conditional_phase(via_rk4), abs=1e-8)
 
     def test_liouvillian_traceless_action(self, caption_h):
-        lv = liouvillian_matrix(caption_h, 1.0)
+        lv = csr(liouvillian_matrix(caption_h, 1.0))
         rho = initial_state()
         d = (lv @ rho.reshape(-1)).reshape(DIM, DIM)
         assert abs(d.trace()) < 1e-12
@@ -331,15 +345,18 @@ class TestPropagator:
 
     @pytest.mark.parametrize("gamma", [1.0, 0.0])
     def test_liouvillian_nonzeros_match_dense(self, caption_h, gamma):
-        lv = liouvillian_matrix(caption_h, gamma)
-        dense = dense_liouvillian(caption_h, gamma)
-        assert lv.format == "csr"
-        assert lv.nnz == np.count_nonzero(dense)
-        assert np.abs(lv.toarray() - dense).max() < 1e-12
+        rows, cols, values = liouvillian_matrix(caption_h, gamma)
+        expected = dense_liouvillian(caption_h, gamma)
+        # nonzeros only, each entry once, in row-major order
+        flat = rows * DIM * DIM + cols
+        assert (np.diff(flat) > 0).all() and (values != 0).all()
+        assert values.size == np.count_nonzero(expected)
+        assert np.abs(csr((rows, cols, values)).toarray()
+                      - expected).max() < 1e-12
 
     @pytest.mark.parametrize("case", ["caption", "stored", "fig4a_step",
                                       "no_primed_drive"])
-    def test_matches_dense_oracle(self, gate_params, case, monkeypatch):
+    def test_matches_dense_oracle(self, gate_params, case):
         # caption couplings at t = 2; the fig4b stored-signal gate at
         # t = 15; one fig4a sample step; OmegaCPrime = 0 splits the blocks
         # further
@@ -350,22 +367,20 @@ class TestPropagator:
             "no_primed_drive": (GateParams(OmegaCPrime=0.0), 15.0),
         }[case]
         h = build_hamiltonian(params)
-        norms = []
-        expm = scipy.linalg.expm
-
-        def recorded(a):
-            norms.append(np.abs(a).sum(axis=0).max())
-            return expm(a)
-
-        with warnings.catch_warnings(), monkeypatch.context() as patch:
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            patch.setattr(scipy.linalg, "expm", recorded)
             prop = propagator(h, params.gamma, t, np.ones((DIM, DIM)))
         expected = dense_propagator(h, params.gamma, t)
-        assert np.abs(prop.toarray() - expected).max() <= 1e-12
-        # every block reaches expm pre-scaled below the norm at which expm
-        # starts squaring, so all squaring runs in scipy's BLAS
-        assert norms and max(norms) <= 4.25
+        assert np.abs(dense(prop) - expected).max() <= 1e-12
+        # every block (t*L on its members, from the dense oracle's L) enters
+        # the Pade step pre-scaled by its 2^-s below the norm 4.25 up to
+        # which that step is accurate
+        lv = dense_liouvillian(h, params.gamma) * t
+        norms = [np.abs(lv[np.ix_(m, m)]).sum(axis=0).max() / 2.0 ** s
+                 for m, s in zip(prop.members, prop.squarings)
+                 for m in [m[m < DIM * DIM]]]
+        assert len(norms) == prop.structure["liouvillian_blocks"]
+        assert max(norms) <= 4.25
 
     @pytest.mark.parametrize("t, nan_entry", [
         (math.nan, False), (math.inf, False), (1e300, False), (1.0, True)],
@@ -382,23 +397,27 @@ class TestPropagator:
 
     def test_overflow_stops_squaring(self, gate_params, caption_h,
                                      monkeypatch):
-        # at t = 1e300 every block is scaled by 2^-1005; the first reached
-        # block (42 wide) overflows at its 64th square, and the propagator
-        # refuses it there instead of squaring on
+        # at t = 1e300 every block is scaled by 2^-1005; the first stack
+        # of reached blocks (the two 9 wide) overflows at its 65th square,
+        # and the propagator refuses it there instead of squaring on
         calls = []
-        zgemm = scipy.linalg.blas.zgemm
+        expm = gate._expm
 
-        def counted(*args):
-            calls.append(None)
-            return zgemm(*args)
+        def counted(a, t):
+            calls.append(a.shape)
+            return expm(a, t)
 
-        monkeypatch.setattr(scipy.linalg.blas, "zgemm", counted)
+        monkeypatch.setattr(gate, "_expm", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(NumericalError, match="not finite"):
+            with pytest.raises(NumericalError, match="not finite") as info:
                 propagator(caption_h, gate_params.gamma, 1e300,
                            initial_state())
-        assert 0 < len(calls) < 100
+        squares, scale = map(int, re.search(r"square (\d+) of (\d+)",
+                                            str(info.value)).groups())
+        # the squares of the one stack exponentiated are all there were
+        assert calls == [(2, 9, 9)]
+        assert 0 < squares < 100 and scale == 1005
 
     @pytest.mark.parametrize("case", ["caption", "stored", "no_decay",
                                       "no_primed_drive"])
@@ -412,40 +431,60 @@ class TestPropagator:
             "no_primed_drive": GateParams(OmegaCPrime=0.0),
         }[case]
         h = build_hamiltonian(params)
-        lv = liouvillian_matrix(h, params.gamma)
+        rows, cols, values = liouvillian_matrix(h, params.gamma)
         expected = kron_liouvillian(h, params.gamma)
-        assert lv.format == "csr"
-        assert np.array_equal(lv.indptr, expected.indptr)
-        assert np.array_equal(lv.indices, expected.indices)
-        assert lv.data.dtype == expected.data.dtype
-        assert lv.data.tobytes() == expected.data.tobytes()
+        assert np.array_equal(rows, np.repeat(np.arange(DIM * DIM),
+                                              np.diff(expected.indptr)))
+        assert np.array_equal(cols, expected.indices)
+        assert values.dtype == expected.data.dtype
+        assert values.tobytes() == expected.data.tobytes()
 
     def test_block_structure(self, gate_params, caption_h, monkeypatch):
         # the README's count: 149 weakly connected blocks, the largest 42
-        # wide; initial_state() reaches 12 of them and an all-ones input
-        # every one.  Each reached block is exponentiated once, and the
-        # propagator stores every entry of it and none outside a block
-        lv = liouvillian_matrix(caption_h, gate_params.gamma)
-        _, label = connected_components(lv != 0, connection="weak")
+        # wide, found by numpy as scipy's csgraph finds them in the kron
+        # oracle's L; initial_state() reaches 12 of them and an all-ones
+        # input every one.  Each reached block is exponentiated once, and
+        # the propagator stores every entry of it and none outside a block
+        n = DIM * DIM
+        _, label = connected_components(
+            kron_liouvillian(caption_h, gate_params.gamma) != 0,
+            connection="weak")
+        rows, cols, _ = liouvillian_matrix(caption_h, gate_params.gamma)
+        _, block = np.unique(gate._block_labels(rows, cols, n),
+                             return_inverse=True)
+        assert np.array_equal(block, label)
         sizes = np.bincount(label)
         assert (sizes.size, sizes.max()) == (149, 42)
-        expm = scipy.linalg.expm
+        expm = gate._expm
         for rho, expected, nnz in [
                 (initial_state(),
                  [9, 9, 14, 14, 14, 17, 17, 26, 26, 26, 26, 42], 5796),
                 (np.ones((DIM, DIM)), sorted(sizes), 9366)]:
             calls = []
 
-            def counted(a):
-                calls.append(a.shape[0])
-                return expm(a)
+            def counted(a, t):
+                calls.extend([a.shape[1]] * a.shape[0])
+                return expm(a, t)
 
-            monkeypatch.setattr(scipy.linalg, "expm", counted)
+            monkeypatch.setattr(gate, "_expm", counted)
             prop = propagator(caption_h, gate_params.gamma, 2.0, rho)
             assert sorted(calls) == expected
-            assert prop.nnz == nnz == sum(size ** 2 for size in calls)
-            rows = np.repeat(np.arange(DIM * DIM), np.diff(prop.indptr))
-            assert (label[rows] == label[prop.indices]).all()
+            inside = prop.members < n
+            widths = inside.sum(axis=1)
+            assert sorted(widths) == expected
+            assert nnz == sum(size ** 2 for size in calls)
+            assert prop.structure == {
+                "liouvillian_blocks": 149, "reached_blocks": len(expected),
+                "widest_reached_block": 42,
+                "max_squarings": prop.squarings.max()}
+            for members, width in zip(prop.members, widths):
+                # a whole block, in increasing order, then padding
+                assert (np.diff(members[:width]) > 0).all()
+                assert (label[members[:width]] == label[members[0]]).all()
+                assert width == sizes[label[members[0]]]
+            # nothing is stored outside a block's own entries
+            outside = ~(inside[:, :, None] & inside[:, None, :])
+            assert not prop.blocks[outside].any()
 
     def test_reach_covers_adjoint(self, gate_params, caption_h):
         # a non-Hermitian rho0 whose coherence |1,0,0><2,0,1| lies in a
@@ -479,7 +518,7 @@ class TestPropagator:
 
         monkeypatch.setattr(gate, "liouvillian_matrix", counted)
         rho = initial_state()
-        propagator(caption_h, gate_params.gamma, 2.0, rho)   # warm imports
+        propagator(caption_h, gate_params.gamma, 2.0, rho)   # warm caches
         tracemalloc.start()
         try:
             propagator(caption_h, gate_params.gamma, 2.0, rho)
