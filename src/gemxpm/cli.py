@@ -45,6 +45,7 @@ from .gate import phase_trace
 from .gem import (StarkDrive, apply_stark_drive, excitation_balance,
                   peak_k_trajectory, polariton_transform, propagate,
                   storage_batch, verify_fourier_relation)
+from .model import math_angle
 from .presets import get_preset, preset_names
 from .reporting import ResultTable, config_hash, write_summary
 from .tomography import (ChoiMatrix, channel_from_gate, choi_matrix,
@@ -110,7 +111,7 @@ def _run_storage(cfg: ExperimentConfig):
         columns=["t", "abs_in", "abs_out", "phase_out"],
         units=["1/gamma", "gamma", "gamma", "rad"],
         values=np.column_stack((t, np.abs(inflow), np.abs(result.exit_field),
-                                np.angle(result.exit_field))))
+                                math_angle(result.exit_field))))
     results = {
         "efficiency": result.efficiency,
         "input_energy": result.input_energy,
@@ -309,7 +310,7 @@ def _sweep_group(job: Tuple[str, List[ExperimentConfig]]
         if points[0].kind != "storage":
             return [_RUNNERS[p.kind](p)[1] for p in points]
         runs = storage_batch(points[0].schedule, points[0].grid,
-                             [(p.ensemble, p.probe, _stark(p))
+                             [(p.ensemble, p.probe, _stark(p), None)
                               for p in points])
     except Exception as exc:   # pickled with the error from a worker
         exc.sweep_group = where

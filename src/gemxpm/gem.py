@@ -13,9 +13,13 @@ stepper, ``march``, advances a stack of such coherences, each a ``Member``
 with its own physics, in t by classic RK4 steps.  The gradient is centred
 on the grid's cell (eta*(z - L/2)).  A drive is an intensity I = |g*E_s|^2
 (0 without one) and the ``light_shift`` pair (c_shift, c_loss) of its
-detuning: I(t) of a signal filling the cell for a ``StarkDrive``, another
-member's |E|^2 for a ``CrossDrive``.  Both bound dt by one rule, their
-``rates`` (c_loss, |c_shift|) times peak intensity.
+detuning.  A ``CrossDrive``, another member's |E|^2, is marched in the
+right-hand side and bounds dt by its ``rates``.  A ``StarkDrive``, a
+signal filling the cell, is uniform in z: with Phi(t) = exp(-(c_loss +
+i*c_shift)*F(t)), F its fluence, (sigma, E)/Phi obeys the undriven pair
+with input E(0, t)/Phi(t).  So a driven run marches undriven and its
+fields are multiplied by Phi (integrating factor; Lawson, SIAM J. Numer.
+Anal. 4 (1967) 372-380), and the drive adds no stiffness.
 
 Sign conventions worth knowing when reading diagnostics:
 
@@ -37,9 +41,11 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
-                    PulseSpec)
+                    PulseSpec, math_erf)
 
 _NAN_CHECK_STRIDE = 64
+#: Largest x with exp(x) a float: the bound on a Stark drive's c_loss*F.
+_MAX_EXPONENT = math.log(np.finfo(float).max)
 #: Grid rows of sigma and E a march hands to its consumer at once.
 BLOCK_ROWS = 256
 
@@ -52,9 +58,9 @@ RECORD_BUDGET_BYTES = 2 << 30
 
 def member_bytes(grid: Grid) -> int:
     """About the bytes one member of an exit-only march holds in arrays that
-    grow with the grid, from above: 24 values per grid time (exit field and
-    its reductions, stage tables of 12 values a row up to BLOCK_ROWS rows)
-    and 16 per z sample (stage buffers)."""
+    grow with the grid, from above: 24 values per grid time (exit field, a
+    Stark drive's factor and their reductions, stage tables of 9 values a
+    row up to BLOCK_ROWS rows) and 16 per z sample (stage buffers)."""
     return 16 * (24 * grid.nt + 16 * grid.nz)
 
 
@@ -68,24 +74,31 @@ def light_shift(gamma: float, detuning: float) -> Tuple[float, float]:
     return detuning / denom, gamma / denom
 
 
-class _LightShiftRates:
-    @property
-    def rates(self) -> Tuple[float, float]:
-        """(loss, |shift|) at the peak intensity, for check_step."""
-        return self.c_loss * self.peak, abs(self.c_shift) * self.peak
-
-
 @dataclass(frozen=True)
-class StarkDrive(_LightShiftRates):
+class StarkDrive:
     """Space-uniform ac-Stark drive produced by a far-detuned signal field:
-    the vectorised intensity I(t) = |g*E_s(t)|^2, at most ``peak``, shifts
-    the spin coherence by c_shift*I(t) and scatters it at c_loss*I(t)
-    (the ``light_shift`` pair)."""
+    its intensity I(t) = |g*E_s(t)|^2 shifts the spin coherence by
+    c_shift*I(t) and scatters it at c_loss*I(t) (the ``light_shift``
+    pair).  It acts only through its vectorised fluence F(t), the
+    integral of I up to t (nondecreasing), as the factor Phi(t)."""
 
-    intensity: Callable[[np.ndarray], np.ndarray]
-    peak: float
+    fluence: Callable[[np.ndarray], np.ndarray]
     c_shift: float
     c_loss: float
+
+    def factor(self, t, sign: float = 1.0) -> np.ndarray:
+        """Phi(t), or 1/Phi(t) with ``sign`` -1; OverflowError when 1/Phi
+        = exp(c_loss*F) is beyond float range at any of the times t."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            fluence = self.fluence(t)
+            beyond = np.any(abs(self.c_loss) * fluence > _MAX_EXPONENT)
+        if beyond:
+            raise OverflowError(
+                f"Stark drive (c_shift {self.c_shift:.6g}, c_loss "
+                f"{self.c_loss:.6g}): its fluence {np.max(fluence):.6g} puts "
+                "1/Phi = exp(c_loss*fluence) beyond float range")
+        return np.exp(complex(-sign * self.c_loss, -sign * self.c_shift)
+                      * fluence)
 
 
 def apply_stark_drive(signal: PulseSpec, params: EnsembleParams,
@@ -95,19 +108,25 @@ def apply_stark_drive(signal: PulseSpec, params: EnsembleParams,
     The signal illuminates the whole cell, so the drive carries no z
     dependence.  ``detuning`` is the signal's: params.delta3 for the
     free-propagating signal transition, params.delta4 for the stored-pair
-    geometry.
+    geometry.  The fluence of I = A^2*exp(-2*((t - c)/d)^2), for peak
+    amplitude A, center c and duration d, is A^2*d*sqrt(pi/8)*(1 +
+    erf(sqrt(2)*(t - c)/d)).
     """
-    return StarkDrive(lambda t: np.abs(signal.envelope(t)) ** 2,
-                      signal.peak_amplitude ** 2,
-                      *light_shift(params.gamma, float(detuning)))
+    peak, center = signal.peak_amplitude ** 2, signal.center_time
+    width = signal.duration * math.sqrt(math.pi / 8.0)
+    rate = math.sqrt(2.0) / signal.duration
+    return StarkDrive(
+        lambda t: peak * (width * (1.0 + math_erf(rate * (t - center)))),
+        *light_shift(params.gamma, float(detuning)))
 
 
 def constant_stark_drive(intensity: float, detuning: float, gamma: float,
                          window: Tuple[float, float]) -> StarkDrive:
-    """Rectangular drive with |g*E_s|^2 = intensity inside ``window``."""
+    """Rectangular drive with |g*E_s|^2 = intensity inside ``window``: its
+    fluence is piecewise linear."""
     lo, hi = window
-    return StarkDrive(lambda t: intensity * ((t >= lo) & (t < hi)),
-                      intensity, *light_shift(gamma, detuning))
+    return StarkDrive(lambda t: intensity * (np.clip(t, lo, hi) - lo),
+                      *light_shift(gamma, detuning))
 
 
 @dataclass(frozen=True)
@@ -137,8 +156,8 @@ class StorageResult:
 class Member:
     """One coherence of a batched march with all of its physics: its input
     g*E(0, t) (vectorised in t), Raman ratio, coupling density g*calN,
-    sign on the shared eta(t), coupling switch (1 when None), whole
-    ground-state decay and Stark drive."""
+    sign on the shared eta(t), coupling switch (1 when None) and whole
+    ground-state decay."""
 
     envelope: Callable[[np.ndarray], np.ndarray]
     ratio: float
@@ -146,11 +165,10 @@ class Member:
     eta_sign: float = 1.0
     coupling: Optional[PiecewiseConstant] = None
     decay: float = 0.0
-    stark: Optional[StarkDrive] = None
 
 
 @dataclass(frozen=True)
-class CrossDrive(_LightShiftRates):
+class CrossDrive:
     """Drive of member ``target`` by member ``source``'s field for t in
     [window): the intensity |E_source(z,t)|^2, at most ``peak``, shifts
     the target by c_shift times it and scatters it at c_loss times it."""
@@ -162,18 +180,22 @@ class CrossDrive(_LightShiftRates):
     c_shift: float
     c_loss: float
 
+    @property
+    def rates(self) -> Tuple[float, float]:
+        """(loss, |shift|) at the peak intensity, for check_step."""
+        return self.c_loss * self.peak, abs(self.c_shift) * self.peak
+
 
 def _stage_tables(schedule: GradientSchedule, members: Sequence[Member],
                   cross: Optional[CrossDrive], levels: np.ndarray,
-                  stage_t: Sequence[np.ndarray], factors: np.ndarray,
-                  stark: bool) -> Tuple[list, list]:
+                  stage_t: Sequence[np.ndarray], factors: np.ndarray
+                  ) -> Tuple[list, list]:
     """Tabulate each member's factors at a block's stage times, ``stage_t``
     = (t_n, t_n + dt/2, t_n + dt) for its rows of steps n, into
-    factors[:rows]: source, input, gain and, with ``stark``, the Stark
-    rate -(loss + i*shift) (0 for members without a drive).  Return, per
-    stage, lists over the rows of the index of eta(t) in ``levels`` and of
-    whether the cross drive is on.  One member and stage at a time, so the
-    temporaries are a few (rows,) arrays.
+    factors[:rows]: source, input and gain.  Return, per stage, lists over
+    the rows of the index of eta(t) in ``levels`` and of whether the cross
+    drive is on.  One member and stage at a time, so the temporaries are a
+    few (rows,) arrays.
     """
     rows = len(stage_t[0])
     density, ratio = np.array([(m.coupling_density, m.ratio)
@@ -188,13 +210,6 @@ def _stage_tables(schedule: GradientSchedule, members: Sequence[Member],
             np.multiply(src_coef[b], mult, out=src[:, b])
             np.multiply(gain_coef[b], mult, out=gain[:, b])
             env[:, b] = m.envelope(t)
-            if stark:   # -(c_loss*I + 1j*(c_shift*I)), in its table slot
-                drive = m.stark.intensity(t) if m.stark else 0.0 * t
-                c_loss, c_shift = ((m.stark.c_loss, m.stark.c_shift)
-                                   if m.stark else (0.0, 0.0))
-                rate = factors[:rows, j, 3, b, 0]
-                np.multiply(1j, c_shift * drive, out=rate)
-                np.negative(np.add(c_loss * drive, rate, out=rate), out=rate)
         which.append(np.searchsorted(levels, schedule.values(t)).tolist())
         driven.append(((t >= lo) & (t < hi)).tolist())
     return which, driven
@@ -209,9 +224,9 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
     fields E(L, t), (B, nt).  What depends on time alone is tabulated on the
     stage times t_n, t_n + dt/2, t_n + dt a block of BLOCK_ROWS steps at a
     time (``_stage_tables``), and the sigma coefficient once per value
-    eta(t) takes.  Each row repeats the arithmetic of a one-member march in
-    the same order, so its values do not depend on the batch.  Stark drives
-    exclude a ``cross`` drive (ValueError, before any allocation).
+    eta(t) takes, formed afresh only for the target of a ``cross`` drive
+    while it is on.  Each row repeats the arithmetic of a one-member march
+    in the same order, so its values do not depend on the batch.
 
     The slaved field is E(z) = E(0) + source * (trapezoid integral of
     sigma over [0, z]); the pair sums sigma[j + 1] + sigma[j] come from one
@@ -236,19 +251,15 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
     """
     nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
     size = len(members)
-    stark = any(m.stark is not None for m in members)
-    if stark and cross is not None:
-        raise ValueError("a march takes Stark drives or a cross drive, "
-                         "not both")
-    # eta(t) takes the schedule's few values, so eta*zeta (and, without a
-    # Stark drive, the whole sigma coefficient) is formed once per value
+    # eta(t) takes the schedule's few values, so eta*zeta and the whole
+    # sigma coefficient are formed once per value
     levels = np.unique([v for _, _, v in schedule.segments])
     eta = levels[:, None] * np.array([m.eta_sign for m in members])
     eta_zeta = eta[:, :, None] * (grid.z - grid.L / 2.0)
     decay0 = np.array([m.decay for m in members])
     fixed = list(-(decay0[:, None] + 1j * eta_zeta))
     rows = min(nt, BLOCK_ROWS)
-    factors = np.empty((rows, 3, 3 + stark, size, 1), dtype=complex)
+    factors = np.empty((rows, 3, 3, size, 1), dtype=complex)
 
     exit_t = np.empty((size, nt), dtype=complex)
     if on_block is not None:
@@ -258,9 +269,8 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
     k0, k1, k2, k3 = k
     # A stage's factors, spread along z once per stage time: a stage op
     # with a (B, 1) operand would cost NumPy a buffered copy of it.
-    spread = np.empty((3 + stark, size, nz), dtype=complex)
-    src_z, env_z, gain_z = spread[:3]
-    stark_z = spread[3] if stark else None
+    spread = np.empty((3, size, nz), dtype=complex)
+    src_z, env_z, gain_z = spread
     # views and scalars a step reads, made once: the flattened pair
     # slices of sig and s, the field's heads, the running sums' tails
     sig_hi, sig_lo = sig.reshape(-1)[1:], sig.reshape(-1)[:-1]
@@ -293,8 +303,6 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
         # -(decay + i*shift), the sigma-diagonal part of the RHS at
         # eta(t) = levels[w] for the field in ``e``; a cross-driven
         # target's row is formed in the cross drive's scratch
-        if stark:
-            return add(fixed[w], stark_z, coef)
         if not driven:
             return fixed[w]
         copyto(coef, fixed[w])
@@ -313,7 +321,7 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
     for n0 in range(0, nt, rows):
         stage_t = [times[n0:n0 + rows] + h for h in stage_dt]
         (w0, w1, w2), (d0, d1, d2) = _stage_tables(
-            schedule, members, cross, levels, stage_t, factors, stark)
+            schedule, members, cross, levels, stage_t, factors)
         for r in range(len(stage_t[0])):
             n = n0 + r
             f0, f1, f2 = factors[r]
@@ -440,58 +448,70 @@ def propagate(params: EnsembleParams, probe: PulseSpec,
     OmegaC per time window).  With a Stark drive the signal-free reference
     run is marched in the same batch and gives ``xpm_phase``.  ``on_block``
     receives the run's sigma and E rows as ``march`` hands them out, with
-    the member axis dropped: (rows, nz) views.  Raises as _storage_runs
-    and march do.
+    the member axis dropped: (rows, nz) views, times Phi with a Stark
+    drive.  Raises as storage_batch and march do.
     """
-    return _storage_runs(schedule, grid, [(params, probe, stark, coupling)],
+    return storage_batch(schedule, grid, [(params, probe, stark, coupling)],
                          on_block)[0]
 
 
 def storage_batch(schedule: GradientSchedule, grid: Grid,
                   runs: Sequence[Tuple[EnsembleParams, PulseSpec,
-                                       Optional[StarkDrive]]]
-                  ) -> List[StorageResult]:
-    """(ensemble, probe, stark) runs on one schedule and grid, checked and
-    marched as ``propagate`` does: each result's efficiency, echo and xpm
-    phase (NaN when undriven) are propagate's, bit for bit.  Runs on
-    different ensembles march together; it hands no rows out."""
-    return _storage_runs(schedule, grid, [(*run, None) for run in runs])
-
-
-def _storage_runs(schedule: GradientSchedule, grid: Grid,
-                  runs: Sequence[tuple], on_block: Optional[Callable] = None
-                  ) -> List[StorageResult]:
+                                       Optional[StarkDrive],
+                                       Optional[PiecewiseConstant]]],
+                  on_block: Optional[Callable] = None) -> List[StorageResult]:
     """Check each (ensemble, probe, stark, coupling) run against its own
     ensemble as check_window and check_step do, march each as a Member of
-    its ensemble with the signal-free reference of each driven one, and
-    return each run's StorageResult with its xpm_phase and dt_limit;
-    ``on_block`` gets the first run's rows.  Equal members march once, at
+    its ensemble, a driven one with input E(0, t)/Phi(t) and beside its
+    signal-free reference, and return each run's StorageResult (exit field
+    times Phi) with its xpm_phase (NaN when undriven) and dt_limit;
+    ``on_block`` gets the first run's rows, times Phi.  A run's result
+    does not depend on the batch.  OverflowError, before any march, for a
+    drive whose 1/Phi is beyond float range.  Equal members march once, at
     most max(1, 4096 // nz) to a march (B*nz <= 4096, past which a larger
     batch is slower) and no more than fit RECORD_BUDGET_BYTES."""
-    limits, run_members, probes = [], [], {}   # one envelope per probe
+    limits, plans, probes = [], [], {}   # one envelope per probe
     for params, probe, stark, coupling in runs:
         flip = check_window(probe, schedule, grid.t_max)
-        limits.append(check_step(params, schedule, grid, params.raman_ratio,
-                                 *(stark.rates if stark else ())))
-        run_members.append(Member(
-            probes.setdefault(probe, probe).envelope, params.raman_ratio,
-            params.coupling_density, coupling=coupling, decay=params.gamma0,
-            stark=stark))
-    ref = {m: replace(m, stark=None) for m in run_members if m.stark}
-    members = list(dict.fromkeys(run_members + [*ref.values()]))
+        limits.append(check_step(params, schedule, grid, params.raman_ratio))
+        probe = probes.setdefault(probe, probe)
+        member = Member(probe.envelope, params.raman_ratio,
+                        params.coupling_density, coupling=coupling,
+                        decay=params.gamma0)
+        if stark is None:
+            plans.append((probe, member, None, None))
+            continue
+        phi = stark.factor(grid.t)   # first: it refuses an overflowing drive
+        driven = replace(member, envelope=lambda t, e=probe.envelope,
+                         s=stark: e(t) * s.factor(t, -1.0))
+        plans.append((probe, driven, member, phi))
+    members = list(dict.fromkeys([m for _, m, _, _ in plans]
+                                 + [r for _, _, r, _ in plans if r]))
     size = max(1, min(4096 // grid.nz,
                       RECORD_BUDGET_BYTES // member_bytes(grid)))
-    done, first = {}, on_block and (   # the first run's rows only
-        lambda n0, sigma, field: on_block(n0, sigma[:, 0], field[:, 0]))
+    first_phi = plans[0][3] if plans else None
+
+    def first(n0, sigma, field):   # the first run's rows, times its Phi
+        sigma, field = sigma[:, 0], field[:, 0]
+        if first_phi is not None:
+            rows = first_phi[n0:n0 + len(sigma), None]
+            sigma, field = sigma * rows, field * rows
+        on_block(n0, sigma, field)
+
+    exits = {}
     for i in range(0, len(members), size):
         chunk = members[i:i + size]
-        exits = march(schedule, grid, chunk, on_block=None if i else first)
-        for m, exit_field in zip(chunk, exits):
-            done[m] = storage_result(exit_field, grid, m.envelope, flip)
-    return [replace(done[m], dt_limit=limit,
-                    xpm_phase=(done[ref[m]].echo_phase - done[m].echo_phase
-                               if m in ref else math.nan))
-            for m, limit in zip(run_members, limits)]
+        exits.update(zip(chunk, march(
+            schedule, grid, chunk,
+            on_block=first if on_block is not None and i == 0 else None)))
+    results = []
+    for (probe, member, ref, phi), limit in zip(plans, limits):
+        exit_field = exits[member] if phi is None else exits[member] * phi
+        run = storage_result(exit_field, grid, probe.envelope, flip)
+        xpm_phase = (math.nan if ref is None else
+                     exit_phase(grid, exits[ref], flip) - run.echo_phase)
+        results.append(replace(run, dt_limit=limit, xpm_phase=xpm_phase))
+    return results
 
 
 def _window_integral(t: np.ndarray, p: np.ndarray, lo: float, hi: float) -> float:
@@ -526,7 +546,7 @@ def exit_phase(grid: Grid, e: np.ndarray, flip: Optional[float]) -> float:
     ec = e[j] * (1.0 - frac) + e[j + 1] * frac
     if ec == 0.0:
         return math.nan
-    return float(np.angle(ec))
+    return math.atan2(ec.imag, ec.real)
 
 
 def spatial_spectrum(values: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:

@@ -15,11 +15,25 @@ concurrently running solvers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+
+
+def _through_math(fn):
+    """``fn`` of the ``math`` module applied elementwise, as floats."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: np.asarray(ufunc(x), dtype=float)
+
+
+#: exp, erf and the complex argument through ``math``: NumPy's float exp
+#: and angle take SIMD loops whose last bits differ between its AVX2 and
+#: AVX-512 dispatch levels, and the golden values must not.
+math_exp, math_erf, math_angle = map(_through_math,
+                                     (math.exp, math.erf, cmath.phase))
 
 
 @dataclass(frozen=True)
@@ -89,7 +103,7 @@ class PulseSpec:
     def envelope(self, t):
         """Complex amplitude at time(s) ``t`` (phase 0 by construction)."""
         t = np.asarray(t, dtype=float)
-        out = self.peak_amplitude * np.exp(
+        out = self.peak_amplitude * math_exp(
             -((t - self.center_time) / self.duration) ** 2)
         return out + 0.0j
 

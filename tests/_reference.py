@@ -25,7 +25,10 @@
   ``_reference_field``): it allocates fresh arrays at every stage and
   keeps whole (nt, B, nz) records of sigma and of the field.
   ``gem.march`` keeps its arithmetic and order, so the rows it hands out
-  and the records must agree bit for bit.
+  and the records must agree bit for bit.  It also takes Stark drives in
+  the right-hand side, -(c_loss + i*c_shift)*I(t) on sigma, which
+  ``gem`` applies by their integrating factor instead: the oracle for the
+  driven runs of ``gem.propagate``.
 * ``FullRecords`` is a block consumer for ``gem.march`` and
   ``gem.propagate`` that keeps every row handed out, for the tests that
   read whole records.
@@ -358,20 +361,23 @@ class FullRecords:
         return np.concatenate([e for _, e in self.blocks])
 
 
-def reference_march(schedule, grid, members, cross=None):
+def reference_march(schedule, grid, members, cross=None, drives=None):
     """Advance a (B, nz) stack of coherences, one row per member, by RK4
     steps with the slaved field marched along z at every stage, and return
     (exit fields (B, nt), sigma (nt, B, nz), field (nt, B, nz)).  What
     depends on time alone is tabulated once on the stage times t_n,
     t_n + dt/2, t_n + dt.  Each row repeats the arithmetic of a one-member
     march in the same order, so its records do not depend on the batch.
-    Step-size checks are the caller's; NumericalError on non-finite state.
+    ``drives``, one per member, are None or a Stark drive (intensity,
+    c_shift, c_loss) with I(t) vectorised, added to sigma's coefficient at
+    every stage; a cross drive excludes them.  Step-size checks are the
+    caller's; NumericalError on non-finite state.
     """
     nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
     stage_t = grid.t[:, None] + np.array([0.0, 0.5 * dt, dt])
 
-    def table(values):   # (nt, 3, B, 1): one column per member
-        return np.stack([values(m) for m in members], axis=-1)[..., None]
+    def table(values, items=members):   # (nt, 3, B, 1): one column each
+        return np.stack([values(m) for m in items], axis=-1)[..., None]
 
     mult = table(lambda m: m.coupling.values(stage_t) if m.coupling
                  else np.ones_like(stage_t))
@@ -381,12 +387,14 @@ def reference_march(schedule, grid, members, cross=None):
     src = (1j * density * ratio) * mult
     gain = (1j * ratio) * mult
     decay0 = np.array([m.decay for m in members])
-    stark = any(m.stark is not None for m in members)
+    drives = drives or [None] * len(members)
+    stark = any(d is not None for d in drives)
+    assert not (stark and cross is not None)
     if stark:
-        loss = table(lambda m: m.stark.c_loss * m.stark.intensity(stage_t)
-                     if m.stark else 0.0 * stage_t)[..., 0]
-        ac = table(lambda m: m.stark.c_shift * m.stark.intensity(stage_t)
-                   if m.stark else 0.0 * stage_t)
+        loss = table(lambda d: d[2] * d[0](stage_t) if d else 0.0 * stage_t,
+                     drives)[..., 0]
+        ac = table(lambda d: d[1] * d[0](stage_t) if d else 0.0 * stage_t,
+                   drives)
     lo, hi = cross.window if cross is not None else (0.0, 0.0)
     driven = (stage_t >= lo) & (stage_t < hi)
     # eta(t) takes a few distinct values, so eta*zeta (and, without a

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -692,6 +693,58 @@ class TestRunStorage:
         assert f"error: {where}: OverflowError" in err
         assert "Traceback" not in err
 
+    def test_drive_rate_leaves_step_check(self, tmp_path):
+        # a signal whose Stark rate, 0.0025*200^2 = 100 per unit time, is
+        # above 1/dt = 102.35 less the undriven rate 5.59: applied by its
+        # factor, it adds no stiffness, so the run's step limit is the
+        # undriven one and it runs.  Its phase is the rectangular-drive
+        # formula Omega_s^2*delta*tau / (gamma^2 + delta^2), with tau =
+        # duration*sqrt(pi/2) the Gaussian intensity's width, to 1e-3 of
+        # it after unwrapping
+        signal = {"peak_amplitude": 200.0, "center_time": 7.0,
+                  "duration": 0.5}
+        cfg = dict(STORAGE_CONFIG, signal=signal)
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "small_storage.summary.json")
+                             .read_text(encoding="utf-8"))["results"]
+        delta, gamma = 400.0, 1.0
+        expected = (200.0 ** 2 * delta * 0.5 * math.sqrt(math.pi / 2.0)
+                    / (gamma ** 2 + delta ** 2))
+        turns = round((expected - results["xpm_phase_rad"]) / (2 * math.pi))
+        assert results["xpm_phase_rad"] + 2 * math.pi * turns == \
+            pytest.approx(expected, rel=1e-3)
+        undriven = 4.0 + 250.0 * 0.2 ** 2 / (2 * math.pi)   # eta*L/2, exchange
+        assert results["dt_over_limit"] == pytest.approx(
+            20.0 / 2047 * undriven, rel=1e-12)
+
+    @pytest.mark.parametrize("signal, ensemble", [
+        # c_loss*F = 6.2e-6 * 1e304 * 1.25
+        ({"peak_amplitude": 1.0e+152, "center_time": 6.0, "duration": 1.0},
+         {}),
+        # on resonance, c_loss*F = 100 * 6 * 1.25 = 752, although its rate
+        # 100 is within the step limit 1/dt = 204.75 less 5.59
+        ({"peak_amplitude": 10.0, "center_time": 6.0, "duration": 6.0},
+         {"delta3": 0.0}),
+    ], ids=["huge_signal", "long_resonant_signal"])
+    def test_drive_beyond_float_range_refused(self, tmp_path, capsys,
+                                              monkeypatch, signal, ensemble):
+        # 1/Phi = exp(c_loss*F) beyond float range: refused with exit 3
+        # before any march, naming the drive, with no warning raised
+        cfg = dict(STORAGE_CONFIG, signal=signal,
+                   ensemble=dict(STORAGE_CONFIG["ensemble"], **ensemble),
+                   grid=dict(STORAGE_CONFIG["grid"], nt=4096))
+        sizes = record_march_sizes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", write_yaml(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3 and sizes == []
+        assert ("error: storage config 'small_storage': OverflowError: "
+                "Stark drive (c_shift") in err
+        assert "beyond float range" in err and "Traceback" not in err
+
 
 class TestRecordBudget:
     @pytest.mark.parametrize("preset, mib", [
@@ -767,13 +820,13 @@ class TestGateTelemetry:
 
 class TestRecordDiagnostics:
     @pytest.mark.parametrize("preset, pinned", [
-        ("storage_baseline", {"fourier_residual": 0.028574305592487005,
+        ("storage_baseline", {"fourier_residual": 0.028574305592487047,
                               "excitation_balance_residual":
-                                  0.00012103411819211573,
+                                  0.00012103411819220424,
                               "kdrift_max_dev_bins": 0.8123898905723551}),
-        ("fig3b_double", {"quadrature_phase_rad": 0.004198595286462249,
+        ("fig3b_double", {"quadrature_phase_rad": 0.00419859528646225,
                           "loss_factor": 0.9998952892382601,
-                          "xpm_phase_rad": 0.003975127814592749}),
+                          "xpm_phase_rad": 0.003975127814592971}),
     ])
     def test_record_diagnostics_pinned(self, preset, pinned):
         # scalars read off the sigma records and the field rebuilt from
