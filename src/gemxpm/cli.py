@@ -170,7 +170,7 @@ def _phi_targets_report(cfg: ExperimentConfig, phi: float,
         return None
     gate = cfg.gate
     p_bare = replace(gate.params, stored_signal_coupling=False)
-    p_dressed = p_bare.with_stored_signal_coupling()
+    p_dressed = replace(p_bare, stored_signal_coupling=True)
     t = gate.t_end if cfg.kind == "gate" else gate.t_gate
     denom = p_bare.gamma ** 2 + p_bare.delta4 ** 2
 

@@ -36,7 +36,7 @@ The engine needs numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -120,10 +120,6 @@ class GateParams:
             return self.g
         w = math.hypot(self.g1p3p, self.OmegaCPrime)
         return self.g * (self.OmegaCPrime / w if w > 0 else 0.0)
-
-    def with_stored_signal_coupling(self) -> "GateParams":
-        """These parameters with the stored signal's g24."""
-        return replace(self, stored_signal_coupling=True)
 
 
 def build_hamiltonian(params: GateParams) -> np.ndarray:

@@ -14,12 +14,12 @@ with its own physics, in t by classic RK4 steps.  The gradient is centred
 on the grid's cell (eta*(z - L/2)).  A drive is an intensity I = |g*E_s|^2
 (0 without one) and the ``light_shift`` pair (c_shift, c_loss) of its
 detuning.  A ``CrossDrive``, another member's |E|^2, is marched in the
-right-hand side and bounds dt by its ``rates``.  A ``StarkDrive``, a
-signal filling the cell, is uniform in z: with Phi(t) = exp(-(c_loss +
-i*c_shift)*F(t)), F its fluence, (sigma, E)/Phi obeys the undriven pair
-with input E(0, t)/Phi(t).  So a driven run marches undriven and its
-fields are multiplied by Phi (integrating factor; Lawson, SIAM J. Numer.
-Anal. 4 (1967) 372-380), and the drive adds no stiffness.
+right-hand side; ``check_step`` bounds dt by its peak rates.  A
+``StarkDrive``, a signal filling the cell, is uniform in z: with Phi(t)
+= exp(-(c_loss + i*c_shift)*F(t)), F its fluence, (sigma, E)/Phi obeys
+the undriven pair with input E(0, t)/Phi(t).  So a driven run marches
+undriven, its fields times Phi (integrating factor; Lawson, SIAM J.
+Numer. Anal. 4 (1967) 372-380), and the drive adds no stiffness.
 
 Sign conventions worth knowing when reading diagnostics:
 
@@ -44,8 +44,9 @@ from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec, math_erf)
 
 _NAN_CHECK_STRIDE = 64
-#: Largest x with exp(x) a float: the bound on a Stark drive's c_loss*F.
-_MAX_EXPONENT = math.log(np.finfo(float).max)
+#: Bound on a Stark drive's 1/Phi and a driven run's march input: float
+#: range less 2^64 of headroom for the march's gain over its input.
+MAX_DRIVEN_INPUT = np.finfo(float).max / 2.0 ** 64
 #: Grid rows of sigma and E a march hands to its consumer at once.
 BLOCK_ROWS = 256
 
@@ -87,18 +88,28 @@ class StarkDrive:
     c_loss: float
 
     def factor(self, t, sign: float = 1.0) -> np.ndarray:
-        """Phi(t), or 1/Phi(t) with ``sign`` -1; OverflowError when 1/Phi
-        = exp(c_loss*F) is beyond float range at any of the times t."""
+        """Phi(t), or 1/Phi(t) with ``sign`` -1."""
+        return np.exp(complex(-sign * self.c_loss, -sign * self.c_shift)
+                      * self.fluence(t))
+
+    def driven_input(self, envelope: Callable[[np.ndarray], np.ndarray],
+                     grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+        """E(0, t)/Phi(t), the march input of a run with input ``envelope``;
+        OverflowError when exp(|c_loss|*F)*max(1, |E(0, t)|), a bound on
+        Phi, 1/Phi and that input, exceeds MAX_DRIVEN_INPUT at a stage time
+        of a march on ``grid`` (a NaN drive is left to the march)."""
+        t = grid.t + np.array([[0.0], [0.5 * grid.dt], [grid.dt]])
         with np.errstate(over="ignore", invalid="ignore"):
-            fluence = self.fluence(t)
-            beyond = np.any(abs(self.c_loss) * fluence > _MAX_EXPONENT)
-        if beyond:
+            top = (np.exp(abs(self.c_loss) * self.fluence(t))
+                   * np.maximum(np.abs(envelope(t)), 1.0))
+        beyond = t[top > MAX_DRIVEN_INPUT]
+        if beyond.size:
             raise OverflowError(
                 f"Stark drive (c_shift {self.c_shift:.6g}, c_loss "
-                f"{self.c_loss:.6g}): its fluence {np.max(fluence):.6g} puts "
-                "1/Phi = exp(c_loss*fluence) beyond float range")
-        return np.exp(complex(-sign * self.c_loss, -sign * self.c_shift)
-                      * fluence)
+                f"{self.c_loss:.6g}): at t = {beyond.min():.6g} 1/Phi or the "
+                "input E(0, t)/Phi(t) is beyond float range less the march's "
+                f"headroom ({MAX_DRIVEN_INPUT:.3g})")
+        return lambda t: envelope(t) * self.factor(t, -1.0)
 
 
 def apply_stark_drive(signal: PulseSpec, params: EnsembleParams,
@@ -171,7 +182,8 @@ class Member:
 class CrossDrive:
     """Drive of member ``target`` by member ``source``'s field for t in
     [window): the intensity |E_source(z,t)|^2, at most ``peak``, shifts
-    the target by c_shift times it and scatters it at c_loss times it."""
+    the target by c_shift times it and scatters it at c_loss times it, so
+    check_step bounds its rates by c_loss*peak and |c_shift|*peak."""
 
     source: int
     target: int
@@ -179,11 +191,6 @@ class CrossDrive:
     peak: float
     c_shift: float
     c_loss: float
-
-    @property
-    def rates(self) -> Tuple[float, float]:
-        """(loss, |shift|) at the peak intensity, for check_step."""
-        return self.c_loss * self.peak, abs(self.c_shift) * self.peak
 
 
 def _stage_tables(schedule: GradientSchedule, members: Sequence[Member],
@@ -403,18 +410,22 @@ def check_window(probe: PulseSpec, schedule: GradientSchedule,
     return flip
 
 
-def check_step(params: EnsembleParams, schedule: GradientSchedule,
-               grid: Grid, ratio: float, *rates: float) -> float:
-    """The stability limit 1/rate on dt (inf when rate is 0), rate summing
-    gamma0, ``rates``, the detuning ramp and the slowest-k polariton
-    exchange at Raman ratio ``ratio``; StabilityError when dt exceeds it.
-    (RK4 allows |lambda|*dt up to 2*sqrt(2); the margin covers the
-    transient growth of the z-marched coupling.)"""
-    rate = params.gamma0
-    for r in rates:
-        rate += r
+def check_step(schedule: GradientSchedule, grid: Grid,
+               members: Sequence[Member],
+               cross: Optional[CrossDrive] = None) -> float:
+    """The stability limit 1/rate on dt of a march of ``members`` (inf when
+    rate is 0), rate summing the largest decay, the ``cross`` drive's
+    c_loss*peak and |c_shift|*peak, the ramp max|eta|*L/2 and the largest
+    slowest-k exchange coupling_density*ratio^2*L/2pi; StabilityError
+    when dt exceeds it.  (RK4 allows |lambda|*dt up to 2*sqrt(2); the
+    margin covers the transient growth of the z-marched coupling.)"""
+    rate = max(m.decay for m in members)
+    if cross is not None:
+        rate += cross.c_loss * cross.peak
+        rate += abs(cross.c_shift) * cross.peak
     rate += schedule.max_abs_eta * grid.L / 2.0
-    rate += params.coupling_density * ratio ** 2 * grid.L / (2.0 * math.pi)
+    rate += (max(m.coupling_density * m.ratio ** 2 for m in members)
+             * grid.L / (2.0 * math.pi))
     limit = 1.0 / rate if rate > 0.0 else math.inf
     if grid.dt > limit:
         raise StabilityError(grid.dt, limit)
@@ -460,31 +471,29 @@ def storage_batch(schedule: GradientSchedule, grid: Grid,
                                        Optional[StarkDrive],
                                        Optional[PiecewiseConstant]]],
                   on_block: Optional[Callable] = None) -> List[StorageResult]:
-    """Check each (ensemble, probe, stark, coupling) run against its own
-    ensemble as check_window and check_step do, march each as a Member of
-    its ensemble, a driven one with input E(0, t)/Phi(t) and beside its
+    """Check each (ensemble, probe, stark, coupling) run as check_window
+    does and its own Member of the ensemble as check_step does, march each
+    Member, a driven one with input E(0, t)/Phi(t) and beside its
     signal-free reference, and return each run's StorageResult (exit field
     times Phi) with its xpm_phase (NaN when undriven) and dt_limit;
     ``on_block`` gets the first run's rows, times Phi.  A run's result
     does not depend on the batch.  OverflowError, before any march, for a
-    drive whose 1/Phi is beyond float range.  Equal members march once, at
-    most max(1, 4096 // nz) to a march (B*nz <= 4096, past which a larger
-    batch is slower) and no more than fit RECORD_BUDGET_BYTES."""
+    driven input that StarkDrive.driven_input refuses.  Equal members march
+    once, at most max(1, 4096 // nz) to a march (B*nz <= 4096, past which a
+    larger batch is slower) and no more than fit RECORD_BUDGET_BYTES."""
     limits, plans, probes = [], [], {}   # one envelope per probe
     for params, probe, stark, coupling in runs:
         flip = check_window(probe, schedule, grid.t_max)
-        limits.append(check_step(params, schedule, grid, params.raman_ratio))
         probe = probes.setdefault(probe, probe)
         member = Member(probe.envelope, params.raman_ratio,
                         params.coupling_density, coupling=coupling,
                         decay=params.gamma0)
+        limits.append(check_step(schedule, grid, [member]))
         if stark is None:
             plans.append((probe, member, None, None))
             continue
-        phi = stark.factor(grid.t)   # first: it refuses an overflowing drive
-        driven = replace(member, envelope=lambda t, e=probe.envelope,
-                         s=stark: e(t) * s.factor(t, -1.0))
-        plans.append((probe, driven, member, phi))
+        plans.append((probe, replace(member, envelope=stark.driven_input(
+            probe.envelope, grid)), member, stark.factor(grid.t)))
     members = list(dict.fromkeys([m for _, m, _, _ in plans]
                                  + [r for _, _, r, _ in plans if r]))
     size = max(1, min(4096 // grid.nz,

@@ -251,30 +251,29 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     corresponding coupling scattering rate).  During the hold the signal's
     photonic component, reconstructed by the same slaved-field march, acts
     on the probe coherence as a local ac-Stark drive with detuning delta4.
+    check_step bounds dt for the very members and cross drive it marches.
 
     Returns the recalled-probe phase relative to a signal-free reference
     run, the surviving coherence fraction, and the k-t trajectories of
     both coherences, reduced from the rows the march hands out.
     """
     flip, (tau1, tau2) = check_protocol(probe, signal, schedule, grid.t_max)
-
+    # probe, signal (opposite gradient, coupling on) and the reference (the
+    # probe undriven); the signal's field drives the probe over the hold
+    held = Member(probe.envelope, params.raman_ratio, params.coupling_density,
+                  coupling=PiecewiseConstant(((0.0, tau1, 1.0),
+                                              (tau1, tau2, 0.0),
+                                              (tau2, grid.t_max, 1.0))),
+                  decay=params.gamma0)
     sig_loss = coupling_loss_rate(params.OmegaCPrime, params.DeltaPrime,
                                   params.gamma)
-    probe_coupling = PiecewiseConstant((
-        (0.0, tau1, 1.0), (tau1, tau2, 0.0), (tau2, grid.t_max, 1.0)))
-    # the signal's field drives the probe over the hold, its intensity
-    # bounded by the signal input's peak
+    members = [held, Member(signal.envelope, params.raman_ratio_signal,
+                            params.coupling_density, eta_sign=-1.0,
+                            decay=params.gamma0 + sig_loss), held]
     cross = CrossDrive(1, 0, (tau1, tau2), signal.peak_amplitude ** 2,
                        *light_shift(params.gamma, params.delta4))
+    dt_limit = check_step(schedule, grid, members, cross)
 
-    # Both coherences see the gradient ramp; the probe also sees the drive.
-    dt_limit = check_step(
-        params, schedule, grid,
-        max(params.raman_ratio, params.raman_ratio_signal), sig_loss,
-        *cross.rates)
-
-    # probe, signal (opposite gradient, coupling on) and the reference,
-    # which is the probe without the signal's drive, reduced row by row
     i2 = max(int(np.searchsorted(grid.t, tau2, side="right")) - 1, 0)
     hold = (grid.t >= tau1) & (grid.t <= tau2)
     kpeak, intensity, norms = np.empty((2, grid.nt)), np.empty(grid.nt), {}
@@ -292,13 +291,8 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
                                        .sum(axis=1)
                                        / np.maximum(w.sum(axis=1), 1e-300))
 
-    held = Member(probe.envelope, params.raman_ratio, params.coupling_density,
-                  coupling=probe_coupling, decay=params.gamma0)
-    probe_exit, _, reference_exit = march(schedule, grid, [
-        held, Member(signal.envelope, params.raman_ratio_signal,
-                     params.coupling_density, eta_sign=-1.0,
-                     decay=params.gamma0 + sig_loss), held], cross,
-        on_block=reduce)
+    probe_exit, _, reference_exit = march(schedule, grid, members, cross,
+                                          on_block=reduce)
     probe_result = storage_result(probe_exit, grid, probe.envelope, flip)
     reference = storage_result(reference_exit, grid, probe.envelope, flip)
     loss_factor = (min(float(norms[0] / norms[1]), 1.0) if norms[1] > 0

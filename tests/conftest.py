@@ -3,6 +3,8 @@ unit suite and the acceptance suite reuse one trajectory each."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from gemxpm import (EnsembleParams, GateParams, GradientSchedule, Grid,
@@ -67,5 +69,5 @@ def gate_trajectory(gate_params):
 
 @pytest.fixture(scope="session")
 def dressed_phase_trace(gate_params):
-    return phase_trace(gate_params.with_stored_signal_coupling(),
+    return phase_trace(replace(gate_params, stored_signal_coupling=True),
                        t_end=15.0, n_samples=31)

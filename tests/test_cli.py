@@ -50,8 +50,9 @@ def write_yaml(tmp_path, payload, name="cfg.yaml"):
 
 
 def record_march_sizes(monkeypatch):
-    """Make gem.march record each march's member count; return the list."""
-    from gemxpm import gem
+    """Make gem.march, as the storage and double-storage runs call it,
+    record each march's member count; return the list."""
+    from gemxpm import gem, xpm
     sizes, march = [], gem.march
 
     def sized(schedule, grid, members, *args, **kwargs):
@@ -59,6 +60,7 @@ def record_march_sizes(monkeypatch):
         return march(schedule, grid, members, *args, **kwargs)
 
     monkeypatch.setattr(gem, "march", sized)
+    monkeypatch.setattr(xpm, "march", sized)
     return sizes
 
 
@@ -718,22 +720,32 @@ class TestRunStorage:
         assert results["dt_over_limit"] == pytest.approx(
             20.0 / 2047 * undriven, rel=1e-12)
 
-    @pytest.mark.parametrize("signal, ensemble", [
+    @pytest.mark.parametrize("signal, ensemble, other", [
         # c_loss*F = 6.2e-6 * 1e304 * 1.25
         ({"peak_amplitude": 1.0e+152, "center_time": 6.0, "duration": 1.0},
-         {}),
+         {}, {}),
         # on resonance, c_loss*F = 100 * 6 * 1.25 = 752, although its rate
         # 100 is within the step limit 1/dt = 204.75 less 5.59
         ({"peak_amplitude": 10.0, "center_time": 6.0, "duration": 6.0},
-         {"delta3": 0.0}),
-    ], ids=["huge_signal", "long_resonant_signal"])
+         {"delta3": 0.0}, {}),
+        # on resonance, c_loss*F = 43.3^2 * 0.3 * 1.25 = 705 keeps 1/Phi a
+        # float, but the probe of peak 1000 after the signal makes the
+        # driven input E(0, t)/Phi(t) 1000*exp(705), beyond it
+        ({"peak_amplitude": 43.3, "center_time": 1.0, "duration": 0.3},
+         {"delta3": 0.0},
+         {"probe": {"peak_amplitude": 1000.0, "center_time": 3.0,
+                    "duration": 1.0},
+          "grid": {"nz": 32, "nt": 2048, "t_max": 20.0}}),
+    ], ids=["huge_signal", "long_resonant_signal", "driven_input"])
     def test_drive_beyond_float_range_refused(self, tmp_path, capsys,
-                                              monkeypatch, signal, ensemble):
-        # 1/Phi = exp(c_loss*F) beyond float range: refused with exit 3
-        # before any march, naming the drive, with no warning raised
-        cfg = dict(STORAGE_CONFIG, signal=signal,
-                   ensemble=dict(STORAGE_CONFIG["ensemble"], **ensemble),
-                   grid=dict(STORAGE_CONFIG["grid"], nt=4096))
+                                              monkeypatch, signal, ensemble,
+                                              other):
+        # 1/Phi = exp(c_loss*F) or the march's input E(0, t)/Phi(t) beyond
+        # float range: refused with exit 3 before any march, naming the
+        # drive, with no warning raised
+        cfg = {**STORAGE_CONFIG, "signal": signal,
+               "ensemble": dict(STORAGE_CONFIG["ensemble"], **ensemble),
+               "grid": dict(STORAGE_CONFIG["grid"], nt=4096), **other}
         sizes = record_march_sizes(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -765,20 +777,52 @@ class TestRecordBudget:
 
 
 class TestMarchTelemetry:
-    @pytest.mark.parametrize("preset", [
-        n for n in preset_names()
-        if get_preset(n)["experiment"] in ("storage", "xpm-double")])
-    def test_summary_records_steps_and_dt_headroom(self, tmp_path, preset):
+    @pytest.mark.parametrize("preset, dt_over_limit", [
+        ("storage_baseline", 0.027309154729762898),
+        ("fig3b_double", 0.019763464373356958)],
+        ids=["storage_baseline", "fig3b_double"])
+    def test_summary_records_steps_and_dt_headroom(self, tmp_path, preset,
+                                                   dt_over_limit):
         # the step count and dt over the stability limit reach the summary
         # only.  Neither dt nor the limit depends on nz, so a coarse z grid
-        # reports the preset's own headroom.
+        # reports the preset's own headroom, bit for bit.
+        assert preset in preset_names()
         raw = get_preset(preset)
         raw["grid"]["nz"] = 16
         cfg = parse_config(raw, default_name=preset)
         results = json.loads(
             run_config(cfg, tmp_path)["summary"].read_text())["results"]
         assert results["march_steps"] == cfg.grid.nt - 1
-        assert 0.0 < results["dt_over_limit"] < 1.0
+        assert results["dt_over_limit"] == dt_over_limit
+
+    def test_every_members_exchange_bounds_the_step(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # fig3b_double with the probe ratio OmegaC/Delta = 8/-40 = -0.2
+        # against the signal's 0.05: the probe's exchange
+        # 4000*0.2^2*L/2pi enters the limit, where a signed maximum of the
+        # two ratios took the signal's 0.05
+        raw = get_preset("fig3b_double")
+        raw["ensemble"]["Delta"] = -40.0
+        raw["grid"]["nz"] = 16
+        cfg = parse_config(raw, default_name="fig3b_double")
+        results = json.loads(
+            run_config(cfg, tmp_path)["summary"].read_text())["results"]
+        c_shift, c_loss = 40.0 / 1601.0, 1.0 / 1601.0   # gamma 1, delta4 40
+        rate = (1.0 * (8.0 / 160.0) ** 2 + c_loss * 1.0 + c_shift * 1.0
+                + 2.0 * math.pi * 1.0 / 2.0
+                + 4000.0 * (8.0 / -40.0) ** 2 * 1.0 / (2.0 * math.pi))
+        assert results["dt_over_limit"] == pytest.approx(
+            cfg.grid.dt * rate, rel=1e-12)
+        # a grid the signal's exchange alone allows: refused before any
+        # march
+        raw["grid"]["nt"] = 512
+        sizes = record_march_sizes(monkeypatch)
+        assert main(["simulate", write_yaml(tmp_path, raw),
+                     "--out", str(tmp_path / "coarse")]) == 3
+        err = capsys.readouterr().err
+        assert sizes == [] and "Traceback" not in err
+        assert ("error: xpm-double config 'fig3b_double': StabilityError: "
+                "time step dt=6.654e-02 exceeds") in err
 
 
 class TestGateTelemetry:

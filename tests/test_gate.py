@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestBuildHamiltonian:
 
     def test_stored_signal_coupling(self):
         p = GateParams()
-        d = p.with_stored_signal_coupling()
+        d = replace(p, stored_signal_coupling=True)
         w = math.hypot(p.g1p3p, p.OmegaCPrime)
         assert d.g24 == pytest.approx(p.g * p.OmegaCPrime / w)
         assert d.g13 == p.g13
@@ -272,7 +273,7 @@ class TestConditionalPhase:
         # beyond the transient the phase accrues at the stored-intensity
         # light-shift rate
         tr = dressed_phase_trace
-        p = GateParams().with_stored_signal_coupling()
+        p = replace(GateParams(), stored_signal_coupling=True)
         rate_expected = p.g24 ** 2 * p.delta4 / (p.gamma ** 2 + p.delta4 ** 2)
         mask = tr.times >= 10.0
         slope = np.polyfit(tr.times[mask], tr.phi[mask], 1)[0]
@@ -360,10 +361,11 @@ class TestPropagator:
         # caption couplings at t = 2; the fig4b stored-signal gate at
         # t = 15; one fig4a sample step; OmegaCPrime = 0 splits the blocks
         # further
+        stored = replace(gate_params, stored_signal_coupling=True)
         params, t = {
             "caption": (gate_params, 2.0),
-            "stored": (gate_params.with_stored_signal_coupling(), 15.0),
-            "fig4a_step": (gate_params.with_stored_signal_coupling(), 0.1),
+            "stored": (stored, 15.0),
+            "fig4a_step": (stored, 0.1),
             "no_primed_drive": (GateParams(OmegaCPrime=0.0), 15.0),
         }[case]
         h = build_hamiltonian(params)
@@ -426,7 +428,7 @@ class TestPropagator:
         # as the kron build, so every array is bit-identical
         params = {
             "caption": gate_params,
-            "stored": gate_params.with_stored_signal_coupling(),
+            "stored": replace(gate_params, stored_signal_coupling=True),
             "no_decay": GateParams(gamma=0.0),
             "no_primed_drive": GateParams(OmegaCPrime=0.0),
         }[case]
@@ -535,7 +537,8 @@ class TestConvergence:
         # the RK4 oracle at 0.7 of its step bound converges on the exact
         # fig4a trajectory: phi and F agree on every one of the 31 samples.
         # Its ~128k steps are taken as powers of the one-step matrix.
-        h = build_hamiltonian(gate_params.with_stored_signal_coupling())
+        h = build_hamiltonian(
+            replace(gate_params, stored_signal_coupling=True))
         dt = 0.7 * max_stable_dt(h, gate_params.gamma)
         exact = dressed_phase_trace
         oracle = evolve_rk4_powered(initial_state(), h, gate_params.gamma,

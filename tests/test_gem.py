@@ -116,8 +116,10 @@ class TestStarkDrive:
         grid = Grid(nz=16, nt=512, t_max=20.0)
         run = propagate(p, baseline_probe, baseline_schedule, grid,
                         stark=drive)
-        assert run.dt_limit == check_step(p, baseline_schedule, grid,
-                                          p.raman_ratio)
+        undriven = (p.gamma0 + baseline_schedule.max_abs_eta * grid.L / 2.0
+                    + p.coupling_density * p.raman_ratio ** 2 * grid.L
+                    / TWO_PI)
+        assert run.dt_limit == 1.0 / undriven
 
     def test_zero_signal(self, baseline_params):
         drive = apply_stark_drive(PulseSpec(0.0, 5.0, 1.0), baseline_params,
@@ -324,13 +326,31 @@ class TestPropagate:
         L = baseline_grid.L
         rate = (p.gamma0 + baseline_schedule.max_abs_eta * L / 2.0
                 + p.coupling_density * p.raman_ratio ** 2 * L / TWO_PI)
-        limit = check_step(p, baseline_schedule, baseline_grid, p.raman_ratio)
+        member = Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio,
+                        p.coupling_density, decay=p.gamma0)
+        limit = check_step(baseline_schedule, baseline_grid, [member])
         assert limit == 1.0 / rate
         assert 0.0 < baseline_grid.dt / limit < 1.0
         assert baseline_run.dt_limit == limit
         # no decay, gradient or exchange: nothing limits the step
         flat = GradientSchedule(((0.0, 20.0, 0.0),))
-        assert check_step(p, flat, baseline_grid, 0.0) == math.inf
+        still = dataclasses.replace(member, ratio=0.0, decay=0.0)
+        assert check_step(flat, baseline_grid, [still]) == math.inf
+        # of a batch: the largest decay and the largest exchange, a
+        # negative ratio's square included, plus the cross drive's peak
+        # loss and peak |shift|, summed in that order
+        members = held_pair(p)[0]
+        members[1] = dataclasses.replace(members[1], ratio=-3 * p.raman_ratio,
+                                         decay=0.5)
+        cross = CrossDrive(1, 0, (8, 12), 0.25, -0.3, 0.2)
+        rate = (0.5 + 0.2 * 0.25 + 0.3 * 0.25
+                + HOLD_SCHEDULE.max_abs_eta * L / 2.0
+                + p.coupling_density * (-3 * p.raman_ratio) ** 2 * L / TWO_PI)
+        assert check_step(HOLD_SCHEDULE, baseline_grid, members,
+                          cross) == 1.0 / rate
+        with pytest.raises(StabilityError):
+            check_step(HOLD_SCHEDULE, Grid(nz=16, nt=64, t_max=20.0),
+                       members, cross)
 
     def test_nan_detection_aborts(self, baseline_params, baseline_probe,
                                   baseline_schedule, baseline_grid):

@@ -8,7 +8,7 @@ from gemxpm import (EnsembleParams, GradientSchedule, Grid, ProtocolError,
                     PulseSpec, coupling_loss_rate, double_storage_run,
                     phi_free_signal, phi_stored_pair, scattering_consistency,
                     single_photon_estimate)
-from gemxpm.gem import check_step, light_shift
+from gemxpm.gem import light_shift
 from gemxpm.xpm import (EXPERIMENT_GEOMETRY, HOLD_SAMPLES, TransitionData,
                          _simpson)
 
@@ -207,17 +207,21 @@ class TestDoubleStorage:
         assert res.xpm.loss_factor == pytest.approx(1.0, abs=1e-12)
 
     def test_dt_limit_bounds_the_cross_drive(self, double_run):
-        # one rule for every drive: check_step adds the cross drive's
-        # peak loss and peak |shift|, the signal's input peak intensity
-        # times the light-shift pair at delta4
-        p = DOUBLE_PARAMS
+        # one rule for every march: the signal member's decay, the cross
+        # drive's peak loss and peak |shift| (the signal's input peak
+        # intensity times the light-shift pair at delta4), the ramp and
+        # the larger exchange, summed in that order
+        p, L = DOUBLE_PARAMS, DOUBLE_GRID.L
         c_shift, c_loss = light_shift(p.gamma, p.delta4)
         peak = DOUBLE_SIGNAL.peak_amplitude ** 2
-        assert double_run.dt_limit == check_step(
-            p, double_schedule(), DOUBLE_GRID,
-            max(p.raman_ratio, p.raman_ratio_signal),
-            coupling_loss_rate(p.OmegaCPrime, p.DeltaPrime, p.gamma),
-            c_loss * peak, abs(c_shift) * peak)
+        rate = (p.gamma0
+                + coupling_loss_rate(p.OmegaCPrime, p.DeltaPrime, p.gamma)
+                + c_loss * peak + abs(c_shift) * peak
+                + double_schedule().max_abs_eta * L / 2.0
+                + p.coupling_density
+                * max(p.raman_ratio ** 2, p.raman_ratio_signal ** 2)
+                * L / TWO_PI)
+        assert double_run.dt_limit == 1.0 / rate
 
     def test_phase_against_quadrature(self, double_run):
         chk = phi_stored_pair(double_run.effective_signal_envelope,
