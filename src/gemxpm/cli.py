@@ -169,7 +169,7 @@ def _phi_targets_report(cfg: ExperimentConfig, phi: float,
     if not cfg.targets:
         return None
     gate = cfg.gate
-    p_bare = replace(gate.params, stored_signal_coupling=False)
+    p_bare = replace(gate, stored_signal_coupling=False)
     p_dressed = replace(p_bare, stored_signal_coupling=True)
     t = gate.t_end if cfg.kind == "gate" else gate.t_gate
     denom = p_bare.gamma ** 2 + p_bare.delta4 ** 2
@@ -183,7 +183,7 @@ def _phi_targets_report(cfg: ExperimentConfig, phi: float,
 
     report: Dict[str, Any] = {
         "parameters": {
-            "stored_signal_coupling": gate.params.stored_signal_coupling,
+            "stored_signal_coupling": gate.stored_signal_coupling,
             "g24_bare": p_bare.g24, "g24_stored": p_dressed.g24,
             "gamma": p_bare.gamma, "delta4": p_bare.delta4,
             "t": t,
@@ -217,8 +217,7 @@ def _phi_targets_report(cfg: ExperimentConfig, phi: float,
 
 def _run_gate(cfg: ExperimentConfig):
     gate = cfg.gate
-    trace = phase_trace(gate.params, t_end=gate.t_end,
-                        n_samples=gate.n_samples)
+    trace = phase_trace(gate, t_end=gate.t_end, n_samples=gate.n_samples)
     table = ResultTable(
         columns=["t", "phi", "fidelity"], units=["1/gamma", "rad", "1"],
         values=np.column_stack((trace.times, trace.phi, trace.fidelity)))
@@ -243,7 +242,7 @@ def choi_table(chi: ChoiMatrix) -> ResultTable:
 
 def _run_tomography(cfg: ExperimentConfig):
     gate = cfg.gate
-    channel = channel_from_gate(gate.params, gate.t_gate)
+    channel = channel_from_gate(gate, gate.t_gate)
     chi = choi_matrix(channel)
     phi = channel.phase
     candidates = {

@@ -80,13 +80,17 @@ class XpmFreeSpec:
 
 
 @dataclass(frozen=True)
-class GateRunSpec:
-    params: GateParams
+class GateRunSpec(GateParams):
+    """A gate section: the GateParams and the run's times.  A gate run
+    samples its phase trace n_samples times on [0, t_end]; a tomography
+    reads its channel at t_gate."""
+
     t_end: float = 15.0
     n_samples: int = 151
     t_gate: float = 15.0
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("t_end", "t_gate"):
             v = getattr(self, name)
             if not 0.0 < v < math.inf:
@@ -290,21 +294,6 @@ def _parse_schedule(raw: Any, units: _Units, path: str) -> GradientSchedule:
         _fail(path, str(exc))
 
 
-def _parse_gate(raw: Optional[Mapping], units: _Units, path: str,
-                unread: Sequence[str]) -> GateRunSpec:
-    """One flat mapping holds the GateParams keys and the GateRunSpec
-    keys not in ``unread``."""
-    raw = {} if raw is None else _expect_mapping(raw, path)
-    run_keys = _keys(GateRunSpec, ("params", *unread))
-    _check_keys(raw, _keys(GateParams, tuple(units.fixed())) + run_keys, path)
-    params = _section(GateParams,
-                      {k: v for k, v in raw.items() if k not in run_keys},
-                      units, path, **units.fixed())
-    return _section(GateRunSpec,
-                    {k: v for k, v in raw.items() if k in run_keys},
-                    units, path, unread, params=params)
-
-
 def _parse_targets(raw: Optional[Mapping],
                    kind: str) -> Optional[Dict[str, Tuple[float, float]]]:
     """Target intervals of phi_mrad (and, for tomography, process_fidelity)."""
@@ -361,7 +350,8 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
                                 sweep=SweepSpec(sweep.path, values))
 
     if kind in ("gate", "tomography"):
-        gate = _parse_gate(raw.get("gate"), units, "gate", UNREAD[kind]["gate"])
+        gate = _section(GateRunSpec, raw.get("gate"), units, "gate",
+                        UNREAD[kind]["gate"], **units.fixed())
         most = RECORD_BUDGET_BYTES // (DIM * DIM * 16)   # trajectory samples
         if gate.n_samples > most:
             _fail("gate.n_samples", f"the trajectory of {gate.n_samples} "
@@ -460,21 +450,18 @@ def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
     written into every run summary.
     """
     out: Dict[str, Any] = {"experiment": cfg.kind, "name": cfg.name}
-    unread = UNREAD.get(cfg.kind, {})
     for key in SECTIONS[cfg.kind]:
         # no units: the echo is in gamma-units, a sweep's base its first point
         v = cfg.points[0] if key == "base" else getattr(cfg, key, None)
         if v is None:
             continue
-        if key == "gate":
-            v = {**_echo(v.params), **_echo(v, ("params", *unread[key]))}
-        elif key == "schedule":
+        if key == "schedule":
             v = [list(seg) for seg in v.segments]
         elif key == "targets":
             v = {k: list(pair) for k, pair in v.items()}
         elif key == "base":
             v = config_to_dict(v)
         else:
-            v = _echo(v, unread.get(key, ()))
+            v = _echo(v, UNREAD.get(cfg.kind, {}).get(key, ()))
         out[key] = v
     return out

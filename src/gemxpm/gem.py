@@ -483,7 +483,7 @@ def storage_batch(schedule: GradientSchedule, grid: Grid,
     larger batch is slower) and no more than fit RECORD_BUDGET_BYTES."""
     limits, plans, probes = [], [], {}   # one envelope per probe
     for params, probe, stark, coupling in runs:
-        flip = check_window(probe, schedule, grid.t_max)
+        check_window(probe, schedule, grid.t_max)
         probe = probes.setdefault(probe, probe)
         member = Member(probe.envelope, params.raman_ratio,
                         params.coupling_density, coupling=coupling,
@@ -513,7 +513,7 @@ def storage_batch(schedule: GradientSchedule, grid: Grid,
         exits.update(zip(chunk, march(
             schedule, grid, chunk,
             on_block=first if on_block is not None and i == 0 else None)))
-    results = []
+    results, flip = [], schedule.flip_time()   # check_window's, every run's
     for (probe, member, ref, phi), limit in zip(plans, limits):
         exit_field = exits[member] if phi is None else exits[member] * phi
         run = storage_result(exit_field, grid, probe.envelope, flip)

@@ -213,12 +213,11 @@ def test_criterion_08_gate_reproduction_targets():
 
     cfg = parse_config(get_preset("fig4b_tomo"), default_name="fig4b_tomo")
     gate = cfg.gate
-    params = gate.params
 
-    trace = phase_trace(params, t_end=15.0, n_samples=16)
+    trace = phase_trace(gate, t_end=15.0, n_samples=16)
     phi_mrad = abs(trace.phi[-1]) * 1e3
 
-    channel = channel_from_gate(params, gate.t_gate)
+    channel = channel_from_gate(gate, gate.t_gate)
     chi = choi_matrix(channel)
     phi_signed = float(trace.phi[-1])
     candidates = {

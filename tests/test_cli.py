@@ -341,6 +341,9 @@ class TestConfigValidation:
         ({"experiment": "gate", "units": {"system": "lab", "gamma": 2.0},
           "gate": {"gamma": 5.0, "n_samples": 2}},
          2, "config error at 'gate.gamma': unknown key"),
+        # every gate key is type-checked before GateParams' value checks
+        ({"experiment": "gate", "gate": {"OmegaC": -1.0, "t_end": "x"}},
+         2, "config error at 'gate.t_end': expected a number, got 'x'"),
         ({"experiment": "sweep",
           "sweep": {"path": "ensemble.delta4",
                     "values": [20.0, 30.0, 40.0, 50.0, 60.0]},
@@ -374,7 +377,8 @@ class TestConfigValidation:
             "gate_stored_signal_coupling_int", "xpm_free_omega_s_scalar",
             "schedule_scalar", "schedule_row_two_entries", "sweep_no_base",
             "sweep_nested", "xpm_double_no_signal", "lab_ensemble_gamma",
-            "lab_gate_gamma", "storage_sweep_delta4_absent",
+            "lab_gate_gamma", "gate_types_before_values",
+            "storage_sweep_delta4_absent",
             "storage_sweep_delta4_set"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
@@ -428,8 +432,8 @@ class TestConfigValidation:
                             "units": {"system": "lab", "gamma": 2.0},
                             "gate": {"OmegaC": 40.0}})
         assert cfg.gate.t_gate == cfg.gate.t_end == 15.0
-        assert cfg.gate.params.OmegaC == 20.0
-        assert cfg.gate.params.gamma == 1.0
+        assert cfg.gate.OmegaC == 20.0
+        assert cfg.gate.gamma == 1.0
 
     @pytest.mark.parametrize("key", ["g13", "g24", "g1p3p"])
     def test_derived_gate_coupling_refused(self, tmp_path, capsys, key):
@@ -450,7 +454,7 @@ class TestConfigValidation:
         # one flat gate mapping: the GateParams fields, then the run's
         # keys, in field order; the hash is that of the summaries so far
         cfg = parse_config(get_preset(name), default_name=name)
-        assert cfg.gate.params.stored_signal_coupling is True
+        assert cfg.gate.stored_signal_coupling is True
         resolved = config_to_dict(cfg)
         assert list(resolved["gate"].items()) == [
             ("gamma", 1.0), ("OmegaC", 20.0), ("OmegaCPrime", 20.0),
@@ -1148,7 +1152,7 @@ class TestChoiExport:
         eigs = cptp["eigenvalues"]
         assert len(eigs) == 16 and eigs == sorted(eigs, reverse=True)
         assert sum(eigs) == pytest.approx(cptp["trace"], abs=1e-12)
-        chi = choi_matrix(channel_from_gate(cfg.gate.params, cfg.gate.t_gate))
+        chi = choi_matrix(channel_from_gate(cfg.gate, cfg.gate.t_gate))
         assert cptp["purity"] == chi.purity
         assert cptp["completely_positive"] == chi.completely_positive
         assert cptp["trace_preserving"] == chi.trace_preserving
