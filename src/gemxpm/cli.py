@@ -42,9 +42,9 @@ from .config import (ExperimentConfig, config_to_dict, key_unit,
                      load_config, parse_config)
 from .errors import ConfigError, GemXpmError
 from .gate import phase_trace
-from .gem import (StarkDrive, apply_stark_drive, excitation_balance,
-                  peak_k_trajectory, polariton_transform, propagate,
-                  storage_batch, verify_fourier_relation)
+from .gem import (StarkDrive, apply_stark_drive, check_window,
+                  excitation_balance, peak_k_trajectory, polariton_transform,
+                  propagate, storage_batch, verify_fourier_relation)
 from .model import math_angle
 from .presets import get_preset, preset_names
 from .reporting import ResultTable, config_hash, write_summary
@@ -71,13 +71,12 @@ def _run_storage(cfg: ExperimentConfig):
     t, last = grid.t, grid.nt - 1
     # Rows the diagnostics read, reduced as the march hands them out: the
     # Fourier relation's at t_mid, the polariton k drift's over [drift_lo,
-    # flip] (8 at least) and the excitation balance's first and last.
-    flip = cfg.schedule.flip_time()
-    flip = flip if flip is not None else grid.t_max
-    t_mid = 0.5 * (probe.center_time + 2.0 * probe.duration + flip)
+    # recall] (8 at least) and the excitation balance's first and last.
+    recall = check_window(probe, cfg.schedule, grid.t_max)
+    t_mid = 0.5 * (probe.center_time + 2.0 * probe.duration + recall)
     n_mid = int(round(t_mid / grid.dt))
     drift_lo = probe.center_time + 3.0 * probe.duration
-    drift = (t >= drift_lo) & (t <= flip)
+    drift = (t >= drift_lo) & (t <= recall)
     drift &= np.count_nonzero(drift) >= 8
     kept, kk = {}, []
 
@@ -97,7 +96,7 @@ def _run_storage(cfg: ExperimentConfig):
     kdrift_dev_bins = math.nan
     if kk:
         kk = np.concatenate(kk)
-        eta0 = cfg.schedule.values(0.5 * (drift_lo + flip))
+        eta0 = cfg.schedule.values(0.5 * (drift_lo + recall))
         line = kk[0] + (-eta0) * (t[drift] - t[drift][0])
         kdrift_dev_bins = float(np.max(np.abs(kk - line))
                                 / (2.0 * math.pi / grid.L))
@@ -118,7 +117,7 @@ def _run_storage(cfg: ExperimentConfig):
         "echo_energy": result.echo_energy,
         "echo_phase_rad": result.echo_phase,
         "xpm_phase_rad": result.xpm_phase,
-        "flip_time": result.flip_time,
+        "flip_time": cfg.schedule.flip_time(),
         "fourier_residual": residual,
         "fourier_residual_time": t_mid,
         "kdrift_max_dev_bins": kdrift_dev_bins,

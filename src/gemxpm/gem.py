@@ -144,13 +144,13 @@ def constant_stark_drive(intensity: float, detuning: float, gamma: float,
 class StorageResult:
     """One storage/recall run: its exit-face field and scalars.
 
-    input_energy integrates |E|^2 of the boundary input over [0, flip);
-    echo_energy integrates |E(L, t)|^2 over [flip, t_max].  echo_phase is
-    the argument of the exit-face field at the energy-weighted centroid of
-    the echo (NaN when the echo window is empty or dark).  xpm_phase is
-    the echo phase of the same run without its Stark drive minus
-    echo_phase (NaN for an undriven run).  dt_limit is the run's stability
-    limit on dt from check_step (inf until the run is checked).
+    input_energy integrates |E|^2 of the boundary input over [0, recall],
+    echo_energy |E(L, t)|^2 over [recall, t_max], recall from check_window.
+    echo_phase is the argument of the exit-face field at the energy-weighted
+    centroid of the echo (NaN when it is empty, as at recall = t_max, or
+    dark).  xpm_phase is the echo phase of the same run without its Stark
+    drive minus echo_phase (NaN for an undriven run).  dt_limit is the
+    run's stability limit on dt from check_step (inf until it is checked).
     """
 
     exit_field: np.ndarray      # (nt,) complex, E(L, t)
@@ -158,7 +158,6 @@ class StorageResult:
     echo_energy: float
     efficiency: float
     echo_phase: float
-    flip_time: Optional[float]
     xpm_phase: float = math.nan
     dt_limit: float = math.inf
 
@@ -391,23 +390,22 @@ def _check_finite(*arrays: np.ndarray) -> None:
 
 
 def check_window(probe: PulseSpec, schedule: GradientSchedule,
-                 t_max: float) -> Optional[float]:
-    """Flip time of a storage run on [0, t_max]; ValueError when the
-    schedule does not cover the window or the probe does not substantially
-    enter (center + 2*duration) inside it before the flip."""
+                 t_max: float) -> float:
+    """Recall time of a storage run on [0, t_max], its flip if before t_max
+    else t_max (no echo); ValueError when the schedule does not cover the
+    window or the probe does not substantially enter in [0, recall]."""
     if not schedule.covers(t_max):
         raise ValueError(
             f"gradient schedule [{schedule.t_start}, {schedule.t_end}] does "
             f"not cover the grid window [0, {t_max}]")
     flip = schedule.flip_time()
-    end = t_max if flip is None else flip
-    if not 0.0 <= probe.center_time + 2.0 * probe.duration <= end:
+    recall = t_max if flip is None else min(flip, t_max)
+    if not 0.0 <= probe.center_time + 2.0 * probe.duration <= recall:
         raise ValueError(
             "probe pulse must substantially enter between t = 0 and the "
-            "recall flip, or the window end without one (center "
-            f"{probe.center_time} + 2*duration {probe.duration} outside "
-            f"[0, {end}])")
-    return flip
+            f"recall (center {probe.center_time} + 2*duration "
+            f"{probe.duration} outside [0, {recall}])")
+    return recall
 
 
 def check_step(schedule: GradientSchedule, grid: Grid,
@@ -434,18 +432,17 @@ def check_step(schedule: GradientSchedule, grid: Grid,
 
 def storage_result(exit_field: np.ndarray, grid: Grid,
                    envelope: Callable[[np.ndarray], np.ndarray],
-                   flip: Optional[float]) -> StorageResult:
-    """Energies, efficiency and echo phase of a marched exit-face field."""
-    t_flip = flip if flip is not None else grid.t_max
+                   recall: float) -> StorageResult:
+    """StorageResult of a marched exit-face field recalled at ``recall``."""
     input_energy = _window_integral(grid.t, np.abs(envelope(grid.t)) ** 2,
-                                    0.0, t_flip)
+                                    0.0, recall)
     echo_energy = _window_integral(grid.t, np.abs(exit_field) ** 2,
-                                   t_flip, grid.t_max)
+                                   recall, grid.t_max)
     return StorageResult(
         exit_field=exit_field, input_energy=input_energy,
         echo_energy=echo_energy,
         efficiency=echo_energy / input_energy if input_energy > 0.0 else 0.0,
-        echo_phase=exit_phase(grid, exit_field, flip), flip_time=flip)
+        echo_phase=exit_phase(grid, exit_field, recall))
 
 
 def propagate(params: EnsembleParams, probe: PulseSpec,
@@ -483,7 +480,7 @@ def storage_batch(schedule: GradientSchedule, grid: Grid,
     larger batch is slower) and no more than fit RECORD_BUDGET_BYTES."""
     limits, plans, probes = [], [], {}   # one envelope per probe
     for params, probe, stark, coupling in runs:
-        check_window(probe, schedule, grid.t_max)
+        recall = check_window(probe, schedule, grid.t_max)   # every run's
         probe = probes.setdefault(probe, probe)
         member = Member(probe.envelope, params.raman_ratio,
                         params.coupling_density, coupling=coupling,
@@ -513,12 +510,12 @@ def storage_batch(schedule: GradientSchedule, grid: Grid,
         exits.update(zip(chunk, march(
             schedule, grid, chunk,
             on_block=first if on_block is not None and i == 0 else None)))
-    results, flip = [], schedule.flip_time()   # check_window's, every run's
+    results = []
     for (probe, member, ref, phi), limit in zip(plans, limits):
         exit_field = exits[member] if phi is None else exits[member] * phi
-        run = storage_result(exit_field, grid, probe.envelope, flip)
+        run = storage_result(exit_field, grid, probe.envelope, recall)
         xpm_phase = (math.nan if ref is None else
-                     exit_phase(grid, exits[ref], flip) - run.echo_phase)
+                     exit_phase(grid, exits[ref], recall) - run.echo_phase)
         results.append(replace(run, dt_limit=limit, xpm_phase=xpm_phase))
     return results
 
@@ -531,17 +528,17 @@ def _window_integral(t: np.ndarray, p: np.ndarray, lo: float, hi: float) -> floa
     return float(np.trapezoid(p[i0:i1], t[i0:i1]))
 
 
-def exit_phase(grid: Grid, e: np.ndarray, flip: Optional[float]) -> float:
+def exit_phase(grid: Grid, e: np.ndarray, recall: float) -> float:
     """Echo phase of an exit-face field E(L, t): its phase at the
-    |E|^2-weighted centroid time of [flip, t_max], NaN when that window is
-    empty (always so without a flip) or dark.
+    |E|^2-weighted centroid time of [recall, t_max], NaN when that window
+    is empty (so at recall = t_max) or dark.
 
     The complex field is interpolated linearly at the centroid so the phase
     is a continuous function of the data (a nearest-sample choice would hop
     by the local chirp under infinitesimal input changes).
     """
     t = grid.t
-    i0 = int(np.searchsorted(t, grid.t_max if flip is None else flip))
+    i0 = int(np.searchsorted(t, recall))
     i1 = t.size
     if i1 - i0 < 2:
         return math.nan

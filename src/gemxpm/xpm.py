@@ -222,22 +222,26 @@ def _require(cond: bool, why: str) -> None:
 def check_protocol(probe: PulseSpec, signal: PulseSpec,
                    schedule: GradientSchedule, t_max: float
                    ) -> Tuple[float, Tuple[float, float]]:
-    """(recall flip, hold (tau1, tau2)) of a double-storage run on
-    [0, t_max]; ValueError from ``check_window``, or ProtocolError when
-    the schedule and pulses do not follow the protocol."""
-    flip = check_window(probe, schedule, t_max)
+    """(recall, hold (tau1, tau2)) of a double-storage run on [0, t_max],
+    recall from ``check_window`` and the eta = 0 hold inside (0, t_max);
+    ValueError from ``check_window``, or ProtocolError when the schedule
+    and pulses do not follow the protocol."""
+    recall = check_window(probe, schedule, t_max)
     hold = schedule.hold_window()
     _require(hold is not None, "schedule has no eta = 0 hold segment")
     tau1, tau2 = hold
-    _require(flip is not None, "schedule has no recall sign flip")
-    _require(flip >= tau2 - 1e-12, "recall must not precede the hold")
+    _require(0.0 < tau1 and tau2 < t_max,
+             f"hold [{tau1}, {tau2}] must lie inside (0, t_max = {t_max})")
+    _require(schedule.flip_time() is not None,
+             "schedule has no recall sign flip")
+    _require(recall >= tau2 - 1e-12, "recall must not precede the hold")
     _require(probe.center_time < signal.center_time,
              "probe must precede the signal")
     _require(signal.center_time + 2.0 * signal.duration <= tau1,
              "signal pulse must be stored before the hold starts")
     _require(probe.center_time + 2.0 * probe.duration <= tau1,
              "probe pulse must be stored before the hold starts")
-    return flip, hold
+    return recall, hold
 
 
 def double_storage_run(params: EnsembleParams, probe: PulseSpec,
@@ -257,7 +261,7 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     run, the surviving coherence fraction, and the k-t trajectories of
     both coherences, reduced from the rows the march hands out.
     """
-    flip, (tau1, tau2) = check_protocol(probe, signal, schedule, grid.t_max)
+    recall, (tau1, tau2) = check_protocol(probe, signal, schedule, grid.t_max)
     # probe, signal (opposite gradient, coupling on) and the reference (the
     # probe undriven); the signal's field drives the probe over the hold
     held = Member(probe.envelope, params.raman_ratio, params.coupling_density,
@@ -293,8 +297,8 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
 
     probe_exit, _, reference_exit = march(schedule, grid, members, cross,
                                           on_block=reduce)
-    probe_result = storage_result(probe_exit, grid, probe.envelope, flip)
-    reference = storage_result(reference_exit, grid, probe.envelope, flip)
+    probe_result = storage_result(probe_exit, grid, probe.envelope, recall)
+    reference = storage_result(reference_exit, grid, probe.envelope, recall)
     loss_factor = (min(float(norms[0] / norms[1]), 1.0) if norms[1] > 0
                    else math.nan)
 

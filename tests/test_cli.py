@@ -356,6 +356,36 @@ class TestConfigValidation:
           "base": dict(get_preset("storage_baseline"), ensemble=dict(
               get_preset("storage_baseline")["ensemble"], delta4=40.0))},
          2, "config error at 'base.ensemble.delta4': unknown key"),
+        # a hold past t_max, and one from t = 0, left the probe's coupling
+        # switch a reversed or empty segment
+        (dict(get_preset("fig3b_double"),
+              schedule=[[0.0, 11.0, 2 * math.pi], [11.0, 21.0, 0.0],
+                        [21.0, 80.0, -2 * math.pi]],
+              grid={"nz": 32, "nt": 2048, "t_max": 20.0}),
+         2, "config error at 'schedule': hold [11.0, 21.0] must lie inside "
+            "(0, t_max = 20.0)"),
+        (dict(get_preset("fig3b_double"),
+              probe={"peak_amplitude": 1.0, "center_time": -4.0,
+                     "duration": 2.0},
+              signal={"peak_amplitude": 1.0, "center_time": -2.0,
+                      "duration": 1.0},
+              schedule=[[-10.0, 0.0, 2 * math.pi], [0.0, 10.0, 0.0],
+                        [10.0, 20.0, -2 * math.pi]],
+              grid={"nz": 32, "nt": 2048, "t_max": 20.0}),
+         2, "config error at 'schedule': hold [0.0, 10.0] must lie inside "
+            "(0, t_max = 20.0)"),
+        # the recall is t_max when the flip lies past it, so a probe
+        # entering after t_max is refused; a sweep ran it, recalling nothing
+        ({"experiment": "sweep",
+          "sweep": {"path": "probe.peak_amplitude", "values": [0.5, 1.0]},
+          "base": dict(STORAGE_CONFIG,
+                       probe={"peak_amplitude": 1.0, "center_time": 19.0,
+                              "duration": 1.0},
+                       schedule=[[0.0, 30.0, 8.0], [30.0, 40.0, -8.0]],
+                       grid={"nz": 32, "nt": 512, "t_max": 20.0})},
+         2, "config error at 'base.schedule': probe pulse must substantially "
+            "enter between t = 0 and the recall (center 19.0 + 2*duration "
+            "1.0 outside [0, 20.0])"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
@@ -379,7 +409,8 @@ class TestConfigValidation:
             "sweep_nested", "xpm_double_no_signal", "lab_ensemble_gamma",
             "lab_gate_gamma", "gate_types_before_values",
             "storage_sweep_delta4_absent",
-            "storage_sweep_delta4_set"])
+            "storage_sweep_delta4_set", "xpm_double_hold_past_t_max",
+            "xpm_double_hold_from_zero", "storage_sweep_probe_after_t_max"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
@@ -393,6 +424,26 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert message.replace("<file>", path) in err
         assert "Traceback" not in err
+
+    def test_flip_past_window_end_recalls_nothing(self, tmp_path, capsys):
+        # the recall is the flip clamped to t_max, so a flip at t = 100 on
+        # [0, 20] leaves the echo window empty; the Fourier residual's row
+        # lay past the grid, a KeyError
+        cfg = dict(get_preset("storage_baseline"),
+                   probe={"peak_amplitude": 1.0, "center_time": 3.0,
+                          "duration": 1.0},
+                   schedule=[[0.0, 100.0, 8.0], [100.0, 200.0, -8.0]],
+                   grid={"nz": 32, "nt": 512, "t_max": 20.0})
+        out = tmp_path / "out"
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        results = json.loads((out / "storage_baseline.summary.json")
+                             .read_text())["results"]
+        assert results["echo_phase_rad"] == "nan"
+        assert results["efficiency"] == 0.0
+        assert results["fourier_residual_time"] <= 20.0
+        assert results["flip_time"] == 100.0
 
     @pytest.mark.parametrize("base, key", [
         (STORAGE_CONFIG, "delta4"), (STORAGE_CONFIG, "DeltaPrime"),

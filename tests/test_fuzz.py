@@ -6,8 +6,10 @@ from [0.5, 2], with up to three random edits: a value replaced by
 anything YAML can hold, a key deleted, an unknown key added (at the top
 level, sometimes a section another kind reads), a top-level section only
 other kinds read added, or an ensemble key the kind does not read added
-(``L`` among them: it is a grid key).  Sweep examples wrap such a config
-and sweep one of its numeric leaves over one to four values.  Every
+(``L`` among them: it is a grid key).  A storage flip may lie at or past
+t_max and an xpm-double hold touch t = 0 or t_max, and a schedule then
+runs past t_max (or starts before t = 0).  Sweep examples wrap such a
+config and sweep one of its numeric leaves over one to four values.  Every
 config must either run (exit 0) or be refused with exit 2 (config) or 3
 (numerical/I/O); no exception may escape ``main``.  A config whose
 ensemble sets a key its kind does not read must exit 2, and at least a
@@ -91,9 +93,10 @@ def ensemble(kind):
 
 def sets_unread_key(cfg):
     """Whether a config's ensemble sets a key its kind does not read."""
-    ens = cfg.get("ensemble")
-    return (cfg.get("experiment") in READ and isinstance(ens, dict)
-            and bool(set(ens) - set(READ[cfg["experiment"]])))
+    kind, ens = cfg.get("experiment"), cfg.get("ensemble")
+    # an edit may leave the kind unhashable, a list or a mapping
+    return (isinstance(kind, str) and kind in READ and isinstance(ens, dict)
+            and bool(set(ens) - set(READ[kind])))
 
 
 def pulse(draw, lo, hi):
@@ -111,12 +114,14 @@ def grid(draw, t_max):
 
 @st.composite
 def storage(draw):
+    # the flip may lie at or past t_max, and the schedule run past it
     t_max = draw(st.floats(0.5, 4.0))
-    flip = draw(st.floats(0.1, 0.9)) * t_max
+    flip = draw(st.floats(0.1, 2.0)) * t_max
+    end = max(t_max, flip + 0.1 * t_max)
     eta = draw(st.floats(-4.0, 4.0))
     cfg = {"experiment": "storage", "ensemble": draw(ensemble("storage")),
-           "probe": pulse(draw, 0.0, flip),
-           "schedule": [[0.0, flip, eta], [flip, t_max, -eta]],
+           "probe": pulse(draw, 0.0, min(flip, t_max)),
+           "schedule": [[0.0, flip, eta], [flip, end, -eta]],
            "grid": grid(draw, t_max)}
     if draw(st.booleans()):
         cfg["signal"] = pulse(draw, 0.0, t_max)
@@ -128,20 +133,23 @@ def storage(draw):
 
 @st.composite
 def xpm_double(draw):
-    # write, eta = 0 hold on [tau1, tau2], opposite-sign recall
+    # write, eta = 0 hold on [tau1, tau2], opposite-sign recall; the hold
+    # may touch t = 0 (the schedule then starts before it) or t_max
     t_max = draw(st.floats(0.5, 4.0))
-    tau1 = draw(st.floats(0.2, 0.5)) * t_max
-    tau2 = draw(st.floats(0.6, 0.9)) * t_max
+    tau1 = draw(st.floats(0.0, 0.5)) * t_max
+    tau2 = draw(st.floats(0.6, 1.0)) * t_max
+    start = -0.1 * t_max if tau1 == 0.0 else 0.0
+    end = max(t_max, tau2 + 0.1 * t_max)
     eta = draw(st.floats(-4.0, 4.0))
     g = grid(draw, t_max)
     # enough time samples for the hold's quadrature, or none could run
     g["nt"] += math.ceil(HOLD_SAMPLES * t_max / (tau2 - tau1))
     return {"experiment": "xpm-double",
             "ensemble": draw(ensemble("xpm-double")),
-            "probe": pulse(draw, 0.0, 0.4 * tau1),
-            "signal": pulse(draw, 0.5 * tau1, tau1),
-            "schedule": [[0.0, tau1, eta], [tau1, tau2, 0.0],
-                         [tau2, t_max, -eta]],
+            "probe": pulse(draw, start, 0.4 * tau1),
+            "signal": pulse(draw, 0.5 * (start + tau1), tau1),
+            "schedule": [[start, tau1, eta], [tau1, tau2, 0.0],
+                         [tau2, end, -eta]],
             "grid": g}
 
 
@@ -184,7 +192,8 @@ def edited(draw, cfg):
         if edit == "unread":
             # an ensemble key the kind does not read
             kind = cfg.get("experiment")
-            if kind in READ and isinstance(cfg.get("ensemble"), dict):
+            if (isinstance(kind, str) and kind in READ
+                    and isinstance(cfg.get("ensemble"), dict)):
                 key = draw(st.sampled_from(NOT_READ[kind]))
                 cfg["ensemble"][key] = draw(st.floats(0.5, 2.0))
             continue

@@ -396,14 +396,38 @@ class TestPropagate:
 
     def test_run_without_flip_recalls_nothing(self, baseline_params,
                                               baseline_probe):
-        # no gradient flip leaves the echo window [flip, t_max] empty:
-        # nothing is recalled and both phases are NaN
+        # no gradient flip puts the recall at t_max, which leaves the echo
+        # window [recall, t_max] empty: nothing is recalled and both
+        # phases are NaN
         sched = GradientSchedule(((0.0, 20.0, 8.0),))
         grid = Grid(nz=64, nt=1024, t_max=20.0)
+        assert gem.check_window(baseline_probe, sched, grid.t_max) == 20.0
         res = propagate(baseline_params, baseline_probe, sched, grid)
-        assert res.flip_time is None
         assert res.efficiency == 0.0 and res.echo_energy == 0.0
         assert math.isnan(res.echo_phase) and math.isnan(res.xpm_phase)
+
+    @pytest.mark.parametrize("flip", [20.0, 30.0])
+    def test_flip_at_or_past_window_end_recalls_at_t_max(
+            self, baseline_params, baseline_probe, flip):
+        # the recall is the flip, clamped to t_max: the whole window is
+        # input, and nothing is recalled
+        sched = GradientSchedule(((0.0, flip, 8.0), (flip, 40.0, -8.0)))
+        grid = Grid(nz=32, nt=512, t_max=20.0)
+        assert gem.check_window(baseline_probe, sched, grid.t_max) == 20.0
+        res = propagate(baseline_params, baseline_probe, sched, grid)
+        t = grid.t
+        assert res.input_energy == np.trapezoid(
+            np.abs(baseline_probe.envelope(t)) ** 2, t)
+        assert res.efficiency == 0.0 and res.echo_energy == 0.0
+        assert math.isnan(res.echo_phase)
+
+    def test_probe_must_enter_before_window_end(self):
+        # a flip past t_max does not carry the recall past t_max: a probe
+        # entering after t_max but before the flip is refused
+        late = PulseSpec(1.0, 19.0, 1.0)   # enters at 21
+        sched = GradientSchedule(((0.0, 30.0, 8.0), (30.0, 40.0, -8.0)))
+        with pytest.raises(ValueError, match=r"outside \[0, 20\.0\]"):
+            gem.check_window(late, sched, 20.0)
 
     def test_schedule_must_cover_grid(self, baseline_params, baseline_probe):
         sched = GradientSchedule(((0.0, 5.0, 8.0), (5.0, 10.0, -8.0)))

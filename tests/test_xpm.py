@@ -262,3 +262,20 @@ class TestDoubleStorage:
             double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE,
                                PulseSpec(1.0, 10.5, 1.0), double_schedule(),
                                grid)
+
+    @pytest.mark.parametrize("t_max, hold", [(20.0, (11.0, 21.0)),
+                                             (21.0, (11.0, 21.0)),
+                                             (34.0, (0.0, 10.0))],
+                             ids=["past_t_max", "at_t_max", "at_zero"])
+    def test_hold_must_lie_inside_the_window(self, t_max, hold):
+        # the probe's coupling is on over [0, tau1] and [tau2, t_max]: a
+        # hold that starts at t = 0, or ends at or past t_max, leaves one
+        # of them empty or reversed.  Both pulses enter at tau1 at latest
+        tau1, tau2 = hold
+        sched = GradientSchedule(((tau1 - 11.0, tau1, TWO_PI),
+                                  (tau1, tau2, 0.0), (tau2, 80.0, -TWO_PI)))
+        probe = PulseSpec(1.0, tau1 - 2.0, 1.0)
+        signal = PulseSpec(1.0, tau1 - 1.0, 0.5)
+        with pytest.raises(ProtocolError, match="must lie inside"):
+            double_storage_run(DOUBLE_PARAMS, probe, signal, sched,
+                               Grid(nz=32, nt=2048, t_max=t_max))
