@@ -13,13 +13,15 @@ stepper, ``march``, advances a stack of such coherences, each a ``Member``
 with its own physics, in t by classic RK4 steps.  The gradient is centred
 on the grid's cell (eta*(z - L/2)).  A drive is an intensity I = |g*E_s|^2
 (0 without one) and the ``light_shift`` pair (c_shift, c_loss) of its
-detuning.  A ``CrossDrive``, another member's |E|^2, is marched in the
-right-hand side; ``check_step`` bounds dt by its peak rates.  A
-``StarkDrive``, a signal filling the cell, is uniform in z: with Phi(t)
-= exp(-(c_loss + i*c_shift)*F(t)), F its fluence, (sigma, E)/Phi obeys
-the undriven pair with input E(0, t)/Phi(t).  So a driven run marches
-undriven, its fields times Phi (integrating factor; Lawson, SIAM J.
-Numer. Anal. 4 (1967) 372-380), and the drive adds no stiffness.
+detuning, applied by its integrating factor Phi = exp(-(c_loss +
+i*c_shift)*F), F its fluence (Lawson, SIAM J. Numer. Anal. 4 (1967)
+372-380): the march is never driven, and a drive adds no stiffness.  A
+``StarkDrive``, a signal filling the cell, is uniform in z, and
+(sigma, E)/Phi(t) obeys the undriven pair with input E(0, t)/Phi(t), so
+a driven run marches undriven, its fields times Phi.  A stored signal
+drives a held coherence whose coupling is off (``xpm``), so the held
+coherence is the undriven one times Phi(z), F(z) the fluence of the
+signal's marched field at z.
 
 Sign conventions worth knowing when reading diagnostics:
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -177,38 +179,20 @@ class Member:
     decay: float = 0.0
 
 
-@dataclass(frozen=True)
-class CrossDrive:
-    """Drive of member ``target`` by member ``source``'s field for t in
-    [window): the intensity |E_source(z,t)|^2, at most ``peak``, shifts
-    the target by c_shift times it and scatters it at c_loss times it, so
-    check_step bounds its rates by c_loss*peak and |c_shift|*peak."""
-
-    source: int
-    target: int
-    window: Tuple[float, float]
-    peak: float
-    c_shift: float
-    c_loss: float
-
-
 def _stage_tables(schedule: GradientSchedule, members: Sequence[Member],
-                  cross: Optional[CrossDrive], levels: np.ndarray,
-                  stage_t: Sequence[np.ndarray], factors: np.ndarray
-                  ) -> Tuple[list, list]:
+                  levels: np.ndarray, stage_t: Sequence[np.ndarray],
+                  factors: np.ndarray) -> list:
     """Tabulate each member's factors at a block's stage times, ``stage_t``
     = (t_n, t_n + dt/2, t_n + dt) for its rows of steps n, into
-    factors[:rows]: source, input and gain.  Return, per stage, lists over
-    the rows of the index of eta(t) in ``levels`` and of whether the cross
-    drive is on.  One member and stage at a time, so the temporaries are a
-    few (rows,) arrays.
+    factors[:rows]: source, input and gain.  Return, per stage, a list over
+    the rows of the index of eta(t) in ``levels``.  One member and stage at
+    a time, so the temporaries are a few (rows,) arrays.
     """
     rows = len(stage_t[0])
     density, ratio = np.array([(m.coupling_density, m.ratio)
                                for m in members]).T
     src_coef, gain_coef = 1j * density * ratio, 1j * ratio
-    lo, hi = cross.window if cross is not None else (0.0, 0.0)
-    which, driven = [], []
+    which = []
     for j, t in enumerate(stage_t):
         src, env, gain = (factors[:rows, j, i, :, 0] for i in range(3))
         for b, m in enumerate(members):
@@ -217,22 +201,22 @@ def _stage_tables(schedule: GradientSchedule, members: Sequence[Member],
             np.multiply(gain_coef[b], mult, out=gain[:, b])
             env[:, b] = m.envelope(t)
         which.append(np.searchsorted(levels, schedule.values(t)).tolist())
-        driven.append(((t >= lo) & (t < hi)).tolist())
-    return which, driven
+    return which
 
 
 def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
-          cross: Optional[CrossDrive] = None,
+          start: Tuple[int, Union[float, np.ndarray]] = (0, 0.0),
           on_block: Optional[Callable] = None) -> np.ndarray:
     """Advance a (B, nz) stack of coherences, one row per member, each with
     its own physics on the shared schedule and grid, by RK4 steps with the
-    slaved field marched along z at every stage, and return the exit-face
-    fields E(L, t), (B, nt).  What depends on time alone is tabulated on the
-    stage times t_n, t_n + dt/2, t_n + dt a block of BLOCK_ROWS steps at a
-    time (``_stage_tables``), and the sigma coefficient once per value
-    eta(t) takes, formed afresh only for the target of a ``cross`` drive
-    while it is on.  Each row repeats the arithmetic of a one-member march
-    in the same order, so its values do not depend on the batch.
+    slaved field marched along z at every stage, from ``start`` = (n,
+    state), the coherences at grid row n (zero at row 0 by default), and
+    return the exit-face fields E(L, t) from row n on, (B, nt - n).  What
+    depends on time alone is tabulated on the stage times t_n, t_n + dt/2,
+    t_n + dt a block of BLOCK_ROWS steps at a time (``_stage_tables``), and
+    the sigma coefficient once per value eta(t) takes.  Each row repeats
+    the arithmetic of a one-member march in the same order, so its values
+    do not depend on the batch.
 
     The slaved field is E(z) = E(0) + source * (trapezoid integral of
     sigma over [0, z]); the pair sums sigma[j + 1] + sigma[j] come from one
@@ -244,33 +228,34 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
     block) as (rows, B, nz) views of buffers reused for the next block,
     each checked finite first.  Without it a step copies nothing.
 
-    The state, stage state, field, slopes k1..k4, field scratch, a stage's
-    per-member factors spread along z and the cross drive's scratch are
-    buffers allocated once per march, as are the views a step reads; every
-    stage writes into them with ``out=``, so a step allocates no array (a
-    block's tables cost a few (BLOCK_ROWS,) temporaries) and does little
-    but its ufunc calls.  Its operations and their order are those of a
-    march that allocates its stage arrays afresh, down to ((k1 + 2 k2) +
-    2 k3) + k4, so its rows and every golden are byte-equal to that
-    march's.  Step-size checks are the caller's; NumericalError on
-    non-finite state.
+    The state, stage state, field, slopes k1..k4, field scratch and a
+    stage's per-member factors spread along z are buffers allocated once
+    per march, as are the views a step reads; every stage writes into them
+    with ``out=``, so a step allocates no array (a block's tables cost a
+    few (BLOCK_ROWS,) temporaries) and does little but its ufunc calls.
+    Its operations and their order are those of a march that allocates its
+    stage arrays afresh, down to ((k1 + 2 k2) + 2 k3) + k4, so its rows and
+    every golden are byte-equal to that march's.  Step-size checks are the
+    caller's; NumericalError on non-finite state.
     """
     nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
     size = len(members)
+    first, state = start
     # eta(t) takes the schedule's few values, so eta*zeta and the whole
     # sigma coefficient are formed once per value
     levels = np.unique([v for _, _, v in schedule.segments])
     eta = levels[:, None] * np.array([m.eta_sign for m in members])
     eta_zeta = eta[:, :, None] * (grid.z - grid.L / 2.0)
-    decay0 = np.array([m.decay for m in members])
-    fixed = list(-(decay0[:, None] + 1j * eta_zeta))
-    rows = min(nt, BLOCK_ROWS)
+    decay = np.array([m.decay for m in members])
+    fixed = list(-(decay[:, None] + 1j * eta_zeta))
+    rows = min(nt - first, BLOCK_ROWS)
     factors = np.empty((rows, 3, 3, size, 1), dtype=complex)
 
-    exit_t = np.empty((size, nt), dtype=complex)
+    exit_t = np.empty((size, nt - first), dtype=complex)
     if on_block is not None:
         sig_rows, e_rows = np.empty((2, rows, size, nz), dtype=complex)
-    sig, s, e, ge, coef, cum = np.zeros((6, size, nz), dtype=complex)
+    sig, s, e, ge, cum = np.zeros((5, size, nz), dtype=complex)
+    sig[...] = state
     k = np.empty((4, size, nz), dtype=complex)
     k0, k1, k2, k3 = k
     # A stage's factors, spread along z once per stage time: a stage op
@@ -290,12 +275,6 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
                                              2.0))
     add, multiply, copyto = np.add, np.multiply, np.copyto
     accumulate = np.add.accumulate
-    if cross is not None:   # the drive |E_source|^2 and its scratch
-        target = cross.target
-        e_source, coef_target = e[cross.source], coef[target]
-        decay, target_shift = decay0[target], list(eta_zeta[:, target])
-        drive, loss = np.empty((2, nz))
-        rate = np.empty(nz, dtype=complex)
 
     def field(hi, lo):
         # E of the state whose flattened pair slices are hi, lo, into e
@@ -305,35 +284,17 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
         multiply(cum, src_z, e)
         add(e, env_z, e)
 
-    def coefficient(w, driven):
-        # -(decay + i*shift), the sigma-diagonal part of the RHS at
-        # eta(t) = levels[w] for the field in ``e``; a cross-driven
-        # target's row is formed in the cross drive's scratch
-        if not driven:
-            return fixed[w]
-        copyto(coef, fixed[w])
-        np.abs(e_source, out=drive)
-        np.square(drive, out=drive)
-        multiply(cross.c_loss, drive, loss)
-        add(decay, loss, loss)
-        multiply(cross.c_shift, drive, drive)
-        add(target_shift[w], drive, drive)
-        multiply(1j, drive, rate)
-        add(loss, rate, rate)
-        np.negative(rate, coef_target)
-        return coef
-
     times, stage_dt = grid.t, (0.0, 0.5 * dt, dt)
-    for n0 in range(0, nt, rows):
+    for n0 in range(first, nt, rows):
         stage_t = [times[n0:n0 + rows] + h for h in stage_dt]
-        (w0, w1, w2), (d0, d1, d2) = _stage_tables(
-            schedule, members, cross, levels, stage_t, factors)
+        w0, w1, w2 = _stage_tables(schedule, members, levels, stage_t,
+                                   factors)
         for r in range(len(stage_t[0])):
             n = n0 + r
             f0, f1, f2 = factors[r]
             copyto(spread, f0)
             field(sig_hi, sig_lo)
-            exit_t[:, n] = e_exit
+            exit_t[:, n - first] = e_exit
             if on_block is not None:
                 sig_rows[r], e_rows[r] = sig, e
                 if r == rows - 1 or n == nt - 1:
@@ -341,23 +302,20 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
                     on_block(n0, sig_rows[:r + 1], e_rows[:r + 1])
             if n == nt - 1:
                 break
-            a = coefficient(w0[r], d0[r])
-            multiply(a, sig, k0)
+            multiply(fixed[w0[r]], sig, k0)
             multiply(gain_z, e, ge)
             add(k0, ge, k0)
             copyto(spread, f1)
             multiply(k0, half_dt, s)
             add(s, sig, s)
             field(s_hi, s_lo)
-            a = coefficient(w1[r], d1[r])
+            a = fixed[w1[r]]
             multiply(a, s, k1)
             multiply(gain_z, e, ge)
             add(k1, ge, k1)
             multiply(k1, half_dt, s)
             add(s, sig, s)
             field(s_hi, s_lo)
-            if d1[r]:
-                a = coefficient(w1[r], True)
             multiply(a, s, k2)
             multiply(gain_z, e, ge)
             add(k2, ge, k2)
@@ -365,8 +323,7 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
             multiply(k2, full_dt, s)
             add(s, sig, s)
             field(s_hi, s_lo)
-            a = coefficient(w2[r], d2[r])
-            multiply(a, s, k3)
+            multiply(fixed[w2[r]], s, k3)
             multiply(gain_z, e, ge)
             add(k3, ge, k3)
             # sig += (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), summed in s
@@ -409,18 +366,14 @@ def check_window(probe: PulseSpec, schedule: GradientSchedule,
 
 
 def check_step(schedule: GradientSchedule, grid: Grid,
-               members: Sequence[Member],
-               cross: Optional[CrossDrive] = None) -> float:
+               members: Sequence[Member]) -> float:
     """The stability limit 1/rate on dt of a march of ``members`` (inf when
-    rate is 0), rate summing the largest decay, the ``cross`` drive's
-    c_loss*peak and |c_shift|*peak, the ramp max|eta|*L/2 and the largest
-    slowest-k exchange coupling_density*ratio^2*L/2pi; StabilityError
-    when dt exceeds it.  (RK4 allows |lambda|*dt up to 2*sqrt(2); the
-    margin covers the transient growth of the z-marched coupling.)"""
+    rate is 0), rate summing the largest decay, the ramp max|eta|*L/2 and
+    the largest slowest-k exchange coupling_density*ratio^2*L/2pi;
+    StabilityError when dt exceeds it.  (RK4 allows |lambda|*dt up to
+    2*sqrt(2); the margin covers the transient growth of the z-marched
+    coupling.)  A drive adds no rate: the march is never driven."""
     rate = max(m.decay for m in members)
-    if cross is not None:
-        rate += cross.c_loss * cross.peak
-        rate += abs(cross.c_shift) * cross.peak
     rate += schedule.max_abs_eta * grid.L / 2.0
     rate += (max(m.coupling_density * m.ratio ** 2 for m in members)
              * grid.L / (2.0 * math.pi))

@@ -59,8 +59,10 @@ class EnsembleParams:
     def __post_init__(self):
         if not (self.gamma > 0):
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.gamma0 < 0:
-            raise ValueError(f"gamma0 must be non-negative, got {self.gamma0}")
+        for name in ("gamma0", "coupling_density"):   # g*calN < 0 amplifies
+            v = getattr(self, name)
+            if v < 0:
+                raise ValueError(f"{name} must be non-negative, got {v}")
         for name in ("Delta", "DeltaPrime", "delta3", "delta4",
                      "OmegaC", "OmegaCPrime", "coupling_density"):
             v = getattr(self, name)
@@ -103,9 +105,9 @@ class PulseSpec:
     def envelope(self, t):
         """Complex amplitude at time(s) ``t`` (phase 0 by construction)."""
         t = np.asarray(t, dtype=float)
-        out = self.peak_amplitude * math_exp(
-            -((t - self.center_time) / self.duration) ** 2)
-        return out + 0.0j
+        with np.errstate(over="ignore"):   # a subnormal duration: exp(-inf)
+            scaled = ((t - self.center_time) / self.duration) ** 2
+        return self.peak_amplitude * math_exp(-scaled) + 0.0j
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ProtocolError
-from .gem import (CrossDrive, Member, check_step, check_window, light_shift,
-                  march, peak_k_trajectory, spatial_spectrum, storage_result)
+from .errors import NumericalError, ProtocolError
+from .gem import (Member, check_step, check_window, light_shift, march,
+                  peak_k_trajectory, spatial_spectrum, storage_result)
 from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
                     PulseSpec)
 
@@ -255,15 +255,21 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     corresponding coupling scattering rate).  During the hold the signal's
     photonic component, reconstructed by the same slaved-field march, acts
     on the probe coherence as a local ac-Stark drive with detuning delta4.
-    check_step bounds dt for the very members and cross drive it marches.
+    With the probe's coupling off, the held probe is the signal-free
+    reference times exp(-(c_loss + i*c_shift)*F(z)), F(z) the trapezoid
+    fluence of |E_signal(z, t)|^2 over the hold's grid rows (integrating
+    factor).  So the reference and the signal march together, and the
+    probe alone from i2, the last grid row at or before tau2.  check_step
+    bounds dt for the members marched.
 
-    Returns the recalled-probe phase relative to a signal-free reference
-    run, the surviving coherence fraction, and the k-t trajectories of
-    both coherences, reduced from the rows the march hands out.
+    Returns the recalled-probe phase relative to the reference, the
+    surviving coherence fraction, and the k-t trajectories of both
+    coherences, reduced from the rows the marches hand out;
+    NumericalError when the factor is beyond float range.
     """
     recall, (tau1, tau2) = check_protocol(probe, signal, schedule, grid.t_max)
-    # probe, signal (opposite gradient, coupling on) and the reference (the
-    # probe undriven); the signal's field drives the probe over the hold
+    # the reference (the probe undriven) and the signal (opposite
+    # gradient, coupling on)
     held = Member(probe.envelope, params.raman_ratio, params.coupling_density,
                   coupling=PiecewiseConstant(((0.0, tau1, 1.0),
                                               (tau1, tau2, 0.0),
@@ -273,34 +279,67 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
                                   params.gamma)
     members = [held, Member(signal.envelope, params.raman_ratio_signal,
                             params.coupling_density, eta_sign=-1.0,
-                            decay=params.gamma0 + sig_loss), held]
-    cross = CrossDrive(1, 0, (tau1, tau2), signal.peak_amplitude ** 2,
-                       *light_shift(params.gamma, params.delta4))
-    dt_limit = check_step(schedule, grid, members, cross)
+                            decay=params.gamma0 + sig_loss)]
+    dt_limit = check_step(schedule, grid, members)
+    c_shift, c_loss = light_shift(params.gamma, params.delta4)
 
+    j1 = int(np.searchsorted(grid.t, tau1))   # the hold's rows: j1..i2
     i2 = max(int(np.searchsorted(grid.t, tau2, side="right")) - 1, 0)
-    hold = (grid.t >= tau1) & (grid.t <= tau2)
-    kpeak, intensity, norms = np.empty((2, grid.nt)), np.empty(grid.nt), {}
+    kpeak, intensity = np.empty((2, grid.nt)), np.empty(grid.nt)
+    # the sum of |E_signal|^2 over the hold's rows so far and its first
+    # row (the trapezoid fluence); the probe's and reference's rows at i2
+    drive_sum, first_drive, ends = 0.0, None, None
+
+    def probe_rows(n0, sigma, field):
+        # the probe's rows n0, ...: the reference's, times the factor over
+        # the hold's rows
+        nonlocal drive_sum, first_drive
+        lo, hi = (min(max(row - n0, 0), len(sigma)) for row in (j1, i2 + 1))
+        rows = sigma[:, 0]
+        if lo >= hi:
+            return rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            drive = np.abs(field[lo:hi, 1]) ** 2
+            if first_drive is None:
+                first_drive = drive[0]
+            fluence = np.cumsum(drive, axis=0)
+            fluence += drive_sum
+            drive_sum = fluence[-1].copy()
+            fluence -= 0.5 * (first_drive + drive)
+            factor = complex(-c_loss, -c_shift) * grid.dt * fluence
+            np.exp(factor, out=factor)
+        if not np.all(np.isfinite(factor.view(float))):
+            raise NumericalError("the signal's fluence over the hold, or "
+                                 "its factor, is beyond float range")
+        # |sigma_ref|^2-weighted |E_signal|^2 over the hold
+        w = np.abs(sigma[lo:hi, 0]) ** 2
+        intensity[n0 + lo:n0 + hi] = (
+            (w * drive).sum(axis=1) / np.maximum(w.sum(axis=1), 1e-300))
+        rows = rows.copy()
+        rows[lo:hi] *= factor
+        return rows
+
+    def peaks(b, n0, rows):
+        kpeak[b, n0:n0 + len(rows)] = peak_k_trajectory(
+            *spatial_spectrum(rows, grid))
 
     def reduce(n0, sigma, field):
-        rows = slice(n0, n0 + len(sigma))
-        for b in (0, 1):   # probe and signal
-            kpeak[b, rows] = peak_k_trajectory(
-                *spatial_spectrum(sigma[:, b], grid))
-        if n0 <= i2 < rows.stop:   # norms[0] probe, norms[1] reference
-            norms.update(enumerate(map(np.linalg.norm, sigma[i2 - n0, ::2])))
-        # |sigma_ref|^2-weighted |E_signal|^2 over the hold
-        w = np.abs(sigma[hold[rows], 2]) ** 2
-        intensity[rows][hold[rows]] = ((w * np.abs(field[hold[rows], 1]) ** 2)
-                                       .sum(axis=1)
-                                       / np.maximum(w.sum(axis=1), 1e-300))
+        nonlocal ends
+        peaks(1, n0, sigma[:, 1])
+        rows = probe_rows(n0, sigma, field)
+        peaks(0, n0, rows[:max(i2 - n0, 0)])   # the probe march has i2 on
+        if n0 <= i2 < n0 + len(sigma):
+            ends = rows[i2 - n0].copy(), sigma[i2 - n0, 0].copy()
 
-    probe_exit, _, reference_exit = march(schedule, grid, members, cross,
-                                          on_block=reduce)
+    reference_exit, _ = march(schedule, grid, members, on_block=reduce)
+    (probe_tail,) = march(schedule, grid, [held], (i2, ends[0][None]),
+                          lambda n0, sigma, _: peaks(0, n0, sigma[:, 0]))
+    probe_exit = np.concatenate((reference_exit[:i2], probe_tail))
     probe_result = storage_result(probe_exit, grid, probe.envelope, recall)
     reference = storage_result(reference_exit, grid, probe.envelope, recall)
-    loss_factor = (min(float(norms[0] / norms[1]), 1.0) if norms[1] > 0
-                   else math.nan)
+    norm, reference_norm = map(np.linalg.norm, ends)
+    loss_factor = (min(float(norm / reference_norm), 1.0)
+                   if reference_norm > 0 else math.nan)
 
     return DoubleStorageResult(
         xpm=XpmResult(phase=reference.echo_phase - probe_result.echo_phase,
@@ -308,4 +347,5 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
         kpeak_probe=kpeak[0], kpeak_signal=kpeak[1],
         probe_efficiency=probe_result.efficiency,
         reference_efficiency=reference.efficiency, tau1=tau1, tau2=tau2,
-        effective_signal_envelope=np.sqrt(intensity[hold]), dt_limit=dt_limit)
+        effective_signal_envelope=np.sqrt(intensity[j1:i2 + 1]),
+        dt_limit=dt_limit)

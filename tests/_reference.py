@@ -25,10 +25,11 @@
   ``_reference_field``): it allocates fresh arrays at every stage and
   keeps whole (nt, B, nz) records of sigma and of the field.
   ``gem.march`` keeps its arithmetic and order, so the rows it hands out
-  and the records must agree bit for bit.  It also takes Stark drives in
-  the right-hand side, -(c_loss + i*c_shift)*I(t) on sigma, which
-  ``gem`` applies by their integrating factor instead: the oracle for the
-  driven runs of ``gem.propagate``.
+  and the records must agree bit for bit.  It also takes Stark drives and
+  a ``CrossDrive`` (one member's |E|^2 on another) in the right-hand
+  side, -(c_loss + i*c_shift)*I on sigma, which ``gem`` and ``xpm`` apply
+  by their integrating factors instead: the oracle for the driven runs of
+  ``gem.propagate`` and for ``xpm.double_storage_run``.
 * ``FullRecords`` is a block consumer for ``gem.march`` and
   ``gem.propagate`` that keeps every row handed out, for the tests that
   read whole records.
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -343,13 +345,14 @@ def _reference_field(sigma, dz, source, boundary):
 class FullRecords:
     """Block consumer that copies every row a march hands out: after the
     run, ``sigma`` and ``field`` are the whole records, (nt, B, nz) from
-    ``gem.march`` and (nt, nz) from ``gem.propagate``."""
+    ``gem.march`` and (nt, nz) from ``gem.propagate``, from row ``first``
+    on (a march's start row)."""
 
-    def __init__(self):
-        self.blocks = []
+    def __init__(self, first=0):
+        self.first, self.blocks = first, []
 
     def __call__(self, n0, sigma, field):
-        assert n0 == sum(len(s) for s, _ in self.blocks)
+        assert n0 == self.first + sum(len(s) for s, _ in self.blocks)
         self.blocks.append((sigma.copy(), field.copy()))
 
     @property
@@ -359,6 +362,18 @@ class FullRecords:
     @property
     def field(self):
         return np.concatenate([e for _, e in self.blocks])
+
+
+class CrossDrive(NamedTuple):
+    """Drive of member ``target`` by member ``source``'s field at stage
+    times in [window): the intensity |E_source(z, t)|^2 shifts the target
+    by c_shift times it and scatters it at c_loss times it."""
+
+    source: int
+    target: int
+    window: Tuple[float, float]
+    c_shift: float
+    c_loss: float
 
 
 def reference_march(schedule, grid, members, cross=None, drives=None):

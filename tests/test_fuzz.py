@@ -2,18 +2,19 @@
 
 Each example is a plausible storage, xpm-free or xpm-double config, its
 ensemble drawn from the keys its kind reads and a grid's length ``L``
-from [0.5, 2], with up to three random edits: a value replaced by
-anything YAML can hold, a key deleted, an unknown key added (at the top
-level, sometimes a section another kind reads), a top-level section only
-other kinds read added, or an ensemble key the kind does not read added
-(``L`` among them: it is a grid key).  A storage flip may lie at or past
-t_max and an xpm-double hold touch t = 0 or t_max, and a schedule then
-runs past t_max (or starts before t = 0).  Sweep examples wrap such a
-config and sweep one of its numeric leaves over one to four values.  Every
-config must either run (exit 0) or be refused with exit 2 (config) or 3
-(numerical/I/O); no exception may escape ``main``.  A config whose
-ensemble sets a key its kind does not read must exit 2, and at least a
-third of the configs must run.  Grids stay at nz, nt <= 32, so every run
+from [0.5, 2]; half of them are left as drawn and half get up to three
+random edits: a value replaced by anything YAML can hold, a key deleted,
+an unknown key added (at the top level, sometimes a section another kind
+reads), a top-level section only other kinds read added, or an ensemble
+key the kind does not read added (``L`` among them: it is a grid key).
+A storage flip may lie at or past t_max and an xpm-double hold touch
+t = 0 or t_max, and a schedule then runs past t_max (or starts before
+t = 0).  Sweep examples wrap such a config and sweep one of its numeric
+leaves over one to four values.  Every config must either run (exit 0)
+or be refused with exit 2 (config) or 3 (numerical/I/O); no exception
+may escape ``main``.  A config whose ensemble sets a key its kind does
+not read must exit 2, and at least a third of a fixed seeded sample of
+independent draws must run.  Grids stay at nz, nt <= 32, so every run
 is small; an xpm-double grid adds the time samples its hold's quadrature
 needs (``HOLD_SAMPLES`` over the hold), without which none could run.
 
@@ -35,6 +36,7 @@ import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from random import Random
 
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -221,7 +223,10 @@ def edited(draw, cfg):
 
 @st.composite
 def configs(draw):
-    return edited(draw, draw(st.one_of(storage(), xpm_double(), XPM_FREE)))
+    # half of them unedited, so that the floor on how many run rests on
+    # plausible configs (test_a_third_of_a_seeded_sample_runs)
+    cfg = draw(st.one_of(storage(), xpm_double(), XPM_FREE))
+    return edited(draw, cfg) if draw(st.booleans()) else cfg
 
 
 @st.composite
@@ -287,6 +292,21 @@ def sweeps(draw, bases=configs()):
             "base": base}
 
 
+def seeded_draws(strategy, seeds):
+    """One draw of ``strategy`` per seed, from hypothesis's own random
+    choices under random.Random(seed): independent draws, which
+    hypothesis neither shrinks nor steers towards simple or novel examples
+    as its search does.  The two classes it takes are hypothesis
+    internals, imported here so that a release that moves them fails the
+    one test that draws so."""
+    from hypothesis.control import BuildContext
+    from hypothesis.internal.conjecture.data import ConjectureData
+    for seed in seeds:
+        data = ConjectureData(random=Random(seed))
+        with BuildContext(data, wrapped_test=None):
+            yield data.draw(strategy)
+
+
 def run_main(cfg):
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "cfg.yaml")
@@ -295,21 +315,31 @@ def run_main(cfg):
         return main(["simulate", path, "--out", os.path.join(td, "out")])
 
 
-def test_every_config_runs_or_is_refused():
-    # About 45 % of examples run; 150 of them put the floor of a third
-    # about three standard deviations below that, where 50 left one.
-    codes = []
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_every_config_runs_or_is_refused(cfg):
+    code = run_main(cfg)
+    assert code in (0, 2, 3)
+    if sets_unread_key(cfg):
+        assert code == 2, cfg
 
-    @settings(max_examples=150, deadline=None, derandomize=True,
-              database=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(configs())
-    def run(cfg):
+
+def test_a_third_of_a_seeded_sample_runs():
+    # The examples hypothesis's search picks are not independent draws:
+    # under other test names its 150 ran anywhere from 46 to 90 (when
+    # every config was edited up to three times).  So the floor is on
+    # independent draws, seeds 0-149, of which 90 run.  Of 2000 other
+    # draws, seeds 1000-2999, 1189 ran (0.594; unedited configs 0.92,
+    # edited ones 0.04): over 150 the count has mean 89.2 and standard
+    # deviation 6.0, so the floor of a third (50) lies 6.5 of them below
+    # the mean, and would lie 3 below a rate of 0.46.
+    codes = []
+    for cfg in seeded_draws(configs(), range(150)):
         codes.append(run_main(cfg))
-        assert codes[-1] in (0, 2, 3)
+        assert codes[-1] in (0, 2, 3), cfg
         if sets_unread_key(cfg):
             assert codes[-1] == 2, cfg
-
-    run()
     assert 3 * codes.count(0) >= len(codes), codes
 
 

@@ -12,8 +12,8 @@ from gemxpm import (EnsembleParams, GradientSchedule, Grid,
                     peak_k_trajectory, polariton_transform, propagate,
                     verify_fourier_relation)
 from gemxpm import gem
-from gemxpm.gem import (BLOCK_ROWS, CrossDrive, Member, check_step,
-                        light_shift, march, spatial_spectrum, storage_result)
+from gemxpm.gem import (BLOCK_ROWS, Member, check_step, light_shift, march,
+                        spatial_spectrum, storage_result)
 
 from _reference import (FullRecords, peak_k_trajectory_loop, reference_march,
                         reference_storage_run)
@@ -52,9 +52,8 @@ def mixed_members(p, drive):
 
 
 def held_pair(p):
-    """Probe, signal and reference members shaped like double_storage_run's
-    batch, with the cross drive of the signal on the probe over the hold
-    [8, 12) of HOLD_SCHEDULE."""
+    """Reference and signal members shaped like double_storage_run's batch:
+    the probe's coupling off over the hold [8, 12) of HOLD_SCHEDULE."""
     held = Member(PulseSpec(1.0, 3.0, 1.0).envelope, p.raman_ratio,
                   p.coupling_density,
                   coupling=PiecewiseConstant(((0.0, 8.0, 1.0),
@@ -62,9 +61,7 @@ def held_pair(p):
                                               (12.0, 20.0, 1.0))))
     signal = Member(PulseSpec(0.5, 5.0, 0.8).envelope, p.raman_ratio_signal,
                     p.coupling_density, eta_sign=-1.0, decay=0.3)
-    return ([held, signal, held],
-            CrossDrive(1, 0, (8.0, 12.0), 0.25,
-                       *light_shift(p.gamma, p.delta4)))
+    return [held, signal]
 
 
 class TestExitPhase:
@@ -337,20 +334,16 @@ class TestPropagate:
         still = dataclasses.replace(member, ratio=0.0, decay=0.0)
         assert check_step(flat, baseline_grid, [still]) == math.inf
         # of a batch: the largest decay and the largest exchange, a
-        # negative ratio's square included, plus the cross drive's peak
-        # loss and peak |shift|, summed in that order
-        members = held_pair(p)[0]
+        # negative ratio's square included, summed in that order
+        members = held_pair(p)
         members[1] = dataclasses.replace(members[1], ratio=-3 * p.raman_ratio,
                                          decay=0.5)
-        cross = CrossDrive(1, 0, (8, 12), 0.25, -0.3, 0.2)
-        rate = (0.5 + 0.2 * 0.25 + 0.3 * 0.25
-                + HOLD_SCHEDULE.max_abs_eta * L / 2.0
+        rate = (0.5 + HOLD_SCHEDULE.max_abs_eta * L / 2.0
                 + p.coupling_density * (-3 * p.raman_ratio) ** 2 * L / TWO_PI)
-        assert check_step(HOLD_SCHEDULE, baseline_grid, members,
-                          cross) == 1.0 / rate
+        assert check_step(HOLD_SCHEDULE, baseline_grid, members) == 1.0 / rate
         with pytest.raises(StabilityError):
             check_step(HOLD_SCHEDULE, Grid(nz=16, nt=64, t_max=20.0),
-                       members, cross)
+                       members)
 
     def test_nan_detection_aborts(self, baseline_params, baseline_probe,
                                   baseline_schedule, baseline_grid):
@@ -470,7 +463,7 @@ class TestBatchedMarch:
                               exits)
 
     @pytest.mark.parametrize("case, nz", [
-        ("one_member", 64), ("mixed_stark", 63), ("cross", 48),
+        ("one_member", 64), ("mixed_stark", 63), ("held", 48),
         ("mixed_stark", 2)])
     def test_equals_reference_march(self, baseline_params, baseline_schedule,
                                     case, nz):
@@ -482,20 +475,38 @@ class TestBatchedMarch:
         grid = Grid(nz=nz, nt=500, t_max=20.0)
         drive = apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
                                   detuning=p.delta3)
-        schedule, cross = baseline_schedule, None
+        schedule = baseline_schedule
         if case == "one_member":
             members = mixed_members(p, None)[:1]
         elif case == "mixed_stark":
             members = mixed_members(p, drive)
         else:
             schedule = HOLD_SCHEDULE
-            members, cross = held_pair(p)
+            members = held_pair(p)
         got = FullRecords()
-        exits = march(schedule, grid, members, cross, on_block=got)
-        want = reference_march(schedule, grid, members, cross)
+        exits = march(schedule, grid, members, on_block=got)
+        want = reference_march(schedule, grid, members)
         for a, b in zip((exits, got.sigma, got.field), want):
             assert np.array_equal(a, b)
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("first", [0, 1, 300, 499])
+    def test_march_from_a_start_row_continues_the_march(
+            self, baseline_params, first):
+        # started from a march's own row ``first``, a march hands out and
+        # returns that march's rows from there on, bit for bit: the probe
+        # leg of double_storage_run starts so from the end of its hold
+        grid = Grid(nz=48, nt=500, t_max=20.0)
+        members = held_pair(baseline_params)
+        whole = FullRecords()
+        exits = march(HOLD_SCHEDULE, grid, members, on_block=whole)
+        tail = FullRecords(first)
+        got = march(HOLD_SCHEDULE, grid, members,
+                    start=(first, whole.sigma[first]), on_block=tail)
+        assert got.shape == (2, grid.nt - first)
+        assert got.tobytes() == exits[:, first:].tobytes()
+        assert tail.sigma.tobytes() == whole.sigma[first:].tobytes()
+        assert tail.field.tobytes() == whole.field[first:].tobytes()
 
     def test_steps_allocate_nothing(self, baseline_params, baseline_schedule,
                                     monkeypatch):
@@ -505,17 +516,18 @@ class TestBatchedMarch:
         assert_steps_allocate_nothing(monkeypatch, baseline_schedule,
                                       mixed_members(p, drive)[1:])
 
-    def test_cross_driven_steps_allocate_nothing(self, baseline_params,
-                                                 monkeypatch):
-        # the cross drive's coefficient is formed in the march's scratch
-        # (the march that formed it afresh grew by 1.35 stage arrays here)
-        members, cross = held_pair(baseline_params)
+    def test_started_steps_allocate_nothing(self, baseline_params,
+                                            monkeypatch):
+        # a march from a start row (double_storage_run's probe leg) steps
+        # in the same buffers
+        members = held_pair(baseline_params)
+        state = np.full((len(members), 1024), 0.25 - 0.5j)
         assert_steps_allocate_nothing(monkeypatch, HOLD_SCHEDULE, members,
-                                      cross)
+                                      start=(700, state))
 
 
 def assert_steps_allocate_nothing(monkeypatch, schedule, members,
-                                  cross=None):
+                                  start=(0, 0.0)):
     """Every array a step writes exists before the first step: from the
     first step on (the first block's stage tables tabulated), the traced
     peak grows by less than one (B, nz) stage array, the next blocks'
@@ -538,8 +550,8 @@ def assert_steps_allocate_nothing(monkeypatch, schedule, members,
     monkeypatch.setattr(gem, "_stage_tables", marked_tables)
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
-        exits = march(schedule, grid, members, cross)
+        traced = tracemalloc.get_traced_memory()[0]
+        exits = march(schedule, grid, members, start)
         peak_in_steps = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -548,7 +560,7 @@ def assert_steps_allocate_nothing(monkeypatch, schedule, members,
     table = grid.nt * 3 * len(members) * 16
     kept = exits.nbytes
     assert peak_in_steps - at_first_step < stage
-    assert (max(peak_before, peak_in_steps) - start - kept
+    assert (max(peak_before, peak_in_steps) - traced - kept
             < 8 * table + 20 * stage)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,16 @@ class TestGaussianEnvelope:
         with pytest.raises(ValueError):
             PulseSpec(1.0, 0.0, 0.0)
 
+    def test_subnormal_duration_is_a_spike_without_warning(self):
+        # (t - center)/duration overflows to inf off the center, where
+        # exp(-inf) = 0 is the envelope's value; it printed two
+        # RuntimeWarnings (overflow in divide and in square)
+        spec = PulseSpec(2.0, 1.0, 4.45e-310)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = spec.envelope(np.array([0.0, 1.0, 2.0]))
+        assert values.tolist() == [0.0, 2.0, 0.0]
+
 
 class TestEnsembleParams:
     def test_defaults_valid(self):
@@ -81,6 +92,12 @@ class TestEnsembleParams:
             EnsembleParams(gamma=0.0)
         with pytest.raises(ValueError):
             EnsembleParams(gamma0=-0.1)
+        # a negative g*calN is a gain medium: its march grows without
+        # bound (to overflow, from -5e16), where a config refusal belongs
+        with pytest.raises(ValueError,
+                           match="coupling_density must be non-negative"):
+            EnsembleParams(coupling_density=-1.0)
+        assert EnsembleParams(coupling_density=0.0).coupling_density == 0.0
         with pytest.raises(ValueError):
             EnsembleParams(Delta=math.inf)
         with pytest.raises(ValueError, match="Delta must be nonzero"):

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gemxpm import (EnsembleParams, GradientSchedule, Grid, ProtocolError,
-                    PulseSpec, coupling_loss_rate, double_storage_run,
-                    phi_free_signal, phi_stored_pair, scattering_consistency,
-                    single_photon_estimate)
-from gemxpm.gem import light_shift
+from gemxpm import (EnsembleParams, GradientSchedule, Grid, NumericalError,
+                    PiecewiseConstant, ProtocolError, PulseSpec,
+                    coupling_loss_rate, double_storage_run, phi_free_signal,
+                    phi_stored_pair, scattering_consistency,
+                    single_photon_estimate, xpm)
+from gemxpm.gem import (Member, exit_phase, light_shift, peak_k_trajectory,
+                        spatial_spectrum)
 from gemxpm.xpm import (EXPERIMENT_GEOMETRY, HOLD_SAMPLES, TransitionData,
                          _simpson)
+
+from _reference import CrossDrive, reference_march
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,22 +210,89 @@ class TestDoubleStorage:
         assert res.xpm.phase == pytest.approx(0.0, abs=1e-12)
         assert res.xpm.loss_factor == pytest.approx(1.0, abs=1e-12)
 
-    def test_dt_limit_bounds_the_cross_drive(self, double_run):
-        # one rule for every march: the signal member's decay, the cross
-        # drive's peak loss and peak |shift| (the signal's input peak
-        # intensity times the light-shift pair at delta4), the ramp and
-        # the larger exchange, summed in that order
+    def test_dt_limit_bounds_the_marched_members(self, double_run):
+        # one rule for every march: the signal member's decay, the ramp
+        # and the larger exchange, summed in that order.  The signal's
+        # drive on the probe is applied by its factor and adds no rate
         p, L = DOUBLE_PARAMS, DOUBLE_GRID.L
-        c_shift, c_loss = light_shift(p.gamma, p.delta4)
-        peak = DOUBLE_SIGNAL.peak_amplitude ** 2
         rate = (p.gamma0
                 + coupling_loss_rate(p.OmegaCPrime, p.DeltaPrime, p.gamma)
-                + c_loss * peak + abs(c_shift) * peak
                 + double_schedule().max_abs_eta * L / 2.0
                 + p.coupling_density
                 * max(p.raman_ratio ** 2, p.raman_ratio_signal ** 2)
                 * L / TWO_PI)
         assert double_run.dt_limit == 1.0 / rate
+
+    def test_factor_path_against_cross_driven_march(self, monkeypatch):
+        # the oracle marches the probe beside the signal and the reference
+        # with the signal's |E|^2 on it in the right-hand side over the
+        # hold's stage times.  At nz 32, nt 2048 the factor path's XPM
+        # phase (3.347e-3 rad) read 5.60e-6 rad below the oracle's and its
+        # exit field after recall 5.67e-6 of the oracle's peak from it
+        # (1.04e-5 and 1.05e-5 at nt 1024, 9.2e-7 and 9.1e-7 at nt 4096:
+        # the hold's edges, 11 and 21, are not grid times); the bounds
+        # are about twice that.  Before recall the exit fields, and
+        # kpeak_probe throughout, are the oracle's bit for bit
+        grid = Grid(nz=32, nt=2048, t_max=34.0)
+        p, schedule, recall = DOUBLE_PARAMS, double_schedule(), 21.0
+        exits, result = [], xpm.storage_result
+
+        def recorded(exit_field, *rest):   # the probe's, then the reference's
+            exits.append(exit_field)
+            return result(exit_field, *rest)
+
+        monkeypatch.setattr(xpm, "storage_result", recorded)
+        run = double_storage_run(p, DOUBLE_PROBE, DOUBLE_SIGNAL, schedule,
+                                 grid)
+        held = Member(DOUBLE_PROBE.envelope, p.raman_ratio,
+                      p.coupling_density, decay=p.gamma0,
+                      coupling=PiecewiseConstant(((0.0, 11.0, 1.0),
+                                                  (11.0, 21.0, 0.0),
+                                                  (21.0, 34.0, 1.0))))
+        signal = Member(DOUBLE_SIGNAL.envelope, p.raman_ratio_signal,
+                        p.coupling_density, eta_sign=-1.0,
+                        decay=p.gamma0 + coupling_loss_rate(
+                            p.OmegaCPrime, p.DeltaPrime, p.gamma))
+        want, sigma, _ = reference_march(
+            schedule, grid, [held, signal, held],
+            CrossDrive(1, 0, (11.0, 21.0), *light_shift(p.gamma, p.delta4)))
+        phase = exit_phase(grid, want[2], recall) - exit_phase(grid, want[0],
+                                                               recall)
+        assert abs(run.xpm.phase - phase) < 1.2e-5
+        probe_exit, reference_exit = exits
+        after = grid.t >= recall
+        assert (np.max(np.abs(probe_exit[after] - want[0, after]))
+                < 1.2e-5 * np.max(np.abs(want[0, after])))
+        assert np.array_equal(probe_exit[~after], want[0, ~after])
+        assert np.array_equal(reference_exit, want[2])
+        for b, kpeak in ((0, run.kpeak_probe), (1, run.kpeak_signal)):
+            assert np.array_equal(kpeak, peak_k_trajectory(
+                *spatial_spectrum(sigma[:, b], grid)))
+
+    def test_strong_signal_runs_at_the_undriven_step(self):
+        # peak |g*E_s|^2 = 3600: marched in the right-hand side, the drive's
+        # rates (c_loss + |c_shift|)*3600 = 92 took the step limit below dt
+        # and the run was refused.  By its factor it adds no rate, and the
+        # probe keeps 0.704 of its coherence (the quadrature's 0.686)
+        grid = Grid(nz=64, nt=2048, t_max=34.0)
+        weak, strong = (double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE,
+                                           PulseSpec(amplitude, 6.0, 1.0),
+                                           double_schedule(), grid)
+                        for amplitude in (1.0, 60.0))
+        assert strong.dt_limit == weak.dt_limit > grid.dt
+        assert strong.reference_efficiency == weak.reference_efficiency
+        quad = phi_stored_pair(strong.effective_signal_envelope,
+                               DOUBLE_PARAMS.delta4, DOUBLE_PARAMS.gamma,
+                               strong.tau1, strong.tau2)
+        assert strong.xpm.loss_factor == pytest.approx(quad.loss_factor,
+                                                       rel=0.05)
+
+    def test_fluence_beyond_float_range_refused(self):
+        # |g*E_s|^2 overflows: refused by name, with no warning raised
+        with pytest.raises(NumericalError, match="beyond float range"):
+            double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE,
+                               PulseSpec(1e160, 6.0, 1.0), double_schedule(),
+                               Grid(nz=32, nt=1024, t_max=34.0))
 
     def test_phase_against_quadrature(self, double_run):
         chk = phi_stored_pair(double_run.effective_signal_envelope,
