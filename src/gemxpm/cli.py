@@ -43,8 +43,9 @@ from .config import (ExperimentConfig, config_to_dict, key_unit,
 from .errors import ConfigError, GemXpmError
 from .gate import phase_trace
 from .gem import (StarkDrive, apply_stark_drive, check_window,
-                  excitation_balance, peak_k_trajectory, polariton_transform,
-                  propagate, storage_batch, verify_fourier_relation)
+                  excitation_balance, light_shift, peak_k_trajectory,
+                  polariton_transform, propagate, storage_batch,
+                  verify_fourier_relation)
 from .model import math_angle
 from .presets import get_preset, preset_names
 from .reporting import ResultTable, config_hash, write_summary
@@ -171,14 +172,10 @@ def _phi_targets_report(cfg: ExperimentConfig, phi: float,
     p_bare = replace(gate, stored_signal_coupling=False)
     p_dressed = replace(p_bare, stored_signal_coupling=True)
     t = gate.t_end if cfg.kind == "gate" else gate.t_gate
-    denom = p_bare.gamma ** 2 + p_bare.delta4 ** 2
-
-    def analytic_mrad(g24: float) -> float:
-        # gamma = delta4 = 0 leaves the light-shift estimate undefined,
-        # while the simulation itself is well defined.
-        if denom == 0.0:
-            return math.nan
-        return 1e3 * g24 ** 2 * p_bare.delta4 * t / denom
+    try:
+        c_shift = light_shift(p_bare.gamma, p_bare.delta4)[0]
+    except ValueError:   # gamma = delta4 = 0: no estimate, but a run
+        c_shift = math.nan
 
     report: Dict[str, Any] = {
         "parameters": {
@@ -188,8 +185,8 @@ def _phi_targets_report(cfg: ExperimentConfig, phi: float,
             "t": t,
         },
         "analytic_phi_mrad": {
-            "bare_coupling": analytic_mrad(p_bare.g24),
-            "stored_coupling": analytic_mrad(p_dressed.g24),
+            "bare_coupling": 1e3 * p_bare.g24 ** 2 * t * c_shift,
+            "stored_coupling": 1e3 * p_dressed.g24 ** 2 * t * c_shift,
         },
     }
     report.update(extra)

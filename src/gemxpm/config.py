@@ -29,7 +29,8 @@ import yaml
 
 from .errors import ConfigError, ProtocolError
 from .gate import DIM, GateParams
-from .gem import BLOCK_ROWS, RECORD_BUDGET_BYTES, check_window, member_bytes
+from .gem import (BLOCK_ROWS, MAX_DRIVEN_INPUT, RECORD_BUDGET_BYTES,
+                  check_window, member_bytes)
 from .model import EnsembleParams, GradientSchedule, Grid, PulseSpec
 from .xpm import HOLD_SAMPLES, check_protocol
 
@@ -373,6 +374,10 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
                 else _section(cls, raw[key], units, key, **given))
 
     probe = section("probe", PulseSpec)
+    most = math.sqrt(MAX_DRIVEN_INPUT)   # |E|^2 keeps its headroom for sums
+    if probe is not None and probe.peak_amplitude > most:
+        _fail("probe.peak_amplitude", f"{probe.peak_amplitude:.6g} is above "
+              f"{most:.3g}, which keeps |E|^2 summed over a window finite")
     signal = section("signal", PulseSpec)
     schedule = (None if raw.get("schedule") is None
                 else _parse_schedule(raw["schedule"], units, "schedule"))
@@ -382,8 +387,8 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
             _fail(fld, f"required for {kind} experiments")
     if kind == "xpm-double" and signal is None:
         _fail("signal", "required for xpm-double experiments")
-    # each of a run's three members at most also fills blocks of sigma and
-    # E, which the peak-k reductions turn into spectra: 3 * BLOCK_ROWS per z
+    # at most three members at once (two march, then xpm-double's probe);
+    # each fills blocks of sigma and E, turned into spectra: 3 * BLOCK_ROWS
     need = 3 * (member_bytes(grid) + 16 * 3 * BLOCK_ROWS * grid.nz) / 2**30
     if need > RECORD_BUDGET_BYTES / 2**30:
         _fail("grid", f"the march's stage tables and buffers need {need:.4g}"

@@ -70,10 +70,14 @@ def member_bytes(grid: Grid) -> int:
 def light_shift(gamma: float, detuning: float) -> Tuple[float, float]:
     """(c_shift, c_loss) = (detuning, gamma) / (gamma^2 + detuning^2): an
     intensity I = |g*E_s|^2 at ``detuning`` shifts a stored coherence by
-    c_shift*I and scatters its amplitude at c_loss*I."""
-    denom = gamma * gamma + detuning * detuning
-    if denom == 0.0:
+    c_shift*I and scatters its amplitude at c_loss*I.  ValueError when both
+    vanish; the limit, through hypot, when the sum underflows."""
+    if gamma == 0.0 and detuning == 0.0:
         raise ValueError("gamma and detuning cannot both vanish")
+    denom = gamma * gamma + detuning * detuning
+    if denom < np.finfo(float).tiny:
+        r = math.hypot(gamma, detuning)
+        return detuning / r / r, gamma / r / r
     return detuning / denom, gamma / denom
 
 
@@ -94,24 +98,23 @@ class StarkDrive:
         return np.exp(complex(-sign * self.c_loss, -sign * self.c_shift)
                       * self.fluence(t))
 
-    def driven_input(self, envelope: Callable[[np.ndarray], np.ndarray],
+    def driven_input(self, probe: PulseSpec,
                      grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-        """E(0, t)/Phi(t), the march input of a run with input ``envelope``;
-        OverflowError when exp(|c_loss|*F)*max(1, |E(0, t)|), a bound on
-        Phi, 1/Phi and that input, exceeds MAX_DRIVEN_INPUT at a stage time
-        of a march on ``grid`` (a NaN drive is left to the march)."""
-        t = grid.t + np.array([[0.0], [0.5 * grid.dt], [grid.dt]])
+        """E(0, t)/Phi(t), the march input of a run with input ``probe``;
+        OverflowError when exp(|c_loss|*max|F|)*max(1, peak), bounding Phi,
+        1/Phi and that input at every stage time, exceeds MAX_DRIVEN_INPUT;
+        monotone F is read at 0 and t_max + dt (NaN is left to the march)."""
+        ends = np.array([0.0, grid.t[-1] + grid.dt])
         with np.errstate(over="ignore", invalid="ignore"):
-            top = (np.exp(abs(self.c_loss) * self.fluence(t))
-                   * np.maximum(np.abs(envelope(t)), 1.0))
-        beyond = t[top > MAX_DRIVEN_INPUT]
-        if beyond.size:
+            top = (np.exp(abs(self.c_loss) * np.abs(self.fluence(ends)).max())
+                   * max(1.0, probe.peak_amplitude))
+        if top > MAX_DRIVEN_INPUT:
             raise OverflowError(
                 f"Stark drive (c_shift {self.c_shift:.6g}, c_loss "
-                f"{self.c_loss:.6g}): at t = {beyond.min():.6g} 1/Phi or the "
-                "input E(0, t)/Phi(t) is beyond float range less the march's "
-                f"headroom ({MAX_DRIVEN_INPUT:.3g})")
-        return lambda t: envelope(t) * self.factor(t, -1.0)
+                f"{self.c_loss:.6g}) and probe peak {probe.peak_amplitude:.6g}"
+                ": 1/Phi or the input E(0, t)/Phi(t) is beyond float range "
+                f"less the march's headroom ({MAX_DRIVEN_INPUT:.3g})")
+        return lambda t: probe.envelope(t) * self.factor(t, -1.0)
 
 
 def apply_stark_drive(signal: PulseSpec, params: EnsembleParams,
@@ -428,9 +431,9 @@ def storage_batch(schedule: GradientSchedule, grid: Grid,
     times Phi) with its xpm_phase (NaN when undriven) and dt_limit;
     ``on_block`` gets the first run's rows, times Phi.  A run's result
     does not depend on the batch.  OverflowError, before any march, for a
-    driven input that StarkDrive.driven_input refuses.  Equal members march
-    once, at most max(1, 4096 // nz) to a march (B*nz <= 4096, past which a
-    larger batch is slower) and no more than fit RECORD_BUDGET_BYTES."""
+    drive and probe that StarkDrive.driven_input refuses.  Equal members
+    march once, at most max(1, 4096 // nz) to a march (B*nz <= 4096, past
+    which a larger batch is slower), no more than fit RECORD_BUDGET_BYTES."""
     limits, plans, probes = [], [], {}   # one envelope per probe
     for params, probe, stark, coupling in runs:
         recall = check_window(probe, schedule, grid.t_max)   # every run's
@@ -443,7 +446,7 @@ def storage_batch(schedule: GradientSchedule, grid: Grid,
             plans.append((probe, member, None, None))
             continue
         plans.append((probe, replace(member, envelope=stark.driven_input(
-            probe.envelope, grid)), member, stark.factor(grid.t)))
+            probe, grid)), member, stark.factor(grid.t)))
     members = list(dict.fromkeys([m for _, m, _, _ in plans]
                                  + [r for _, _, r, _ in plans if r]))
     size = max(1, min(4096 // grid.nz,

@@ -46,11 +46,9 @@ class XpmResult:
 def phi_free_signal(Omega_s: float, delta3: float, tau: float,
                     gamma: float) -> float:
     """Phase imprinted by a free-propagating signal of Rabi frequency
-    Omega_s and duration tau:  Omega_s^2 * delta3 * tau / (2*(gamma^2 + delta3^2))."""
-    denom = gamma * gamma + delta3 * delta3
-    if denom == 0.0:
-        raise ValueError("gamma and delta3 cannot both vanish")
-    return Omega_s ** 2 * delta3 * tau / (2.0 * denom)
+    Omega_s and duration tau:  Omega_s^2 * tau * c_shift / 2, c_shift =
+    delta3 / (gamma^2 + delta3^2) from ``light_shift``."""
+    return 0.5 * Omega_s ** 2 * tau * light_shift(gamma, delta3)[0]
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.floating:
@@ -81,8 +79,8 @@ def phi_stored_pair(signal_envelope: Sequence[float], delta4: float,
 
     ``signal_envelope`` samples g*|E_s| uniformly on [tau1, tau2] (at least
     HOLD_SAMPLES points).  The phase is the composite-Simpson quadrature of
-    |g*E_s|^2 * delta4 / (gamma^2 + delta4^2); the loss factor is
-    exp(-integral of |g*E_s|^2 * gamma / (gamma^2 + delta4^2)).
+    |g*E_s|^2 times c_shift, the loss factor exp(-integral * c_loss), with
+    (c_shift, c_loss) = light_shift(gamma, delta4).
     """
     if not tau2 > tau1:
         raise ValueError(f"tau2 must exceed tau1, got ({tau1}, {tau2})")
@@ -91,17 +89,13 @@ def phi_stored_pair(signal_envelope: Sequence[float], delta4: float,
         raise ValueError(
             f"envelope must be sampled at >= {HOLD_SAMPLES} points on "
             f"[tau1, tau2], got {env.size}")
-    denom = gamma * gamma + delta4 * delta4
-    if denom == 0.0:
-        raise ValueError("gamma and delta4 cannot both vanish")
+    c_shift, c_loss = light_shift(gamma, delta4)
     # integrate over elapsed time so the result depends on tau1, tau2 only
     # through the duration (manifest translation invariance)
-    s = np.linspace(0.0, tau2 - tau1, env.size)
-    intensity = env * env
-    integral = float(_simpson(intensity, s))
-    phase = integral * delta4 / denom
-    loss_exp = integral * gamma / denom
-    return XpmResult(phase=phase, loss_factor=math.exp(-loss_exp),
+    integral = float(_simpson(env * env,
+                              np.linspace(0.0, tau2 - tau1, env.size)))
+    return XpmResult(phase=integral * c_shift,
+                     loss_factor=math.exp(-integral * c_loss),
                      interaction_time=tau2 - tau1)
 
 

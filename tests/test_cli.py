@@ -386,6 +386,22 @@ class TestConfigValidation:
          2, "config error at 'base.schedule': probe pulse must substantially "
             "enter between t = 0 and the recall (center 19.0 + 2*duration "
             "1.0 outside [0, 20.0])"),
+        # |E|^2 of a probe this strong overflowed in the run's energies and
+        # echo phase: inf energies and a NaN efficiency, or NaN phases
+        (dict(STORAGE_CONFIG, probe=dict(STORAGE_CONFIG["probe"],
+                                         peak_amplitude=1.0e+300)),
+         2, "config error at 'probe.peak_amplitude': 1e+300 is above "
+            "3.12e+144"),
+        (dict(XPM_DOUBLE, probe=dict(XPM_DOUBLE["probe"],
+                                     peak_amplitude=1.0e+300)),
+         2, "config error at 'probe.peak_amplitude': 1e+300 is above "
+            "3.12e+144"),
+        # gamma^2 + delta4^2 underflows to 0: the light shift's limit,
+        # c_loss = inf, wipes the held probe out
+        (dict(XPM_DOUBLE, ensemble=dict(XPM_DOUBLE["ensemble"],
+                                        gamma=1.0e-310, delta4=0.0)),
+         3, "NumericalError: the signal's fluence over the hold, or its "
+            "factor, is beyond float range"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
@@ -410,7 +426,10 @@ class TestConfigValidation:
             "lab_gate_gamma", "gate_types_before_values",
             "storage_sweep_delta4_absent",
             "storage_sweep_delta4_set", "xpm_double_hold_past_t_max",
-            "xpm_double_hold_from_zero", "storage_sweep_probe_after_t_max"])
+            "xpm_double_hold_from_zero", "storage_sweep_probe_after_t_max",
+            "storage_probe_beyond_float_range",
+            "xpm_double_probe_beyond_float_range",
+            "xpm_double_light_shift_underflow"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
@@ -750,6 +769,20 @@ class TestRunStorage:
         assert f"error: {where}: OverflowError" in err
         assert "Traceback" not in err
 
+    def test_free_phase_of_underflowed_light_shift_is_zero(self, tmp_path,
+                                                           capsys):
+        # gamma^2 + delta3^2 underflows to 0: the light shift's limit,
+        # c_shift = 0, imprints no phase (a ValueError traceback before)
+        cfg = dict(XPM_FREE, name="underflow",
+                   ensemble={"gamma": 1.0e-310, "delta3": 0.0})
+        out = tmp_path / "out"
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        results = json.loads((out / "underflow.summary.json")
+                             .read_text())["results"]
+        assert results["phi_max_rad"] == 0.0
+
     def test_drive_rate_leaves_step_check(self, tmp_path):
         # a signal whose Stark rate, 0.0025*200^2 = 100 per unit time, is
         # above 1/dt = 102.35 less the undriven rate 5.59: applied by its
@@ -791,7 +824,11 @@ class TestRunStorage:
          {"probe": {"peak_amplitude": 1000.0, "center_time": 3.0,
                     "duration": 1.0},
           "grid": {"nz": 32, "nt": 2048, "t_max": 20.0}}),
-    ], ids=["huge_signal", "long_resonant_signal", "driven_input"])
+        # gamma^2 + delta3^2 underflows to 0: the light shift's limit,
+        # c_loss = inf, makes 1/Phi inf wherever the fluence is positive
+        (SIGNAL, {"gamma": 1.0e-310, "delta3": 0.0}, {}),
+    ], ids=["huge_signal", "long_resonant_signal", "driven_input",
+            "light_shift_underflow"])
     def test_drive_beyond_float_range_refused(self, tmp_path, capsys,
                                               monkeypatch, signal, ensemble,
                                               other):

@@ -84,6 +84,11 @@ class TestStarkDrive:
         assert light_shift(gamma, detuning) == (detuning / denom,
                                                 gamma / denom)
 
+    def test_light_shift_underflow_gives_the_limit(self):
+        # the sum underflows: to 0 (a ValueError before), or subnormal
+        assert light_shift(1e-310, 0.0) == (0.0, math.inf)
+        assert light_shift(0.0, 1e-160) == (1e160, 0.0)
+
     def test_light_shift_refuses_vanishing_denominator(self):
         with pytest.raises(ValueError, match="cannot both vanish"):
             light_shift(0.0, 0.0)
