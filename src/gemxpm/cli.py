@@ -304,9 +304,15 @@ def _sweep_group(job: Tuple[str, List[ExperimentConfig]]
     try:
         if points[0].kind != "storage":
             return [_RUNNERS[p.kind](p)[1] for p in points]
-        runs = storage_batch(points[0].schedule, points[0].grid,
-                             [(p.ensemble, p.probe, _stark(p), None)
-                              for p in points])
+        # one drive per signal and light shift, so that the batch marches
+        # points equal up to probe amplitude once
+        drives, runs = {}, []
+        for p in points:
+            key = (p.signal, p.ensemble.gamma, p.ensemble.delta3)
+            if key not in drives:
+                drives[key] = _stark(p)
+            runs.append((p.ensemble, p.probe, drives[key], None))
+        runs = storage_batch(points[0].schedule, points[0].grid, runs)
     except Exception as exc:   # pickled with the error from a worker
         exc.sweep_group = where
         raise

@@ -98,12 +98,11 @@ class StarkDrive:
         return np.exp(complex(-sign * self.c_loss, -sign * self.c_shift)
                       * self.fluence(t))
 
-    def driven_input(self, probe: PulseSpec,
-                     grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-        """E(0, t)/Phi(t), the march input of a run with input ``probe``;
-        OverflowError when exp(|c_loss|*max|F|)*max(1, peak), bounding Phi,
-        1/Phi and that input at every stage time, exceeds MAX_DRIVEN_INPUT;
-        monotone F is read at 0 and t_max + dt (NaN is left to the march)."""
+    def check_input(self, probe: PulseSpec, grid: Grid) -> None:
+        """OverflowError when exp(|c_loss|*max|F|)*max(1, peak), bounding
+        Phi, 1/Phi and the driven input E(0, t)/Phi(t) of a run with input
+        ``probe`` at every stage time, exceeds MAX_DRIVEN_INPUT; monotone F
+        is read at 0 and t_max + dt (NaN is left to the march)."""
         ends = np.array([0.0, grid.t[-1] + grid.dt])
         with np.errstate(over="ignore", invalid="ignore"):
             top = (np.exp(abs(self.c_loss) * np.abs(self.fluence(ends)).max())
@@ -114,7 +113,12 @@ class StarkDrive:
                 f"{self.c_loss:.6g}) and probe peak {probe.peak_amplitude:.6g}"
                 ": 1/Phi or the input E(0, t)/Phi(t) is beyond float range "
                 f"less the march's headroom ({MAX_DRIVEN_INPUT:.3g})")
-        return lambda t: probe.envelope(t) * self.factor(t, -1.0)
+
+    def driven_input(self, envelope: Callable[[np.ndarray], np.ndarray]
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+        """E(0, t)/Phi(t), the march input of a run with input
+        ``envelope`` E(0, t)."""
+        return lambda t: envelope(t) * self.factor(t, -1.0)
 
 
 def apply_stark_drive(signal: PulseSpec, params: EnsembleParams,
@@ -413,7 +417,8 @@ def propagate(params: EnsembleParams, probe: PulseSpec,
     run is marched in the same batch and gives ``xpm_phase``.  ``on_block``
     receives the run's sigma and E rows as ``march`` hands them out, with
     the member axis dropped: (rows, nz) views, times Phi with a Stark
-    drive.  Raises as storage_batch and march do.
+    drive and times the probe's peak amplitude.  Raises as storage_batch
+    and march do.
     """
     return storage_batch(schedule, grid, [(params, probe, stark, coupling)],
                          on_block)[0]
@@ -425,40 +430,56 @@ def storage_batch(schedule: GradientSchedule, grid: Grid,
                                        Optional[PiecewiseConstant]]],
                   on_block: Optional[Callable] = None) -> List[StorageResult]:
     """Check each (ensemble, probe, stark, coupling) run as check_window
-    does and its own Member of the ensemble as check_step does, march each
-    Member, a driven one with input E(0, t)/Phi(t) and beside its
-    signal-free reference, and return each run's StorageResult (exit field
-    times Phi) with its xpm_phase (NaN when undriven) and dt_limit;
-    ``on_block`` gets the first run's rows, times Phi.  A run's result
-    does not depend on the batch.  OverflowError, before any march, for a
-    drive and probe that StarkDrive.driven_input refuses.  Equal members
-    march once, at most max(1, 4096 // nz) to a march (B*nz <= 4096, past
-    which a larger batch is slower), no more than fit RECORD_BUDGET_BYTES."""
-    limits, plans, probes = [], [], {}   # one envelope per probe
+    does, its drive and probe as StarkDrive.check_input does (OverflowError
+    before any march) and its own Member of the ensemble as check_step
+    does, march each Member, a driven one with input E(0, t)/Phi(t) and
+    beside its signal-free reference, and return each run's StorageResult
+    (exit field times Phi) with its xpm_phase (NaN when undriven) and
+    dt_limit; ``on_block`` gets the first run's rows, times Phi.  A run's
+    result does not depend on the batch.
+
+    The pair (sigma, E) is linear in the probe, so a Member carries the
+    probe's shape at unit peak amplitude and a run's exit field, reference
+    exit and rows are its march's times the peak (a zero probe marches as
+    it is).  Runs equal up to probe amplitude march once: five points of a
+    probe.* sweep with a signal are 2 members, the unit probe driven and
+    its reference.  Equal members march once, at most max(1, 4096 // nz)
+    to a march (B*nz <= 4096, past which a larger batch is slower), no
+    more than fit RECORD_BUDGET_BYTES."""
+    limits, plans, probes = [], [], {}   # one envelope per unit probe
+    driven = {}   # (driven member, Phi) by (unit member, drive)
     for params, probe, stark, coupling in runs:
         recall = check_window(probe, schedule, grid.t_max)   # every run's
-        probe = probes.setdefault(probe, probe)
-        member = Member(probe.envelope, params.raman_ratio,
+        scale = probe.peak_amplitude or 1.0
+        unit = replace(probe, peak_amplitude=probe.peak_amplitude / scale)
+        unit = probes.setdefault(unit, unit)
+        member = Member(unit.envelope, params.raman_ratio,
                         params.coupling_density, coupling=coupling,
                         decay=params.gamma0)
         limits.append(check_step(schedule, grid, [member]))
         if stark is None:
-            plans.append((probe, member, None, None))
+            plans.append((probe, scale, member, None, None))
             continue
-        plans.append((probe, replace(member, envelope=stark.driven_input(
-            probe, grid)), member, stark.factor(grid.t)))
-    members = list(dict.fromkeys([m for _, m, _, _ in plans]
-                                 + [r for _, _, r, _ in plans if r]))
+        stark.check_input(probe, grid)
+        if (member, stark) not in driven:
+            driven[member, stark] = (replace(member, envelope=(
+                stark.driven_input(unit.envelope))), stark.factor(grid.t))
+        plans.append((probe, scale, *driven[member, stark], member))
+    members = list(dict.fromkeys([m for _, _, m, _, _ in plans]
+                                 + [r for *_, r in plans if r]))
     size = max(1, min(4096 // grid.nz,
                       RECORD_BUDGET_BYTES // member_bytes(grid)))
-    first_phi = plans[0][3] if plans else None
+
+    def scaled(field, scale):   # a unit march's field at peak ``scale``
+        return field if scale == 1.0 else field * scale
 
     def first(n0, sigma, field):   # the first run's rows, times its Phi
+        _, scale, _, phi, _ = plans[0]
         sigma, field = sigma[:, 0], field[:, 0]
-        if first_phi is not None:
-            rows = first_phi[n0:n0 + len(sigma), None]
+        if phi is not None:
+            rows = phi[n0:n0 + len(sigma), None]
             sigma, field = sigma * rows, field * rows
-        on_block(n0, sigma, field)
+        on_block(n0, scaled(sigma, scale), scaled(field, scale))
 
     exits = {}
     for i in range(0, len(members), size):
@@ -467,11 +488,12 @@ def storage_batch(schedule: GradientSchedule, grid: Grid,
             schedule, grid, chunk,
             on_block=first if on_block is not None and i == 0 else None)))
     results = []
-    for (probe, member, ref, phi), limit in zip(plans, limits):
-        exit_field = exits[member] if phi is None else exits[member] * phi
+    for (probe, scale, member, phi, ref), limit in zip(plans, limits):
+        exit_field = scaled(exits[member] if phi is None
+                            else exits[member] * phi, scale)
         run = storage_result(exit_field, grid, probe.envelope, recall)
-        xpm_phase = (math.nan if ref is None else
-                     exit_phase(grid, exits[ref], recall) - run.echo_phase)
+        xpm_phase = (math.nan if phi is None else exit_phase(
+            grid, scaled(exits[ref], scale), recall) - run.echo_phase)
         results.append(replace(run, dt_limit=limit, xpm_phase=xpm_phase))
     return results
 

@@ -50,9 +50,11 @@ class ResultTable:
         return ",".join(f"{c}[{u}]" for c, u in zip(self.columns, self.units))
 
     def body_lines(self) -> List[str]:
+        """The header, then one line per row, each cell ``format_float``'s:
+        one %-format of a whole row formats its cells as format does."""
+        row = ",".join(["%.17g"] * len(self.columns))
         lines = [self.header()]
-        lines.extend(",".join(format_float(v) for v in row)
-                     for row in self.values.tolist())
+        lines.extend(row % tuple(r) for r in self.values.tolist())
         return lines
 
     def write_csv(self, path: Path) -> Path:

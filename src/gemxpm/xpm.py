@@ -47,8 +47,17 @@ def phi_free_signal(Omega_s: float, delta3: float, tau: float,
                     gamma: float) -> float:
     """Phase imprinted by a free-propagating signal of Rabi frequency
     Omega_s and duration tau:  Omega_s^2 * tau * c_shift / 2, c_shift =
-    delta3 / (gamma^2 + delta3^2) from ``light_shift``."""
-    return 0.5 * Omega_s ** 2 * tau * light_shift(gamma, delta3)[0]
+    delta3 / (gamma^2 + delta3^2) from ``light_shift``; NumericalError
+    when it is beyond float range, as at the light shift c_shift = inf of
+    subnormal gamma and delta3."""
+    c_shift = light_shift(gamma, delta3)[0]
+    phi = 0.5 * Omega_s ** 2 * tau * c_shift
+    if not math.isfinite(phi):
+        raise NumericalError(
+            f"the phase of Omega_s {Omega_s:.6g} over tau {tau:.6g} at the "
+            f"light shift c_shift {c_shift:.6g} (gamma {gamma:.6g}, delta3 "
+            f"{delta3:.6g}) is beyond float range")
+    return phi
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.floating:

@@ -402,6 +402,13 @@ class TestConfigValidation:
                                         gamma=1.0e-310, delta4=0.0)),
          3, "NumericalError: the signal's fluence over the hold, or its "
             "factor, is beyond float range"),
+        # gamma^2 + delta3^2 underflows to 0 with both nonzero: the light
+        # shift's limit, c_shift = inf, wrote phi inf (NaN at Omega_s = 0)
+        (dict(XPM_FREE, ensemble={"gamma": 1.0e-310, "delta3": 1.0e-310},
+              xpm_free={"omega_s": [0.0, 1.0, 2.0], "tau": 1.0}),
+         3, "NumericalError: the phase of Omega_s 0 over tau 1 at the light "
+            "shift c_shift inf (gamma 1e-310, delta3 1e-310) is beyond "
+            "float range"),
     ], ids=["gate_t_end_negative", "tomography_t_gate_negative",
             "sweep_t_gate_negative", "gate_gamma_nan", "gate_t_end_nan",
             "gate_g_inf", "xpm_free_tau_nan", "integer_beyond_float",
@@ -429,7 +436,8 @@ class TestConfigValidation:
             "xpm_double_hold_from_zero", "storage_sweep_probe_after_t_max",
             "storage_probe_beyond_float_range",
             "xpm_double_probe_beyond_float_range",
-            "xpm_double_light_shift_underflow"])
+            "xpm_double_light_shift_underflow",
+            "xpm_free_light_shift_underflow"])
     def test_refused_without_traceback(self, tmp_path, capsys, cfg, code,
                                        message):
         # each ended in a traceback or exited 0 with NaN results, and the
@@ -816,10 +824,11 @@ class TestRunStorage:
         # 100 is within the step limit 1/dt = 204.75 less 5.59
         ({"peak_amplitude": 10.0, "center_time": 6.0, "duration": 6.0},
          {"delta3": 0.0}, {}),
-        # on resonance, c_loss*F = 43.3^2 * 0.3 * 1.25 = 705 keeps 1/Phi a
-        # float, but the probe of peak 1000 after the signal makes the
-        # driven input E(0, t)/Phi(t) 1000*exp(705), beyond it
-        ({"peak_amplitude": 43.3, "center_time": 1.0, "duration": 0.3},
+        # on resonance, c_loss*F = 42^2 * 0.3 * 1.25 = 663 keeps 1/Phi
+        # within MAX_DRIVEN_INPUT (exp(665.4)), but the probe of peak 1000
+        # after the signal makes the driven input E(0, t)/Phi(t)
+        # 1000*exp(663), beyond it
+        ({"peak_amplitude": 42.0, "center_time": 1.0, "duration": 0.3},
          {"delta3": 0.0},
          {"probe": {"peak_amplitude": 1000.0, "center_time": 3.0,
                     "duration": 1.0},
@@ -1105,23 +1114,30 @@ class TestSweep:
         assert csv_body(tmp_path / "serial" / "pooled.csv") == \
             csv_body(tmp_path / "pooled" / "pooled.csv")
 
-    @pytest.mark.parametrize("path, values, signal, unit", [
-        ("probe.peak_amplitude", [0.5, 2.0, 0.5], None, "gamma"),
-        ("probe.peak_amplitude", [0.5, 2.0], SIGNAL, "gamma"),
-        ("signal.peak_amplitude", [0.25, 0.5, 1.0], SIGNAL, "gamma"),
-        ("grid.nt", [512, 256], None, "1"),
+    @pytest.mark.parametrize("path, values, signal, unit, sizes", [
+        ("probe.peak_amplitude", [0.1, 0.5, 2.0, 0.5, 10.0], None, "gamma",
+         [1]),
+        ("probe.peak_amplitude", [0.1, 0.5, 1.0, 2.5, 10.0], SIGNAL, "gamma",
+         [2]),
+        ("signal.peak_amplitude", [0.25, 0.5, 1.0], SIGNAL, "gamma", [4]),
+        ("grid.nt", [512, 256], None, "1", [1, 1]),
     ], ids=["probe_undriven", "probe_driven", "signal", "grid_nt"])
-    def test_storage_rows_equal_propagate(self, tmp_path, path, values,
-                                          signal, unit):
-        # one batch per (schedule, grid), marched at nz = 32:
-        # each row is its own point's propagate, NaN xpm phase included
+    def test_storage_rows_equal_propagate(self, tmp_path, monkeypatch, path,
+                                          values, signal, unit, sizes):
+        # one batch per (schedule, grid), marched at nz = 32: probe
+        # amplitudes march the unit probe once (driven and its reference
+        # with a signal), signal amplitudes one driven member each beside
+        # one reference; each row is its own point's propagate, NaN xpm
+        # phase included
         base = dict(STORAGE_CONFIG, grid={"nz": 32, "nt": 512, "t_max": 20.0})
         if signal is not None:
             base["signal"] = signal
         sweep_cfg = {"experiment": "sweep", "name": "rows",
                      "sweep": {"path": path, "values": values}, "base": base}
+        marched = record_march_sizes(monkeypatch)
         assert main(["simulate", write_yaml(tmp_path, sweep_cfg),
                      "--out", str(tmp_path)]) == 0
+        assert marched == sizes
         lines = csv_body(tmp_path / "rows.csv").strip().splitlines()
         assert lines[0] == (f"{path.split('.')[-1]}[{unit}],efficiency[1],"
                             "echo_phase[rad],xpm_phase[rad]")
@@ -1160,25 +1176,28 @@ class TestSweep:
 
     def test_shipped_grid_sweep_marches_nz_over_16(self, tmp_path,
                                                    monkeypatch):
-        # five driven points and their references are ten members; at the
-        # shipped storage grid (nz = 256, nt = 4096) a march takes up to
-        # 4096 // nz = 16 members, so the sweep is one march of all ten
+        # nine signal amplitudes are nine driven members and their one
+        # shared reference, ten members; at the shipped storage grid (nz =
+        # 256, nt = 4096) a march takes up to 4096 // nz = 16 members, so
+        # the sweep is one march of all ten
         sizes = record_march_sizes(monkeypatch)
         raw = get_preset("fig2b_spm")
-        raw["sweep"]["values"] = [0.1, 0.5, 1.0, 2.0, 10.0]
+        raw["sweep"] = {"path": "signal.peak_amplitude",
+                        "values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
+                                   0.9]}
         run_config(parse_config(raw), tmp_path)
         assert sizes == [10]
 
     def test_small_grid_driven_sweep_is_one_march(self, tmp_path,
                                                   monkeypatch):
-        # three driven points and their references are six members; at
-        # nz = 32 a march takes up to 4096 // nz = 128 members, so the
-        # sweep is one march of all six
+        # five signal amplitudes are five driven members and their one
+        # shared reference, six members; at nz = 32 a march takes up to
+        # 4096 // nz = 128 members, so the sweep is one march of all six
         sizes = record_march_sizes(monkeypatch)
         cfg = parse_config({
             "experiment": "sweep", "name": "small",
-            "sweep": {"path": "probe.peak_amplitude",
-                      "values": [0.5, 1.0, 2.0]},
+            "sweep": {"path": "signal.peak_amplitude",
+                      "values": [0.25, 0.5, 1.0, 1.5, 2.0]},
             "base": dict(STORAGE_CONFIG, signal=SIGNAL,
                          grid={"nz": 32, "nt": 512, "t_max": 20.0})})
         run_config(cfg, tmp_path)
@@ -1192,8 +1211,8 @@ class TestSweep:
                     grid={"nz": 64, "nt": 256, "t_max": 20.0})
         cfg = parse_config({
             "experiment": "sweep", "name": "capped",
-            "sweep": {"path": "probe.peak_amplitude",
-                      "values": [0.5, 1.0, 2.0]},
+            "sweep": {"path": "signal.peak_amplitude",
+                      "values": [0.25, 0.5, 1.0, 1.5, 2.0]},
             "base": base})
         run_config(cfg, tmp_path / "whole")
         sizes = record_march_sizes(monkeypatch)
@@ -1205,16 +1224,17 @@ class TestSweep:
             csv_body(tmp_path / "whole" / "capped.csv")
 
     def test_driven_sweep_within_record_budget(self, tmp_path):
-        # 40 driven points and their references are 80 members; marched
-        # at once they peak at about 9 MiB, over the 2.5 MiB bound below,
-        # so the batch must march them a few at a time
+        # 79 signal amplitudes are 79 driven members and their one shared
+        # reference, 80 members; marched at once they peak at about 9 MiB,
+        # over the 2.5 MiB bound below, so the batch must march them a few
+        # at a time
         nz, nt = 256, 128
         base = dict(STORAGE_CONFIG, signal=SIGNAL,
                     grid={"nz": nz, "nt": nt, "t_max": 20.0})
         cfg = parse_config({
             "experiment": "sweep", "name": "many",
-            "sweep": {"path": "probe.peak_amplitude",
-                      "values": [0.1 * (i + 1) for i in range(40)]},
+            "sweep": {"path": "signal.peak_amplitude",
+                      "values": [0.1 * (i + 1) for i in range(79)]},
             "base": base})
         tracemalloc.start()
         try:
@@ -1223,6 +1243,21 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 2 ** 20
+
+    @pytest.mark.parametrize("signal", [SIGNAL, None],
+                             ids=["driven", "undriven"])
+    def test_zero_probe_writes_zeros(self, tmp_path, signal):
+        # a zero probe marches as it is, since a unit march scaled by 0
+        # gives signed zeros, and phase_out would read -0, 0 and pi
+        cfg = dict(STORAGE_CONFIG, grid={"nz": 32, "nt": 512, "t_max": 20.0},
+                   probe=dict(STORAGE_CONFIG["probe"], peak_amplitude=0.0))
+        if signal is not None:
+            cfg["signal"] = signal
+        assert main(["simulate", write_yaml(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 0
+        lines = csv_body(tmp_path / "small_storage.csv").splitlines()
+        assert len(lines) == 513
+        assert {ln.split(",", 1)[1] for ln in lines[1:]} == {"0,0,0"}
 
 
 class TestChoiExport:
@@ -1335,6 +1370,18 @@ class TestMainEntry:
 
 
 class TestFormatting:
+    def test_body_lines_format_each_cell_as_format_float(self):
+        # one %-format per row writes every cell as format_float does,
+        # NaN, +-inf, -0.0 and subnormals included
+        cells = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                 2.2250738585072014e-308 / 3.0, 1.0 / 3.0, -1e300, 1.0]
+        table = ResultTable(columns=["a", "b", "c"], units=["1"] * 3,
+                            values=[[x, y, -y] for x in cells
+                                    for y in cells])
+        assert table.body_lines() == [table.header()] + [
+            ",".join(format_float(v) for v in row)
+            for row in table.values.tolist()]
+
     def test_format_float_17g(self):
         assert format_float(1.0 / 3.0) == "0.33333333333333331"
         assert format_float(0.0) == "0"

@@ -27,9 +27,7 @@ HOLD_SCHEDULE = GradientSchedule(((0.0, 8.0, 8.0), (8.0, 12.0, 0.0),
 def driven_input(envelope, drive):
     """The input a run driven by ``drive`` marches: envelope(t) over the
     drive's factor Phi(t) (``envelope`` itself without a drive)."""
-    if drive is None:
-        return envelope
-    return lambda t: envelope(t) * drive.factor(t, -1.0)
+    return envelope if drive is None else drive.driven_input(envelope)
 
 
 def mixed_members(p, drive):
