@@ -316,8 +316,10 @@ def _sweep_group(job: Tuple[str, List[ExperimentConfig]]
     except Exception as exc:   # pickled with the error from a worker
         exc.sweep_group = where
         raise
+    grid = points[0].grid
     return [{"efficiency": r.efficiency, "echo_phase_rad": r.echo_phase,
-             "xpm_phase_rad": r.xpm_phase} for r in runs]
+             "xpm_phase_rad": r.xpm_phase, "march_steps": grid.nt - 1,
+             "dt_over_limit": grid.dt / r.dt_limit} for r in runs]
 
 
 def _run_sweep(cfg: ExperimentConfig, workers: int):
@@ -337,6 +339,9 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
                         itertools.chain(*done)))
     swept = SWEPT[points[0].kind]
     columns = [c for c, _, _ in swept]
+    # a marching point's telemetry, in results only
+    telemetry = [k for k in ("march_steps", "dt_over_limit")
+                 if k in by_index[0]]
     rows = [[v] + [by_index[i][key] for _, key, _ in swept]
             for i, v in enumerate(values)]
     axis = cfg.sweep.path.split(".")[-1]
@@ -346,7 +351,9 @@ def _run_sweep(cfg: ExperimentConfig, workers: int):
     results = {
         "axis_path": cfg.sweep.path,
         "axis_values": list(values),
-        "points": [{"value": r[0], **dict(zip(columns, r[1:]))} for r in rows],
+        "points": [{"value": r[0], **dict(zip(columns, r[1:])),
+                    **{k: by_index[i][k] for k in telemetry}}
+                   for i, r in enumerate(rows)],
     }
     return table, results, None
 

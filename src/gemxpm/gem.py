@@ -62,8 +62,9 @@ RECORD_BUDGET_BYTES = 2 << 30
 def member_bytes(grid: Grid) -> int:
     """About the bytes one member of an exit-only march holds in arrays that
     grow with the grid, from above: 24 values per grid time (exit field, a
-    Stark drive's factor and their reductions, stage tables of 9 values a
-    row up to BLOCK_ROWS rows) and 16 per z sample (stage buffers)."""
+    Stark drive's factor and their reductions, up to BLOCK_ROWS rows of
+    stage tables, 6 values a row, and of the exit face's 3) and 16 per z
+    sample (stage buffers)."""
     return 16 * (24 * grid.nt + 16 * grid.nz)
 
 
@@ -188,25 +189,33 @@ class Member:
 
 def _stage_tables(schedule: GradientSchedule, members: Sequence[Member],
                   levels: np.ndarray, stage_t: Sequence[np.ndarray],
-                  factors: np.ndarray) -> list:
-    """Tabulate each member's factors at a block's stage times, ``stage_t``
-    = (t_n, t_n + dt/2, t_n + dt) for its rows of steps n, into
-    factors[:rows]: source, input and gain.  Return, per stage, a list over
-    the rows of the index of eta(t) in ``levels``.  One member and stage at
-    a time, so the temporaries are a few (rows,) arrays.
+                  half_dz: float, slopes: np.ndarray,
+                  face: np.ndarray) -> list:
+    """Tabulate each member's slope terms at a block's stage times,
+    ``stage_t`` = (t_n, t_n + dt/2, t_n + dt) for its rows of steps n:
+    into slopes[:rows] coef = gain*src*dz/2 and const = gain*E(0, t), src
+    and gain the member's source and gain times its coupling switch, and
+    into face[:, :rows] src*dz/2 and E(0, t) at t_n, from which E is
+    formed.  Return, per stage, a list over the rows of the index of
+    eta(t) in ``levels``.  One member and stage at a time, so the
+    temporaries are a few (rows,) arrays.
     """
     rows = len(stage_t[0])
     density, ratio = np.array([(m.coupling_density, m.ratio)
                                for m in members]).T
-    src_coef, gain_coef = 1j * density * ratio, 1j * ratio
+    src_coef, gain_coef = 1j * density * ratio * half_dz, 1j * ratio
     which = []
     for j, t in enumerate(stage_t):
-        src, env, gain = (factors[:rows, j, i, :, 0] for i in range(3))
+        coef, const = (slopes[:rows, j, i, :, 0] for i in range(2))
         for b, m in enumerate(members):
             mult = m.coupling.values(t) if m.coupling else 1.0
-            np.multiply(src_coef[b], mult, out=src[:, b])
-            np.multiply(gain_coef[b], mult, out=gain[:, b])
-            env[:, b] = m.envelope(t)
+            env = m.envelope(t)
+            np.multiply(src_coef[b], mult, out=coef[:, b])
+            if j == 0:
+                face[0, :rows, b], face[1, :rows, b] = coef[:, b], env
+            np.multiply(gain_coef[b], mult, out=const[:, b])
+            np.multiply(const[:, b], coef[:, b], out=coef[:, b])
+            np.multiply(const[:, b], env, out=const[:, b])
         which.append(np.searchsorted(levels, schedule.values(t)).tolist())
     return which
 
@@ -225,25 +234,31 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
     the arithmetic of a one-member march in the same order, so its values
     do not depend on the batch.
 
-    The slaved field is E(z) = E(0) + source * (trapezoid integral of
-    sigma over [0, z]); the pair sums sigma[j + 1] + sigma[j] come from one
-    add over the flattened stack, whose cross-row sum in each row's last
-    slot is never read.
+    The slaved field is E(z) = E(0) + (src*dz/2) * C(z), C the running sum
+    of the pair sums sigma[j + 1] + sigma[j] over [0, z] (the trapezoid
+    integral of sigma over dz/2).  A stage forms C alone: its slope
+    fixed*x + gain*E is fixed*x + coef*C + const, coef = gain*src*dz/2 and
+    const = gain*E(0, t) from the tables.  The pair sums come from one add
+    over the flattened stack, whose cross-row sum in each row's last slot
+    is never read.  E is formed only where it is read, once per block from
+    the C of the rows' stage 0: its exit face, and with ``on_block`` its
+    whole rows.
 
     With ``on_block``, on_block(n0, sigma, field) gets sigma and the E it
     was marched with at rows n0, n0 + 1, ... (BLOCK_ROWS, fewer in the last
     block) as (rows, B, nz) views of buffers reused for the next block,
-    each checked finite first.  Without it a step copies nothing.
+    each checked finite first.  Without it a step copies only the exit
+    face of C.
 
-    The state, stage state, field, slopes k1..k4, field scratch and a
-    stage's per-member factors spread along z are buffers allocated once
+    The state, stage state, running sums, slopes k1..k4, slope scratch and
+    a stage's per-member terms spread along z are buffers allocated once
     per march, as are the views a step reads; every stage writes into them
     with ``out=``, so a step allocates no array (a block's tables cost a
     few (BLOCK_ROWS,) temporaries) and does little but its ufunc calls.
-    Its operations and their order are those of a march that allocates its
-    stage arrays afresh, down to ((k1 + 2 k2) + 2 k3) + k4, so its rows and
-    every golden are byte-equal to that march's.  Step-size checks are the
-    caller's; NumericalError on non-finite state.
+    ``tests/_reference.py``'s march that allocates its stage arrays afresh
+    does the same operations in the same order, down to ((k1 + 2 k2) +
+    2 k3) + k4, so the rows agree with it bit for bit.  Step-size checks
+    are the caller's; NumericalError on non-finite state.
     """
     nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
     size = len(members)
@@ -256,83 +271,92 @@ def march(schedule: GradientSchedule, grid: Grid, members: Sequence[Member],
     decay = np.array([m.decay for m in members])
     fixed = list(-(decay[:, None] + 1j * eta_zeta))
     rows = min(nt - first, BLOCK_ROWS)
-    factors = np.empty((rows, 3, 3, size, 1), dtype=complex)
+    slopes = np.empty((rows, 3, 2, size, 1), dtype=complex)
+    # src*dz/2 and E(0, t) at the rows' t_n, and the rows' exit-face C
+    # turned into E(L, t): contiguous (rows, B), so no operand is buffered
+    face = np.empty((2, rows, size), dtype=complex)
+    exit_c = np.empty((rows, size), dtype=complex)
 
     exit_t = np.empty((size, nt - first), dtype=complex)
     if on_block is not None:
         sig_rows, e_rows = np.empty((2, rows, size, nz), dtype=complex)
-    sig, s, e, ge, cum = np.zeros((5, size, nz), dtype=complex)
+    sig, s, pair, cum, term = np.zeros((5, size, nz), dtype=complex)
     sig[...] = state
     k = np.empty((4, size, nz), dtype=complex)
     k0, k1, k2, k3 = k
-    # A stage's factors, spread along z once per stage time: a stage op
+    # A stage's terms, spread along z once per stage time: a stage op
     # with a (B, 1) operand would cost NumPy a buffered copy of it.
-    spread = np.empty((3, size, nz), dtype=complex)
-    src_z, env_z, gain_z = spread
+    spread = np.empty((2, size, nz), dtype=complex)
+    coef_z, const_z = spread
     # views and scalars a step reads, made once: the flattened pair
-    # slices of sig and s, the field's heads, the running sums' tails
+    # slices of sig and s, the pair sums' heads, the running sums' tails
     sig_hi, sig_lo = sig.reshape(-1)[1:], sig.reshape(-1)[:-1]
     s_hi, s_lo = s.reshape(-1)[1:], s.reshape(-1)[:-1]
-    pairs, head, tail = e.reshape(-1)[:-1], e[:, :-1], cum[:, 1:]
-    e_exit, k_mid = e[:, -1], k[1:3]
+    pairs, head, tail = pair.reshape(-1)[:-1], pair[:, :-1], cum[:, 1:]
+    cum_exit, k_mid = cum[:, -1], k[1:3]
     # the step's real scalars as 0-d complex arrays: the (h + 0j) a
     # complex ufunc casts a Python float to, without the per-call cast
-    half_dz, half_dt, full_dt, sixth_dt, two = (
-        np.array(h, dtype=complex) for h in (0.5 * dz, 0.5 * dt, dt, dt / 6.0,
-                                             2.0))
+    half_dt, full_dt, sixth_dt, two = (
+        np.array(h, dtype=complex) for h in (0.5 * dt, dt, dt / 6.0, 2.0))
     add, multiply, copyto = np.add, np.multiply, np.copyto
     accumulate = np.add.accumulate
 
-    def field(hi, lo):
-        # E of the state whose flattened pair slices are hi, lo, into e
+    def sums(hi, lo):
+        # C of the state whose flattened pair slices are hi, lo, into cum
         add(hi, lo, pairs)
         accumulate(head, -1, None, tail)
-        multiply(cum, half_dz, cum)
-        multiply(cum, src_z, e)
-        add(e, env_z, e)
+
+    def slope(a, x, out):
+        # a*x + coef*C + const, C in cum
+        multiply(a, x, out)
+        multiply(coef_z, cum, term)
+        add(out, term, out)
+        add(out, const_z, out)
 
     times, stage_dt = grid.t, (0.0, 0.5 * dt, dt)
     for n0 in range(first, nt, rows):
         stage_t = [times[n0:n0 + rows] + h for h in stage_dt]
         w0, w1, w2 = _stage_tables(schedule, members, levels, stage_t,
-                                   factors)
-        for r in range(len(stage_t[0])):
+                                   0.5 * dz, slopes, face)
+        last = len(stage_t[0]) - 1
+        for r in range(last + 1):
             n = n0 + r
-            f0, f1, f2 = factors[r]
-            copyto(spread, f0)
-            field(sig_hi, sig_lo)
-            exit_t[:, n - first] = e_exit
+            sums(sig_hi, sig_lo)
+            exit_c[r] = cum_exit
             if on_block is not None:
-                sig_rows[r], e_rows[r] = sig, e
-                if r == rows - 1 or n == nt - 1:
-                    _check_finite(sig_rows[:r + 1], e_rows[:r + 1])
-                    on_block(n0, sig_rows[:r + 1], e_rows[:r + 1])
+                sig_rows[r], e_rows[r] = sig, cum
+            if r == last:
+                # E = (src*dz/2)*C + E(0, t) of the block's rows, in place
+                e_exit, src_dz, env = (a[:r + 1] for a in (exit_c, *face))
+                multiply(src_dz, e_exit, e_exit)
+                add(e_exit, env, e_exit)
+                exit_t[:, n0 - first:n + 1 - first] = e_exit.T
+                if on_block is not None:
+                    e = e_rows[:r + 1]
+                    multiply(src_dz[:, :, None], e, e)
+                    add(e, env[:, :, None], e)
+                    _check_finite(sig_rows[:r + 1], e)
+                    on_block(n0, sig_rows[:r + 1], e)
             if n == nt - 1:
                 break
-            multiply(fixed[w0[r]], sig, k0)
-            multiply(gain_z, e, ge)
-            add(k0, ge, k0)
-            copyto(spread, f1)
+            f0, f1, f2 = slopes[r]
+            copyto(spread, f0)
+            slope(fixed[w0[r]], sig, k0)
             multiply(k0, half_dt, s)
             add(s, sig, s)
-            field(s_hi, s_lo)
+            copyto(spread, f1)
+            sums(s_hi, s_lo)
             a = fixed[w1[r]]
-            multiply(a, s, k1)
-            multiply(gain_z, e, ge)
-            add(k1, ge, k1)
+            slope(a, s, k1)
             multiply(k1, half_dt, s)
             add(s, sig, s)
-            field(s_hi, s_lo)
-            multiply(a, s, k2)
-            multiply(gain_z, e, ge)
-            add(k2, ge, k2)
-            copyto(spread, f2)
+            sums(s_hi, s_lo)
+            slope(a, s, k2)
             multiply(k2, full_dt, s)
             add(s, sig, s)
-            field(s_hi, s_lo)
-            multiply(fixed[w2[r]], s, k3)
-            multiply(gain_z, e, ge)
-            add(k3, ge, k3)
+            copyto(spread, f2)
+            sums(s_hi, s_lo)
+            slope(fixed[w2[r]], s, k3)
             # sig += (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), summed in s
             multiply(k_mid, two, k_mid)
             add.reduce(k, 0, None, s)

@@ -331,15 +331,12 @@ def evolve_rk4_powered(rho0: np.ndarray, H: np.ndarray, gamma: float,
     return Trajectory(times=samples, states=states)
 
 
-def _reference_field(sigma, dz, source, boundary):
-    """E(z) = E(0) + source * (trapezoid integral of sigma over [0, z]),
-    with fresh arrays on every call."""
+def _reference_sums(sigma):
+    """C(z), the running sum of the pair sums sigma[j + 1] + sigma[j] over
+    [0, z] (the trapezoid integral of sigma over dz/2), in a fresh array."""
     cum = np.zeros_like(sigma)
     np.cumsum(sigma[..., 1:] + sigma[..., :-1], axis=-1, out=cum[..., 1:])
-    cum[..., 1:] *= 0.5 * dz
-    e = cum * source
-    e += boundary
-    return e
+    return cum
 
 
 class FullRecords:
@@ -378,15 +375,17 @@ class CrossDrive(NamedTuple):
 
 def reference_march(schedule, grid, members, cross=None, drives=None):
     """Advance a (B, nz) stack of coherences, one row per member, by RK4
-    steps with the slaved field marched along z at every stage, and return
+    steps with the slaved field E = E(0) + (src*dz/2)*C marched along z at
+    every stage, C the running pair sums (``_reference_sums``), and return
     (exit fields (B, nt), sigma (nt, B, nz), field (nt, B, nz)).  What
     depends on time alone is tabulated once on the stage times t_n,
-    t_n + dt/2, t_n + dt.  Each row repeats the arithmetic of a one-member
-    march in the same order, so its records do not depend on the batch.
-    ``drives``, one per member, are None or a Stark drive (intensity,
-    c_shift, c_loss) with I(t) vectorised, added to sigma's coefficient at
-    every stage; a cross drive excludes them.  Step-size checks are the
-    caller's; NumericalError on non-finite state.
+    t_n + dt/2, t_n + dt: a stage's slope is a*sigma + coef*C + const with
+    coef = gain*(src*dz/2) and const = gain*E(0, t).  Each row repeats the
+    arithmetic of a one-member march in the same order, so its records do
+    not depend on the batch.  ``drives``, one per member, are None or a
+    Stark drive (intensity, c_shift, c_loss) with I(t) vectorised, added to
+    sigma's coefficient at every stage; a cross drive excludes them.
+    Step-size checks are the caller's; NumericalError on non-finite state.
     """
     nz, nt, dz, dt = grid.nz, grid.nt, grid.dz, grid.dt
     stage_t = grid.t[:, None] + np.array([0.0, 0.5 * dt, dt])
@@ -399,8 +398,9 @@ def reference_march(schedule, grid, members, cross=None, drives=None):
     env = table(lambda m: m.envelope(stage_t))
     ratio = np.array([m.ratio for m in members])[:, None]
     density = np.array([m.coupling_density for m in members])[:, None]
-    src = (1j * density * ratio) * mult
+    src_dz = (1j * density * ratio * (0.5 * dz)) * mult
     gain = (1j * ratio) * mult
+    coef, const = gain * src_dz, gain * env
     decay0 = np.array([m.decay for m in members])
     drives = drives or [None] * len(members)
     stark = any(d is not None for d in drives)
@@ -421,8 +421,9 @@ def reference_march(schedule, grid, members, cross=None, drives=None):
     eta_zeta = rows[:, :, None] * (grid.z - grid.L / 2.0)
     fixed = -(decay0[:, None] + 1j * eta_zeta)
 
-    def coefficient(n, s, e):
-        # -(decay + i*shift), the sigma-diagonal part of the RHS
+    def coefficient(n, s, cum):
+        # -(decay + i*shift), the sigma-diagonal part of the RHS; a cross
+        # drive reads the source member's field, formed from its C
         if not (stark or driven[n, s]):
             return fixed[which[n, s]]
         decay, shift = decay0, eta_zeta[which[n, s]]
@@ -430,37 +431,40 @@ def reference_march(schedule, grid, members, cross=None, drives=None):
             decay, shift = decay + loss[n, s], shift + ac[n, s]
         rate = decay[:, None] + 1j * shift
         if driven[n, s]:
+            e = src_dz[n, s] * cum + env[n, s]
             b, drive = cross.target, np.abs(e[cross.source]) ** 2
             rate[b] = ((decay[b] + cross.c_loss * drive)
                        + 1j * (shift[b] + cross.c_shift * drive))
         return -rate
 
+    def slope(a, x, cum, n, s):
+        return a * x + coef[n, s] * cum + const[n, s]
+
     sigma_t, field_t = np.empty((2, nt, len(members), nz), dtype=complex)
-    exit_t = np.empty((len(members), nt), dtype=complex)
     sig = np.zeros((len(members), nz), dtype=complex)
     for n in range(nt):
-        e1 = _reference_field(sig, dz, src[n, 0], env[n, 0])
-        sigma_t[n], field_t[n] = sig, e1
-        exit_t[:, n] = e1[:, -1]
+        c1 = _reference_sums(sig)
+        sigma_t[n], field_t[n] = sig, src_dz[n, 0] * c1 + env[n, 0]
         if n == nt - 1:
             break
-        k1 = coefficient(n, 0, e1) * sig + gain[n, 0] * e1
+        k1 = slope(coefficient(n, 0, c1), sig, c1, n, 0)
         s2 = sig + (0.5 * dt) * k1
-        e2 = _reference_field(s2, dz, src[n, 1], env[n, 1])
-        a2 = coefficient(n, 1, e2)
-        k2 = a2 * s2 + gain[n, 1] * e2
+        c2 = _reference_sums(s2)
+        a2 = coefficient(n, 1, c2)
+        k2 = slope(a2, s2, c2, n, 1)
         s3 = sig + (0.5 * dt) * k2
-        e3 = _reference_field(s3, dz, src[n, 1], env[n, 1])
-        a3 = coefficient(n, 1, e3) if driven[n, 1] else a2
-        k3 = a3 * s3 + gain[n, 1] * e3
+        c3 = _reference_sums(s3)
+        a3 = coefficient(n, 1, c3) if driven[n, 1] else a2
+        k3 = slope(a3, s3, c3, n, 1)
         s4 = sig + dt * k3
-        e4 = _reference_field(s4, dz, src[n, 2], env[n, 2])
-        k4 = coefficient(n, 2, e4) * s4 + gain[n, 2] * e4
+        c4 = _reference_sums(s4)
+        k4 = slope(coefficient(n, 2, c4), s4, c4, n, 2)
         sig = sig + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if n % _NAN_CHECK_STRIDE == 0 and not np.all(np.isfinite(sig.view(float))):
             raise NumericalError(
                 f"non-finite coherence at t={stage_t[n, 2]:.4f} (step {n + 1}); "
                 "reduce dt or check the drive for singular values")
+    exit_t = np.ascontiguousarray(field_t[:, :, -1].T)
     if not all(np.all(np.isfinite(rec.view(float)))
                for rec in (exit_t, sigma_t, field_t)):
         raise NumericalError("non-finite values in the stored trajectory")

@@ -963,13 +963,13 @@ class TestGateTelemetry:
 
 class TestRecordDiagnostics:
     @pytest.mark.parametrize("preset, pinned", [
-        ("storage_baseline", {"fourier_residual": 0.028574305592487047,
+        ("storage_baseline", {"fourier_residual": 0.028574305592486953,
                               "excitation_balance_residual":
-                                  0.00012103411819220424,
+                                  0.00012103411819211577,
                               "kdrift_max_dev_bins": 0.8123898905723551}),
         ("fig3b_double", {"quadrature_phase_rad": 0.00419859528646225,
                           "loss_factor": 0.9998953502527481,
-                          "xpm_phase_rad": 0.003962157402600086}),
+                          "xpm_phase_rad": 0.0039621574026020845}),
     ])
     def test_record_diagnostics_pinned(self, preset, pinned):
         # scalars read off the sigma records and the field rebuilt from
@@ -1003,7 +1003,8 @@ class TestSweep:
                                             value, columns):
         # a sweep row is the point's own results at its SWEPT keys, bit
         # for bit, under the axis in its key's unit and the columns the
-        # point kind has always had
+        # point kind has always had; a marching point's summary entry
+        # carries the run's march telemetry beside them
         sweep_cfg = {"experiment": "sweep", "name": "one_point",
                      "sweep": {"path": path, "values": [value]},
                      "base": base}
@@ -1016,6 +1017,14 @@ class TestSweep:
         np.testing.assert_array_equal(
             [float(x) for x in row.split(",")],
             [value] + [results[key] for _, key, _ in SWEPT[single.kind]])
+        (point,) = json.loads((tmp_path / "one_point.summary.json")
+                              .read_text())["results"]["points"]
+        telemetry = ({"march_steps", "dt_over_limit"}
+                     if single.kind in ("storage", "xpm-double") else set())
+        assert set(point) == ({"value"} | telemetry
+                              | {c for c, _, _ in SWEPT[single.kind]})
+        for key in telemetry:
+            assert point[key] == results[key]
 
     def test_rows_ordered_as_given(self, tmp_path):
         sweep_cfg = {

@@ -473,7 +473,9 @@ class TestBatchedMarch:
         # the buffered march keeps the arithmetic and order of the march
         # that allocates its stage arrays afresh: the rows it hands out
         # equal that march's whole records bit for bit, signed zeros
-        # included, on even, odd and two-point grids
+        # included, on even, odd and two-point grids.  The exit field has
+        # one source: an exit-only march returns the exits of a march with
+        # a consumer, the last column of the E rows handed out.
         p = baseline_params
         grid = Grid(nz=nz, nt=500, t_max=20.0)
         drive = apply_stark_drive(PulseSpec(0.8, 6.0, 1.0), p,
@@ -492,13 +494,16 @@ class TestBatchedMarch:
         for a, b in zip((exits, got.sigma, got.field), want):
             assert np.array_equal(a, b)
             assert a.tobytes() == b.tobytes()
+        assert march(schedule, grid, members).tobytes() == exits.tobytes()
+        assert exits.tobytes() == got.field[:, :, -1].T.tobytes()
 
     @pytest.mark.parametrize("first", [0, 1, 300, 499])
     def test_march_from_a_start_row_continues_the_march(
             self, baseline_params, first):
         # started from a march's own row ``first``, a march hands out and
-        # returns that march's rows from there on, bit for bit: the probe
-        # leg of double_storage_run starts so from the end of its hold
+        # returns that march's rows from there on, bit for bit, and so
+        # does an exit-only one: the probe leg of double_storage_run starts
+        # so from the end of its hold
         grid = Grid(nz=48, nt=500, t_max=20.0)
         members = held_pair(baseline_params)
         whole = FullRecords()
@@ -508,8 +513,25 @@ class TestBatchedMarch:
                     start=(first, whole.sigma[first]), on_block=tail)
         assert got.shape == (2, grid.nt - first)
         assert got.tobytes() == exits[:, first:].tobytes()
+        assert march(HOLD_SCHEDULE, grid, members, start=(
+            first, whole.sigma[first])).tobytes() == got.tobytes()
         assert tail.sigma.tobytes() == whole.sigma[first:].tobytes()
         assert tail.field.tobytes() == whole.field[first:].tobytes()
+
+    def test_numpy_calls_per_step(self, baseline_params, monkeypatch):
+        # what a step costs is mostly NumPy's per-call overhead, so its
+        # calls are pinned: ufunc calls (reduce and accumulate included)
+        # and copyto, counted over 101 and over 201 steps in one block so
+        # that the block's own calls cancel.  A change that adds calls
+        # updates the bound on purpose.
+        counting, calls = CountingNumpy(), []
+        monkeypatch.setattr(gem, "np", counting)
+        for nt in (102, 202):
+            counting.calls = 0
+            march(HOLD_SCHEDULE, Grid(nz=8, nt=nt, t_max=0.01 * (nt - 1)),
+                  held_pair(baseline_params))
+            calls.append(counting.calls)
+        assert (calls[1] - calls[0]) / 100 <= 38
 
     def test_steps_allocate_nothing(self, baseline_params, baseline_schedule,
                                     monkeypatch):
@@ -529,6 +551,33 @@ class TestBatchedMarch:
                                       start=(700, state))
 
 
+class CountingNumpy:
+    """Stand-in for a module's ``np`` that counts the calls of numpy's
+    ufuncs, their methods (reduce, accumulate, ...) and copyto in
+    ``calls``, and passes every other name through."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, np.ufunc) or name == "copyto":
+            return _Counted(attr, self)
+        return attr
+
+
+class _Counted:
+    def __init__(self, func, owner):
+        self.func, self.owner = func, owner
+
+    def __call__(self, *args, **kwargs):
+        self.owner.calls += 1
+        return self.func(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return _Counted(getattr(self.func, name), self.owner)
+
+
 def assert_steps_allocate_nothing(monkeypatch, schedule, members,
                                   start=(0, 0.0)):
     """Every array a step writes exists before the first step: from the
@@ -538,8 +587,9 @@ def assert_steps_allocate_nothing(monkeypatch, schedule, members,
     allocate less; the march that allocates per stage grows by 17).  Over
     the whole march the traced peak, less the exit fields it returns,
     stays within its stage tables (a few (nt, 3, B) arrays) and about 17
-    (B, nz) arrays: the stage buffers, a stage's factors and the per-eta
-    coefficients."""
+    (B, nz) arrays: the stage buffers (state, stage state, pair sums,
+    running sums, slope scratch, k1..k4), a stage's two spread terms and
+    the per-eta coefficients."""
     grid = Grid(nz=1024, nt=2001, t_max=20.0)
     tables, before_steps = gem._stage_tables, []
 
