@@ -17,9 +17,10 @@ results, the target report, the fully resolved config and provenance as
 deterministic, so a config fully determines its outputs.
 
 Storage points of a sweep on one schedule and grid form one group and
-march as one exit-only batch, across ensembles; any other point is a
-group of its own.  ``--workers`` maps over the groups.  A sweep's columns
-are the point kind's ``SWEPT`` entries, read off each point's results.
+march as exit-only batches, across ensembles, as many runs to a batch as
+fit the record budget; any other point is a group of its own.
+``--workers`` maps over the groups.  A sweep's columns are the point
+kind's ``SWEPT`` entries, read off each point's results.
 """
 
 from __future__ import annotations
@@ -42,16 +43,16 @@ from .config import (ExperimentConfig, config_to_dict, key_unit,
                      load_config, parse_config)
 from .errors import ConfigError, GemXpmError
 from .gate import phase_trace
-from .gem import (StarkDrive, apply_stark_drive, check_window,
-                  excitation_balance, light_shift, peak_k_trajectory,
-                  polariton_transform, propagate, storage_batch,
-                  verify_fourier_relation)
+from .gem import (RECORD_BUDGET_BYTES, StarkDrive, apply_stark_drive,
+                  check_window, excitation_balance, light_shift,
+                  member_bytes, peak_k_trajectory, polariton_transform,
+                  propagate, storage_batch, verify_fourier_relation)
 from .model import math_angle
 from .presets import get_preset, preset_names
 from .reporting import ResultTable, config_hash, write_summary
 from .tomography import (ChoiMatrix, channel_from_gate, choi_matrix,
                          ideal_cphase_choi, process_fidelity)
-from .xpm import phi_free_signal, phi_stored_pair, double_storage_run
+from .xpm import phi_free_signal, double_storage_run
 
 
 def _provenance(config: Dict[str, Any], wall: float) -> Dict[str, Any]:
@@ -148,16 +149,14 @@ def _run_xpm_double(cfg: ExperimentConfig):
         columns=["t", "kpeak_probe", "kpeak_signal"],
         units=["1/gamma", "rad/L", "rad/L"],
         values=np.column_stack((grid.t, res.kpeak_probe, res.kpeak_signal)))
-    quad = phi_stored_pair(res.effective_signal_envelope, params.delta4,
-                           params.gamma, res.tau1, res.tau2)
     results = {
         "xpm_phase_rad": res.xpm.phase,
         "loss_factor": res.xpm.loss_factor,
         "interaction_time": res.xpm.interaction_time,
         "probe_efficiency": res.probe_efficiency,
         "reference_efficiency": res.reference_efficiency,
-        "quadrature_phase_rad": quad.phase,
-        "quadrature_loss_factor": quad.loss_factor,
+        "quadrature_phase_rad": res.quadrature.phase,
+        "quadrature_loss_factor": res.quadrature.loss_factor,
         "march_steps": grid.nt - 1,
         "dt_over_limit": grid.dt / res.dt_limit,
     }
@@ -304,7 +303,7 @@ def _sweep_group(job: Tuple[str, List[ExperimentConfig]]
     try:
         if points[0].kind != "storage":
             return [_RUNNERS[p.kind](p)[1] for p in points]
-        # one drive per signal and light shift, so that the batch marches
+        # one drive per signal and light shift, so that a batch marches
         # points equal up to probe amplitude once
         drives, runs = {}, []
         for p in points:
@@ -312,14 +311,19 @@ def _sweep_group(job: Tuple[str, List[ExperimentConfig]]
             if key not in drives:
                 drives[key] = _stark(p)
             runs.append((p.ensemble, p.probe, drives[key], None))
-        runs = storage_batch(points[0].schedule, points[0].grid, runs)
+        # a batch holds each run's exit field and drive factor until it
+        # returns: no more runs at once than fit the record budget, each
+        # batch reduced to its rows before the next
+        schedule, grid = points[0].schedule, points[0].grid
+        size = max(1, RECORD_BUDGET_BYTES // (2 * member_bytes(grid)))
+        return [{"efficiency": r.efficiency, "echo_phase_rad": r.echo_phase,
+                 "xpm_phase_rad": r.xpm_phase, "march_steps": grid.nt - 1,
+                 "dt_over_limit": grid.dt / r.dt_limit}
+                for i in range(0, len(runs), size)
+                for r in storage_batch(schedule, grid, runs[i:i + size])]
     except Exception as exc:   # pickled with the error from a worker
         exc.sweep_group = where
         raise
-    grid = points[0].grid
-    return [{"efficiency": r.efficiency, "echo_phase_rad": r.echo_phase,
-             "xpm_phase_rad": r.xpm_phase, "march_steps": grid.nt - 1,
-             "dt_over_limit": grid.dt / r.dt_limit} for r in runs]
 
 
 def _run_sweep(cfg: ExperimentConfig, workers: int):

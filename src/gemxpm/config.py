@@ -405,7 +405,8 @@ def parse_config(raw: Any, default_name: str = "run") -> ExperimentConfig:
         n = int(np.count_nonzero((t >= hold[0]) & (t <= hold[1])))
         if n < HOLD_SAMPLES:
             _fail("grid", f"the hold [{hold[0]}, {hold[1]}] spans {n} "
-                  f"time samples; its quadrature needs {HOLD_SAMPLES}")
+                  f"time samples, fewer than the {HOLD_SAMPLES} that "
+                  "resolve it in time for the signal's fluence")
     return ExperimentConfig(kind=kind, name=name, ensemble=ensemble,
                             probe=probe, signal=signal, schedule=schedule,
                             grid=grid)

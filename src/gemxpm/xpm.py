@@ -30,7 +30,8 @@ from .model import (EnsembleParams, GradientSchedule, Grid, PiecewiseConstant,
 _C_LIGHT = 299792458.0
 _EPS0 = 8.8541878188e-12
 _HBAR = 1.0545718176461565e-34
-#: Samples of g*|E_s| on the hold window phi_stored_pair needs.
+#: Grid times a hold spans at least: its resolution in time for the
+#: signal's fluence, and phi_stored_pair's samples of g*|E_s|.
 HOLD_SAMPLES = 64
 
 
@@ -60,36 +61,15 @@ def phi_free_signal(Omega_s: float, delta3: float, tau: float,
     return phi
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> np.floating:
-    """scipy.integrate.simpson(y, x=x) for 1-D y and strictly increasing x
-    (scipy guards zero spacings) with at least 3 samples, in scipy's
-    operation order: the composite rule for uneven spacing over the first
-    n - 1 (odd n) or n - 2 (even n) points, and for even n the last
-    interval's correction."""
-    n, h = y.size, np.diff(x)
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
-    if n % 2 == 0:
-        h0, h1 = h[-2], h[-1]
-        alpha = (2 * (h1 * h1) + 3 * h0 * h1) / (6 * (h1 + h0))
-        beta = (h1 * h1 + 3.0 * h0 * h1) / (6 * h0)
-        eta = (1 * h1 ** 3) / (6 * h0 * (h0 + h1))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result
-
-
 def phi_stored_pair(signal_envelope: Sequence[float], delta4: float,
                     gamma: float, tau1: float, tau2: float) -> XpmResult:
     """Phase and loss of a stored coherence driven by a stored signal.
 
     ``signal_envelope`` samples g*|E_s| uniformly on [tau1, tau2] (at least
-    HOLD_SAMPLES points).  The phase is the composite-Simpson quadrature of
-    |g*E_s|^2 times c_shift, the loss factor exp(-integral * c_loss), with
-    (c_shift, c_loss) = light_shift(gamma, delta4).
+    HOLD_SAMPLES points).  The phase is the trapezoid quadrature of
+    |g*E_s|^2 (the rule of double_storage_run's fluence) times c_shift, the
+    loss factor exp(-integral * c_loss), with (c_shift, c_loss) =
+    light_shift(gamma, delta4).
     """
     if not tau2 > tau1:
         raise ValueError(f"tau2 must exceed tau1, got ({tau1}, {tau2})")
@@ -101,8 +81,8 @@ def phi_stored_pair(signal_envelope: Sequence[float], delta4: float,
     c_shift, c_loss = light_shift(gamma, delta4)
     # integrate over elapsed time so the result depends on tau1, tau2 only
     # through the duration (manifest translation invariance)
-    integral = float(_simpson(env * env,
-                              np.linspace(0.0, tau2 - tau1, env.size)))
+    integral = float(np.trapezoid(env * env,
+                                  np.linspace(0.0, tau2 - tau1, env.size)))
     return XpmResult(phase=integral * c_shift,
                      loss_factor=math.exp(-integral * c_loss),
                      interaction_time=tau2 - tau1)
@@ -197,19 +177,20 @@ class DoubleStorageResult:
     """Outcome of the two-polariton hold protocol.
 
     ``xpm`` carries the recalled-probe phase (against the signal-free
-    reference) and the coherence amplitude surviving the hold.  The k-t
+    reference) and the coherence amplitude surviving the hold.
+    ``quadrature`` is the semi-classical estimate: phase c_shift*F and
+    loss factor exp(-c_loss*F), F the hold's fluence of |g*E_s|^2 averaged
+    over z with the held probe's |sigma|^2.  The k-t
     trajectories are the peak-|sigma(k)| k of each coherence per grid
     time.  dt_limit is the march's stability limit on dt from check_step.
     """
 
     xpm: XpmResult
+    quadrature: XpmResult
     kpeak_probe: np.ndarray      # (nt,)
     kpeak_signal: np.ndarray     # (nt,)
     probe_efficiency: float
     reference_efficiency: float
-    tau1: float
-    tau2: float
-    effective_signal_envelope: np.ndarray   # g|E_s| weighted over the probe
     dt_limit: float
 
 
@@ -266,9 +247,11 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     bounds dt for the members marched.
 
     Returns the recalled-probe phase relative to the reference, the
-    surviving coherence fraction, and the k-t trajectories of both
-    coherences, reduced from the rows the marches hand out;
-    NumericalError when the factor is beyond float range.
+    surviving coherence fraction, the stored-pair quadrature and the k-t
+    trajectories of both coherences, reduced from the rows the marches
+    hand out; NumericalError when the factor is beyond float range.  The
+    quadrature averages F(z) at i2 with row j1's |sigma_ref|^2: with the
+    coupling off and eta = 0, every hold row has these weights.
     """
     recall, (tau1, tau2) = check_protocol(probe, signal, schedule, grid.t_max)
     # the reference (the probe undriven) and the signal (opposite
@@ -288,15 +271,18 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
 
     j1 = int(np.searchsorted(grid.t, tau1))   # the hold's rows: j1..i2
     i2 = max(int(np.searchsorted(grid.t, tau2, side="right")) - 1, 0)
-    kpeak, intensity = np.empty((2, grid.nt)), np.empty(grid.nt)
+    kpeak = np.empty((2, grid.nt))
     # the sum of |E_signal|^2 over the hold's rows so far and its first
-    # row (the trapezoid fluence); the probe's and reference's rows at i2
+    # row (the trapezoid fluence); the probe's and reference's rows at i2;
+    # the reference's |sigma|^2 on row j1 and the fluence at i2 averaged
+    # over z with it
     drive_sum, first_drive, ends = 0.0, None, None
+    weight, mean_fluence = None, 0.0
 
     def probe_rows(n0, sigma, field):
         # the probe's rows n0, ...: the reference's, times the factor over
         # the hold's rows
-        nonlocal drive_sum, first_drive
+        nonlocal drive_sum, first_drive, weight, mean_fluence
         lo, hi = (min(max(row - n0, 0), len(sigma)) for row in (j1, i2 + 1))
         rows = sigma[:, 0]
         if lo >= hi:
@@ -304,7 +290,7 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
         with np.errstate(over="ignore", invalid="ignore"):
             drive = np.abs(field[lo:hi, 1]) ** 2
             if first_drive is None:
-                first_drive = drive[0]
+                first_drive, weight = drive[0], np.abs(sigma[lo, 0]) ** 2
             fluence = np.cumsum(drive, axis=0)
             fluence += drive_sum
             drive_sum = fluence[-1].copy()
@@ -314,10 +300,9 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
         if not np.all(np.isfinite(factor.view(float))):
             raise NumericalError("the signal's fluence over the hold, or "
                                  "its factor, is beyond float range")
-        # |sigma_ref|^2-weighted |E_signal|^2 over the hold
-        w = np.abs(sigma[lo:hi, 0]) ** 2
-        intensity[n0 + lo:n0 + hi] = (
-            (w * drive).sum(axis=1) / np.maximum(w.sum(axis=1), 1e-300))
+        if n0 + hi == i2 + 1:
+            mean_fluence = float((weight * (grid.dt * fluence[-1])).sum()
+                                 / max(weight.sum(), 1e-300))
         rows = rows.copy()
         rows[lo:hi] *= factor
         return rows
@@ -347,8 +332,9 @@ def double_storage_run(params: EnsembleParams, probe: PulseSpec,
     return DoubleStorageResult(
         xpm=XpmResult(phase=reference.echo_phase - probe_result.echo_phase,
                       loss_factor=loss_factor, interaction_time=tau2 - tau1),
+        quadrature=XpmResult(phase=c_shift * mean_fluence,
+                             loss_factor=math.exp(-c_loss * mean_fluence),
+                             interaction_time=tau2 - tau1),
         kpeak_probe=kpeak[0], kpeak_signal=kpeak[1],
         probe_efficiency=probe_result.efficiency,
-        reference_efficiency=reference.efficiency, tau1=tau1, tau2=tau2,
-        effective_signal_envelope=np.sqrt(intensity[j1:i2 + 1]),
-        dt_limit=dt_limit)
+        reference_efficiency=reference.efficiency, dt_limit=dt_limit)

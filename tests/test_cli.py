@@ -17,6 +17,7 @@ from gemxpm.cli import (_RUNNERS, SWEPT, _run_storage, choi_table, main,
 from gemxpm.config import (SECTIONS, UNREAD, GateRunSpec, config_to_dict,
                            parse_config, set_sweep_value)
 from gemxpm.errors import ConfigError
+from gemxpm.gem import member_bytes
 from gemxpm.model import EnsembleParams
 from gemxpm.presets import get_preset, preset_names
 from gemxpm.reporting import (ResultTable, config_hash, csv_body,
@@ -967,13 +968,15 @@ class TestRecordDiagnostics:
                               "excitation_balance_residual":
                                   0.00012103411819211577,
                               "kdrift_max_dev_bins": 0.8123898905723551}),
-        ("fig3b_double", {"quadrature_phase_rad": 0.00419859528646225,
+        ("fig3b_double", {"quadrature_phase_rad": 0.0041862825813943835,
                           "loss_factor": 0.9998953502527481,
                           "xpm_phase_rad": 0.0039621574026020845}),
     ])
     def test_record_diagnostics_pinned(self, preset, pinned):
         # scalars read off the sigma records and the field rebuilt from
-        # them, pinned bit for bit to the runs that stored E beside sigma
+        # them, pinned bit for bit to the runs that stored E beside sigma;
+        # the quadrature phase to its weighted mean of the hold's fluence
+        # (0.00419859528646225 when cli integrated the hold again)
         raw = get_preset(preset)
         raw["grid"].update(nz=64, nt=1024)
         cfg = parse_config(raw, default_name=preset)
@@ -1252,6 +1255,48 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 2 ** 20
+
+    def test_sweep_batches_bound_what_it_keeps(self, tmp_path, monkeypatch):
+        # a storage sweep hands storage_batch no more runs at once than fit
+        # the record budget, two members' worth each, and reduces each
+        # batch to its rows before the next: at two runs a batch, 24
+        # points keep about what 8 do (holding every run's exit field and
+        # drive factor, they kept 2.6 times as much at nz 16, nt 256), and
+        # the rows are the one-batch sweep's byte for byte
+        from gemxpm import cli
+        base = dict(STORAGE_CONFIG, signal=SIGNAL,
+                    grid={"nz": 16, "nt": 256, "t_max": 20.0})
+
+        def sweep(n):
+            return parse_config({
+                "experiment": "sweep", "name": "kept",
+                "sweep": {"path": "signal.peak_amplitude",
+                          "values": [0.1 * (i + 1) for i in range(n)]},
+                "base": base})
+
+        run_config(sweep(24), tmp_path / "whole")
+        batches, batch = [], cli.storage_batch
+
+        def recorded(schedule, grid, runs, *args):
+            batches.append(len(runs))
+            return batch(schedule, grid, runs, *args)
+
+        monkeypatch.setattr(cli, "storage_batch", recorded)
+        monkeypatch.setattr(cli, "RECORD_BUDGET_BYTES",
+                            4 * member_bytes(sweep(1).points[0].grid))
+        peaks = []
+        for n in (8, 24):
+            cfg = sweep(n)
+            tracemalloc.start()
+            try:
+                run_config(cfg, tmp_path / f"batched{n}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert batches == [2] * 16
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert csv_body(tmp_path / "batched24" / "kept.csv") == \
+            csv_body(tmp_path / "whole" / "kept.csv")
 
     @pytest.mark.parametrize("signal", [SIGNAL, None],
                              ids=["driven", "undriven"])

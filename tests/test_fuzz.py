@@ -15,8 +15,9 @@ or be refused with exit 2 (config) or 3 (numerical/I/O); no exception
 may escape ``main``.  A config whose ensemble sets a key its kind does
 not read must exit 2, and at least a third of a fixed seeded sample of
 independent draws must run.  Grids stay at nz, nt <= 32, so every run
-is small; an xpm-double grid adds the time samples its hold's quadrature
-needs (``HOLD_SAMPLES`` over the hold), without which none could run.
+is small; an xpm-double grid adds the time samples that resolve its
+hold in time for the signal's fluence (``HOLD_SAMPLES`` over the hold),
+without which none could run.
 
 Gate and tomography configs, and sweeps over them, are edited the same
 way.  Two hundred of them are parsed: ``parse_config`` must return or
@@ -144,7 +145,8 @@ def xpm_double(draw):
     end = max(t_max, tau2 + 0.1 * t_max)
     eta = draw(st.floats(-4.0, 4.0))
     g = grid(draw, t_max)
-    # enough time samples for the hold's quadrature, or none could run
+    # enough time samples to resolve the hold for the signal's fluence,
+    # or none could run
     g["nt"] += math.ceil(HOLD_SAMPLES * t_max / (tau2 - tau1))
     return {"experiment": "xpm-double",
             "ensemble": draw(ensemble("xpm-double")),

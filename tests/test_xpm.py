@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from gemxpm import (EnsembleParams, GradientSchedule, Grid, NumericalError,
                     coupling_loss_rate, double_storage_run, phi_free_signal,
                     phi_stored_pair, scattering_consistency,
                     single_photon_estimate, xpm)
-from gemxpm.gem import (Member, exit_phase, light_shift, peak_k_trajectory,
-                        spatial_spectrum)
-from gemxpm.xpm import (EXPERIMENT_GEOMETRY, HOLD_SAMPLES, TransitionData,
-                         _simpson)
+from gemxpm.cli import _RUNNERS
+from gemxpm.config import parse_config
+from gemxpm.gem import (Member, exit_phase, light_shift, march,
+                        peak_k_trajectory, spatial_spectrum)
+from gemxpm.presets import get_preset
+from gemxpm.xpm import EXPERIMENT_GEOMETRY, TransitionData
 
 from _reference import CrossDrive, reference_march
 
@@ -83,19 +86,19 @@ class TestPhiStoredPair:
         free = phi_free_signal(omega, delta, tau, gamma)
         assert stored.phase / free == pytest.approx(2.0, rel=1e-12)
 
-    def test_simpson_matches_scipy(self):
-        # the numpy port is scipy's simpson(y, x=s) bit for bit on the
-        # uniform grids phi_stored_pair integrates over: odd and even
-        # sample counts (the last-interval correction), several durations
-        from scipy.integrate import simpson
-        rng = np.random.default_rng(7)
-        for n in [*range(HOLD_SAMPLES, HOLD_SAMPLES + 9), 97, 200, 513,
-                  1024, 1999, 2000]:
-            for T in (1e-3, 0.37, 4.0, 10.0, 283.0):
-                s = np.linspace(0.0, T, n)
-                for y in (rng.random(n), np.exp(-((s - T / 3) / T) ** 2)):
-                    assert (np.float64(_simpson(y, s)).tobytes()
-                            == np.float64(simpson(y, x=s)).tobytes())
+    @pytest.mark.parametrize("n", [64, 65, 101, 513])
+    @pytest.mark.parametrize("w", [0.5, 1.0, 2.0])
+    def test_gaussian_against_erf(self, n, w):
+        # |env|^2 = exp(-2((s - 5)/w)^2) on [0, 10]: its integral is
+        # w*sqrt(pi/2)*erf(5*sqrt(2)/w).  The trapezoid rule comes within
+        # 2.5e-8 of it; a composite Simpson rule with scipy's even-n
+        # correction read 1.4e-6 off (65 samples, w = 0.5)
+        s = np.linspace(0.0, 10.0, n)
+        env = np.exp(-((s - 5.0) / w) ** 2)
+        closed = (w * math.sqrt(math.pi / 2.0)
+                  * math.erf(5.0 * math.sqrt(2.0) / w))
+        res = phi_stored_pair(env, 1.0, 1.0, 0.0, 10.0)   # c_shift = 1/2
+        assert abs(2.0 * res.phase - closed) < 1e-7
 
     @given(st.integers(min_value=-2560, max_value=2560))
     def test_translation_invariance(self, shift64):
@@ -195,6 +198,21 @@ class TestSinglePhotonEstimate:
 DOUBLE_GRID = Grid(nz=256, nt=8192, t_max=34.0)
 
 
+def double_members(p, probe, signal, hold, t_max):
+    """The reference (the probe, its coupling off over ``hold``) and the
+    signal (opposite gradient, coupling on) double_storage_run marches."""
+    tau1, tau2 = hold
+    held = Member(probe.envelope, p.raman_ratio, p.coupling_density,
+                  decay=p.gamma0,
+                  coupling=PiecewiseConstant(((0.0, tau1, 1.0),
+                                              (tau1, tau2, 0.0),
+                                              (tau2, t_max, 1.0))))
+    return [held, Member(signal.envelope, p.raman_ratio_signal,
+                         p.coupling_density, eta_sign=-1.0,
+                         decay=p.gamma0 + coupling_loss_rate(
+                             p.OmegaCPrime, p.DeltaPrime, p.gamma))]
+
+
 @pytest.fixture(scope="module")
 def double_run():
     return double_storage_run(DOUBLE_PARAMS, DOUBLE_PROBE, DOUBLE_SIGNAL,
@@ -244,15 +262,8 @@ class TestDoubleStorage:
         monkeypatch.setattr(xpm, "storage_result", recorded)
         run = double_storage_run(p, DOUBLE_PROBE, DOUBLE_SIGNAL, schedule,
                                  grid)
-        held = Member(DOUBLE_PROBE.envelope, p.raman_ratio,
-                      p.coupling_density, decay=p.gamma0,
-                      coupling=PiecewiseConstant(((0.0, 11.0, 1.0),
-                                                  (11.0, 21.0, 0.0),
-                                                  (21.0, 34.0, 1.0))))
-        signal = Member(DOUBLE_SIGNAL.envelope, p.raman_ratio_signal,
-                        p.coupling_density, eta_sign=-1.0,
-                        decay=p.gamma0 + coupling_loss_rate(
-                            p.OmegaCPrime, p.DeltaPrime, p.gamma))
+        held, signal = double_members(p, DOUBLE_PROBE, DOUBLE_SIGNAL,
+                                      (11.0, 21.0), 34.0)
         want, sigma, _ = reference_march(
             schedule, grid, [held, signal, held],
             CrossDrive(1, 0, (11.0, 21.0), *light_shift(p.gamma, p.delta4)))
@@ -281,11 +292,8 @@ class TestDoubleStorage:
                         for amplitude in (1.0, 60.0))
         assert strong.dt_limit == weak.dt_limit > grid.dt
         assert strong.reference_efficiency == weak.reference_efficiency
-        quad = phi_stored_pair(strong.effective_signal_envelope,
-                               DOUBLE_PARAMS.delta4, DOUBLE_PARAMS.gamma,
-                               strong.tau1, strong.tau2)
-        assert strong.xpm.loss_factor == pytest.approx(quad.loss_factor,
-                                                       rel=0.05)
+        assert strong.xpm.loss_factor == pytest.approx(
+            strong.quadrature.loss_factor, rel=0.05)
 
     def test_fluence_beyond_float_range_refused(self):
         # |g*E_s|^2 overflows: refused by name, with no warning raised
@@ -295,10 +303,8 @@ class TestDoubleStorage:
                                Grid(nz=32, nt=1024, t_max=34.0))
 
     def test_phase_against_quadrature(self, double_run):
-        chk = phi_stored_pair(double_run.effective_signal_envelope,
-                              DOUBLE_PARAMS.delta4, DOUBLE_PARAMS.gamma,
-                              double_run.tau1, double_run.tau2)
-        assert double_run.xpm.phase == pytest.approx(chk.phase, rel=0.10)
+        assert double_run.xpm.phase == pytest.approx(
+            double_run.quadrature.phase, rel=0.10)
 
     def test_hold_doubling_doubles_phase(self, double_run):
         grid2 = Grid(nz=256, nt=10240, t_max=44.0)
@@ -350,3 +356,59 @@ class TestDoubleStorage:
         with pytest.raises(ProtocolError, match="must lie inside"):
             double_storage_run(DOUBLE_PARAMS, probe, signal, sched,
                                Grid(nz=32, nt=2048, t_max=t_max))
+
+
+def hold_rows(params, probe, signal, schedule, grid):
+    """Grid times of the hold's rows j1..i2 and on them the signal-free
+    reference's |sigma|^2 and the signal's |E|^2, (rows, nz) each, from the
+    rows march hands out for the members double_storage_run marches."""
+    tau1, tau2 = schedule.hold_window()
+    hold = (grid.t >= tau1) & (grid.t <= tau2)
+    weight, drive = [], []
+
+    def keep(n0, sigma, field):
+        rows = hold[n0:n0 + len(sigma)]
+        weight.append(np.abs(sigma[rows, 0]) ** 2)
+        drive.append(np.abs(field[rows, 1]) ** 2)
+
+    march(schedule, grid, double_members(params, probe, signal,
+                                         (tau1, tau2), grid.t_max),
+          on_block=keep)
+    return grid.t[hold], np.concatenate(weight), np.concatenate(drive)
+
+
+class TestHoldQuadrature:
+    def test_quadrature_is_the_weighted_trapezoid(self):
+        # c_shift times the trapezoid integral, over the hold rows' own grid
+        # times, of |E_s|^2 weighted per row by |sigma_ref|^2.  The rows
+        # j1..i2 span 9.9707 here: spread over tau2 - tau1 = 10 they read
+        # 2.9e-3 high
+        raw = get_preset("fig3b_double")
+        raw["grid"].update(nz=64, nt=1024)
+        cfg = parse_config(raw, default_name="fig3b_double")
+        results = _RUNNERS[cfg.kind](cfg)[1]
+        t, weight, drive = hold_rows(cfg.ensemble, cfg.probe, cfg.signal,
+                                     cfg.schedule, cfg.grid)
+        fluence = np.trapezoid((weight * drive).sum(axis=1)
+                               / weight.sum(axis=1), t)
+        c_shift, c_loss = light_shift(cfg.ensemble.gamma, cfg.ensemble.delta4)
+        assert results["quadrature_phase_rad"] == pytest.approx(
+            c_shift * fluence, rel=1e-12, abs=0.0)
+        assert results["quadrature_loss_factor"] == pytest.approx(
+            math.exp(-c_loss * fluence), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gamma0", [0.0, 0.05])
+    @pytest.mark.parametrize("nt", [8161, 8192], ids=["edges_on_grid",
+                                                      "edges_off_grid"])
+    def test_held_weights_are_fixed(self, gamma0, nt):
+        # with its coupling off and eta = 0, each hold row of the reference
+        # is the last times one decay step, so its normalised |sigma|^2 is
+        # row j1's on j1..i2-1 (row i2's last stage may read the coupling
+        # on when tau2 is a grid time, as at nt 8161)
+        params = replace(DOUBLE_PARAMS, gamma0=gamma0)
+        grid = Grid(nz=128, nt=nt, t_max=34.0)
+        t, weight, _ = hold_rows(params, DOUBLE_PROBE, DOUBLE_SIGNAL,
+                                 double_schedule(), grid)
+        assert (t[0] == 11.0) == (t[-1] == 21.0) == (nt == 8161)
+        shares = weight[:-1] / weight[:-1].sum(axis=1, keepdims=True)
+        assert np.max(np.abs(shares - shares[0])) <= 1e-12 * shares[0].max()
